@@ -22,6 +22,10 @@ from .metrics import (
 )
 from .reports import render_doc, render_text
 
+#: Largest ``--bins`` that ``audit`` accepts. Each group's calibration arrays
+#: hold one cell per bin, so the cap bounds their memory before any is built.
+MAX_BINS = 100_000
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -43,7 +47,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     audit = sub.add_parser("audit", help="compute fairness metrics for a CSV of records")
     audit.add_argument("--input", required=True, help="CSV with header group,score,outcome,decision")
-    audit.add_argument("--bins", type=int, default=10, help="equal-width score bins (default 10)")
+    audit.add_argument(
+        "--bins", type=int, default=10, help=f"equal-width score bins, 1 to {MAX_BINS:,} (default 10)"
+    )
     audit.add_argument("--tol", type=float, default=1e-6, help="gap tolerance for holds/fails lines")
     audit.add_argument("--out", default=None, help="directory for the report file")
     audit.add_argument("--format", choices=("text", "doc"), default="text", dest="fmt")
@@ -102,6 +108,8 @@ def audit(csv_path: str, bins: int = 10, tol: float = 1e-6) -> dict:
     ``tol`` only draws the holds/fails line under each gap; gaps are findings,
     never errors.
     """
+    if not 1 <= bins <= MAX_BINS:
+        raise ValueError(f"bins must be between 1 and {MAX_BINS}, got {bins}")
     data = AuditDataset.from_csv(csv_path)
     labels = data.labels
     if len(labels) < 2:

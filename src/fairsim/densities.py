@@ -9,7 +9,13 @@ rationals -- while integrals of generic weight functions use the midpoint rule.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import math
+import mmap
+import os
+import stat
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -315,20 +321,45 @@ CSV_HEADER = ("group", "score", "outcome", "decision")
 #: Sentinel for a missing per-record decision.
 NO_DECISION = -1
 
+#: One record as the vectorized reader parses it. The label and both tokens
+#: stay text, so they are checked exactly as the row reader checks them.
+_CSV_RECORD = np.dtype([("group", object), ("score", "f8"), ("outcome", object), ("decision", object)])
 
-@dataclass(frozen=True)
+#: Records per chunk in ``to_csv``; bounds the text held in memory at once.
+_WRITE_CHUNK = 1 << 16
+
+
+@dataclass(frozen=True, init=False)
 class AuditDataset:
-    """Finite records of (group, score, outcome, optional decision)."""
+    """Finite records of (group, score, outcome, optional decision), stored as
+    columns.
 
-    group: np.ndarray
+    ``labels`` lists each group once, in the order of its first record, and
+    ``codes[i]`` is the index in ``labels`` of record i's group. The
+    constructor takes the per-record labels; ``group`` derives them back.
+    """
+
+    codes: np.ndarray
+    labels: tuple[str, ...]
     score: np.ndarray
     outcome: np.ndarray
     decision: np.ndarray | None = None
 
-    def __post_init__(self):
-        n = len(self.group)
-        score = np.asarray(self.score, dtype=float)
-        outcome = np.asarray(self.outcome, dtype=np.int8)
+    def __init__(self, group, score, outcome, decision=None):
+        labels, codes = _factorize(np.asarray(group, dtype=object).tolist())
+        self._set_columns(codes, labels, score, outcome, decision)
+
+    @classmethod
+    def _from_codes(cls, codes, labels, score, outcome, decision=None) -> "AuditDataset":
+        """Dataset whose ``labels`` are already in first-record order, each used."""
+        data = cls.__new__(cls)
+        data._set_columns(codes, labels, score, outcome, decision)
+        return data
+
+    def _set_columns(self, codes, labels, score, outcome, decision) -> None:
+        n = len(codes)
+        score = np.asarray(score, dtype=float)
+        outcome = np.asarray(outcome, dtype=np.int8)
         if len(score) != n or len(outcome) != n:
             raise ValueError("all columns must have equal length")
         if n == 0:
@@ -337,56 +368,163 @@ class AuditDataset:
             raise ValueError("scores must lie in [0, 1]")
         if not np.all(np.isin(outcome, (0, 1))):
             raise ValueError("outcomes must be 0 or 1")
-        object.__setattr__(self, "group", np.asarray(self.group, dtype=object))
+        object.__setattr__(self, "codes", np.asarray(codes, dtype=np.int32))
+        object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "score", score)
         object.__setattr__(self, "outcome", outcome)
-        if self.decision is not None:
-            decision = np.asarray(self.decision, dtype=np.int8)
+        if decision is not None:
+            decision = np.asarray(decision, dtype=np.int8)
             if len(decision) != n:
                 raise ValueError("decision column length mismatch")
             if not np.all(np.isin(decision, (NO_DECISION, 0, 1))):
                 raise ValueError("decisions must be 0, 1, or missing")
-            object.__setattr__(self, "decision", decision)
+        object.__setattr__(self, "decision", decision)
 
     def __len__(self) -> int:
-        return len(self.group)
+        return len(self.codes)
 
     @property
-    def labels(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for g in self.group:
-            seen.setdefault(g, None)
-        return tuple(seen)
+    def group(self) -> np.ndarray:
+        """Per-record group labels, as a new object array."""
+        return np.array(self.labels, dtype=object)[self.codes]
 
     def group_mask(self, label: str) -> np.ndarray:
-        mask = self.group == label
-        if not mask.any():
-            raise KeyError(f"unknown group {label!r}; known groups: {sorted(set(self.group))}")
-        return mask
+        try:
+            k = self.labels.index(label)
+        except ValueError:
+            raise KeyError(f"unknown group {label!r}; known groups: {sorted(self.labels)}") from None
+        return self.codes == k
 
     def decisions_complete(self) -> bool:
         return self.decision is not None and not np.any(self.decision == NO_DECISION)
 
     def to_csv(self, path) -> None:
+        """Write the records with a header, byte for byte as ``csv.writer``
+        writes them row by row; rows are joined in bounded chunks."""
+        label_cells = np.array([_csv_cell(label) for label in self.labels], dtype=object)
+        decision_cells = np.array(["", "0", "1"], dtype=object)  # indexed by decision + 1
+        row = "{},{!r},{},{}\n".format
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_HEADER)
-            decision = self.decision
-            for i in range(len(self)):
-                d = "" if decision is None or decision[i] == NO_DECISION else str(int(decision[i]))
-                writer.writerow((self.group[i], repr(float(self.score[i])), int(self.outcome[i]), d))
+            csv.writer(fh, lineterminator="\n").writerow(CSV_HEADER)
+            for start in range(0, len(self), _WRITE_CHUNK):
+                part = slice(start, start + _WRITE_CHUNK)
+                scores = self.score[part].tolist()
+                if self.decision is None:
+                    decisions = itertools.repeat("", len(scores))
+                else:
+                    decisions = decision_cells[self.decision[part] + 1].tolist()
+                cells = label_cells[self.codes[part]].tolist()
+                fh.write("".join(map(row, cells, scores, self.outcome[part].tolist(), decisions)))
 
     @classmethod
     def from_csv(cls, path) -> "AuditDataset":
-        groups: list[str] = []
-        scores: list[float] = []
-        outcomes: list[int] = []
-        decisions: list[int] = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+        """Read a ``group,score,outcome,decision`` file, UTF-8 with or without
+        a byte-order mark.
+
+        One vectorized pass reads well-formed files. A file it cannot take
+        as is (padded cells, bad tokens, over-long cells, no records) is read
+        again row by row; that reader's result, or its line-numbered error,
+        defines the format.
+        """
+        data = _read_columns(path)
+        return data if data is not None else _read_rows(path)
+
+
+def _factorize(values: list) -> tuple[tuple, np.ndarray]:
+    """The distinct values in first-seen order, and each value's index among them."""
+    index = dict.fromkeys(values)
+    for k, value in enumerate(index):
+        index[value] = k
+    return tuple(index), np.fromiter(map(index.__getitem__, values), dtype=np.int32, count=len(values))
+
+
+def _csv_cell(value) -> str:
+    """``value`` as ``csv.writer`` renders it as the first cell of a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((value, ""))
+    return buf.getvalue()[: -len(",\n")]
+
+
+def _fits_one_pass(path, limit: int) -> bool:
+    """True when ``path`` is a regular file, which can be read more than
+    once, and no run of bytes between its line feeds reaches ``limit``.
+
+    Every aligned block of ``limit // 2`` bytes holding a line feed bounds
+    each run below ``limit``. The probes go through a memory map, so they
+    touch only the pages at the start of each block.
+    """
+    info = os.stat(path)  # a pipe is not opened here: its data can be read only once
+    if not stat.S_ISREG(info.st_mode):
+        return False
+    if info.st_size < limit:
+        return True
+    step = max(1, limit // 2)
+    with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+        return all(mm.find(b"\n", start, start + step) >= 0 for start in range(0, info.st_size - step + 1, step))
+
+
+def _read_columns(path) -> AuditDataset | None:
+    """The records of ``path`` from one ``np.loadtxt`` pass, or None when the
+    row reader must decide: on any parse error, and on any cell that it
+    would read differently or reject.
+
+    A cell on one line is within the csv field-size limit whenever the line
+    is; a quoted score cell spread over many lines can still exceed the limit
+    unseen. ``np.loadtxt`` opens the file with universal newlines, which turn a
+    quoted ``\r\n`` into ``\n``, so a label holding a line break is left to
+    the row reader.
+    """
+    if not _fits_one_pass(path, csv.field_size_limit()):
+        return None
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+        except (ValueError, csv.Error):
+            return None
+        if header is None or reader.line_num != 1 or tuple(h.strip() for h in header) != CSV_HEADER:
+            return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # raised for a file without records
+            records = np.loadtxt(
+                os.fspath(path), dtype=_CSV_RECORD, delimiter=",", quotechar='"', comments=None,
+                skiprows=1, encoding="utf-8-sig", ndmin=1,
+            )
+    except ValueError:
+        return None
+    if len(records) == 0:
+        return None
+    labels, codes = _factorize(records["group"].tolist())
+    if not all(label and label == label.strip() and "\n" not in label for label in labels):
+        return None
+    score = np.ascontiguousarray(records["score"])
+    if not np.all((score >= 0.0) & (score <= 1.0)):
+        return None
+    outcome = records["outcome"] == "1"
+    decided = records["decision"] == "1"
+    missing = ~(decided | (records["decision"] == "0"))
+    if not (np.all(outcome | (records["outcome"] == "0")) and np.all(records["decision"][missing] == "")):
+        return None
+    decision = None if missing.all() else np.where(missing, NO_DECISION, decided).astype(np.int8)
+    return AuditDataset._from_codes(codes, labels, score, outcome.astype(np.int8), decision)
+
+
+def _read_rows(path) -> AuditDataset:
+    """The row-by-row reader. Its result and its line-numbered errors are the
+    specification that ``_read_columns`` reproduces faster."""
+    groups: list[str] = []
+    scores: list[float] = []
+    outcomes: list[int] = []
+    decisions: list[int] = []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        line_no = 0
+        try:
             header = next(reader, None)
             if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
                 raise ValueError(f"expected header {','.join(CSV_HEADER)!r}, got {header!r}")
+            line_no = 1
             for line_no, row in enumerate(reader, start=2):
                 if not row:
                     continue
@@ -409,15 +547,18 @@ class AuditDataset:
                 scores.append(score)
                 outcomes.append(int(outcome_s))
                 decisions.append(NO_DECISION if decision_s == "" else int(decision_s))
-        if not groups:
-            raise ValueError("CSV contains no data rows")
-        decision_col = None if all(d == NO_DECISION for d in decisions) else np.array(decisions, dtype=np.int8)
-        return cls(
-            group=np.array(groups, dtype=object),
-            score=np.array(scores),
-            outcome=np.array(outcomes, dtype=np.int8),
-            decision=decision_col,
-        )
+        except csv.Error as exc:
+            # line_no is the last row read, so the reader failed on the next one.
+            raise ValueError(f"row {line_no + 1}: {exc}") from None
+    if not groups:
+        raise ValueError("CSV contains no data rows")
+    decision_col = None if all(d == NO_DECISION for d in decisions) else np.array(decisions, dtype=np.int8)
+    return AuditDataset(
+        group=groups,
+        score=np.array(scores),
+        outcome=np.array(outcomes, dtype=np.int8),
+        decision=decision_col,
+    )
 
 
 def base_rate(pop: PopulationModel, group: str) -> float:
@@ -497,16 +638,17 @@ def sample(pop: PopulationModel, n: int, seed: int, rule=None) -> AuditDataset:
     pvec = np.array([weights[g] for g in labels])
     gidx = rng.choice(len(labels), size=n, p=pvec / pvec.sum())
 
-    group_col = np.empty(n, dtype=object)
     score_col = np.empty(n)
     outcome_col = np.empty(n, dtype=np.int8)
     decision_col = np.empty(n, dtype=np.int8) if rule is not None else None
 
+    first_record: dict[int, int] = {}
     for gi, label in enumerate(labels):
         mask = gidx == gi
         k = int(mask.sum())
         if k == 0:
             continue
+        first_record[gi] = int(np.argmax(mask))
         csd = pop.group(label)
         g = csd.grid_size
         joint = np.concatenate([csd.f0.weights, csd.f1.weights])
@@ -515,14 +657,18 @@ def sample(pop: PopulationModel, n: int, seed: int, rule=None) -> AuditDataset:
         outcome = (draw >= g).astype(np.int8)
         cells = draw % g
         scores = (cells + rng.random(k)) / g
-        group_col[mask] = label
         score_col[mask] = scores
         outcome_col[mask] = outcome
         if rule is not None:
             probs = decision_probabilities(rule, label, scores)
             decision_col[mask] = (rng.random(k) < probs).astype(np.int8)
 
-    return AuditDataset(group=group_col, score=score_col, outcome=outcome_col, decision=decision_col)
+    order = sorted(first_record, key=first_record.__getitem__)
+    renumber = np.zeros(len(labels), dtype=np.int32)
+    renumber[order] = np.arange(len(order))
+    return AuditDataset._from_codes(
+        renumber[gidx], [labels[gi] for gi in order], score_col, outcome_col, decision_col
+    )
 
 
 def integrate(density: ScoreDensity, weight) -> float:

@@ -1,5 +1,7 @@
+import pytest
+
 from fairsim import sample, solve_equalized_odds
-from fairsim.cli import main
+from fairsim.cli import MAX_BINS, main
 from _helpers import judge_population
 
 
@@ -43,6 +45,43 @@ def test_audit_flags_malformed_scores(tmp_path, capsys):
     code, _, err = run_cli(capsys, "audit", "--input", str(path))
     assert code == 1
     assert "row 3" in err
+
+
+def test_audit_keeps_a_trailing_nul_label_apart(tmp_path, capsys):
+    path = tmp_path / "nul.csv"
+    path.write_text("group,score,outcome,decision\na\x00,0.9,1,1\na\x00,0.1,0,0\nb,0.9,1,1\nb,0.2,1,0\n")
+    code, out, err = run_cli(capsys, "audit", "--input", str(path), "--format", "doc")
+    assert code == 0, err
+    values = doc_values(out)
+    assert values["input.groups"] == "2"
+    assert (values["base_rate.a\x00"], values["base_rate.b"]) == ("0.5", "1")
+    with path.open("a") as fh:
+        fh.write("a,0.9,0,1\n")
+    code, out, err = run_cli(capsys, "audit", "--input", str(path), "--format", "doc")
+    assert code == 0, err
+    values = doc_values(out)
+    assert values["input.groups"] == "3"
+    assert (values["base_rate.a\x00"], values["base_rate.a"]) == ("0.5", "0")
+
+
+def test_audit_reports_an_oversized_field_on_one_line(tmp_path, capsys):
+    path = tmp_path / "long.csv"
+    path.write_text("group,score,outcome,decision\na,0.5,1,1\n" + "x" * 131_073 + ",0.5,1,1\n")
+    code, out, err = run_cli(capsys, "audit", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("audit error: row 3: field larger than field limit")
+
+
+@pytest.mark.parametrize("bins", ["0", "-3", str(MAX_BINS + 1), str(10**18)])
+def test_audit_rejects_bins_outside_the_cap_before_reading(tmp_path, capsys, bins):
+    # The input does not exist: the error names the bins, so nothing was read
+    # and nothing sized by the bin count was allocated.
+    code, out, err = run_cli(capsys, "audit", "--input", str(tmp_path / "absent.csv"), "--bins", bins)
+    assert code == 1
+    assert out == ""
+    assert err == f"audit error: bins must be between 1 and {MAX_BINS}, got {int(bins)}\n"
 
 
 def test_audit_rejects_single_group(tmp_path, capsys):

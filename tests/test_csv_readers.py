@@ -1,0 +1,260 @@
+"""The record CSV format: the vectorized reader against the row reader that
+defines the format, and the chunked writer against row-by-row csv.writer."""
+
+import csv
+import io
+import os
+import tempfile
+import threading
+from contextlib import contextmanager
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fairsim import AuditDataset
+from fairsim.densities import _read_columns, _read_rows
+
+HEADER = "group,score,outcome,decision"
+
+# Cells both readers accept, and cells that the vectorized reader leaves to
+# the row reader (padding, line breaks, over-long cells) or that neither accepts.
+LABELS = ["a", "b", "White", "a,b", 'x"y', '""', "#c", "# c", "a\x00", "\x00", "\u00e9", "\u65e5\u672c"]
+ODD_LABELS = [
+    "a\nb", "a\r\nb", "a\rb", " a", "a ", "\ta", "", "a\u2003", "a\x1c", "\x0cb", "q" * 45,
+]
+SCORES = ["0", "1", "0.5", "0.25", "1.0", "-0.0", "0.1234567890123456789", "1e-3", "+.5", " 0.5", "0.5 ", "\t0.5"]
+ODD_SCORES = [
+    "0.5\u2003", "nan", "inf", "-0.1", "1.5", "1e5", "abc", "", "1_0", "\uff10.5", "0x1p-1",
+    "0.5\x00", "0.5,", '"', "0" * 45,
+]
+OUTCOMES = ["0", "1"]
+ODD_OUTCOMES = [" 1", "0 ", "2", "", "01", "1.0", "x"]
+DECISIONS = ["", "0", "1"]
+ODD_DECISIONS = [" 0", "1 ", "2", "x", "-1", "#"]
+ODD_HEADERS = [" group,score ,outcome,decision", "group,score,label,decision", '"group\n",score,outcome,decision', ""]
+ODD_CELLS = [ODD_LABELS, ODD_SCORES, ODD_OUTCOMES, ODD_DECISIONS]
+
+
+def _quoted(text: str) -> str:
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _cell(draw, text: str) -> str:
+    """One cell as file text, bare or quoted."""
+    return _quoted(text) if draw(st.booleans()) else text
+
+
+@st.composite
+def csv_texts(draw) -> str:
+    """CSV text; in a noisy file about one cell or line in five is odd."""
+    noisy = draw(st.booleans())
+
+    def pick(usual, odd):
+        if noisy and draw(st.integers(0, 4)) == 0:
+            return draw(st.sampled_from(odd))
+        return draw(st.sampled_from(usual))
+
+    lines = [pick([HEADER], ODD_HEADERS)]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = pick(["record"] * 4 + ["blank"], ["spaces", "short", "long"])
+        if kind == "blank":
+            lines.append("")
+        elif kind == "spaces":
+            lines.append("  ")
+        else:
+            cells = [
+                pick(LABELS, ODD_LABELS),
+                pick(SCORES, ODD_SCORES),
+                pick(OUTCOMES, ODD_OUTCOMES),
+                pick(DECISIONS, ODD_DECISIONS),
+            ]
+            if kind == "short":
+                cells.pop()
+            elif kind == "long":
+                cells.append("0")
+            lines.append(",".join(_cell(draw, c) for c in cells))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+@contextmanager
+def _field_size_limit(limit):
+    old = csv.field_size_limit()
+    if limit is not None:
+        csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(old)
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _assert_same(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    assert got.labels == want.labels
+    assert np.array_equal(got.codes, want.codes)
+    assert got.score.tobytes() == want.score.tobytes()
+    assert np.array_equal(got.outcome, want.outcome)
+    if want.decision is None:
+        assert got.decision is None
+    else:
+        assert np.array_equal(got.decision, want.decision)
+
+
+def _check_readers_agree(text: str, limit=None) -> None:
+    with tempfile.TemporaryDirectory() as tmp, _field_size_limit(limit):
+        path = Path(tmp) / "records.csv"
+        path.write_bytes(text.encode("utf-8"))
+        want = _outcome(_read_rows, path)
+        fast = _read_columns(path)
+        if fast is not None:
+            _assert_same(fast, want)
+        _assert_same(_outcome(AuditDataset.from_csv, path), want)
+
+
+# A field-size limit of 40 makes over-long cells cheap to generate.
+@settings(max_examples=300, deadline=None)
+@given(text=csv_texts(), limit=st.sampled_from([None, 40]))
+def test_vectorized_reader_matches_row_reader(text, limit):
+    _check_readers_agree(text, limit)
+
+
+@pytest.mark.parametrize("limit", [None, 40])
+def test_vectorized_reader_matches_row_reader_on_each_odd_cell(limit):
+    usual = ["a", "0.5", "1", "1"]
+    for column, tokens in enumerate(ODD_CELLS):
+        for token in tokens:
+            for quoted in (False, True):
+                cells = usual.copy()
+                cells[column] = _quoted(token) if quoted else token
+                _check_readers_agree(f"{HEADER}\na,0.5,1,1\n{','.join(cells)}\nb,0.25,0,\n", limit)
+    for header in ODD_HEADERS:
+        _check_readers_agree(f"{header}\na,0.5,1,1\nb,0.25,0,\n", limit)
+    for line in ["  ", "a,0.5,1", "a,0.5,1,1,0", "\x0c"]:
+        _check_readers_agree(f"{HEADER}\na,0.5,1,1\n{line}\nb,0.25,0,\n", limit)
+
+
+def test_vectorized_reader_reads_well_formed_files(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text(f'{HEADER}\n"a,b",0.5,1,1\r\nb,0.25,0,\n\nb,1,1,0\n', encoding="utf-8")
+    data = _read_columns(path)
+    assert data is not None
+    assert data.labels == ("a,b", "b")
+    assert data.codes.dtype == np.int32
+    assert list(data.codes) == [0, 1, 1]
+    assert list(data.decision) == [1, -1, 0]
+
+
+def _csv_writer_rendering(data: AuditDataset) -> bytes:
+    """The row-by-row csv.writer rendering that to_csv must reproduce."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("group", "score", "outcome", "decision"))
+    for i in range(len(data)):
+        d = "" if data.decision is None or data.decision[i] == -1 else str(int(data.decision[i]))
+        writer.writerow((data.group[i], repr(float(data.score[i])), int(data.outcome[i]), d))
+    return buf.getvalue().encode("utf-8")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    records=st.lists(
+        st.tuples(
+            st.one_of(
+                st.sampled_from(LABELS + ODD_LABELS),
+                st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+            ),
+            st.floats(0.0, 1.0),
+            st.integers(0, 1),
+            st.integers(-1, 1),
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+    with_decisions=st.booleans(),
+)
+def test_to_csv_matches_csv_writer(records, with_decisions):
+    group, score, outcome, decision = zip(*records)
+    data = AuditDataset(
+        group=list(group),
+        score=np.array(score),
+        outcome=np.array(outcome),
+        decision=np.array(decision) if with_decisions else None,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.csv"
+        data.to_csv(path)
+        assert path.read_bytes() == _csv_writer_rendering(data)
+
+
+def test_to_csv_chunks_keep_record_order(tmp_path, monkeypatch):
+    monkeypatch.setattr("fairsim.densities._WRITE_CHUNK", 3)
+    data = AuditDataset(
+        group=["b", "a,c", "b", 'q"', "a,c", "b", "b"],
+        score=np.linspace(0.0, 1.0, 7),
+        outcome=np.array([0, 1, 1, 0, 1, 0, 1]),
+        decision=np.array([1, -1, 0, 1, 1, -1, 0]),
+    )
+    path = tmp_path / "records.csv"
+    data.to_csv(path)
+    assert path.read_bytes() == _csv_writer_rendering(data)
+
+
+def test_reader_accepts_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + f"{HEADER}\na,0.5,1,1\nb,0.25,0,0\n".encode())
+    data = AuditDataset.from_csv(path)
+    assert data.labels == ("a", "b")
+    assert list(data.score) == [0.5, 0.25]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_reader_reads_a_pipe_in_one_pass(tmp_path):
+    fifo = tmp_path / "records.fifo"
+    os.mkfifo(fifo)
+    result = []
+
+    def write():
+        with open(fifo, "w") as fh:
+            fh.write(f"{HEADER}\na,0.5,1,1\nb,0.25,0,0\n")
+
+    def read():
+        result.append(AuditDataset.from_csv(fifo))
+
+    threads = [threading.Thread(target=write, daemon=True), threading.Thread(target=read, daemon=True)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    assert result and result[0].labels == ("a", "b")
+
+
+def test_row_reader_names_the_row_of_an_oversized_field(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text(f"{HEADER}\na,0.5,1,1\n{'x' * (csv.field_size_limit() + 1)},0.5,1,1\n")
+    with pytest.raises(ValueError, match=r"^row 3: field larger than field limit"):
+        AuditDataset.from_csv(path)
+
+
+def test_group_codes_are_integers_and_labels_first_seen():
+    data = AuditDataset(group=["w", "m", "w", "x"], score=np.full(4, 0.5), outcome=np.array([0, 1, 1, 0]))
+    assert data.labels == ("w", "m", "x")
+    assert data.codes.dtype == np.int32
+    assert list(data.codes) == [0, 1, 0, 2]
+    assert list(data.group) == ["w", "m", "w", "x"]
+    assert list(data.group_mask("w")) == [True, False, True, False]
+    with pytest.raises(KeyError, match="known groups"):
+        data.group_mask("z")
