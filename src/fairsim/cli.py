@@ -26,6 +26,19 @@ from .reports import render_doc, render_text
 #: hold one cell per bin, so the cap bounds their memory before any is built.
 MAX_BINS = 100_000
 
+#: Largest ``grid`` (cells per density) that ``simulate`` accepts. Exact
+#: solves and reshapes take time in proportion to it.
+MAX_GRID = 65_536
+#: Largest ``samples`` (Monte Carlo draws per group); each draw holds about
+#: 50 bytes of arrays while the estimate runs.
+MAX_SAMPLES = 10_000_000
+#: Largest ``reshapes`` (reshaped populations measured by ``appendix``).
+MAX_RESHAPES = 10_000
+
+#: Inclusive bounds on the sizes ``simulate`` takes, checked when the command
+#: line is resolved, before any experiment runs or allocates.
+SIZE_BOUNDS = {"grid": (2, MAX_GRID), "samples": (1, MAX_SAMPLES), "reshapes": (1, MAX_RESHAPES)}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -57,8 +70,10 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="run a named experiment")
     simulate.add_argument("experiment", help="experiment id (see `fairsim list`)")
     simulate.add_argument("overrides", nargs="*", metavar="key=value", help="parameter overrides")
-    simulate.add_argument("--grid", type=int, default=None, help="density grid size")
-    simulate.add_argument("--samples", type=int, default=None, help="Monte Carlo sample count")
+    simulate.add_argument("--grid", type=int, default=None, help=f"density grid size, 2 to {MAX_GRID:,}")
+    simulate.add_argument(
+        "--samples", type=int, default=None, help=f"Monte Carlo sample count, 1 to {MAX_SAMPLES:,}"
+    )
     simulate.add_argument("--seed", type=int, default=None, help="random seed")
     simulate.add_argument("--convention", choices=("per-outcome", "per-person"), default=None)
     simulate.add_argument("--out", default=None, help="output directory (default fairsim-out/<id>)")
@@ -93,6 +108,9 @@ def _parse_overrides(spec, pairs, flag_values) -> dict[str, object]:
             raise ValueError(f"parameter {key!r} must be one of {param.choices}, got {value!r}")
         values[key] = value
         explicit.add(key)
+    for name, (lo, hi) in SIZE_BOUNDS.items():
+        if name in values and not lo <= values[name] <= hi:
+            raise ValueError(f"{name} must be between {lo} and {hi}, got {values[name]}")
     missing = [name for name in spec.cli_required if name not in explicit]
     if missing:
         raise ValueError(

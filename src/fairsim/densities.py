@@ -44,47 +44,58 @@ class _ExactMass:
     """Exact threshold masses for one piecewise-constant density.
 
     Every cell weight is a binary float, i.e. an integer over a power of two,
-    so the mass of {s > t} for rational t is an exact rational number.
-    Weights are rescaled to integers over a common denominator once; each
-    query is then O(1).
+    so the mass of {s > t} for rational t is an exact rational number. The
+    weights are put once over their least common power-of-two denominator
+    ``denom``: ``suffix[k] / (denom * grid)`` is then the mass of [k/grid, 1],
+    and each query is O(1).
     """
 
-    __slots__ = ("grid", "denom", "scaled", "suffix")
+    __slots__ = ("grid", "denom", "suffix")
 
     def __init__(self, weights):
-        self.grid = len(weights)
-        ratios = [float(w).as_integer_ratio() for w in weights]
-        denom = 1
-        for _, d in ratios:
-            denom = max(denom, d)  # all denominators are powers of two
-        self.denom = denom
-        self.scaled = [n * (denom // d) for n, d in ratios]
-        suffix = [0] * (self.grid + 1)
-        for i in range(self.grid - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + self.scaled[i]
-        self.suffix = suffix
-
-    def boundary_mass(self, k: int) -> Fraction:
-        """Exact mass of [k/grid, 1]."""
-        return Fraction(self.suffix[k], self.denom * self.grid)
+        w = np.asarray(weights, dtype=float)
+        self.grid = w.size
+        mant, expo = np.frexp(w)
+        num = (mant * 2.0**53).astype(np.int64)  # w == num * 2**expo, exactly
+        expo = expo.astype(np.int64) - 53
+        nonzero = num != 0
+        # Drop each numerator's trailing zero bits, so the common denominator
+        # is the least one. ``num & -num`` is the lowest set bit, below 2**53.
+        low = np.frexp((num & -num).astype(float))[1] - 1
+        low[~nonzero] = 0
+        num >>= low
+        expo += low
+        base = min(0, int(expo[nonzero].min())) if nonzero.any() else 0
+        self.denom = 1 << -base
+        shift = np.where(nonzero, expo - base, 0)
+        bits = np.frexp(num.astype(float))[1]  # bit length of each numerator
+        # Weights whose exponents span a few bits, like a raw or normalized
+        # density, shift within int64, about three times as fast. The f0 and
+        # f1 of a calibrated group hold full 53-bit mantissas over exponents
+        # spread by the calibration curve, so they need Python ints.
+        if int((bits + shift).max()) < 63:
+            scaled = (num << shift).tolist()
+        else:
+            scaled = (num.astype(object) << shift).tolist()
+        suffix = list(itertools.accumulate(reversed(scaled), initial=0))
+        suffix.reverse()
+        self.suffix = tuple(suffix)
 
     def total(self) -> Fraction:
-        return self.boundary_mass(0)
-
-    def cell_value(self, j: int) -> Fraction:
-        """Exact density value on cell j."""
-        return Fraction(self.scaled[j], self.denom)
+        return Fraction(self.suffix[0], self.denom * self.grid)
 
     def above(self, threshold) -> Fraction:
         """Exact mass of {s > threshold}."""
-        t = threshold if isinstance(threshold, Fraction) else Fraction(float(threshold))
-        if t <= 0:
+        a, b = (threshold if isinstance(threshold, Fraction) else float(threshold)).as_integer_ratio()
+        if a <= 0:
             return self.total()
-        if t >= 1:
+        if a >= b:
             return Fraction(0)
-        j = int(t * self.grid)
-        partial = self.cell_value(j) * (Fraction(j + 1, self.grid) - t)
-        return Fraction(self.suffix[j + 1], self.denom * self.grid) + partial
+        # t = a/b lies in cell j: the cells above it, plus cell j's part over
+        # [t, (j+1)/grid], all over denom * grid * b
+        j = a * self.grid // b
+        rest, cell = self.suffix[j + 1], self.suffix[j] - self.suffix[j + 1]
+        return Fraction(rest * b + cell * ((j + 1) * b - a * self.grid), self.denom * self.grid * b)
 
 
 @dataclass(frozen=True)
@@ -124,6 +135,21 @@ class ScoreDensity:
     def _exact(self) -> _ExactMass:
         return _ExactMass(self.weights)
 
+    def boundary_numerators(self) -> tuple[int, ...]:
+        """Integer numerators over ``exact_denominator`` of the exact mass of
+        [k/G, 1], for k = 0..G; entry G is 0.
+
+        The mass of cell k is ``(n[k] - n[k+1]) / exact_denominator``, so
+        exact scans can compare integers and build rationals only where they
+        need one.
+        """
+        return self._exact.suffix
+
+    @property
+    def exact_denominator(self) -> int:
+        """Common denominator of ``boundary_numerators()``: a power of two times G."""
+        return self._exact.denom * self.grid_size
+
     def exact_total(self) -> Fraction:
         return self._exact.total()
 
@@ -136,7 +162,7 @@ class ScoreDensity:
         return self._exact.total() - self._exact.above(threshold)
 
     def total_mass(self) -> float:
-        return float(self._exact.total())
+        return self.boundary_numerators()[0] / self.exact_denominator  # correctly rounded
 
     def is_normalized(self, tol: float = 1e-9) -> bool:
         return abs(self.total_mass() - 1.0) <= tol
@@ -445,22 +471,49 @@ def _csv_cell(value) -> str:
     return buf.getvalue()[: -len(",\n")]
 
 
-def _fits_one_pass(path, limit: int) -> bool:
-    """True when ``path`` is a regular file, which can be read more than
-    once, and no run of bytes between its line feeds reaches ``limit``.
+def _line_count(path, limit: int) -> int | None:
+    """The number of non-blank lines in ``path``, or None unless it is a
+    regular file, which can be read more than once, with no run of bytes
+    between its line feeds reaching ``limit``.
 
-    Every aligned block of ``limit // 2`` bytes holding a line feed bounds
-    each run below ``limit``. The probes go through a memory map, so they
-    touch only the pages at the start of each block.
+    Both readers end a line at LF, CR LF or a lone CR, so each run of CR and
+    LF bytes after other bytes ends one non-blank line. Every aligned block
+    of ``limit // 2`` bytes holding a line feed bounds each run below
+    ``limit``. The blocks are read one at a time through a memory map, so
+    memory stays bounded.
     """
     info = os.stat(path)  # a pipe is not opened here: its data can be read only once
     if not stat.S_ISREG(info.st_mode):
-        return False
-    if info.st_size < limit:
-        return True
+        return None
+    if info.st_size == 0:
+        return 0
     step = max(1, limit // 2)
+    lines, after_break = 0, True
     with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
-        return all(mm.find(b"\n", start, start + step) >= 0 for start in range(0, info.st_size - step + 1, step))
+        for start in range(0, info.st_size, step):
+            chunk = mm[start : start + step]
+            block = np.frombuffer(chunk, np.uint8)
+            breaks = block == 10
+            if not breaks.any() and start + step <= info.st_size and info.st_size >= limit:
+                return None
+            if b"\r" in chunk:
+                breaks |= block == 13
+            # A non-blank line ends where a line break follows another byte.
+            lines += int(np.count_nonzero(breaks[1:] > breaks[:-1])) + bool(breaks[0] and not after_break)
+            after_break = bool(breaks[-1])
+    return lines + (not after_break)
+
+
+def _csv_reads(path) -> bool:
+    """True when ``csv.reader`` reads all of ``path`` without an error, such
+    as a field over the csv field-size limit."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            for _ in csv.reader(fh):
+                pass
+        except csv.Error:
+            return False
+    return True
 
 
 def _read_columns(path) -> AuditDataset | None:
@@ -469,12 +522,14 @@ def _read_columns(path) -> AuditDataset | None:
     would read differently or reject.
 
     A cell on one line is within the csv field-size limit whenever the line
-    is; a quoted score cell spread over many lines can still exceed the limit
-    unseen. ``np.loadtxt`` opens the file with universal newlines, which turn a
-    quoted ``\r\n`` into ``\n``, so a label holding a line break is left to
-    the row reader.
+    is. When the file has more non-blank lines than records and header, as it
+    does for a quoted cell spread over lines, the cells are checked against
+    the limit by ``csv.reader``. ``np.loadtxt`` opens the file with universal
+    newlines, which turn a quoted CR LF into LF, so a label holding a line
+    break is left to the row reader.
     """
-    if not _fits_one_pass(path, csv.field_size_limit()):
+    lines = _line_count(path, csv.field_size_limit())
+    if lines is None:
         return None
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -493,7 +548,7 @@ def _read_columns(path) -> AuditDataset | None:
             )
     except ValueError:
         return None
-    if len(records) == 0:
+    if len(records) == 0 or (lines > len(records) + 1 and not _csv_reads(path)):
         return None
     labels, codes = _factorize(records["group"].tolist())
     if not all(label and label == label.strip() and "\n" not in label for label in labels):

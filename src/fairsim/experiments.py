@@ -101,16 +101,13 @@ class ExperimentReport:
 
 
 def _roc_series(csd: ConditionalScoreDensity) -> list[tuple[float, float]]:
-    p1 = csd.f1.exact_total()
-    p0 = csd.f0.exact_total()
-    pts = []
-    for k in range(csd.grid_size, -1, -1):
-        a1 = csd.f1._exact.boundary_mass(k)
-        a0 = csd.f0._exact.boundary_mass(k)
-        fpr = float(a0 / p0) if p0 else UNDEFINED
-        tpr = float(a1 / p1) if p1 else UNDEFINED
-        pts.append((fpr, tpr))
-    return pts
+    # rate above boundary k is n[k] / n[0]: int / int is correctly rounded
+    n1 = csd.f1.boundary_numerators()
+    n0 = csd.f0.boundary_numerators()
+    return [
+        (n0[k] / n0[0] if n0[0] else UNDEFINED, n1[k] / n1[0] if n1[0] else UNDEFINED)
+        for k in range(csd.grid_size, -1, -1)
+    ]
 
 
 # -- recommendation scores used by their own subjects ------------------------
@@ -374,10 +371,6 @@ def _three_level_negative(
     return ScoreDensity(weights)
 
 
-def _negative_mass_below(density: ScoreDensity, t: float) -> float:
-    return float(density.exact_mass_below(t))
-
-
 def run_appendix_counterexample(
     grid: int = DEFAULT_GRID, n_reshapes: int = 100, seed: int = 7
 ) -> ExperimentReport:
@@ -396,7 +389,7 @@ def run_appendix_counterexample(
     neg_mean = float(np.sum(men_a.f0.weights * men_a.f0.midpoints()) / grid)
     reshaped = _three_level_negative(grid, neg_total, neg_mean, 0.25, 0.75, upper_mass=0.05)
     if reshaped is None:
-        raise RuntimeError("fixed reshape construction failed")
+        raise ValueError(f"grid {grid} is too small for the reshaped negative density")
     men_b = ConditionalScoreDensity(f0=reshaped, f1=men_a.f1)
     pop_b = pop_a.with_group("men", men_b)
 
@@ -404,10 +397,6 @@ def run_appendix_counterexample(
         csd = pop.group(g)
         pol = rule.for_group(g)
         return float(csd.f1.exact_total() - pol.decided_mass(csd.f1))
-
-    def declined_positive_share(pop: PopulationModel, g: str) -> float:
-        s = sufficiency_gap_binary(pop, rule)
-        return s.pos_given_r0[g]
 
     out = {}
     for tag, pop in (("popA", pop_a), ("popB", pop_b)):
@@ -424,7 +413,7 @@ def run_appendix_counterexample(
     men_shift = abs(out["popA"]["false_omission_men"] - out["popB"]["false_omission_men"])
     women_shift = abs(out["popA"]["false_omission_women"] - out["popB"]["false_omission_women"])
 
-    below_a = _negative_mass_below(men_a.f0, t_ref)
+    below_a = float(men_a.f0.exact_mass_below(t_ref))
     rng = np.random.default_rng(seed)
     reshape_parity_residuals = []
     reshape_false_omission_gaps = []
@@ -444,7 +433,7 @@ def run_appendix_counterexample(
         )
         if cand is None:
             continue
-        if abs(_negative_mass_below(cand, t_ref) - below_a) < 0.02:
+        if abs(float(cand.exact_mass_below(t_ref)) - below_a) < 0.02:
             continue  # must move mass across the threshold
         pop_r = pop_a.with_group("men", ConditionalScoreDensity(f0=cand, f1=men_a.f1))
         mm, mf = missed_positive(pop_r, "men"), missed_positive(pop_r, "women")

@@ -114,23 +114,42 @@ class DecisionRule:
 
     @classmethod
     def parse(cls, text: str) -> "DecisionRule":
+        """Rule from ``serialize`` text; every error names its line."""
+        lines = text.strip().splitlines()
+        if not lines:
+            raise ValueError("line 1: no rule lines")
         policies: dict[str, Policy] = {}
-        for line_no, line in enumerate(text.strip().splitlines(), start=1):
-            fields = dict(item.split("=", 1) for item in line.split())
+        for line_no, line in enumerate(lines, start=1):
             try:
-                label = fields["group"]
-                kind = fields["kind"]
-                if kind == "det":
-                    policies[label] = DeterministicThreshold(float(fields["t1"]))
-                elif kind == "rand":
-                    policies[label] = RandomizedThreshold(
-                        lower=float(fields["t1"]), upper=float(fields["t2"]), mix=float(fields["q"])
-                    )
-                else:
-                    raise KeyError(kind)
+                label, policy = _parse_rule_line(line)
             except KeyError as exc:
                 raise ValueError(f"line {line_no}: malformed rule line {line!r}") from exc
+            except ValueError as exc:
+                raise ValueError(f"line {line_no}: {exc}") from None
+            policies[label] = policy
         return cls(policies)
+
+
+def _parse_rule_line(line: str) -> tuple[str, Policy]:
+    fields = {}
+    for item in line.split():
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise ValueError(f"token {item!r} is not of the form key=value")
+        fields[key] = value
+
+    def number(key: str) -> float:
+        try:
+            return float(fields[key])
+        except ValueError:
+            raise ValueError(f"{key} {fields[key]!r} is not a number") from None
+
+    kind = fields["kind"]
+    if kind == "det":
+        return fields["group"], DeterministicThreshold(number("t1"))
+    if kind == "rand":
+        return fields["group"], RandomizedThreshold(lower=number("t1"), upper=number("t2"), mix=number("q"))
+    raise KeyError(kind)
 
 
 @dataclass(frozen=True)
@@ -201,11 +220,6 @@ def coarsen(pop: PopulationModel, rule: DecisionRule) -> PopulationModel:
     return PopulationModel(groups=groups, weights=pop.weights)
 
 
-def _boundary_suffixes(density: ScoreDensity) -> list[Fraction]:
-    exact = density._exact
-    return [exact.boundary_mass(k) for k in range(exact.grid + 1)]
-
-
 def _roc_point_policy(csd: ConditionalScoreDensity, fpr_target: Fraction, tpr_target: Fraction) -> Policy:
     """Policy whose exact (fpr, tpr) equals the target point.
 
@@ -224,38 +238,43 @@ def _roc_point_policy(csd: ConditionalScoreDensity, fpr_target: Fraction, tpr_ta
         return DeterministicThreshold(0.0)
 
     grid = csd.grid_size
-    a1 = _boundary_suffixes(csd.f1)  # mass of f1 above each boundary
-    a0 = _boundary_suffixes(csd.f0)
+    n1, d1 = csd.f1.boundary_numerators(), csd.f1.exact_denominator
+    n0, d0 = csd.f0.boundary_numerators(), csd.f0.exact_denominator
     c1 = fpr_target * p0
     c0 = tpr_target * p1
 
     if tpr_target == 0 or fpr_target == 0:
         # Target on an axis: need one class fully below some threshold while
-        # the other keeps mass above it.
-        hit, miss, scale = (a0, a1, c1) if tpr_target == 0 else (a1, a0, c0)
-        for k in range(grid + 1):
-            if miss[k] == 0:
-                if hit[k] >= scale and hit[k] > 0:
-                    q = scale / hit[k]
-                    t = Fraction(k, grid)
-                    return DeterministicThreshold(t) if q == 1 else RandomizedThreshold(t, Fraction(1), q)
-                break
+        # the other keeps mass above it. Suffix masses only fall, so the first
+        # boundary with none of the missed class above it is the only one to try.
+        (hit, d_hit), miss, scale = ((n0, d0), n1, c1) if tpr_target == 0 else ((n1, d1), n0, c0)
+        k = miss.index(0)
+        hit_k = Fraction(hit[k], d_hit)
+        if hit_k >= scale and hit_k > 0:
+            q = scale / hit_k
+            t = Fraction(k, grid)
+            return DeterministicThreshold(t) if q == 1 else RandomizedThreshold(t, Fraction(1), q)
         raise InfeasibleRuleError("target rate pair lies outside the group's reachable region")
 
-    h = [a1[k] * c1 - a0[k] * c0 for k in range(grid + 1)]
+    # h[k] = a1[k]*c1 - a0[k]*c0, with a_y[k] the mass of f_y above boundary
+    # k, is the integer n1[k]*x1 - n0[k]*x0 over the positive h_den.
+    x1 = c1.numerator * c0.denominator * d0
+    x0 = c0.numerator * c1.denominator * d1
+    h_den = d1 * d0 * c1.denominator * c0.denominator
+    h = [m1 * x1 - m0 * x0 for m1, m0 in zip(n1, n0)]
 
     candidates: list[tuple[Fraction, Fraction]] = []  # (threshold, decided f1 mass)
     for k in range(grid):
-        if h[k] == 0 and (a1[k] > 0 or a0[k] > 0):
-            candidates.append((Fraction(k, grid), a1[k]))
+        if h[k] == 0 and (n1[k] > 0 or n0[k] > 0):
+            candidates.append((Fraction(k, grid), Fraction(n1[k], d1)))
         if (h[k] > 0 > h[k + 1]) or (h[k] < 0 < h[k + 1]):
-            w1 = csd.f1._exact.cell_value(k)
-            w0 = csd.f0._exact.cell_value(k)
+            w1 = Fraction((n1[k] - n1[k + 1]) * grid, d1)
+            w0 = Fraction((n0[k] - n0[k + 1]) * grid, d0)
             # within cell k: masses are linear in u = (k+1)/grid - t
             slope = w1 * c1 - w0 * c0
-            u = -h[k + 1] / slope
+            u = Fraction(-h[k + 1], h_den) / slope
             t = Fraction(k + 1, grid) - u
-            candidates.append((t, a1[k + 1] + w1 * u))
+            candidates.append((t, Fraction(n1[k + 1], d1) + w1 * u))
 
     best = None
     for t, mass1 in candidates:
@@ -328,21 +347,25 @@ def solve_parity_ratio(pop: PopulationModel, reference: str, threshold) -> Decis
 
 
 def _threshold_for_below_mass(density: ScoreDensity, target: Fraction) -> Fraction:
-    """Smallest threshold t with exact mass of {s <= t} equal to target."""
+    """Threshold t with exact mass of {s <= t} equal to target: the largest
+    grid boundary where that mass is reached, else a point inside the cell
+    after the last boundary below it."""
     if target == 0:
         return Fraction(0)
     grid = density.grid_size
-    exact = density._exact
-    total = exact.total()
-    below = [total - exact.boundary_mass(k) for k in range(grid + 1)]
+    num, den = density.boundary_numerators(), density.exact_denominator
+    # mass of {s <= k/grid} is (num[0] - num[k]) / den; compare it to target
+    # as the integers (num[0] - num[k]) * target.den and target.num * den
+    scaled_target = target.numerator * den
     lo, hi = 0, grid  # largest boundary with below <= target
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if below[mid] <= target:
+        if (num[0] - num[mid]) * target.denominator <= scaled_target:
             lo = mid
         else:
             hi = mid - 1
-    if below[lo] == target:
+    below = Fraction(num[0] - num[lo], den)
+    if below == target:
         return Fraction(lo, grid)
-    w = exact.cell_value(lo)
-    return Fraction(lo, grid) + (target - below[lo]) / w
+    w = Fraction((num[lo] - num[lo + 1]) * grid, den)
+    return Fraction(lo, grid) + (target - below) / w

@@ -1,7 +1,8 @@
 import pytest
 
 from fairsim import sample, solve_equalized_odds
-from fairsim.cli import MAX_BINS, main
+from fairsim import experiments
+from fairsim.cli import MAX_BINS, MAX_GRID, MAX_RESHAPES, MAX_SAMPLES, _build_parser, build_config, main
 from _helpers import judge_population
 
 
@@ -177,6 +178,38 @@ def test_simulate_rejects_badly_typed_override(capsys):
     code, _, err = run_cli(capsys, "simulate", "equal-rates", "p_men=lots")
     assert code == 2
     assert "float" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["recommender", "--grid", str(MAX_GRID + 1)],
+        ["recommender", f"grid={10**30}"],
+        ["judge", "grid=1", "--convention", "per-outcome"],
+        ["recommender", f"samples={MAX_SAMPLES + 1}"],
+        ["recommender", "--samples", "0"],
+        ["appendix", f"reshapes={MAX_RESHAPES + 1}"],
+        ["appendix", "reshapes=-1"],
+    ],
+)
+def test_simulate_rejects_sizes_outside_their_bounds(tmp_path, capsys, monkeypatch, argv):
+    calls = []
+    for name in experiments.EXPERIMENTS:
+        monkeypatch.setitem(experiments._RUNNERS, name, calls.append)
+    code, out, err = run_cli(capsys, "simulate", *argv, "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("simulate error: ") and "must be between" in err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_size_bounds_admit_defaults_and_large_grids():
+    for name, spec in experiments.EXPERIMENTS.items():
+        required = [f"{k}={spec.params[k].default}" for k in spec.cli_required]
+        for extra in ([], ["--grid", "16384"], ["--grid", str(MAX_GRID)]):
+            config = build_config(_build_parser().parse_args(["simulate", name, *required, *extra]))
+            assert config.overrides.keys() == spec.params.keys()
 
 
 def test_simulate_outputs_are_byte_identical(tmp_path, capsys):

@@ -4,6 +4,7 @@ defines the format, and the chunked writer against row-by-row csv.writer."""
 import csv
 import io
 import os
+import re
 import tempfile
 import threading
 from contextlib import contextmanager
@@ -13,8 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fairsim import AuditDataset
-from fairsim.densities import _read_columns, _read_rows
+from fairsim import AuditDataset, densities
+from fairsim.densities import _line_count, _read_columns, _read_rows
 
 HEADER = "group,score,outcome,decision"
 
@@ -27,7 +28,7 @@ ODD_LABELS = [
 SCORES = ["0", "1", "0.5", "0.25", "1.0", "-0.0", "0.1234567890123456789", "1e-3", "+.5", " 0.5", "0.5 ", "\t0.5"]
 ODD_SCORES = [
     "0.5\u2003", "nan", "inf", "-0.1", "1.5", "1e5", "abc", "", "1_0", "\uff10.5", "0x1p-1",
-    "0.5\x00", "0.5,", '"', "0" * 45,
+    "0.5\x00", "0.5,", '"', "0" * 45, "0.5\n", "0\n" * 25, "0\r" * 25,
 ]
 OUTCOMES = ["0", "1"]
 ODD_OUTCOMES = [" 1", "0 ", "2", "", "01", "1.0", "x"]
@@ -75,7 +76,7 @@ def csv_texts(draw) -> str:
             elif kind == "long":
                 cells.append("0")
             lines.append(",".join(_cell(draw, c) for c in cells))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
     return draw(st.sampled_from(["", "\ufeff"])) + text
 
@@ -247,6 +248,49 @@ def test_row_reader_names_the_row_of_an_oversized_field(tmp_path):
     path.write_text(f"{HEADER}\na,0.5,1,1\n{'x' * (csv.field_size_limit() + 1)},0.5,1,1\n")
     with pytest.raises(ValueError, match=r"^row 3: field larger than field limit"):
         AuditDataset.from_csv(path)
+
+
+def test_readers_agree_on_a_score_cell_spread_over_lines(tmp_path):
+    # Each line is short, but the quoted cell is over the csv field limit.
+    path = tmp_path / "spread.csv"
+    path.write_text(f'{HEADER}\na,"' + "\n" * 140_000 + '0.5",1,1\nb,0.25,0,0\n')
+    assert _read_columns(path) is None
+    with pytest.raises(ValueError, match=r"^row 2: field larger than field limit \(131072\)"):
+        AuditDataset.from_csv(path)
+    # The same cell followed by records ended by a lone CR, with a line feed
+    # only every 5,000 records, so that line feeds alone undercount the lines.
+    records = "\r".join(f"b,0.25,0,0{chr(10) if k % 5000 == 0 else ''}" for k in range(200_000))
+    path.write_bytes(f'{HEADER}\na,"'.encode() + b"\n" * 140_000 + f'0.5",1,1\r{records}\r'.encode())
+    assert _read_columns(path) is None
+    with pytest.raises(ValueError, match=r"^row 2: field larger than field limit \(131072\)"):
+        AuditDataset.from_csv(path)
+    # Under the limit both readers take the cell, and blank lines stay on the fast path.
+    for text in (f'{HEADER}\na,"\n0.5\n",1,1\nb,0.25,0,0', f"{HEADER}\n\na,0.5,1,1\n\r\n\nb,0.25,0,0\n"):
+        _check_readers_agree(text)
+        _check_readers_agree(text, limit=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(alphabet="a\r\n", max_size=40), limit=st.sampled_from([None, 4, 6]))
+def test_line_count_counts_non_blank_lines(text, limit, tmp_path_factory):
+    path = tmp_path_factory.mktemp("lines") / "text.csv"
+    path.write_bytes(text.encode())
+    want = sum(1 for line in re.split("\r\n|\r|\n", text) if line)
+    got = _line_count(path, limit or csv.field_size_limit())
+    # A small limit with a block of no line feed leaves the file to the row reader.
+    assert got == want or (limit and got is None)
+
+
+def test_blank_lines_need_no_second_csv_pass(tmp_path, monkeypatch):
+    def second_pass(path):
+        raise AssertionError("blank lines sent the file through csv.reader again")
+
+    monkeypatch.setattr(densities, "_csv_reads", second_pass)
+    path = tmp_path / "blank.csv"
+    for text in (f"{HEADER}\n\na,0.5,1,1\n\r\n\nb,0.25,0,0\n\n", f"{HEADER}\r\ra,0.5,1,1\r\r\n\rb,0.25,0,0\r"):
+        path.write_bytes(text.encode())
+        data = _read_columns(path)
+        assert data is not None and data.labels == ("a", "b")
 
 
 def test_group_codes_are_integers_and_labels_first_seen():

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -322,3 +325,32 @@ def test_csv_validates_outcome_and_decision(tmp_path):
 def test_dataset_validates_score_range():
     with pytest.raises(ValueError):
         AuditDataset(group=np.array(["a"]), score=np.array([1.5]), outcome=np.array([1]))
+
+
+EXACT_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 3 * 5e-324, 2.0**-1022, 2.0**70, 1.0, 0.1, 1e300]),
+    st.floats(0.0, 1e10),
+    st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1080, 80)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.lists(EXACT_WEIGHTS, min_size=1, max_size=24),
+    threshold=st.one_of(st.floats(-0.5, 1.5), st.fractions(0, 1)),
+)
+def test_boundary_numerators_are_the_exact_suffix_masses(weights, threshold):
+    density = ScoreDensity(np.array(weights))
+    numerators, denominator = density.boundary_numerators(), density.exact_denominator
+    grid = len(weights)
+    assert len(numerators) == grid + 1
+    assert all(type(n) is int for n in numerators) and type(denominator) is int
+    for k in range(grid + 1):
+        assert Fraction(numerators[k], denominator) == sum(map(Fraction, weights[k:]), Fraction(0)) / grid
+    # cell j covers [j/G, (j+1)/G); the part above t has length (j+1)/G - max(t, j/G)
+    t = Fraction(threshold)
+    above = sum(
+        (Fraction(w) * max(Fraction(0), Fraction(j + 1, grid) - max(t, Fraction(j, grid))) for j, w in enumerate(weights)),
+        Fraction(0),
+    )
+    assert density.exact_mass_above(threshold) == above

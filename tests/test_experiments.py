@@ -140,6 +140,11 @@ def test_counterexample_keeps_parity_and_moves_composition():
     assert report.verdicts["composition_changed"].holds
 
 
+def test_counterexample_rejects_a_grid_too_small_to_reshape():
+    with pytest.raises(ValueError, match="grid 2 is too small"):
+        run_appendix_counterexample(grid=2, n_reshapes=1)
+
+
 def test_counterexample_matches_hand_computed_shares():
     report = run_appendix_counterexample(grid=GRID, n_reshapes=5, seed=7)
     # triangular-below shape: declined positives 0.225 of declined mass 0.9

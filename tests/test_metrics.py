@@ -9,6 +9,7 @@ from fairsim import (
     ConditionalScoreDensity,
     ConfusionCounts,
     DecisionRule,
+    InfeasibleRuleError,
     PopulationModel,
     ScoreDensity,
     ScoreMap,
@@ -20,10 +21,16 @@ from fairsim import (
     rates,
     separation_gap,
     solve_equalized_odds,
+    solve_parity_ratio,
     sufficiency_gap_binary,
     within_group_calibration_error,
 )
-from _helpers import calibrated_uniform_pair, judge_population, random_equalized_odds_instance
+from _helpers import (
+    calibrated_uniform_pair,
+    judge_population,
+    random_calibrated_population,
+    random_equalized_odds_instance,
+)
 
 
 def test_confusion_always_act_rule():
@@ -267,3 +274,23 @@ def test_witness_never_sees_both_criteria_hold(seed):
     assert witness.separation_holds
     assert witness.sufficiency.max_gap >= 1e-4
     assert witness.consistent
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), t_ref=st.floats(0.2, 0.8), reference=st.sampled_from(["a", "b"]))
+def test_sufficiency_matches_chouldechova_identity(seed, t_ref, reference):
+    """Per group FPR = p/(1-p) * (1-PPV)/PPV * (1-FNR) (Chouldechova,
+    arXiv:1703.00056), so the base rate and separation_gap's rates predict
+    the PPV that sufficiency_gap_binary reports."""
+    pop = random_calibrated_population(np.random.default_rng(seed), grid=128)
+    try:
+        rule = solve_equalized_odds(pop, reference, t_ref)
+    except InfeasibleRuleError:
+        rule = solve_parity_ratio(pop, reference, t_ref)
+    sep = separation_gap(pop, rule)
+    suff = sufficiency_gap_binary(pop, rule)
+    for g in pop.labels:
+        p = pop.group(g).base_rate
+        ppv = suff.pos_given_r1[g]
+        fnr = sep.rate_pairs[g].fnr
+        assert sep.rate_pairs[g].fpr == pytest.approx(p / (1 - p) * (1 - ppv) / ppv * (1 - fnr), rel=1e-9)

@@ -70,8 +70,22 @@ def test_rule_serialization_round_trip():
 
 
 def test_rule_parse_rejects_malformed_lines():
-    with pytest.raises(ValueError, match="line 1"):
-        DecisionRule.parse("group=men kind=maybe t1=0.5")
+    good = "group=a kind=det t1=0.5\n"
+    for bad, line in (
+        ("group=men kind=maybe t1=0.5", 1),
+        (good + "group=men kind=det t1", 2),  # token without "="
+        (good + "group=men kind=det t1=abc", 2),
+        (good + good + "group=men kind=rand t1=0.2 t2=x q=0.5", 3),
+        (good + "group=men kind=det t1=1.5", 2),  # out of range
+        (good + "group=men kind=rand t1=0.2 t2=0.8 q=-0.5", 2),
+        (good + "group=men kind=rand t1=0.8 t2=0.2 q=0.5", 2),  # lower above upper
+        (good + "group=men kind=det t1=nan", 2),
+        (good + "kind=det t1=0.5", 2),  # no group
+        ("", 1),
+        (" \n\t\n", 1),
+    ):
+        with pytest.raises(ValueError, match=f"^line {line}: "):
+            DecisionRule.parse(bad)
 
 
 def test_recommender_payoff_values():
