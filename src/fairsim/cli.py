@@ -14,8 +14,6 @@ from .densities import AuditDataset, is_defined
 from .experiments import EXPERIMENTS
 from .metrics import (
     between_group_calibration_gap,
-    confusion,
-    rates,
     separation_gap,
     sufficiency_gap_binary,
     within_group_calibration_error,
@@ -153,10 +151,9 @@ def audit(csv_path: str, bins: int = 10, tol: float = 1e-6) -> dict:
     report["within_group"] = within
 
     if data.decisions_complete():
-        per_group = {g: rates(confusion(data, None, g)) for g in labels}
         sep = separation_gap(data)
         suff = sufficiency_gap_binary(data)
-        report["rates"] = {g: {"fpr": rp.fpr, "fnr": rp.fnr} for g, rp in per_group.items()}
+        report["rates"] = {g: {"fpr": rp.fpr, "fnr": rp.fnr} for g, rp in sep.rate_pairs.items()}
         report["separation"] = {
             "fpr_gap": sep.fpr_gap,
             "fnr_gap": sep.fnr_gap,

@@ -664,6 +664,51 @@ def apply_score_map(pop: PopulationModel, group: str, score_map: ScoreMap) -> Po
     return pop.with_group(group, ConditionalScoreDensity(f0=transport(csd.f0), f1=transport(csd.f1)))
 
 
+#: Largest |sum(p) - 1| that ``draw_categorical`` accepts: numpy's tolerance
+#: in ``Generator.choice``.
+_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def draw_categorical(rng: np.random.Generator, p, n: int) -> np.ndarray:
+    """n indices drawn with probabilities p: exactly ``rng.choice(len(p),
+    size=n, p=p)``, leaving ``rng`` in the same state.
+
+    It inverts the same CDF (``p.cumsum() / its last entry``) at the same
+    ``rng.random(n)`` draws, so index i is the count of CDF entries <= u_i.
+    The count is found by indexed search (Chen and Asau, 1974): with m a
+    power of two >= 4 len(p), ``u*m`` is exact, so a draw lies in bucket
+    j = floor(u*m) of [j/m, (j+1)/m), and its index is the count of entries
+    <= j/m, plus one if the bucket's single entry is <= u. Draws in the few
+    buckets that hold two or more entries fall back to a binary search. p is
+    used as given (it is not normalized again), and NaN, infinite or
+    negative entries, or a sum off 1 by more than numpy allows, raise
+    ValueError before anything is drawn.
+    """
+    p = np.ascontiguousarray(p, dtype=np.float64)
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError("probabilities must be a nonempty 1-d array")
+    if not np.isfinite(p).all():
+        raise ValueError("probabilities must be finite")
+    if (p < 0).any():
+        raise ValueError("probabilities must be nonnegative")
+    if abs(p.sum() - 1.0) > _SUM_ATOL:
+        raise ValueError("probabilities do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(n)
+    m = 4 << (p.size - 1).bit_length()
+    below = cdf.searchsorted(np.arange(m + 1) / m, "right")  # entries <= j/m
+    first = below[:-1]
+    bucket = (u * m).astype(np.intp)
+    idx = first[bucket]
+    idx += cdf[first][bucket] <= u
+    crowded = np.diff(below) > 1
+    if crowded.any():
+        hard = crowded[bucket]
+        idx[hard] = cdf.searchsorted(u[hard], "right")
+    return idx
+
+
 def sample(pop: PopulationModel, n: int, seed: int, rule=None) -> AuditDataset:
     """Draw n i.i.d. records from the population.
 
@@ -691,7 +736,7 @@ def sample(pop: PopulationModel, n: int, seed: int, rule=None) -> AuditDataset:
     labels = pop.labels
     weights = pop.normalized_weights()
     pvec = np.array([weights[g] for g in labels])
-    gidx = rng.choice(len(labels), size=n, p=pvec / pvec.sum())
+    gidx = draw_categorical(rng, pvec / pvec.sum(), n)
 
     score_col = np.empty(n)
     outcome_col = np.empty(n, dtype=np.int8)
@@ -708,7 +753,7 @@ def sample(pop: PopulationModel, n: int, seed: int, rule=None) -> AuditDataset:
         g = csd.grid_size
         joint = np.concatenate([csd.f0.weights, csd.f1.weights])
         joint = joint / joint.sum()
-        draw = rng.choice(2 * g, size=k, p=joint)
+        draw = draw_categorical(rng, joint, k)
         outcome = (draw >= g).astype(np.int8)
         cells = draw % g
         scores = (cells + rng.random(k)) / g

@@ -8,14 +8,13 @@ conditioning event has no mass carry the in-band undefined marker.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .densities import UNDEFINED, AuditDataset, PopulationModel, cell_index, is_defined
-from .rules import DecisionRule, DeterministicThreshold, RandomizedThreshold, group_confusion_masses
+from .rules import DecisionRule, RandomizedThreshold, group_confusion_masses
 
 
 @dataclass(frozen=True)
@@ -85,44 +84,39 @@ def confusion(source: PopulationModel | AuditDataset, rule: DecisionRule | None,
     if rule is None:
         if source.decision is None or np.any(source.decision[mask] == -1):
             raise ValueError(f"group {group!r} has records without decisions and no rule was given")
-        decided = source.decision[mask].astype(bool)
-        tp = int(np.sum(decided & (outcomes == 1)))
-        fp = int(np.sum(decided & (outcomes == 0)))
-        fn = int(np.sum(~decided & (outcomes == 1)))
-        tn = int(np.sum(~decided & (outcomes == 0)))
-        return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
-
-    scores = source.score[mask]
-    policy = rule.for_group(group)
-    if isinstance(policy, DeterministicThreshold):
+        decided = source.decision[mask]
+    else:
+        scores = source.score[mask]
+        policy = rule.for_group(group)
+        if isinstance(policy, RandomizedThreshold):
+            q = Fraction(policy.mix) if isinstance(policy.mix, Fraction) else Fraction(float(policy.mix))
+            lo, hi = float(policy.lower), float(policy.upper)
+            n1_lo = int(np.sum((scores > lo) & (outcomes == 1)))
+            n1_hi = int(np.sum((scores > hi) & (outcomes == 1)))
+            n0_lo = int(np.sum((scores > lo) & (outcomes == 0)))
+            n0_hi = int(np.sum((scores > hi) & (outcomes == 0)))
+            pos = int(np.sum(outcomes == 1))
+            neg = int(np.sum(outcomes == 0))
+            tp = q * n1_lo + (1 - q) * n1_hi
+            fp = q * n0_lo + (1 - q) * n0_hi
+            return ConfusionCounts(tp=tp, fp=fp, fn=pos - tp, tn=neg - fp)
         decided = scores > float(policy.threshold)
-        tp = int(np.sum(decided & (outcomes == 1)))
-        fp = int(np.sum(decided & (outcomes == 0)))
-        fn = int(np.sum(~decided & (outcomes == 1)))
-        tn = int(np.sum(~decided & (outcomes == 0)))
-        return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
-    assert isinstance(policy, RandomizedThreshold)
-    q = Fraction(policy.mix) if isinstance(policy.mix, Fraction) else Fraction(float(policy.mix))
-    lo, hi = float(policy.lower), float(policy.upper)
-    n1_lo = int(np.sum((scores > lo) & (outcomes == 1)))
-    n1_hi = int(np.sum((scores > hi) & (outcomes == 1)))
-    n0_lo = int(np.sum((scores > lo) & (outcomes == 0)))
-    n0_hi = int(np.sum((scores > hi) & (outcomes == 0)))
-    pos = int(np.sum(outcomes == 1))
-    neg = int(np.sum(outcomes == 0))
-    tp = q * n1_lo + (1 - q) * n1_hi
-    fp = q * n0_lo + (1 - q) * n0_hi
-    return ConfusionCounts(tp=tp, fp=fp, fn=pos - tp, tn=neg - fp)
+    # cell outcome * 2 + decision: tn, fp, fn, tp
+    tn, fp, fn, tp = np.bincount(outcomes * 2 + decided, minlength=4).tolist()
+    return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
 
 
-def _pairwise_max_gap(values: dict[str, float]) -> float:
-    gaps = []
-    for a, b in itertools.combinations(values, 2):
-        va, vb = values[a], values[b]
-        if not (is_defined(va) and is_defined(vb)):
-            return UNDEFINED
-        gaps.append(abs(va - vb))
-    return max(gaps) if gaps else 0.0
+def spread(values) -> float:
+    """Largest pairwise |a - b| among the values: undefined if any value is,
+    0.0 if there are none.
+
+    It is max - min, the same IEEE subtraction as |a - b| of the extreme
+    pair, which no other pair's rounded difference exceeds.
+    """
+    values = list(values)
+    if not all(is_defined(v) for v in values):
+        return UNDEFINED
+    return max(values) - min(values) if values else 0.0
 
 
 @dataclass(frozen=True)
@@ -315,8 +309,8 @@ def separation_gap(source: PopulationModel | AuditDataset, rule: DecisionRule | 
     pairs = {g: rates(confusion(source, rule, g)) for g in labels}
     return SeparationGaps(
         rate_pairs=pairs,
-        fpr_gap=_pairwise_max_gap({g: rp.fpr for g, rp in pairs.items()}),
-        fnr_gap=_pairwise_max_gap({g: rp.fnr for g, rp in pairs.items()}),
+        fpr_gap=spread(rp.fpr for rp in pairs.values()),
+        fnr_gap=spread(rp.fnr for rp in pairs.values()),
     )
 
 
@@ -352,8 +346,8 @@ def sufficiency_gap_binary(source: PopulationModel | AuditDataset, rule: Decisio
     return SufficiencyGaps(
         pos_given_r1=pos_r1,
         pos_given_r0=pos_r0,
-        gap_r1=_pairwise_max_gap(pos_r1),
-        gap_r0=_pairwise_max_gap(pos_r0),
+        gap_r1=spread(pos_r1.values()),
+        gap_r0=spread(pos_r0.values()),
     )
 
 
@@ -400,9 +394,9 @@ def impossibility_witness(
     if len(labels) < 2:
         raise ValueError("witness needs at least 2 groups")
     base = {g: pop.group(g).base_rate for g in labels}
-    spread = max(base.values()) - min(base.values())
-    if spread <= 1e-6:
-        raise ValueError(f"base rates are equal (spread {spread:.3g}); the conflict is not forced")
+    base_gap = spread(base.values())
+    if base_gap <= 1e-6:
+        raise ValueError(f"base rates are equal (spread {base_gap:.3g}); the conflict is not forced")
 
     sep = separation_gap(pop, rule)
     imperfect = False
@@ -427,7 +421,7 @@ def impossibility_witness(
         clear = fnr * b + (1 - fpr) * (1 - b)
         pred_r1[g] = (1 - fnr) * b / flag if flag > 0 else UNDEFINED
         pred_r0[g] = fnr * b / clear if clear > 0 else UNDEFINED
-    gap1, gap0 = _pairwise_max_gap(pred_r1), _pairwise_max_gap(pred_r0)
+    gap1, gap0 = spread(pred_r1.values()), spread(pred_r0.values())
     predicted = max(gap1, gap0) if is_defined(gap1) and is_defined(gap0) else UNDEFINED
 
     return ImpossibilityWitness(

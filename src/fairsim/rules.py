@@ -126,8 +126,14 @@ class DecisionRule:
                 raise ValueError(f"line {line_no}: malformed rule line {line!r}") from exc
             except ValueError as exc:
                 raise ValueError(f"line {line_no}: {exc}") from None
+            if label in policies:
+                raise ValueError(f"line {line_no}: group {label!r} is repeated")
             policies[label] = policy
         return cls(policies)
+
+
+#: The keys a rule line of each kind holds, as ``serialize`` writes them.
+_RULE_KEYS = {"det": {"group", "kind", "t1"}, "rand": {"group", "kind", "t1", "t2", "q"}}
 
 
 def _parse_rule_line(line: str) -> tuple[str, Policy]:
@@ -136,6 +142,8 @@ def _parse_rule_line(line: str) -> tuple[str, Policy]:
         key, sep, value = item.partition("=")
         if not sep:
             raise ValueError(f"token {item!r} is not of the form key=value")
+        if key in fields:
+            raise ValueError(f"key {key!r} is repeated")
         fields[key] = value
 
     def number(key: str) -> float:
@@ -145,11 +153,14 @@ def _parse_rule_line(line: str) -> tuple[str, Policy]:
             raise ValueError(f"{key} {fields[key]!r} is not a number") from None
 
     kind = fields["kind"]
+    if kind not in _RULE_KEYS:
+        raise KeyError(kind)
+    unknown = sorted(fields.keys() - _RULE_KEYS[kind])
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} for kind={kind}")
     if kind == "det":
         return fields["group"], DeterministicThreshold(number("t1"))
-    if kind == "rand":
-        return fields["group"], RandomizedThreshold(lower=number("t1"), upper=number("t2"), mix=number("q"))
-    raise KeyError(kind)
+    return fields["group"], RandomizedThreshold(lower=number("t1"), upper=number("t2"), mix=number("q"))
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .densities import UNDEFINED, PopulationModel, ScoreDensity, ScoreMap, is_defined
-from .metrics import confusion
+from .densities import UNDEFINED, PopulationModel, ScoreDensity, ScoreMap, draw_categorical, is_defined
+from .metrics import confusion, spread
 from .rules import DecisionRule, PayoffMatrix
 
 CONVENTIONS = ("per-outcome", "per-person")
@@ -153,11 +153,7 @@ def utility_report(
 ) -> UtilityReport:
     """Assemble a report; the disparity is the largest pairwise gap and the
     verdict compares it against the tolerance."""
-    values = list(per_group.values())
-    if any(not is_defined(v) for v in values):
-        disparity = UNDEFINED
-    else:
-        disparity = max(abs(a - b) for a in values for b in values) if values else 0.0
+    disparity = spread(per_group.values())
     verdict = is_defined(disparity) and disparity <= tolerance
     return UtilityReport(
         per_group=per_group,
@@ -218,17 +214,12 @@ def mc_long_run_eu(
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
     g = true_density.grid_size
-    cell_probs = true_density.weights / true_density.weights.sum()
-    cells = rng.choice(g, size=n, p=cell_probs)
+    cells = draw_categorical(rng, true_density.weights / true_density.weights.sum(), n)
     p = (cells + rng.random(n)) / g
     shown = p if displayed is None else displayed(p)
     act = shown > threshold
     liked = rng.random(n) < p
-    u = np.where(
-        act,
-        np.where(liked, payoff.u11, payoff.u10),
-        np.where(liked, payoff.u01, payoff.u00),
-    )
+    u = np.array([payoff.u00, payoff.u01, payoff.u10, payoff.u11])[(act << 1) | liked]
     est = float(np.mean(u))
     stderr = float(np.std(u, ddof=1) / math.sqrt(n)) if n > 1 else UNDEFINED
     return est, stderr

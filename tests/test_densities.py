@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from fairsim import (
     AuditDataset,
     ConditionalScoreDensity,
+    PayoffMatrix,
     PopulationModel,
     ScoreDensity,
     ScoreMap,
@@ -17,8 +18,10 @@ from fairsim import (
     calibration_curve,
     integrate,
     is_defined,
+    mc_long_run_eu,
     sample,
 )
+from fairsim.densities import draw_categorical
 from _helpers import calibrated_uniform_pair, judge_population
 
 GRID = 1024
@@ -281,6 +284,66 @@ def test_group_weights_drive_sampling_proportions():
     data = sample(pop, 100_000, seed=9)
     share_men = float(np.mean(data.group == "men"))
     assert share_men == pytest.approx(0.75, abs=0.01)
+
+
+# -- draw_categorical ------------------------------------------------------------
+
+
+def _shaped_weights(shape: str, grid: int, weight_seed: int, knob: float, hot: int) -> np.ndarray:
+    w = np.random.default_rng(weight_seed).random(grid)
+    hot %= grid
+    if shape == "zeros":  # a knob-sized share of empty cells, the hot one kept
+        w[w < knob] = 0.0
+        w[hot] = 1.0
+    elif shape == "one_hot":
+        w = np.zeros(grid)
+        w[hot] = 1.0
+    elif shape == "near_one_hot":  # every other cell ~1e-16 of the hot one
+        w = w * 10.0 ** (-16.0 * knob - 1.0)
+        w[hot] = 1.0
+    elif shape == "subnormal":  # a tail of subnormal weights
+        w = np.floor(w * 64.0) * 5e-324
+        w[hot] = 1.0
+    elif shape == "pow8":
+        w = w**8
+        w[hot] += knob
+    return w
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.sampled_from(["uniform", "random", "zeros", "one_hot", "near_one_hot", "subnormal", "pow8"]),
+    grid=st.one_of(st.sampled_from([1, 2, 3, 4, 5, 64, 100, 1000, 1024, 2048, 4095, 4096]), st.integers(1, 4096)),
+    n=st.one_of(st.integers(1, 64), st.integers(1, 50_000)),
+    weight_seed=st.integers(0, 2**32 - 1),
+    knob=st.floats(0.0, 1.0),
+    hot=st.integers(0, 4095),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_draw_categorical_reproduces_generator_choice(shape, grid, n, weight_seed, knob, hot, seed):
+    w = np.ones(grid) if shape == "uniform" else _shaped_weights(shape, grid, weight_seed, knob, hot)
+    p = w / w.sum()
+    expected_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = expected_rng.choice(grid, size=n, p=p)
+    got = draw_categorical(rng, p, n)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+    assert rng.random() == expected_rng.random()
+
+
+@pytest.mark.parametrize(
+    "p", [[0.5, np.nan, 0.5], [1.5, -0.5], [np.inf, 1.0], [0.5, 0.4], [0.0, 0.0], [], [[1.0]]]
+)
+def test_draw_categorical_rejects_invalid_probabilities_before_drawing(p):
+    rng, fresh = np.random.default_rng(4), np.random.default_rng(4)
+    with pytest.raises(ValueError):
+        draw_categorical(rng, np.array(p, dtype=float), 10)
+    assert rng.random() == fresh.random()
+
+
+def test_monte_carlo_of_a_zero_mass_density_raises():
+    with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+        mc_long_run_eu(ScoreDensity(np.zeros(16)), None, PayoffMatrix.recommender(), 0.5, n=10, seed=1)
 
 
 # -- audit dataset CSV ------------------------------------------------------------

@@ -25,6 +25,7 @@ from fairsim import (
     sufficiency_gap_binary,
     within_group_calibration_error,
 )
+from fairsim.metrics import spread
 from _helpers import (
     calibrated_uniform_pair,
     judge_population,
@@ -228,6 +229,22 @@ def test_undefined_rates_propagate_to_gaps():
     sep = separation_gap(pop, DecisionRule.shared(0.5, pop.labels))
     assert not is_defined(sep.fnr_gap)
     assert not is_defined(sep.max_gap)
+
+
+@given(
+    values=st.lists(
+        st.one_of(st.floats(-1e300, 1e300), st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 5e-324])),
+        max_size=8,
+    ),
+    undefined_at=st.none() | st.integers(0, 7),
+)
+def test_spread_is_the_largest_pairwise_gap_bit_for_bit(values, undefined_at):
+    if undefined_at is not None and values:
+        values[undefined_at % len(values)] = float("nan")
+        assert not is_defined(spread(values))
+        return
+    pairwise = max((abs(a - b) for a in values for b in values), default=0.0)
+    assert spread(values).hex() == pairwise.hex()
 
 
 # -- impossibility witness -------------------------------------------------------------

@@ -75,7 +75,7 @@ def test_rule_parse_rejects_malformed_lines():
         ("group=men kind=maybe t1=0.5", 1),
         (good + "group=men kind=det t1", 2),  # token without "="
         (good + "group=men kind=det t1=abc", 2),
-        (good + good + "group=men kind=rand t1=0.2 t2=x q=0.5", 3),
+        (good + "group=b kind=det t1=0.5\n" + "group=men kind=rand t1=0.2 t2=x q=0.5", 3),
         (good + "group=men kind=det t1=1.5", 2),  # out of range
         (good + "group=men kind=rand t1=0.2 t2=0.8 q=-0.5", 2),
         (good + "group=men kind=rand t1=0.8 t2=0.2 q=0.5", 2),  # lower above upper
@@ -83,6 +83,10 @@ def test_rule_parse_rejects_malformed_lines():
         (good + "kind=det t1=0.5", 2),  # no group
         ("", 1),
         (" \n\t\n", 1),
+        ("group=a kind=det t1=0.5\ngroup=a kind=det t1=0.7", 2),  # repeated group
+        (good + "group=men kind=det t1=0.5 t1=0.9", 2),  # repeated key
+        (good + "group=men kind=det t1=0.5 extra=1", 2),  # unknown key
+        (good + "group=men kind=det t1=0.5 q=0.5", 2),  # a rand key on a det line
     ):
         with pytest.raises(ValueError, match=f"^line {line}: "):
             DecisionRule.parse(bad)
