@@ -11,7 +11,6 @@ from .densities import (
     ScoreDensity,
     ScoreMap,
     apply_score_map,
-    base_rate,
     calibration_curve,
     integrate,
     is_defined,
@@ -59,7 +58,6 @@ from .utility import (
     CaseStats,
     UtilityReport,
     classify_cases,
-    disparity_verdict,
     judge_disutility,
     long_run_eu,
     mc_long_run_eu,

@@ -616,9 +616,11 @@ def _read_rows(path) -> AuditDataset:
     )
 
 
-def base_rate(pop: PopulationModel, group: str) -> float:
-    """Share of outcome-1 mass in the group: the total mass of f1."""
-    return pop.group(group).base_rate
+def conditional_rate(num, den) -> np.ndarray:
+    """``num / den`` entry by entry, undefined where ``den`` is 0: a rate
+    conditioned on a level, which an empty level does not define."""
+    den = np.asarray(den)
+    return np.divide(num, den, out=np.full(den.shape, UNDEFINED), where=den > 0)
 
 
 @dataclass(frozen=True)
@@ -637,11 +639,7 @@ class CalibrationCurve:
 
 def calibration_curve(pop: PopulationModel, group: str) -> CalibrationCurve:
     csd = pop.group(group)
-    w0, w1 = csd.f0.weights, csd.f1.weights
-    total = w0 + w1
-    values = np.full(csd.grid_size, UNDEFINED)
-    occupied = total > 0
-    values[occupied] = w1[occupied] / total[occupied]
+    values = conditional_rate(csd.f1.weights, csd.f0.weights + csd.f1.weights)
     return CalibrationCurve(midpoints=csd.f0.midpoints(), values=values)
 
 
@@ -730,8 +728,6 @@ def sample(pop: PopulationModel, n: int, seed: int, rule=None) -> AuditDataset:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    from .rules import decision_probabilities  # local import to avoid a cycle
-
     rng = np.random.default_rng(seed)
     labels = pop.labels
     weights = pop.normalized_weights()
@@ -760,7 +756,7 @@ def sample(pop: PopulationModel, n: int, seed: int, rule=None) -> AuditDataset:
         score_col[mask] = scores
         outcome_col[mask] = outcome
         if rule is not None:
-            probs = decision_probabilities(rule, label, scores)
+            probs = rule.for_group(label).probability(scores)
             decision_col[mask] = (rng.random(k) < probs).astype(np.int8)
 
     order = sorted(first_record, key=first_record.__getitem__)

@@ -8,6 +8,7 @@ All experiments are deterministic given their parameters.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -35,7 +36,6 @@ from .reports import render_doc, render_text, write_series_csv
 from .rules import PayoffMatrix, coarsen, solve_equalized_odds, solve_parity_ratio
 from .utility import (
     classify_cases,
-    disparity_verdict,
     judge_disutility,
     long_run_eu,
     mc_long_run_eu,
@@ -153,7 +153,6 @@ def run_recommender_experiment(
         tolerance=ANALYTIC_TOL,
         case_breakdown={"men": cases_men, "women": classify_cases(true_density, identity, t, payoff)},
     )
-    equal_utility, disparity = disparity_verdict(analytic, ANALYTIC_TOL)
 
     mc_women, se_women = mc_long_run_eu(true_density, identity, payoff, t, n_mc, seed)
     mc_men, se_men = mc_long_run_eu(true_density, men_map, payoff, t, n_mc, seed + 1)
@@ -176,7 +175,7 @@ def run_recommender_experiment(
     }
     metrics = {
         "eu": {
-            "analytic": {"women": eu_women, "men": eu_men, "disparity": disparity},
+            "analytic": {"women": eu_women, "men": eu_men, "disparity": analytic.disparity},
             "mc": {
                 "women": mc_women,
                 "men": mc_men,
@@ -192,7 +191,7 @@ def run_recommender_experiment(
         "calibration_displayed": {"sup_gap": calib.sup_gap, "l1_gap": calib.l1_gap},
     }
     verdicts = {
-        "equal_utility": Verdict(equal_utility, disparity, ANALYTIC_TOL),
+        "equal_utility": Verdict(analytic.verdict, analytic.disparity, ANALYTIC_TOL),
         "zero_wrong_side_mass": Verdict(
             cases_men.wrong_side_mass == 0.0, cases_men.wrong_side_mass, 0.0
         ),
@@ -229,16 +228,15 @@ def run_equal_rates_unequal_utility(
         eu[label] = fp_mass * acted + (1.0 - fp_mass) * payoff.outside
         loss_per_decision[label] = payoff.outside - acted
     analytic = utility_report(eu, tolerance=ANALYTIC_TOL)
-    equal_utility, disparity = disparity_verdict(analytic, ANALYTIC_TOL)
 
     metrics = {
         "rates": {"fpr": rate_pair.fpr, "fnr": rate_pair.fnr},
-        "eu": {"men": eu["men"], "women": eu["women"], "disparity": disparity},
+        "eu": {"men": eu["men"], "women": eu["women"], "disparity": analytic.disparity},
         "loss_per_false_decision": dict(loss_per_decision),
     }
     verdicts = {
         "equal_rates": Verdict(True, 0.0, 0.0),
-        "equal_utility": Verdict(equal_utility, disparity, ANALYTIC_TOL),
+        "equal_utility": Verdict(analytic.verdict, analytic.disparity, ANALYTIC_TOL),
     }
     series = {
         "false_decision_loss": [(p_men, loss_per_decision["men"]), (p_women, loss_per_decision["women"])]
@@ -482,10 +480,8 @@ class ExperimentSpec:
     name: str
     summary: str
     params: dict[str, Param]
+    run: Callable[[dict[str, object]], ExperimentReport]
     cli_required: tuple[str, ...] = ()
-
-    def run(self, values: dict[str, object]) -> ExperimentReport:
-        return _RUNNERS[self.name](values)
 
 
 def _run_recommender(v):
@@ -513,13 +509,6 @@ def _run_appendix(v):
     return run_appendix_counterexample(grid=v["grid"], n_reshapes=v["reshapes"], seed=v["seed"])
 
 
-_RUNNERS = {
-    "recommender": _run_recommender,
-    "equal-rates": _run_equal_rates,
-    "judge": _run_judge,
-    "appendix": _run_appendix,
-}
-
 EXPERIMENTS: dict[str, ExperimentSpec] = {
     "recommender": ExperimentSpec(
         name="recommender",
@@ -531,6 +520,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             "samples": Param(int, 1_000_000),
             "seed": Param(int, 42),
         },
+        run=_run_recommender,
     ),
     "equal-rates": ExperimentSpec(
         name="equal-rates",
@@ -540,6 +530,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             "p_women": Param(float, 0.4),
             "fp_mass": Param(float, 0.1),
         },
+        run=_run_equal_rates,
     ),
     "judge": ExperimentSpec(
         name="judge",
@@ -553,6 +544,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             "rule": Param(str, "equalized-odds", JUDGE_RULES),
             "reference": Param(str, "men", ("men", "women")),
         },
+        run=_run_judge,
         cli_required=("convention",),
     ),
     "appendix": ExperimentSpec(
@@ -563,5 +555,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             "reshapes": Param(int, 100),
             "seed": Param(int, 7),
         },
+        run=_run_appendix,
     ),
 }

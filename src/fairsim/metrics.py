@@ -13,8 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .densities import UNDEFINED, AuditDataset, PopulationModel, cell_index, is_defined
-from .rules import DecisionRule, RandomizedThreshold, group_confusion_masses
+from .densities import UNDEFINED, AuditDataset, PopulationModel, cell_index, conditional_rate, is_defined
+from .rules import DecisionRule, group_confusion_masses
 
 
 @dataclass(frozen=True)
@@ -84,25 +84,12 @@ def confusion(source: PopulationModel | AuditDataset, rule: DecisionRule | None,
     if rule is None:
         if source.decision is None or np.any(source.decision[mask] == -1):
             raise ValueError(f"group {group!r} has records without decisions and no rule was given")
-        decided = source.decision[mask]
+        components = [(1, source.decision[mask])]  # recorded decisions: one component of weight 1
     else:
         scores = source.score[mask]
-        policy = rule.for_group(group)
-        if isinstance(policy, RandomizedThreshold):
-            q = Fraction(policy.mix) if isinstance(policy.mix, Fraction) else Fraction(float(policy.mix))
-            lo, hi = float(policy.lower), float(policy.upper)
-            n1_lo = int(np.sum((scores > lo) & (outcomes == 1)))
-            n1_hi = int(np.sum((scores > hi) & (outcomes == 1)))
-            n0_lo = int(np.sum((scores > lo) & (outcomes == 0)))
-            n0_hi = int(np.sum((scores > hi) & (outcomes == 0)))
-            pos = int(np.sum(outcomes == 1))
-            neg = int(np.sum(outcomes == 0))
-            tp = q * n1_lo + (1 - q) * n1_hi
-            fp = q * n0_lo + (1 - q) * n0_hi
-            return ConfusionCounts(tp=tp, fp=fp, fn=pos - tp, tn=neg - fp)
-        decided = scores > float(policy.threshold)
-    # cell outcome * 2 + decision: tn, fp, fn, tp
-    tn, fp, fn, tp = np.bincount(outcomes * 2 + decided, minlength=4).tolist()
+        components = [(w, scores > float(t)) for w, t in rule.for_group(group).mixture()]
+    counts = sum(w * np.bincount(outcomes * 2 + decided, minlength=4) for w, decided in components)
+    tn, fp, fn, tp = counts.tolist()  # cell outcome * 2 + decision
     return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
 
 
@@ -162,63 +149,55 @@ def _per_level_max_gap(stack: np.ndarray) -> np.ndarray:
     return gap
 
 
+def _level_tallies(source: PopulationModel | AuditDataset, group: str, bins: int) -> tuple:
+    """One group's tallies per score level: the levels, the outcome-1 mass
+    (density values) or record count, the total, the reference rate that a
+    calibrated score shows, the group's weight in a pooled tally, and the
+    divisor that turns a total into a level mass.
+
+    Analytic levels are the grid-cell midpoints, each its own reference, and
+    groups pool by population weight. Empirical levels are ``bins``
+    equal-width bins, whose reference is the mean score in the bin, and
+    groups pool by record count.
+    """
+    if isinstance(source, PopulationModel):
+        csd = source.group(group)
+        levels = csd.f0.midpoints()
+        total = csd.f0.weights + csd.f1.weights
+        weight = source.normalized_weights()[group]
+        return levels, csd.f1.weights, total, levels.copy(), weight, csd.grid_size
+    if bins < 1:
+        raise ValueError("bins must be at least 1")
+    mask = source.group_mask(group)
+    scores = source.score[mask]
+    bin_of = cell_index(scores, bins)
+    total = np.bincount(bin_of, minlength=bins).astype(float)
+    positive = np.bincount(bin_of, weights=source.outcome[mask], minlength=bins)
+    reference = conditional_rate(np.bincount(bin_of, weights=scores, minlength=bins), total)
+    return (np.arange(bins) + 0.5) / bins, positive, total, reference, 1, 1
+
+
 def between_group_calibration_gap(
     source: PopulationModel | AuditDataset, bins: int = 10
 ) -> CalibrationReport:
     """How far conditional positive rates at equal score levels drift apart
     across groups; a zero sup gap over defined levels is group calibration."""
-    if isinstance(source, PopulationModel):
-        labels = source.labels
-        weights = source.normalized_weights()
-        grid = source.grid_size
-        levels = source.group(labels[0]).f0.midpoints()
-        group_rates = {}
-        pooled_pos = np.zeros(grid)
-        pooled_tot = np.zeros(grid)
-        for g in labels:
-            csd = source.group(g)
-            tot = csd.f0.weights + csd.f1.weights
-            rate = np.full(grid, UNDEFINED)
-            occ = tot > 0
-            rate[occ] = csd.f1.weights[occ] / tot[occ]
-            group_rates[g] = rate
-            pooled_pos += weights[g] * csd.f1.weights
-            pooled_tot += weights[g] * tot
-        level_mass = pooled_tot / grid
-    else:
-        if bins < 1:
-            raise ValueError("bins must be at least 1")
-        labels = source.labels
-        if len(labels) < 2:
-            raise ValueError("calibration gap needs at least 2 groups")
-        levels = (np.arange(bins) + 0.5) / bins
-        bin_of = cell_index(source.score, bins)
-        group_rates = {}
-        pooled_pos = np.zeros(bins)
-        pooled_tot = np.zeros(bins)
-        for g in labels:
-            mask = source.group_mask(g)
-            tot = np.bincount(bin_of[mask], minlength=bins).astype(float)
-            pos = np.bincount(bin_of[mask], weights=source.outcome[mask], minlength=bins)
-            rate = np.full(bins, UNDEFINED)
-            occ = tot > 0
-            rate[occ] = pos[occ] / tot[occ]
-            group_rates[g] = rate
-            pooled_pos += pos
-            pooled_tot += tot
-        level_mass = pooled_tot
-
+    group_rates = {}
+    pooled_pos = pooled_tot = 0.0
+    for g in source.labels:
+        levels, positive, total, _, weight, divisor = _level_tallies(source, g, bins)
+        group_rates[g] = conditional_rate(positive, total)
+        pooled_pos = pooled_pos + weight * positive
+        pooled_tot = pooled_tot + weight * total
     if len(group_rates) < 2:
         raise ValueError("calibration gap needs at least 2 groups")
-    pooled = np.full(len(levels), UNDEFINED)
-    occ = pooled_tot > 0
-    pooled[occ] = pooled_pos[occ] / pooled_tot[occ]
+    level_mass = pooled_tot / divisor
     gap = _per_level_max_gap(np.vstack(list(group_rates.values())))
     sup_gap, l1_gap = _summarize_gaps(gap, level_mass)
     return CalibrationReport(
         levels=levels,
         group_rates=group_rates,
-        pooled=pooled,
+        pooled=conditional_rate(pooled_pos, pooled_tot),
         gap=gap,
         level_mass=level_mass,
         sup_gap=sup_gap,
@@ -244,34 +223,9 @@ def within_group_calibration_error(
     """Deviation of the group's score from the classical calibration identity
     (positive rate at score r equals r). Empirical levels compare against the
     mean score within each bin."""
-    if isinstance(source, PopulationModel):
-        csd = source.group(group)
-        grid = csd.grid_size
-        levels = csd.f0.midpoints()
-        tot = csd.f0.weights + csd.f1.weights
-        observed = np.full(grid, UNDEFINED)
-        occ = tot > 0
-        observed[occ] = csd.f1.weights[occ] / tot[occ]
-        reference = levels.copy()
-        mass = tot / grid
-    else:
-        if bins < 1:
-            raise ValueError("bins must be at least 1")
-        mask = source.group_mask(group)
-        scores = source.score[mask]
-        outcomes = source.outcome[mask]
-        bin_of = cell_index(scores, bins)
-        levels = (np.arange(bins) + 0.5) / bins
-        tot = np.bincount(bin_of, minlength=bins).astype(float)
-        pos = np.bincount(bin_of, weights=outcomes, minlength=bins)
-        ssum = np.bincount(bin_of, weights=scores, minlength=bins)
-        observed = np.full(bins, UNDEFINED)
-        reference = np.full(bins, UNDEFINED)
-        occ = tot > 0
-        observed[occ] = pos[occ] / tot[occ]
-        reference[occ] = ssum[occ] / tot[occ]
-        mass = tot
-
+    levels, positive, total, reference, _, divisor = _level_tallies(source, group, bins)
+    observed = conditional_rate(positive, total)
+    mass = total / divisor
     error = np.abs(observed - reference)
     sup_error, l1_error = _summarize_gaps(error, mass)
     return WithinGroupCalibration(
@@ -284,22 +238,28 @@ def within_group_calibration_error(
     )
 
 
+class _TwoGaps:
+    """A criterion measured by the two gaps named in ``_gap_names``: it holds
+    when the larger, ``max_gap``, is within a tolerance."""
+
+    @property
+    def max_gap(self) -> float:
+        gaps = [getattr(self, name) for name in self._gap_names]
+        return max(gaps) if all(is_defined(g) for g in gaps) else UNDEFINED
+
+    def holds(self, tol: float = 1e-12) -> bool:
+        return is_defined(self.max_gap) and self.max_gap <= tol
+
+
 @dataclass(frozen=True)
-class SeparationGaps:
+class SeparationGaps(_TwoGaps):
     """Pairwise spread of false positive and false negative rates."""
+
+    _gap_names = ("fpr_gap", "fnr_gap")
 
     rate_pairs: dict[str, RatePair]
     fpr_gap: float
     fnr_gap: float
-
-    @property
-    def max_gap(self) -> float:
-        if not (is_defined(self.fpr_gap) and is_defined(self.fnr_gap)):
-            return UNDEFINED
-        return max(self.fpr_gap, self.fnr_gap)
-
-    def holds(self, tol: float = 1e-12) -> bool:
-        return is_defined(self.max_gap) and self.max_gap <= tol
 
 
 def separation_gap(source: PopulationModel | AuditDataset, rule: DecisionRule | None = None) -> SeparationGaps:
@@ -315,22 +275,15 @@ def separation_gap(source: PopulationModel | AuditDataset, rule: DecisionRule | 
 
 
 @dataclass(frozen=True)
-class SufficiencyGaps:
+class SufficiencyGaps(_TwoGaps):
     """Pairwise spread of outcome rates conditional on the binary decision."""
+
+    _gap_names = ("gap_r1", "gap_r0")
 
     pos_given_r1: dict[str, float]
     pos_given_r0: dict[str, float]
     gap_r1: float
     gap_r0: float
-
-    @property
-    def max_gap(self) -> float:
-        if not (is_defined(self.gap_r1) and is_defined(self.gap_r0)):
-            return UNDEFINED
-        return max(self.gap_r1, self.gap_r0)
-
-    def holds(self, tol: float = 1e-12) -> bool:
-        return is_defined(self.max_gap) and self.max_gap <= tol
 
 
 def sufficiency_gap_binary(source: PopulationModel | AuditDataset, rule: DecisionRule | None = None) -> SufficiencyGaps:
@@ -421,8 +374,7 @@ def impossibility_witness(
         clear = fnr * b + (1 - fpr) * (1 - b)
         pred_r1[g] = (1 - fnr) * b / flag if flag > 0 else UNDEFINED
         pred_r0[g] = fnr * b / clear if clear > 0 else UNDEFINED
-    gap1, gap0 = spread(pred_r1.values()), spread(pred_r0.values())
-    predicted = max(gap1, gap0) if is_defined(gap1) and is_defined(gap0) else UNDEFINED
+    predicted = SufficiencyGaps(pred_r1, pred_r0, spread(pred_r1.values()), spread(pred_r0.values())).max_gap
 
     return ImpossibilityWitness(
         base_rates=base,

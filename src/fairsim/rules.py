@@ -21,17 +21,34 @@ class InfeasibleRuleError(ValueError):
     """Raised when no threshold policy can reach the requested target."""
 
 
-def _as_fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(float(x))
-
-
 def _check_unit(value, name: str) -> None:
     if not 0 <= value <= 1:
         raise ValueError(f"{name} must lie in [0, 1], got {float(value)!r}")
 
 
+class _ThresholdMix:
+    """A policy that uses one of its thresholds at random: ``mixture()`` lists
+    ``(weight, threshold)`` pairs whose exact weights sum to 1, and each
+    threshold decides 1 exactly when the score strictly exceeds it."""
+
+    def probability(self, score):
+        """Probability of deciding 1 at a score, or at each of an array of scores.
+
+        Weights and thresholds count as floats. A randomized policy gives the
+        bits of ``q*(s > lower) + (1.0 - q)*(s > upper)``: where both terms
+        count, ``q + float(1 - q)`` rounds to 1.0 just as ``q + (1.0 - q)`` does.
+        """
+        s = np.asarray(score, dtype=float)
+        p = sum(float(w) * (s > float(t)) for w, t in self.mixture())
+        return float(p) if p.ndim == 0 else p
+
+    def decided_mass(self, density: ScoreDensity) -> Fraction:
+        """Exact mass of the density on which the policy decides 1."""
+        return sum(w * density.exact_mass_above(t) for w, t in self.mixture())
+
+
 @dataclass(frozen=True)
-class DeterministicThreshold:
+class DeterministicThreshold(_ThresholdMix):
     """Decide 1 iff score > threshold."""
 
     threshold: float | Fraction
@@ -39,15 +56,12 @@ class DeterministicThreshold:
     def __post_init__(self):
         _check_unit(self.threshold, "threshold")
 
-    def probability(self, score: float) -> float:
-        return 1.0 if score > self.threshold else 0.0
-
-    def decided_mass(self, density: ScoreDensity) -> Fraction:
-        return density.exact_mass_above(self.threshold)
+    def mixture(self) -> tuple[tuple[int, float | Fraction]]:
+        return ((1, self.threshold),)
 
 
 @dataclass(frozen=True)
-class RandomizedThreshold:
+class RandomizedThreshold(_ThresholdMix):
     """Mix of two deterministic thresholds: use ``lower`` with probability ``mix``."""
 
     lower: float | Fraction
@@ -61,13 +75,9 @@ class RandomizedThreshold:
         if self.lower > self.upper:
             raise ValueError("lower threshold must not exceed upper threshold")
 
-    def probability(self, score: float) -> float:
-        q = float(self.mix)
-        return q * (score > self.lower) + (1.0 - q) * (score > self.upper)
-
-    def decided_mass(self, density: ScoreDensity) -> Fraction:
-        q = _as_fraction(self.mix)
-        return q * density.exact_mass_above(self.lower) + (1 - q) * density.exact_mass_above(self.upper)
+    def mixture(self) -> tuple[tuple[Fraction, float | Fraction], ...]:
+        q = self.mix if isinstance(self.mix, Fraction) else Fraction(float(self.mix))
+        return ((q, self.lower), (1 - q, self.upper))
 
 
 Policy = DeterministicThreshold | RandomizedThreshold
@@ -194,16 +204,6 @@ def decide(rule: DecisionRule, group: str, score: float) -> float:
     if not 0.0 <= score <= 1.0:
         raise ValueError(f"score must lie in [0, 1], got {score!r}")
     return rule.for_group(group).probability(score)
-
-
-def decision_probabilities(rule: DecisionRule, group: str, scores: np.ndarray) -> np.ndarray:
-    """Vectorized decision probabilities for an array of scores."""
-    pol = rule.for_group(group)
-    scores = np.asarray(scores, dtype=float)
-    if isinstance(pol, DeterministicThreshold):
-        return (scores > float(pol.threshold)).astype(float)
-    q = float(pol.mix)
-    return q * (scores > float(pol.lower)) + (1.0 - q) * (scores > float(pol.upper))
 
 
 def group_confusion_masses(csd: ConditionalScoreDensity, policy: Policy) -> tuple[Fraction, Fraction, Fraction, Fraction]:

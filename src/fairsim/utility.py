@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .densities import UNDEFINED, PopulationModel, ScoreDensity, ScoreMap, draw_categorical, is_defined
-from .metrics import confusion, spread
+from .metrics import confusion, rates, spread
 from .rules import DecisionRule, PayoffMatrix
 
 CONVENTIONS = ("per-outcome", "per-person")
@@ -184,18 +184,10 @@ def judge_disutility(
     for g in pop.labels:
         c = confusion(pop, rule, g)
         if convention == "per-outcome":
-            pos = c.fn + c.tp
-            per_group[g] = float(Fraction(c.fn) / Fraction(pos)) if pos != 0 else UNDEFINED
+            per_group[g] = rates(c).fnr
         else:
             per_group[g] = float(Fraction(c.fn) / Fraction(c.total))
     return utility_report(per_group, tolerance, convention=convention)
-
-
-def disparity_verdict(report: UtilityReport, tol: float) -> tuple[bool, float]:
-    """Whether the report's groups are equally well off within tol; the
-    magnitude comes back either way."""
-    ok = is_defined(report.disparity) and report.disparity <= tol
-    return ok, report.disparity
 
 
 def mc_long_run_eu(
@@ -212,6 +204,8 @@ def mc_long_run_eu(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if not true_density.is_normalized():
+        raise ValueError("true-probability density must integrate to 1")
     rng = np.random.default_rng(seed)
     g = true_density.grid_size
     cells = draw_categorical(rng, true_density.weights / true_density.weights.sum(), n)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from fairsim import sample, solve_equalized_odds
@@ -194,8 +196,8 @@ def test_simulate_rejects_badly_typed_override(capsys):
 )
 def test_simulate_rejects_sizes_outside_their_bounds(tmp_path, capsys, monkeypatch, argv):
     calls = []
-    for name in experiments.EXPERIMENTS:
-        monkeypatch.setitem(experiments._RUNNERS, name, calls.append)
+    for name, spec in experiments.EXPERIMENTS.items():
+        monkeypatch.setitem(experiments.EXPERIMENTS, name, dataclasses.replace(spec, run=calls.append))
     code, out, err = run_cli(capsys, "simulate", *argv, "--out", str(tmp_path / "out"))
     assert code == 2
     assert out == ""

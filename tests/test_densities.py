@@ -14,7 +14,6 @@ from fairsim import (
     ScoreDensity,
     ScoreMap,
     apply_score_map,
-    base_rate,
     calibration_curve,
     integrate,
     is_defined,
@@ -115,12 +114,12 @@ def test_base_rate_zero_when_no_positive_mass():
             "b": ConditionalScoreDensity.calibrated(ScoreDensity.uniform(GRID)),
         }
     )
-    assert base_rate(pop, "a") == 0.0
+    assert pop.group("a").base_rate == 0.0
 
 
 def test_base_rate_calibrated_uniform_is_half():
     pop = calibrated_uniform_pair(GRID)
-    assert base_rate(pop, "a") == pytest.approx(0.5, abs=1e-12)
+    assert pop.group("a").base_rate == pytest.approx(0.5, abs=1e-12)
 
 
 def test_base_rate_matches_score_mean_when_calibrated():
@@ -133,7 +132,7 @@ def test_base_rate_matches_score_mean_when_calibrated():
 def test_base_rate_unknown_group():
     pop = calibrated_uniform_pair(64)
     with pytest.raises(KeyError):
-        base_rate(pop, "nope")
+        pop.group("nope").base_rate
 
 
 def test_calibration_curve_of_calibrated_group_is_identity():
@@ -341,8 +340,9 @@ def test_draw_categorical_rejects_invalid_probabilities_before_drawing(p):
     assert rng.random() == fresh.random()
 
 
+@pytest.mark.filterwarnings("error")
 def test_monte_carlo_of_a_zero_mass_density_raises():
-    with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+    with pytest.raises(ValueError, match="true-probability density must integrate to 1"):
         mc_long_run_eu(ScoreDensity(np.zeros(16)), None, PayoffMatrix.recommender(), 0.5, n=10, seed=1)
 
 

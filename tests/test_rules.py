@@ -1,9 +1,13 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairsim import (
+    AuditDataset,
     ConditionalScoreDensity,
+    ConfusionCounts,
     DecisionRule,
     DeterministicThreshold,
     InfeasibleRuleError,
@@ -52,6 +56,60 @@ def test_policy_validation():
         RandomizedThreshold(lower=0.8, upper=0.2, mix=0.5)
     with pytest.raises(ValueError):
         RandomizedThreshold(lower=0.2, upper=0.8, mix=1.5)
+
+
+#: Thresholds and mixes as a rule text gives them (floats) and as the solvers do
+#: (rationals, most of them not binary floats).
+UNIT = st.one_of(st.floats(0, 1), st.fractions(0, 1, max_denominator=10**12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=UNIT,
+    b=UNIT,
+    mix=UNIT,
+    records=st.lists(st.tuples(st.floats(0, 1), st.integers(0, 1)), min_size=1, max_size=40),
+    weights=st.lists(st.floats(0, 8), min_size=1, max_size=16),
+)
+def test_policies_match_the_per_kind_decision_formulas(a, b, mix, records, weights):
+    """Both policy kinds evaluate through ``mixture()``; the formulas each kind
+    used to have of its own are the oracle."""
+    lower, upper = sorted((a, b))
+    scores = np.array([s for s, _ in records] + [float(lower), float(upper)])
+    outcomes = np.array([y for _, y in records] + [1, 0], dtype=np.int8)
+    data = AuditDataset(group=["g"] * len(scores), score=scores, outcome=outcomes)
+    density = ScoreDensity(np.array(weights))
+
+    det = DeterministicThreshold(a)
+    want = (scores > float(a)).astype(float)
+    assert det.probability(scores).tobytes() == want.tobytes()
+    assert [det.probability(s) for s in scores] == want.tolist()
+    assert det.decided_mass(density) == density.exact_mass_above(a)
+    decided = scores > float(a)
+    assert confusion(data, DecisionRule({"g": det}), "g") == ConfusionCounts(
+        tp=int(np.sum(decided & (outcomes == 1))),
+        fp=int(np.sum(decided & (outcomes == 0))),
+        fn=int(np.sum(~decided & (outcomes == 1))),
+        tn=int(np.sum(~decided & (outcomes == 0))),
+    )
+
+    rand = RandomizedThreshold(lower, upper, mix)
+    q = float(mix)
+    want = q * (scores > float(lower)) + (1.0 - q) * (scores > float(upper))
+    assert rand.probability(scores).tobytes() == want.tobytes()
+    assert [rand.probability(s) for s in scores] == want.tolist()
+    qf = mix if isinstance(mix, Fraction) else Fraction(float(mix))
+    assert rand.decided_mass(density) == qf * density.exact_mass_above(lower) + (1 - qf) * density.exact_mass_above(upper)
+    lo, hi = float(lower), float(upper)
+    n1_lo = int(np.sum((scores > lo) & (outcomes == 1)))
+    n1_hi = int(np.sum((scores > hi) & (outcomes == 1)))
+    n0_lo = int(np.sum((scores > lo) & (outcomes == 0)))
+    n0_hi = int(np.sum((scores > hi) & (outcomes == 0)))
+    tp = qf * n1_lo + (1 - qf) * n1_hi
+    fp = qf * n0_lo + (1 - qf) * n0_hi
+    pos, neg = int(np.sum(outcomes == 1)), int(np.sum(outcomes == 0))
+    want_counts = ConfusionCounts(tp=tp, fp=fp, fn=pos - tp, tn=neg - fp)
+    assert confusion(data, DecisionRule({"g": rand}), "g") == want_counts
 
 
 def test_rule_serialization_round_trip():

@@ -10,7 +10,6 @@ from fairsim import (
     ScoreDensity,
     ScoreMap,
     classify_cases,
-    disparity_verdict,
     is_defined,
     judge_disutility,
     long_run_eu,
@@ -176,11 +175,10 @@ def test_convention_must_be_named():
 def test_disparity_verdict_returns_magnitude_either_way():
     pop = judge_population(GRID)
     rule = solve_equalized_odds(pop, "men", 0.5)
-    report = judge_disutility(pop, rule, "per-person")
-    ok, magnitude = disparity_verdict(report, tol=1e-6)
-    assert not ok and magnitude == report.disparity
-    ok, _ = disparity_verdict(report, tol=1.0)
-    assert ok
+    strict = judge_disutility(pop, rule, "per-person", tolerance=1e-6)
+    assert not strict.verdict and strict.disparity > 1e-6
+    loose = judge_disutility(pop, rule, "per-person", tolerance=1.0)
+    assert loose.verdict and loose.disparity == strict.disparity
 
 
 # -- Monte Carlo -------------------------------------------------------------------
