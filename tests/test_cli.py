@@ -227,3 +227,46 @@ def test_list_command(capsys):
     assert code == 0
     for name in ("recommender", "equal-rates", "judge", "appendix"):
         assert name in out
+
+
+GOLDEN_LIST = """\
+recommender  self-serving decisions on displayed scores; one group's scores transformed
+             defaults: map=constant map_value=0.9 grid=1024 samples=1000000 seed=42
+equal-rates  equal error rates with unequal per-decision utility loss
+             defaults: p_men=0.1 p_women=0.4 fp_mass=0.1
+judge        group-specific thresholds equalizing error rates or expected harm
+             defaults: base_rate_m=0.3 base_rate_f=0.6 reference_t=0.5 grid=1024 convention=per-outcome rule=equalized-odds reference=men
+appendix     harm parity preserved under negative-class reshapes that change declined-case composition
+             defaults: grid=1024 reshapes=100 seed=7
+"""
+
+
+def test_list_output_is_pinned(capsys):
+    assert run_cli(capsys, "list") == (0, GOLDEN_LIST, "")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["equal-rates", "p_cats=0.2"],
+         "unknown parameter 'p_cats' for experiment 'equal-rates'; valid parameters: p_men, p_women, fp_mass"),
+        (["equal-rates", "p_men=lots"], "parameter 'p_men' expects float, got 'lots'"),
+        (["appendix", "grid=1.5"], "parameter 'grid' expects int, got '1.5'"),
+        (["judge", "convention=bogus"],
+         "parameter 'convention' must be one of ('per-outcome', 'per-person'), got 'bogus'"),
+        (["judge", "rule=bogus", "--convention", "per-outcome"],
+         "parameter 'rule' must be one of ('equalized-odds', 'parity-ratio'), got 'bogus'"),
+        (["judge", "reference=bogus", "--convention", "per-outcome"],
+         "parameter 'reference' must be one of ('men', 'women'), got 'bogus'"),
+        (["recommender", "map=bogus"],
+         "parameter 'map' must be one of ('identity', 'constant', 'flip', 'compress'), got 'bogus'"),
+        (["judge"], "experiment 'judge' requires explicit convention (flag --convention or convention=...)"),
+        (["judge", "noeq", "--convention", "per-outcome"], "override 'noeq' is not of the form key=value"),
+        (["appendix", "reshapes=0"], "reshapes must be between 1 and 10000, got 0"),
+        (["appendix", "grid=2"], "grid 2 is too small for the reshaped negative density"),
+    ],
+)
+def test_simulate_error_lines_are_pinned(tmp_path, capsys, argv, message):
+    code, out, err = run_cli(capsys, "simulate", *argv, "--out", str(tmp_path / "out"))
+    assert (code, out, err) == (2, "", f"simulate error: {message}\n")
+    assert not (tmp_path / "out").exists()
