@@ -9,6 +9,7 @@ import argparse
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_args
 
 from .densities import AuditDataset, is_defined
 from .experiments import EXPERIMENTS
@@ -19,6 +20,7 @@ from .metrics import (
     within_group_calibration_error,
 )
 from .reports import render_doc, render_text
+from .utility import CONVENTIONS
 
 #: Largest ``--bins`` that ``audit`` accepts. Each group's calibration arrays
 #: hold one cell per bin, so the cap bounds their memory before any is built.
@@ -73,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--samples", type=int, default=None, help=f"Monte Carlo sample count, 1 to {MAX_SAMPLES:,}"
     )
     simulate.add_argument("--seed", type=int, default=None, help="random seed")
-    simulate.add_argument("--convention", choices=("per-outcome", "per-person"), default=None)
+    simulate.add_argument("--convention", choices=CONVENTIONS, default=None)
     simulate.add_argument("--out", default=None, help="output directory (default fairsim-out/<id>)")
     simulate.add_argument("--format", choices=("text", "doc"), default="doc", dest="fmt")
 
@@ -82,29 +84,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_overrides(spec, pairs, flag_values) -> dict[str, object]:
-    values = {name: p.default for name, p in spec.params.items()}
+    params = spec.params
+    values = {name: p.default for name, p in params.items()}
     explicit: set[str] = set()
     for flag, val in flag_values.items():
-        if val is not None and flag in spec.params:
+        if val is not None and flag in params:
             values[flag] = val
             explicit.add(flag)
     for pair in pairs:
         if "=" not in pair:
             raise ValueError(f"override {pair!r} is not of the form key=value")
         key, raw = pair.split("=", 1)
-        if key not in spec.params:
+        if key not in params:
             raise ValueError(
                 f"unknown parameter {key!r} for experiment {spec.name!r}; "
-                f"valid parameters: {', '.join(spec.params)}"
+                f"valid parameters: {', '.join(params)}"
             )
-        param = spec.params[key]
+        kind = params[key].annotation
+        choices = get_args(kind)
+        if choices and raw not in choices:
+            raise ValueError(f"parameter {key!r} must be one of {choices}, got {raw!r}")
         try:
-            value = param.kind(raw)
+            values[key] = raw if choices else kind(raw)
         except ValueError:
-            raise ValueError(f"parameter {key!r} expects {param.kind.__name__}, got {raw!r}") from None
-        if param.choices is not None and value not in param.choices:
-            raise ValueError(f"parameter {key!r} must be one of {param.choices}, got {value!r}")
-        values[key] = value
+            raise ValueError(f"parameter {key!r} expects {kind.__name__}, got {raw!r}") from None
         explicit.add(key)
     for name, (lo, hi) in SIZE_BOUNDS.items():
         if name in values and not lo <= values[name] <= hi:

@@ -8,10 +8,12 @@ All experiments are deterministic given their parameters.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import inspect
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -35,6 +37,8 @@ from .metrics import (
 from .reports import render_doc, render_text, write_series_csv
 from .rules import PayoffMatrix, coarsen, solve_equalized_odds, solve_parity_ratio
 from .utility import (
+    CONVENTIONS,
+    Convention,
     classify_cases,
     judge_disutility,
     long_run_eu,
@@ -112,10 +116,11 @@ def _roc_series(csd: ConditionalScoreDensity) -> list[tuple[float, float]]:
 
 # -- recommendation scores used by their own subjects ------------------------
 
-RECOMMENDER_MAPS = ("identity", "constant", "flip", "compress")
+RecommenderMap = Literal["identity", "constant", "flip", "compress"]
+RECOMMENDER_MAPS = get_args(RecommenderMap)
 
 
-def make_score_map(name: str, grid: int, value: float = 0.9) -> ScoreMap:
+def make_score_map(name: str, grid: int, value: float) -> ScoreMap:
     """Named displayed-score transformations used by the recommender experiment."""
     if name == "identity":
         return ScoreMap.identity(grid)
@@ -130,16 +135,18 @@ def make_score_map(name: str, grid: int, value: float = 0.9) -> ScoreMap:
 
 
 def run_recommender_experiment(
-    men_map: ScoreMap,
+    map: RecommenderMap = "constant",
+    map_value: float = 0.9,
     grid: int = DEFAULT_GRID,
-    n_mc: int = 1_000_000,
+    samples: int = 1_000_000,
     seed: int = 42,
 ) -> ExperimentReport:
-    """Both groups decide for themselves on displayed scores; one group's
-    scores are transformed. Reports analytic and Monte Carlo long-run
-    expected utility per group, the utility disparity, the loss split over
-    the four displayed-vs-true quadrants, and the displayed-score
-    calibration gap."""
+    """Both groups decide for themselves on displayed scores; the men's
+    scores pass through the named ``make_score_map``. Reports analytic and
+    Monte Carlo long-run expected utility per group, the utility disparity,
+    the loss split over the four displayed-vs-true quadrants, and the
+    displayed-score calibration gap."""
+    men_map = make_score_map(map, grid, map_value)
     true_density = ScoreDensity.uniform(grid)
     payoff = PayoffMatrix.recommender()
     t = optimal_threshold(payoff)
@@ -154,8 +161,8 @@ def run_recommender_experiment(
         case_breakdown={"men": cases_men, "women": classify_cases(true_density, identity, t, payoff)},
     )
 
-    mc_women, se_women = mc_long_run_eu(true_density, identity, payoff, t, n_mc, seed)
-    mc_men, se_men = mc_long_run_eu(true_density, men_map, payoff, t, n_mc, seed + 1)
+    mc_women, se_women = mc_long_run_eu(true_density, identity, payoff, t, samples, seed)
+    mc_men, se_men = mc_long_run_eu(true_density, men_map, payoff, t, samples, seed + 1)
 
     displayed_pop = PopulationModel(
         groups={
@@ -196,7 +203,7 @@ def run_recommender_experiment(
             cases_men.wrong_side_mass == 0.0, cases_men.wrong_side_mass, 0.0
         ),
     }
-    params = {"grid": grid, "n_mc": n_mc, "seed": seed, "threshold": t}
+    params = {"grid": grid, "n_mc": samples, "seed": seed, "threshold": t}
     return ExperimentReport("recommender", params, metrics, verdicts, series)
 
 
@@ -247,7 +254,8 @@ def run_equal_rates_unequal_utility(
 
 # -- scores imposed on defendants ---------------------------------------------
 
-JUDGE_RULES = ("equalized-odds", "parity-ratio")
+JudgeRule = Literal["equalized-odds", "parity-ratio"]
+JUDGE_RULES = get_args(JudgeRule)
 
 
 def run_judge_experiment(
@@ -255,9 +263,9 @@ def run_judge_experiment(
     base_rate_f: float = 0.6,
     reference_t: float = 0.5,
     grid: int = DEFAULT_GRID,
-    convention: str = "per-outcome",
-    rule_kind: str = "equalized-odds",
-    reference: str = "men",
+    convention: Convention = "per-outcome",
+    rule: JudgeRule = "equalized-odds",
+    reference: Literal["men", "women"] = "men",
 ) -> ExperimentReport:
     """Calibrated raw scores, unequal base rates, group-specific thresholds.
 
@@ -265,25 +273,25 @@ def run_judge_experiment(
     rate gaps, calibration of the coarsened binary output, and per-group
     expected harm under both accounting conventions. The selected convention
     drives the equal-harm verdict."""
-    if rule_kind not in JUDGE_RULES:
-        raise ValueError(f"rule_kind must be one of {JUDGE_RULES}, got {rule_kind!r}")
+    if rule not in JUDGE_RULES:
+        raise ValueError(f"rule must be one of {JUDGE_RULES}, got {rule!r}")
+    if convention not in CONVENTIONS:
+        raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
     pop = PopulationModel(
         groups={
             "men": ConditionalScoreDensity.from_base_rate(base_rate_m, grid),
             "women": ConditionalScoreDensity.from_base_rate(base_rate_f, grid),
         }
     )
-    if rule_kind == "equalized-odds":
-        rule = solve_equalized_odds(pop, reference, reference_t)
-    else:
-        rule = solve_parity_ratio(pop, reference, reference_t)
+    solve = solve_equalized_odds if rule == "equalized-odds" else solve_parity_ratio
+    solved = solve(pop, reference, reference_t)
 
-    sep = separation_gap(pop, rule)
-    suff = sufficiency_gap_binary(pop, rule)
-    coarse = coarsen(pop, rule)
+    sep = separation_gap(pop, solved)
+    suff = sufficiency_gap_binary(pop, solved)
+    coarse = coarsen(pop, solved)
     coarse_cal = between_group_calibration_gap(coarse)
-    du_outcome = judge_disutility(pop, rule, "per-outcome")
-    du_person = judge_disutility(pop, rule, "per-person")
+    du_outcome = judge_disutility(pop, solved, "per-outcome")
+    du_person = judge_disutility(pop, solved, "per-person")
     selected = du_outcome if convention == "per-outcome" else du_person
 
     base_gap = abs(base_rate_m - base_rate_f)
@@ -291,14 +299,14 @@ def run_judge_experiment(
     witness_consistent = True
     if witness_applies:
         try:
-            witness = impossibility_witness(pop, rule)
+            witness = impossibility_witness(pop, solved)
             witness_consistent = witness.consistent
         except ValueError:
             witness_applies = False
 
     metrics = {
         "base_rate": {"men": pop.group("men").base_rate, "women": pop.group("women").base_rate},
-        "rule": {label: line for label, line in zip(rule.labels, rule.serialize().splitlines())},
+        "rule": {label: line for label, line in zip(solved.labels, solved.serialize().splitlines())},
         "separation": {
             "fpr_gap": sep.fpr_gap,
             "fnr_gap": sep.fnr_gap,
@@ -335,7 +343,7 @@ def run_judge_experiment(
         "reference_t": reference_t,
         "grid": grid,
         "convention": convention,
-        "rule_kind": rule_kind,
+        "rule_kind": rule,
         "reference": reference,
     }
     return ExperimentReport("judge", params, metrics, verdicts, series)
@@ -369,9 +377,7 @@ def _three_level_negative(
     return ScoreDensity(weights)
 
 
-def run_appendix_counterexample(
-    grid: int = DEFAULT_GRID, n_reshapes: int = 100, seed: int = 7
-) -> ExperimentReport:
+def run_appendix_counterexample(grid: int = DEFAULT_GRID, reshapes: int = 100, seed: int = 7) -> ExperimentReport:
     """Two populations identical except for the negative-class score shape of
     one group (same mass, same mean). One fixed rule equalizes the declined
     positive mass across groups on both populations, yet the share of
@@ -396,9 +402,11 @@ def run_appendix_counterexample(
         pol = rule.for_group(g)
         return float(csd.f1.exact_total() - pol.decided_mass(csd.f1))
 
+    # every population shares the women's density and policy
+    mf = missed_positive(pop_a, "women")
     out = {}
     for tag, pop in (("popA", pop_a), ("popB", pop_b)):
-        mm, mf = missed_positive(pop, "men"), missed_positive(pop, "women")
+        mm = missed_positive(pop, "men")
         suff = sufficiency_gap_binary(pop, rule)
         out[tag] = {
             "missed_positive_men": mm,
@@ -417,9 +425,9 @@ def run_appendix_counterexample(
     reshape_false_omission_gaps = []
     produced = 0
     attempts = 0
-    while produced < n_reshapes:
+    while produced < reshapes:
         attempts += 1
-        if attempts > 200 * max(n_reshapes, 1):
+        if attempts > 200 * max(reshapes, 1):
             raise RuntimeError("reshape generation stalled; constraints too tight")
         cand = _three_level_negative(
             grid,
@@ -434,7 +442,7 @@ def run_appendix_counterexample(
         if abs(float(cand.exact_mass_below(t_ref)) - below_a) < 0.02:
             continue  # must move mass across the threshold
         pop_r = pop_a.with_group("men", ConditionalScoreDensity(f0=cand, f1=men_a.f1))
-        mm, mf = missed_positive(pop_r, "men"), missed_positive(pop_r, "women")
+        mm = missed_positive(pop_r, "men")
         reshape_parity_residuals.append(abs(mm - mf))
         suff_r = sufficiency_gap_binary(pop_r, rule)
         reshape_false_omission_gaps.append(abs(suff_r.pos_given_r0["men"] - suff_r.pos_given_r0["women"]))
@@ -461,7 +469,7 @@ def run_appendix_counterexample(
         "men_negative_density_popA": list(zip(mids, men_a.f0.weights)),
         "men_negative_density_popB": list(zip(mids, men_b.f0.weights)),
     }
-    params = {"grid": grid, "n_reshapes": n_reshapes, "seed": seed}
+    params = {"grid": grid, "n_reshapes": reshapes, "seed": seed}
     return ExperimentReport("appendix", params, metrics, verdicts, series)
 
 
@@ -469,92 +477,48 @@ def run_appendix_counterexample(
 
 
 @dataclass(frozen=True)
-class Param:
-    kind: type
-    default: object
-    choices: tuple | None = None
-
-
-@dataclass(frozen=True)
 class ExperimentSpec:
+    """A ``simulate`` experiment, specified by its runner's keywords: the name
+    users type, the annotation (``int``, ``float``, ``str`` or a ``Literal``
+    of choices) and the default. The runner is looked up by name at each
+    call, so a rebinding of the module attribute (a tracer, a stub) is seen."""
+
     name: str
     summary: str
-    params: dict[str, Param]
-    run: Callable[[dict[str, object]], ExperimentReport]
+    runner: str
     cli_required: tuple[str, ...] = ()
 
+    @property
+    def params(self) -> Mapping[str, inspect.Parameter]:
+        return inspect.signature(globals()[self.runner], eval_str=True).parameters
 
-def _run_recommender(v):
-    men_map = make_score_map(v["map"], v["grid"], v["map_value"])
-    return run_recommender_experiment(men_map, grid=v["grid"], n_mc=v["samples"], seed=v["seed"])
-
-
-def _run_equal_rates(v):
-    return run_equal_rates_unequal_utility(v["p_men"], v["p_women"], v["fp_mass"])
-
-
-def _run_judge(v):
-    return run_judge_experiment(
-        base_rate_m=v["base_rate_m"],
-        base_rate_f=v["base_rate_f"],
-        reference_t=v["reference_t"],
-        grid=v["grid"],
-        convention=v["convention"],
-        rule_kind=v["rule"],
-        reference=v["reference"],
-    )
-
-
-def _run_appendix(v):
-    return run_appendix_counterexample(grid=v["grid"], n_reshapes=v["reshapes"], seed=v["seed"])
+    def run(self, values: dict[str, object]) -> ExperimentReport:
+        return globals()[self.runner](**values)
 
 
 EXPERIMENTS: dict[str, ExperimentSpec] = {
-    "recommender": ExperimentSpec(
-        name="recommender",
-        summary="self-serving decisions on displayed scores; one group's scores transformed",
-        params={
-            "map": Param(str, "constant", RECOMMENDER_MAPS),
-            "map_value": Param(float, 0.9),
-            "grid": Param(int, DEFAULT_GRID),
-            "samples": Param(int, 1_000_000),
-            "seed": Param(int, 42),
-        },
-        run=_run_recommender,
-    ),
-    "equal-rates": ExperimentSpec(
-        name="equal-rates",
-        summary="equal error rates with unequal per-decision utility loss",
-        params={
-            "p_men": Param(float, 0.1),
-            "p_women": Param(float, 0.4),
-            "fp_mass": Param(float, 0.1),
-        },
-        run=_run_equal_rates,
-    ),
-    "judge": ExperimentSpec(
-        name="judge",
-        summary="group-specific thresholds equalizing error rates or expected harm",
-        params={
-            "base_rate_m": Param(float, 0.3),
-            "base_rate_f": Param(float, 0.6),
-            "reference_t": Param(float, 0.5),
-            "grid": Param(int, DEFAULT_GRID),
-            "convention": Param(str, "per-outcome", ("per-outcome", "per-person")),
-            "rule": Param(str, "equalized-odds", JUDGE_RULES),
-            "reference": Param(str, "men", ("men", "women")),
-        },
-        run=_run_judge,
-        cli_required=("convention",),
-    ),
-    "appendix": ExperimentSpec(
-        name="appendix",
-        summary="harm parity preserved under negative-class reshapes that change declined-case composition",
-        params={
-            "grid": Param(int, DEFAULT_GRID),
-            "reshapes": Param(int, 100),
-            "seed": Param(int, 7),
-        },
-        run=_run_appendix,
-    ),
+    spec.name: spec
+    for spec in (
+        ExperimentSpec(
+            "recommender",
+            "self-serving decisions on displayed scores; one group's scores transformed",
+            "run_recommender_experiment",
+        ),
+        ExperimentSpec(
+            "equal-rates",
+            "equal error rates with unequal per-decision utility loss",
+            "run_equal_rates_unequal_utility",
+        ),
+        ExperimentSpec(
+            "judge",
+            "group-specific thresholds equalizing error rates or expected harm",
+            "run_judge_experiment",
+            cli_required=("convention",),
+        ),
+        ExperimentSpec(
+            "appendix",
+            "harm parity preserved under negative-class reshapes that change declined-case composition",
+            "run_appendix_counterexample",
+        ),
+    )
 }

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -20,7 +21,8 @@ from .densities import UNDEFINED, PopulationModel, ScoreDensity, ScoreMap, draw_
 from .metrics import confusion, rates, spread
 from .rules import DecisionRule, PayoffMatrix
 
-CONVENTIONS = ("per-outcome", "per-person")
+Convention = Literal["per-outcome", "per-person"]
+CONVENTIONS = get_args(Convention)
 
 
 def pointwise_eu(p: float, payoff: PayoffMatrix, decision: int) -> float:
@@ -168,7 +170,7 @@ def utility_report(
 def judge_disutility(
     pop: PopulationModel,
     rule: DecisionRule,
-    convention: str,
+    convention: Convention,
     tolerance: float = 1e-6,
 ) -> UtilityReport:
     """Expected harm per group when declining a positive case costs 1.

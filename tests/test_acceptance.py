@@ -127,7 +127,7 @@ def test_criterion_5_impossibility_sweep():
 
 
 def test_criterion_6_declined_composition_counterexample():
-    result = run_appendix_counterexample(grid=GRID, n_reshapes=100, seed=7)
+    result = run_appendix_counterexample(grid=GRID, reshapes=100, seed=7)
     gap_a = result.metrics["popA"]["missed_positive_gap"]
     gap_b = result.metrics["popB"]["missed_positive_gap"]
     shift = result.metrics["false_omission"]["men_shift"]

@@ -1,10 +1,22 @@
-import dataclasses
+import functools
+import inspect
+from typing import Literal, get_args, get_origin
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fairsim import sample, solve_equalized_odds
 from fairsim import experiments
-from fairsim.cli import MAX_BINS, MAX_GRID, MAX_RESHAPES, MAX_SAMPLES, _build_parser, build_config, main
+from fairsim.cli import (
+    MAX_BINS,
+    MAX_GRID,
+    MAX_RESHAPES,
+    MAX_SAMPLES,
+    SIZE_BOUNDS,
+    _build_parser,
+    build_config,
+    main,
+)
 from _helpers import judge_population
 
 
@@ -196,8 +208,9 @@ def test_simulate_rejects_badly_typed_override(capsys):
 )
 def test_simulate_rejects_sizes_outside_their_bounds(tmp_path, capsys, monkeypatch, argv):
     calls = []
-    for name, spec in experiments.EXPERIMENTS.items():
-        monkeypatch.setitem(experiments.EXPERIMENTS, name, dataclasses.replace(spec, run=calls.append))
+    for spec in experiments.EXPERIMENTS.values():
+        runner = getattr(experiments, spec.runner)
+        monkeypatch.setattr(experiments, spec.runner, functools.wraps(runner)(lambda **values: calls.append(values)))
     code, out, err = run_cli(capsys, "simulate", *argv, "--out", str(tmp_path / "out"))
     assert code == 2
     assert out == ""
@@ -270,3 +283,60 @@ def test_simulate_error_lines_are_pinned(tmp_path, capsys, argv, message):
     code, out, err = run_cli(capsys, "simulate", *argv, "--out", str(tmp_path / "out"))
     assert (code, out, err) == (2, "", f"simulate error: {message}\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_every_experiment_parameter_is_one_the_cli_can_resolve():
+    names = set()
+    for spec in experiments.EXPERIMENTS.values():
+        params = spec.params
+        for name, param in params.items():
+            kind = param.annotation
+            assert param.default is not inspect.Parameter.empty, (spec.name, name)
+            if get_origin(kind) is Literal:
+                assert all(isinstance(choice, str) for choice in get_args(kind)), (spec.name, name)
+                assert param.default in get_args(kind), (spec.name, name)
+            else:
+                assert kind in (int, float, str), (spec.name, name, kind)
+                assert type(param.default) is kind, (spec.name, name)
+        assert set(spec.cli_required) <= params.keys(), spec.name
+        names |= params.keys()
+    assert SIZE_BOUNDS.keys() <= names
+
+
+_PARAMS = [p for spec in experiments.EXPERIMENTS.values() for p in spec.params.values()]
+_OVERRIDE_KEYS = sorted({p.name for p in _PARAMS}) + ["", "n_mc"]
+_OVERRIDE_VALUES = st.one_of(
+    st.sampled_from(["0", "1", "2", "-1", "16", "1.5", "0.25", "1e400", "nan", "0x10", "10" * 40, "9" * 5000]),
+    st.sampled_from(sorted({choice for p in _PARAMS for choice in get_args(p.annotation)})),
+    st.text(max_size=8),
+)
+_OVERRIDES = st.one_of(
+    st.builds("{}={}".format, st.sampled_from(_OVERRIDE_KEYS), _OVERRIDE_VALUES),
+    st.text(alphabet="abc_", max_size=5),
+)
+_FLAGS = st.sampled_from([[], ["--convention", "per-outcome"], ["--grid", "16"], ["--samples", "0"], ["--seed", "-3"]])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    name=st.sampled_from(sorted(experiments.EXPERIMENTS)),
+    pairs=st.lists(_OVERRIDES, max_size=4),
+    flags=_FLAGS,
+)
+def test_simulate_resolves_any_override_or_fails_on_one_line(tmp_path, capsys, monkeypatch, name, pairs, flags):
+    spec = experiments.EXPERIMENTS[name]
+    calls = []
+
+    def stub(**values):
+        calls.append(values)
+        return experiments.ExperimentReport(name, values, {}, {})
+
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, spec.runner, functools.wraps(getattr(experiments, spec.runner))(stub))
+        code, out, err = run_cli(capsys, "simulate", name, *pairs, *flags, "--out", str(tmp_path / "out"))
+    if code == 0:
+        assert len(calls) == 1 and calls[0].keys() == spec.params.keys()
+        assert out.startswith(f"experiment.id = {name}\n")
+    else:
+        assert code == 2 and calls == [] and out == ""
+        assert err.count("\n") == 1 and err.startswith("simulate error: "), err

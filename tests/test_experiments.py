@@ -1,17 +1,21 @@
+import re
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fairsim import (
     ConditionalScoreDensity,
     ScoreDensity,
-    ScoreMap,
-    make_score_map,
     run_appendix_counterexample,
     run_equal_rates_unequal_utility,
     run_judge_experiment,
     run_recommender_experiment,
 )
 from fairsim.densities import is_defined
+from fairsim.experiments import EXPERIMENTS
+from fairsim.utility import CONVENTIONS
 
 GRID = 1024
 
@@ -20,7 +24,7 @@ GRID = 1024
 
 
 def test_recommender_identity_map_is_harmless():
-    report = run_recommender_experiment(ScoreMap.identity(GRID), n_mc=50_000)
+    report = run_recommender_experiment("identity", grid=GRID, samples=50_000)
     eu = report.metrics["eu"]["analytic"]
     assert eu["women"] == pytest.approx(0.25, abs=1e-4)
     assert eu["men"] == eu["women"]
@@ -29,7 +33,7 @@ def test_recommender_identity_map_is_harmless():
 
 
 def test_recommender_constant_map_loses_a_quarter():
-    report = run_recommender_experiment(ScoreMap.constant(0.9, GRID), n_mc=50_000)
+    report = run_recommender_experiment("constant", 0.9, grid=GRID, samples=50_000)
     eu = report.metrics["eu"]["analytic"]
     assert eu["women"] == pytest.approx(0.25, abs=1e-4)
     assert eu["men"] == pytest.approx(0.0, abs=1e-4)
@@ -39,7 +43,7 @@ def test_recommender_constant_map_loses_a_quarter():
 
 
 def test_recommender_side_preserving_map_is_unfair_free():
-    report = run_recommender_experiment(make_score_map("compress", GRID), n_mc=50_000)
+    report = run_recommender_experiment("compress", grid=GRID, samples=50_000)
     assert report.metrics["eu"]["analytic"]["disparity"] == 0.0
     # miscalibrated on display, yet no utility gap
     assert report.metrics["calibration_displayed"]["sup_gap"] > 0.1
@@ -47,7 +51,7 @@ def test_recommender_side_preserving_map_is_unfair_free():
 
 
 def test_recommender_mc_tracks_the_analytic_values():
-    report = run_recommender_experiment(ScoreMap.constant(0.9, GRID), n_mc=200_000, seed=3)
+    report = run_recommender_experiment("constant", 0.9, grid=GRID, samples=200_000, seed=3)
     eu = report.metrics["eu"]
     assert eu["mc"]["women"] == pytest.approx(eu["analytic"]["women"], abs=0.01)
     assert eu["mc"]["men"] == pytest.approx(eu["analytic"]["men"], abs=0.01)
@@ -113,9 +117,14 @@ def test_judge_per_person_convention_flags_the_gap():
 
 
 def test_judge_parity_rule_restores_per_person_verdict():
-    report = run_judge_experiment(0.3, 0.6, 0.5, convention="per-person", rule_kind="parity-ratio")
+    report = run_judge_experiment(0.3, 0.6, 0.5, convention="per-person", rule="parity-ratio")
     assert report.verdicts["equal_harm"].holds
     assert report.metrics["disutility"]["per_person"]["disparity"] <= 1e-6
+
+
+def test_judge_rejects_an_unknown_convention():
+    with pytest.raises(ValueError, match=re.escape(f"convention must be one of {CONVENTIONS}, got 'bogus'")):
+        run_judge_experiment(0.3, 0.6, 0.5, convention="bogus")
 
 
 def test_judge_verdicts_are_recomputable_from_metrics():
@@ -131,7 +140,7 @@ def test_judge_verdicts_are_recomputable_from_metrics():
 
 
 def test_counterexample_keeps_parity_and_moves_composition():
-    report = run_appendix_counterexample(grid=GRID, n_reshapes=20, seed=7)
+    report = run_appendix_counterexample(grid=GRID, reshapes=20, seed=7)
     assert report.metrics["popA"]["missed_positive_gap"] <= 1e-6
     assert report.metrics["popB"]["missed_positive_gap"] <= 1e-6
     assert report.metrics["false_omission"]["men_shift"] > 0.01
@@ -142,11 +151,11 @@ def test_counterexample_keeps_parity_and_moves_composition():
 
 def test_counterexample_rejects_a_grid_too_small_to_reshape():
     with pytest.raises(ValueError, match="grid 2 is too small"):
-        run_appendix_counterexample(grid=2, n_reshapes=1)
+        run_appendix_counterexample(grid=2, reshapes=1)
 
 
 def test_counterexample_matches_hand_computed_shares():
-    report = run_appendix_counterexample(grid=GRID, n_reshapes=5, seed=7)
+    report = run_appendix_counterexample(grid=GRID, reshapes=5, seed=7)
     # triangular-below shape: declined positives 0.225 of declined mass 0.9
     assert report.metrics["popA"]["false_omission_men"] == pytest.approx(0.25, abs=1e-9)
     # fixed three-segment reshape: 81/295 by direct integration
@@ -154,7 +163,7 @@ def test_counterexample_matches_hand_computed_shares():
 
 
 def test_counterexample_reshapes_keep_parity_and_break_composition():
-    report = run_appendix_counterexample(grid=GRID, n_reshapes=30, seed=11)
+    report = run_appendix_counterexample(grid=GRID, reshapes=30, seed=11)
     assert report.metrics["reshapes"]["count"] == 30
     assert report.metrics["reshapes"]["parity_max_residual"] <= 1e-6
     assert report.metrics["reshapes"]["false_omission_min_gap"] > 1e-3
@@ -192,6 +201,17 @@ def test_experiments_are_deterministic():
     a = run_judge_experiment(0.3, 0.6, 0.5).to_doc()
     b = run_judge_experiment(0.3, 0.6, 0.5).to_doc()
     assert a == b
-    a = run_appendix_counterexample(grid=256, n_reshapes=10, seed=5).to_doc()
-    b = run_appendix_counterexample(grid=256, n_reshapes=10, seed=5).to_doc()
+    a = run_appendix_counterexample(grid=256, reshapes=10, seed=5).to_doc()
+    b = run_appendix_counterexample(grid=256, reshapes=10, seed=5).to_doc()
     assert a == b
+
+
+def test_run_experiments_script_writes_every_report(tmp_path, monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_experiments.py"
+    main = runpy.run_path(str(script))["main"]
+    monkeypatch.setattr("sys.argv", [str(script), str(tmp_path)])
+    assert main() == 0
+    out = capsys.readouterr().out
+    for name in EXPERIMENTS:
+        assert f"{name}: wrote " in out
+        assert (tmp_path / name / "report.doc").read_text().startswith(f"experiment.id = {name}\n")

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -148,6 +149,25 @@ def test_rule_parse_rejects_malformed_lines():
     ):
         with pytest.raises(ValueError, match=f"^line {line}: "):
             DecisionRule.parse(bad)
+
+
+_RULE_TOKENS = st.one_of(
+    st.sampled_from(["group=a", "group=b", "kind=det", "kind=rand", "kind=", "t1=0.25", "t2=0.75", "q=0.5", "t1", "=", "=="]),
+    st.builds("{}={}".format, st.sampled_from(["group", "kind", "t1", "t2", "q", "x", ""]), st.text(max_size=6)),
+)
+_RULE_TEXTS = st.one_of(
+    st.lists(st.lists(_RULE_TOKENS, max_size=6).map(" ".join), max_size=4).map("\n".join),
+    st.text(max_size=40),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_RULE_TEXTS)
+def test_rule_parse_fails_only_with_a_numbered_line(text):
+    try:
+        DecisionRule.parse(text)
+    except ValueError as exc:
+        assert re.match(r"line [1-9][0-9]*: ", str(exc)), str(exc)
 
 
 def test_recommender_payoff_values():
