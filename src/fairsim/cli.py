@@ -1,13 +1,18 @@
 """Command-line front end: audit a CSV of records, run a named experiment,
 or list the experiments. Exit status encodes whether the computation ran,
 never what it found; identical configurations produce byte-identical output
-files."""
+files.
+
+An experiment's parameters are set by key=value pairs. Each of --grid,
+--samples, --seed and --convention is another way to write the pair of the
+same name, and is ignored by an experiment that has no such parameter.
+Pairs may come before or after the flags; a pair wins over the flag of the
+same name."""
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import get_args
 
@@ -40,22 +45,8 @@ MAX_RESHAPES = 10_000
 SIZE_BOUNDS = {"grid": (2, MAX_GRID), "samples": (1, MAX_SAMPLES), "reshapes": (1, MAX_RESHAPES)}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One fully resolved invocation; equal configs yield identical outputs."""
-
-    command: str
-    experiment: str | None = None
-    overrides: dict[str, object] = field(default_factory=dict)
-    input_path: str | None = None
-    bins: int = 10
-    tol: float = 1e-6
-    out_dir: str | None = None
-    fmt: str = "text"
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fairsim", description=__doc__)
+    parser = argparse.ArgumentParser(prog="fairsim", description=__doc__.split("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     audit = sub.add_parser("audit", help="compute fairness metrics for a CSV of records")
@@ -83,15 +74,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_overrides(spec, pairs, flag_values) -> dict[str, object]:
+#: The ``simulate`` flags, each another way to write the ``key=value`` pair
+#: of the same name.
+_PAIR_FLAGS = ("grid", "samples", "seed", "convention")
+
+
+def _parse_overrides(spec, args) -> dict[str, object]:
+    """The experiment's keyword values: its defaults, then each set flag the
+    experiment takes as one more pair, then the pairs, so a pair wins over
+    its flag. Each value is type-checked against the experiment's schema."""
     params = spec.params
     values = {name: p.default for name, p in params.items()}
     explicit: set[str] = set()
-    for flag, val in flag_values.items():
-        if val is not None and flag in params:
-            values[flag] = val
-            explicit.add(flag)
-    for pair in pairs:
+    flags = [f"{n}={getattr(args, n)}" for n in _PAIR_FLAGS if n in params and getattr(args, n) is not None]
+    for pair in flags + args.overrides:
         if "=" not in pair:
             raise ValueError(f"override {pair!r} is not of the form key=value")
         key, raw = pair.split("=", 1)
@@ -172,38 +168,38 @@ def audit(csv_path: str, bins: int = 10, tol: float = 1e-6) -> dict:
     return report
 
 
-def _cmd_audit(config: RunConfig) -> int:
+def _cmd_audit(args) -> int:
     try:
-        report = audit(config.input_path, bins=config.bins, tol=config.tol)
+        report = audit(args.input, bins=args.bins, tol=args.tol)
     except (ValueError, OSError) as exc:
         print(f"audit error: {exc}", file=sys.stderr)
         return 1
-    text = render_doc(report) if config.fmt == "doc" else render_text(f"audit: {config.input_path}", report)
+    text = render_doc(report) if args.fmt == "doc" else render_text(f"audit: {args.input}", report)
     sys.stdout.write(text)
-    if config.out_dir is not None:
-        outdir = Path(config.out_dir)
+    if args.out is not None:
+        outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        name = "audit.doc" if config.fmt == "doc" else "audit.txt"
+        name = "audit.doc" if args.fmt == "doc" else "audit.txt"
         (outdir / name).write_text(text, encoding="utf-8")
     return 0
 
 
-def _cmd_simulate(config: RunConfig) -> int:
-    spec = EXPERIMENTS.get(config.experiment)
+def _cmd_simulate(args) -> int:
+    spec = EXPERIMENTS.get(args.experiment)
     if spec is None:
         print(
-            f"unknown experiment {config.experiment!r}; valid ids: {', '.join(sorted(EXPERIMENTS))}",
+            f"unknown experiment {args.experiment!r}; valid ids: {', '.join(sorted(EXPERIMENTS))}",
             file=sys.stderr,
         )
         return 2
     try:
-        report = spec.run(config.overrides)
+        report = spec.run(_parse_overrides(spec, args))
     except ValueError as exc:
         print(f"simulate error: {exc}", file=sys.stderr)
         return 2
-    outdir = Path(config.out_dir) if config.out_dir is not None else Path("fairsim-out") / spec.name
-    written = report.write(outdir, fmt=config.fmt)
-    sys.stdout.write(report.to_doc() if config.fmt == "doc" else report.to_text())
+    outdir = Path(args.out) if args.out is not None else Path("fairsim-out") / spec.name
+    written = report.write(outdir, fmt=args.fmt)
+    sys.stdout.write(report.to_doc() if args.fmt == "doc" else report.to_text())
     for path in written:
         print(f"wrote {path}", file=sys.stderr)
     return 0
@@ -218,53 +214,18 @@ def _cmd_list() -> int:
     return 0
 
 
-def build_config(args) -> RunConfig:
-    """Resolve parsed arguments into a validated RunConfig.
-
-    Experiment parameters are type-checked against the experiment's schema
-    here, before any computation starts.
-    """
-    if args.command == "audit":
-        return RunConfig(
-            command="audit",
-            input_path=args.input,
-            bins=args.bins,
-            tol=args.tol,
-            out_dir=args.out,
-            fmt=args.fmt,
-        )
-    if args.command == "simulate":
-        spec = EXPERIMENTS.get(args.experiment)
-        overrides: dict[str, object] = {}
-        if spec is not None:
-            flags = {
-                "grid": args.grid,
-                "samples": args.samples,
-                "seed": args.seed,
-                "convention": args.convention,
-            }
-            overrides = _parse_overrides(spec, args.overrides, flags)
-        return RunConfig(
-            command="simulate",
-            experiment=args.experiment,
-            overrides=overrides,
-            out_dir=args.out,
-            fmt=args.fmt,
-        )
-    return RunConfig(command="list")
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    try:
-        config = build_config(args)
-    except ValueError as exc:
-        print(f"simulate error: {exc}", file=sys.stderr)
-        return 2
-    if config.command == "audit":
-        return _cmd_audit(config)
-    if config.command == "simulate":
-        return _cmd_simulate(config)
+    parser = _build_parser()
+    # argparse leaves a key=value pair that follows a flag unmatched; for
+    # ``simulate`` such pairs are overrides like any other.
+    args, extras = parser.parse_known_args(argv)
+    if extras and (args.command != "simulate" or any(s.startswith("-") for s in extras)):
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    if args.command == "audit":
+        return _cmd_audit(args)
+    if args.command == "simulate":
+        args.overrides += extras
+        return _cmd_simulate(args)
     return _cmd_list()
 
 

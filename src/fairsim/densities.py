@@ -40,6 +40,11 @@ def cell_index(scores, grid_size: int):
     return np.clip(idx, 0, grid_size - 1)
 
 
+def cell_midpoints(grid_size: int) -> np.ndarray:
+    """Midpoint of each grid cell, (k + 1/2) / G for k = 0, ..., G - 1."""
+    return (np.arange(grid_size) + 0.5) / grid_size
+
+
 class _ExactMass:
     """Exact threshold masses for one piecewise-constant density.
 
@@ -128,8 +133,7 @@ class ScoreDensity:
         return 1.0 / self.weights.size
 
     def midpoints(self) -> np.ndarray:
-        g = self.weights.size
-        return (np.arange(g) + 0.5) / g
+        return cell_midpoints(self.weights.size)
 
     @cached_property
     def _exact(self) -> _ExactMass:
@@ -180,8 +184,7 @@ class ScoreDensity:
     @classmethod
     def from_callable(cls, fn, grid_size: int = DEFAULT_GRID) -> "ScoreDensity":
         """Density with values taken at cell midpoints."""
-        mids = (np.arange(grid_size) + 0.5) / grid_size
-        return cls(np.asarray(fn(mids), dtype=float))
+        return cls(np.asarray(fn(cell_midpoints(grid_size)), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -330,7 +333,7 @@ class ScoreMap:
 
     @classmethod
     def identity(cls, grid_size: int = DEFAULT_GRID) -> "ScoreMap":
-        return cls((np.arange(grid_size) + 0.5) / grid_size)
+        return cls(cell_midpoints(grid_size))
 
     @classmethod
     def constant(cls, value: float, grid_size: int = DEFAULT_GRID) -> "ScoreMap":
@@ -338,8 +341,7 @@ class ScoreMap:
 
     @classmethod
     def from_callable(cls, fn, grid_size: int = DEFAULT_GRID) -> "ScoreMap":
-        mids = (np.arange(grid_size) + 0.5) / grid_size
-        return cls(np.asarray(fn(mids), dtype=float))
+        return cls(np.asarray(fn(cell_midpoints(grid_size)), dtype=float))
 
 
 CSV_HEADER = ("group", "score", "outcome", "decision")

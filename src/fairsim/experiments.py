@@ -155,11 +155,7 @@ def run_recommender_experiment(
     eu_women = long_run_eu(true_density, identity, payoff, t)
     eu_men = long_run_eu(true_density, men_map, payoff, t)
     cases_men = classify_cases(true_density, men_map, t, payoff)
-    analytic = utility_report(
-        {"women": eu_women, "men": eu_men},
-        tolerance=ANALYTIC_TOL,
-        case_breakdown={"men": cases_men, "women": classify_cases(true_density, identity, t, payoff)},
-    )
+    analytic = utility_report({"women": eu_women, "men": eu_men}, tolerance=ANALYTIC_TOL)
 
     mc_women, se_women = mc_long_run_eu(true_density, identity, payoff, t, samples, seed)
     mc_men, se_men = mc_long_run_eu(true_density, men_map, payoff, t, samples, seed + 1)

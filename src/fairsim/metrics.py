@@ -13,7 +13,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .densities import UNDEFINED, AuditDataset, PopulationModel, cell_index, conditional_rate, is_defined
+from .densities import (
+    UNDEFINED,
+    AuditDataset,
+    PopulationModel,
+    cell_index,
+    cell_midpoints,
+    conditional_rate,
+    is_defined,
+)
 from .rules import DecisionRule, group_confusion_masses
 
 
@@ -174,7 +182,7 @@ def _level_tallies(source: PopulationModel | AuditDataset, group: str, bins: int
     total = np.bincount(bin_of, minlength=bins).astype(float)
     positive = np.bincount(bin_of, weights=source.outcome[mask], minlength=bins)
     reference = conditional_rate(np.bincount(bin_of, weights=scores, minlength=bins), total)
-    return (np.arange(bins) + 0.5) / bins, positive, total, reference, 1, 1
+    return cell_midpoints(bins), positive, total, reference, 1, 1
 
 
 def between_group_calibration_gap(

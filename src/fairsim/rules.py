@@ -125,11 +125,11 @@ class DecisionRule:
     @classmethod
     def parse(cls, text: str) -> "DecisionRule":
         """Rule from ``serialize`` text; every error names its line."""
-        lines = text.strip().splitlines()
+        lines = [(line_no, line) for line_no, line in enumerate(text.splitlines(), start=1) if line.strip()]
         if not lines:
             raise ValueError("line 1: no rule lines")
         policies: dict[str, Policy] = {}
-        for line_no, line in enumerate(lines, start=1):
+        for line_no, line in lines:
             try:
                 label, policy = _parse_rule_line(line)
             except KeyError as exc:

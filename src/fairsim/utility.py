@@ -143,28 +143,14 @@ class UtilityReport:
     disparity: float
     tolerance: float
     verdict: bool
-    convention: str | None = None
-    case_breakdown: dict[str, CaseBreakdown] | None = None
 
 
-def utility_report(
-    per_group: dict[str, float],
-    tolerance: float,
-    convention: str | None = None,
-    case_breakdown: dict[str, CaseBreakdown] | None = None,
-) -> UtilityReport:
+def utility_report(per_group: dict[str, float], tolerance: float) -> UtilityReport:
     """Assemble a report; the disparity is the largest pairwise gap and the
     verdict compares it against the tolerance."""
     disparity = spread(per_group.values())
     verdict = is_defined(disparity) and disparity <= tolerance
-    return UtilityReport(
-        per_group=per_group,
-        disparity=disparity,
-        tolerance=tolerance,
-        verdict=verdict,
-        convention=convention,
-        case_breakdown=case_breakdown,
-    )
+    return UtilityReport(per_group=per_group, disparity=disparity, tolerance=tolerance, verdict=verdict)
 
 
 def judge_disutility(
@@ -189,7 +175,7 @@ def judge_disutility(
             per_group[g] = rates(c).fnr
         else:
             per_group[g] = float(Fraction(c.fn) / Fraction(c.total))
-    return utility_report(per_group, tolerance, convention=convention)
+    return utility_report(per_group, tolerance)
 
 
 def mc_long_run_eu(

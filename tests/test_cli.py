@@ -1,5 +1,7 @@
 import functools
 import inspect
+import shlex
+from pathlib import Path
 from typing import Literal, get_args, get_origin
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fairsim import sample, solve_equalized_odds
 from fairsim import experiments
+from fairsim.experiments import ExperimentReport
 from fairsim.cli import (
     MAX_BINS,
     MAX_GRID,
@@ -14,7 +17,7 @@ from fairsim.cli import (
     MAX_SAMPLES,
     SIZE_BOUNDS,
     _build_parser,
-    build_config,
+    _parse_overrides,
     main,
 )
 from _helpers import judge_population
@@ -194,6 +197,20 @@ def test_simulate_rejects_badly_typed_override(capsys):
     assert "float" in err
 
 
+def stub_runners(monkeypatch) -> list[dict]:
+    """Replace every experiment runner by one that records its keywords and
+    returns an empty report; returns the list of recorded calls."""
+    calls = []
+    for spec in experiments.EXPERIMENTS.values():
+
+        def stub(name=spec.name, **values):
+            calls.append(values)
+            return ExperimentReport(name, values, {}, {})
+
+        monkeypatch.setattr(experiments, spec.runner, functools.wraps(getattr(experiments, spec.runner))(stub))
+    return calls
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -207,10 +224,7 @@ def test_simulate_rejects_badly_typed_override(capsys):
     ],
 )
 def test_simulate_rejects_sizes_outside_their_bounds(tmp_path, capsys, monkeypatch, argv):
-    calls = []
-    for spec in experiments.EXPERIMENTS.values():
-        runner = getattr(experiments, spec.runner)
-        monkeypatch.setattr(experiments, spec.runner, functools.wraps(runner)(lambda **values: calls.append(values)))
+    calls = stub_runners(monkeypatch)
     code, out, err = run_cli(capsys, "simulate", *argv, "--out", str(tmp_path / "out"))
     assert code == 2
     assert out == ""
@@ -223,8 +237,8 @@ def test_size_bounds_admit_defaults_and_large_grids():
     for name, spec in experiments.EXPERIMENTS.items():
         required = [f"{k}={spec.params[k].default}" for k in spec.cli_required]
         for extra in ([], ["--grid", "16384"], ["--grid", str(MAX_GRID)]):
-            config = build_config(_build_parser().parse_args(["simulate", name, *required, *extra]))
-            assert config.overrides.keys() == spec.params.keys()
+            args = _build_parser().parse_args(["simulate", name, *required, *extra])
+            assert _parse_overrides(spec, args).keys() == spec.params.keys()
 
 
 def test_simulate_outputs_are_byte_identical(tmp_path, capsys):
@@ -322,21 +336,67 @@ _FLAGS = st.sampled_from([[], ["--convention", "per-outcome"], ["--grid", "16"],
     name=st.sampled_from(sorted(experiments.EXPERIMENTS)),
     pairs=st.lists(_OVERRIDES, max_size=4),
     flags=_FLAGS,
+    data=st.data(),
 )
-def test_simulate_resolves_any_override_or_fails_on_one_line(tmp_path, capsys, monkeypatch, name, pairs, flags):
+def test_simulate_resolves_any_override_or_fails_on_one_line(tmp_path, capsys, monkeypatch, name, pairs, flags, data):
     spec = experiments.EXPERIMENTS[name]
-    calls = []
-
-    def stub(**values):
-        calls.append(values)
-        return experiments.ExperimentReport(name, values, {}, {})
-
+    at = data.draw(st.integers(0, len(pairs)), label="flag position")
+    argv = [*pairs[:at], *flags, *pairs[at:]]
     with monkeypatch.context() as patch:
-        patch.setattr(experiments, spec.runner, functools.wraps(getattr(experiments, spec.runner))(stub))
-        code, out, err = run_cli(capsys, "simulate", name, *pairs, *flags, "--out", str(tmp_path / "out"))
+        calls = stub_runners(patch)
+        code, out, err = run_cli(capsys, "simulate", name, *argv, "--out", str(tmp_path / "out"))
     if code == 0:
         assert len(calls) == 1 and calls[0].keys() == spec.params.keys()
         assert out.startswith(f"experiment.id = {name}\n")
     else:
         assert code == 2 and calls == [] and out == ""
         assert err.count("\n") == 1 and err.startswith("simulate error: "), err
+
+
+def test_a_pair_after_a_flag_counts_as_one_before_it(tmp_path, capsys, monkeypatch):
+    calls = stub_runners(monkeypatch)
+    out = ["--out", str(tmp_path / "out")]
+    for argv in (
+        ["judge", "rule=parity-ratio", "--convention", "per-outcome"],
+        ["judge", "--convention", "per-outcome", "rule=parity-ratio"],
+        ["judge", "--convention", "per-outcome", *out, "rule=parity-ratio"],
+    ):
+        assert run_cli(capsys, "simulate", *argv, *out)[0] == 0, argv
+    assert calls[0]["rule"] == "parity-ratio" and calls[0]["convention"] == "per-outcome"
+    assert calls == [calls[0]] * 3
+    calls.clear()
+    for argv in (["appendix", "--grid", "16", "grid=32"], ["appendix", "grid=32", "--grid", "16"]):
+        assert run_cli(capsys, "simulate", *argv, *out)[0] == 0, argv
+    assert [values["grid"] for values in calls] == [32, 32]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "judge", "--convention", "per-outcome", "rule=parity-ratio", "--bogus"],
+        ["simulate", "judge", "--convention", "per-outcome", "-x"],
+        ["list", "extra"],
+        ["audit", "--input", "records.csv", "extra"],
+    ],
+)
+def test_unmatched_arguments_keep_the_argparse_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    unmatched = argv[4:] if argv[0] == "simulate" else argv[-1:]
+    assert err.endswith(f"fairsim: error: unrecognized arguments: {' '.join(unmatched)}\n")
+
+
+def readme_cli_commands() -> list[list[str]]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("fairsim ")]
+
+
+@pytest.mark.parametrize("argv", readme_cli_commands(), ids=" ".join)
+def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    write_four_cell_file(tmp_path / "records.csv")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err

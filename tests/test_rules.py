@@ -126,6 +126,8 @@ def test_rule_serialization_round_trip():
     back = DecisionRule.parse(text)
     assert back.for_group("men").threshold == 0.5
     assert back.for_group("women").mix == 0.125
+    # blank and whitespace-only lines, before or between rules, are skipped
+    assert DecisionRule.parse("\n" + text.replace("\n", "\n \t\n\n")).serialize() == text
 
 
 def test_rule_parse_rejects_malformed_lines():
@@ -146,6 +148,8 @@ def test_rule_parse_rejects_malformed_lines():
         (good + "group=men kind=det t1=0.5 t1=0.9", 2),  # repeated key
         (good + "group=men kind=det t1=0.5 extra=1", 2),  # unknown key
         (good + "group=men kind=det t1=0.5 q=0.5", 2),  # a rand key on a det line
+        ("\n\ngroup=a kind=maybe t1=0.5", 3),  # numbered by physical line
+        (good + "\n  \n" + "group=men kind=det t1=abc", 4),
     ):
         with pytest.raises(ValueError, match=f"^line {line}: "):
             DecisionRule.parse(bad)
