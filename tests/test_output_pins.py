@@ -1,0 +1,88 @@
+"""SHA-256 pins of the files ``simulate`` writes.
+
+Byte-identical output is part of what fairsim promises, across commits and
+not only across runs: a refactor or speed-up that moves one digit of a
+report or a series fails here. Each case runs one experiment at its defaults
+plus the listed overrides and writes it in the default ``doc`` format."""
+
+import hashlib
+
+import pytest
+
+from fairsim.experiments import EXPERIMENTS
+
+CASES = {
+    "recommender": ("recommender", {}),
+    "equal-rates": ("equal-rates", {}),
+    "appendix": ("appendix", {}),
+    "appendix-grid1000": ("appendix", {"grid": 1000}),
+    **{
+        f"judge-{convention}-{rule}": ("judge", {"convention": convention, "rule": rule})
+        for convention in ("per-outcome", "per-person")
+        for rule in ("equalized-odds", "parity-ratio")
+    },
+    **{f"judge-grid1000-{rule}": ("judge", {"grid": 1000, "rule": rule}) for rule in ("equalized-odds", "parity-ratio")},
+}
+
+SHA256 = {
+    "recommender": {
+        "report.doc": "f46694ef1af2d5403362d08bf65d0729ec62fe926f55e63beeae51509c29952d",
+        "series_eu_act.csv": "b2e3e9815e0f65482fb0de4bf197f8abf4cfb68c776f4cfa66efe8131abe493d",
+        "series_eu_skip.csv": "a36dcce4da43b87c7b895991fd50e46021590d4818874e3df266004516e723a4",
+        "series_displayed_calibration_women.csv": "c9181f2c8da235ef3963ab7b98701bf98048be91533ffd7e8747fc0b15f888be",
+        "series_displayed_calibration_men.csv": "d4762653d7eb238f1f8b8e83c12fce6ba2c41ec9fadf77eb007d1c3c09d90f84",
+    },
+    "equal-rates": {
+        "report.doc": "67b431c8a4b9b4d76d94836b4d53d5b5cda533e4e36117fa948e8ded05fa4b21",
+        "series_false_decision_loss.csv": "f684a0bf35c11c41cf7985cd17832ffb2d923e9838a5c616cc868579ae51aacd",
+    },
+    "appendix": {
+        "report.doc": "8acb927b64c65a2da895e11459f2d1e0eb867af48ff5dcb4bb09f2d419fd36a6",
+        "series_men_negative_density_popA.csv": "8efd107930e237e0d8c7b52ae69a94a8854a59c17a14a10d9e572f3aab81c739",
+        "series_men_negative_density_popB.csv": "210f7de8905f662aaab7f56f4f3108fad7815ee1a2e9ae38d7479630fdba5ff1",
+    },
+    "appendix-grid1000": {
+        "report.doc": "ab861ed2d2c705239432986c5ce83f083e0c216f667e93ddfeb5c69be0155fa4",
+        "series_men_negative_density_popA.csv": "947c5d224d7125f375bcbc4798a7e705949f914991fc6376f7370044f5d1175b",
+        "series_men_negative_density_popB.csv": "080423206fa01278123cc0771ee5fdd87efae68d9ec2e3951daff44c59ef2727",
+    },
+    "judge-per-outcome-equalized-odds": {
+        "report.doc": "2dfa29458a21aaa22b8ecefbe44670b8007c59ddc8c350cb17f7b7cd48f970ad",
+        "series_roc_men.csv": "05a81efcc4178b0daba8606f73a34e1fab3d72aa146f6e36ae462a0926b850fc",
+        "series_roc_women.csv": "a947138aedbe96db7aed8a53bac48729c4388525558979ae122cc141f99ad1b4",
+    },
+    "judge-per-outcome-parity-ratio": {
+        "report.doc": "dbada3311d97e0252227985273164b6abcd611d0f85045dcadb16935c2b7bc0b",
+        "series_roc_men.csv": "05a81efcc4178b0daba8606f73a34e1fab3d72aa146f6e36ae462a0926b850fc",
+        "series_roc_women.csv": "a947138aedbe96db7aed8a53bac48729c4388525558979ae122cc141f99ad1b4",
+    },
+    "judge-per-person-equalized-odds": {
+        "report.doc": "4e65772a4bd789e99b1a9adb0cdb41251c2d162725ed9f864b59ee89d4e51a87",
+        "series_roc_men.csv": "05a81efcc4178b0daba8606f73a34e1fab3d72aa146f6e36ae462a0926b850fc",
+        "series_roc_women.csv": "a947138aedbe96db7aed8a53bac48729c4388525558979ae122cc141f99ad1b4",
+    },
+    "judge-per-person-parity-ratio": {
+        "report.doc": "b46b7bc426efda937128a8ffa7fa09aa414cc3cdf06c9a63eecd8c0e63d41b60",
+        "series_roc_men.csv": "05a81efcc4178b0daba8606f73a34e1fab3d72aa146f6e36ae462a0926b850fc",
+        "series_roc_women.csv": "a947138aedbe96db7aed8a53bac48729c4388525558979ae122cc141f99ad1b4",
+    },
+    "judge-grid1000-equalized-odds": {
+        "report.doc": "6aa7d42174bffeb7e8648de57dafee7ecd165f8ce9206e0a091070029471a0cc",
+        "series_roc_men.csv": "0d5e5d7ff61ce72d70036c670aa276add2552ae15ff9b8e4c9df1ca6c053e511",
+        "series_roc_women.csv": "b898a68e5beb569017e1cec00f1593bcba3ba928969baf5ef1753673a7523078",
+    },
+    "judge-grid1000-parity-ratio": {
+        "report.doc": "ae9025630a36ad71ce0e6a7ff11b753d5d800e4c529d375255518f50cc56752f",
+        "series_roc_men.csv": "0d5e5d7ff61ce72d70036c670aa276add2552ae15ff9b8e4c9df1ca6c053e511",
+        "series_roc_women.csv": "b898a68e5beb569017e1cec00f1593bcba3ba928969baf5ef1753673a7523078",
+    },
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_simulate_output_bytes_are_pinned(case, tmp_path):
+    name, overrides = CASES[case]
+    spec = EXPERIMENTS[name]
+    report = spec.run({key: p.default for key, p in spec.params.items()} | overrides)
+    written = report.write(tmp_path)
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written} == SHA256[case]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fairsim import (
     AuditDataset,
@@ -26,6 +26,7 @@ from fairsim import (
     solve_parity_ratio,
     sufficiency_gap_binary,
 )
+from fairsim.rules import _roc_point_policy, group_confusion_masses
 from _helpers import calibrated_uniform_pair, judge_population
 
 
@@ -245,6 +246,54 @@ def test_equalized_odds_extreme_reference_thresholds():
         assert sep.max_gap == 0.0
 
 
+def _two_class_group(w0, w1) -> ConditionalScoreDensity:
+    """Group from nonnegative cell weights of each class, scaled jointly to total mass 1."""
+    w0, w1 = np.asarray(w0, dtype=float), np.asarray(w1, dtype=float)
+    scale = w0.size / (w0.sum() + w1.sum())
+    return ConditionalScoreDensity(f0=ScoreDensity(w0 * scale), f1=ScoreDensity(w1 * scale))
+
+
+@st.composite
+def _axis_targets(draw):
+    """A two-class group whose top cells hold one class only, and a target on
+    the tpr axis (fpr 0) or the fpr axis (tpr 0): either any rational rate or
+    the exact rate of a grid boundary."""
+    grid = draw(st.integers(2, 12))
+    cells = st.lists(st.integers(0, 5), min_size=grid, max_size=grid)
+    w0, w1 = np.array(draw(cells)), np.array(draw(cells))
+    pure_from = draw(st.integers(1, grid))
+    (w1 if draw(st.booleans()) else w0)[pure_from:] = 0
+    assume(w0.sum() > 0 and w1.sum() > 0)
+    csd = _two_class_group(w0, w1)
+    on_tpr_axis = draw(st.booleans())
+    hit = (csd.f1 if on_tpr_axis else csd.f0).boundary_numerators()
+    k = draw(st.integers(0, grid))
+    rate = draw(st.one_of(st.fractions(0, 1, max_denominator=10**6), st.just(Fraction(hit[k], hit[0]))))
+    return csd, on_tpr_axis, rate
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance=_axis_targets())
+def test_axis_targets_are_met_exactly_or_unreachable_at_every_boundary(instance):
+    """A target on an axis is reachable only by deciding 1 where the other
+    class has no mass, so a scan of the grid boundaries is the oracle: the
+    target is infeasible exactly when no boundary with none of the other
+    class above it keeps at least the target rate of its own class above it."""
+    csd, on_tpr_axis, rate = instance
+    fpr, tpr = (Fraction(0), rate) if on_tpr_axis else (rate, Fraction(0))
+    hit, miss = (csd.f1, csd.f0) if on_tpr_axis else (csd.f0, csd.f1)
+    n_hit, n_miss = hit.boundary_numerators(), miss.boundary_numerators()
+    reachable = any(m == 0 and Fraction(h, n_hit[0]) >= rate for h, m in zip(n_hit, n_miss))
+    try:
+        policy = _roc_point_policy(csd, fpr, tpr)
+    except InfeasibleRuleError:
+        assert not reachable
+    else:
+        assert reachable
+        tp, fp, _, _ = group_confusion_masses(csd, policy)
+        assert (fp / csd.f0.exact_total(), tp / csd.f1.exact_total()) == (fpr, tpr)
+
+
 def test_equalized_odds_needs_known_reference():
     pop = judge_population(64)
     with pytest.raises(KeyError):
@@ -281,6 +330,32 @@ def test_parity_infeasible_when_target_exceeds_base_rate():
     # declining everyone in the reference targets its whole base rate, 0.75
     with pytest.raises(InfeasibleRuleError, match="base rate"):
         solve_parity_ratio(pop, "hi", 1.0)
+
+
+@st.composite
+def _groups_with_empty_leading_cells(draw):
+    grid = draw(st.integers(2, 12))
+    cells = st.lists(st.integers(0, 5), min_size=grid, max_size=grid)
+    groups = {}
+    for label in ("a", "b", "c")[: draw(st.integers(2, 3))]:
+        w0, w1 = np.array(draw(cells)), np.array(draw(cells))
+        w1[: draw(st.integers(0, grid - 1))] = 0
+        assume(w0.sum() + w1.sum() > 0)
+        groups[label] = _two_class_group(w0, w1)
+    return PopulationModel(groups=groups)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pop=_groups_with_empty_leading_cells(), reference=st.sampled_from("ab"), threshold=UNIT)
+def test_parity_declines_the_reference_positive_mass_in_every_group(pop, reference, threshold):
+    target = group_confusion_masses(pop.group(reference), DeterministicThreshold(threshold))[2]
+    if any(csd.f1.exact_total() < target for csd in pop.groups.values()):
+        with pytest.raises(InfeasibleRuleError):
+            solve_parity_ratio(pop, reference, threshold)
+        return
+    rule = solve_parity_ratio(pop, reference, threshold)
+    for label, csd in pop.groups.items():
+        assert group_confusion_masses(csd, rule.for_group(label))[2] == target
 
 
 # -- monotonicity -------------------------------------------------------------------
