@@ -171,16 +171,16 @@ def audit(csv_path: str, bins: int = 10, tol: float = 1e-6) -> dict:
 def _cmd_audit(args) -> int:
     try:
         report = audit(args.input, bins=args.bins, tol=args.tol)
+        text = render_doc(report) if args.fmt == "doc" else render_text(f"audit: {args.input}", report)
+        if args.out is not None:
+            outdir = Path(args.out)
+            outdir.mkdir(parents=True, exist_ok=True)
+            name = "audit.doc" if args.fmt == "doc" else "audit.txt"
+            (outdir / name).write_text(text, encoding="utf-8")
     except (ValueError, OSError) as exc:
         print(f"audit error: {exc}", file=sys.stderr)
         return 1
-    text = render_doc(report) if args.fmt == "doc" else render_text(f"audit: {args.input}", report)
     sys.stdout.write(text)
-    if args.out is not None:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        name = "audit.doc" if args.fmt == "doc" else "audit.txt"
-        (outdir / name).write_text(text, encoding="utf-8")
     return 0
 
 
@@ -198,7 +198,11 @@ def _cmd_simulate(args) -> int:
         print(f"simulate error: {exc}", file=sys.stderr)
         return 2
     outdir = Path(args.out) if args.out is not None else Path("fairsim-out") / spec.name
-    written = report.write(outdir, fmt=args.fmt)
+    try:
+        written = report.write(outdir, fmt=args.fmt)
+    except OSError as exc:
+        print(f"simulate error: {exc}", file=sys.stderr)
+        return 1
     sys.stdout.write(report.to_doc() if args.fmt == "doc" else report.to_text())
     for path in written:
         print(f"wrote {path}", file=sys.stderr)

@@ -45,64 +45,6 @@ def cell_midpoints(grid_size: int) -> np.ndarray:
     return (np.arange(grid_size) + 0.5) / grid_size
 
 
-class _ExactMass:
-    """Exact threshold masses for one piecewise-constant density.
-
-    Every cell weight is a binary float, i.e. an integer over a power of two,
-    so the mass of {s > t} for rational t is an exact rational number. The
-    weights are put once over their least common power-of-two denominator
-    ``denom``: ``suffix[k] / (denom * grid)`` is then the mass of [k/grid, 1],
-    and each query is O(1).
-    """
-
-    __slots__ = ("grid", "denom", "suffix")
-
-    def __init__(self, weights):
-        w = np.asarray(weights, dtype=float)
-        self.grid = w.size
-        mant, expo = np.frexp(w)
-        num = (mant * 2.0**53).astype(np.int64)  # w == num * 2**expo, exactly
-        expo = expo.astype(np.int64) - 53
-        nonzero = num != 0
-        # Drop each numerator's trailing zero bits, so the common denominator
-        # is the least one. ``num & -num`` is the lowest set bit, below 2**53.
-        low = np.frexp((num & -num).astype(float))[1] - 1
-        low[~nonzero] = 0
-        num >>= low
-        expo += low
-        base = min(0, int(expo[nonzero].min())) if nonzero.any() else 0
-        self.denom = 1 << -base
-        shift = np.where(nonzero, expo - base, 0)
-        bits = np.frexp(num.astype(float))[1]  # bit length of each numerator
-        # Weights whose exponents span a few bits, like a raw or normalized
-        # density, shift within int64, about three times as fast. The f0 and
-        # f1 of a calibrated group hold full 53-bit mantissas over exponents
-        # spread by the calibration curve, so they need Python ints.
-        if int((bits + shift).max()) < 63:
-            scaled = (num << shift).tolist()
-        else:
-            scaled = (num.astype(object) << shift).tolist()
-        suffix = list(itertools.accumulate(reversed(scaled), initial=0))
-        suffix.reverse()
-        self.suffix = tuple(suffix)
-
-    def total(self) -> Fraction:
-        return Fraction(self.suffix[0], self.denom * self.grid)
-
-    def above(self, threshold) -> Fraction:
-        """Exact mass of {s > threshold}."""
-        a, b = (threshold if isinstance(threshold, Fraction) else float(threshold)).as_integer_ratio()
-        if a <= 0:
-            return self.total()
-        if a >= b:
-            return Fraction(0)
-        # t = a/b lies in cell j: the cells above it, plus cell j's part over
-        # [t, (j+1)/grid], all over denom * grid * b
-        j = a * self.grid // b
-        rest, cell = self.suffix[j + 1], self.suffix[j] - self.suffix[j + 1]
-        return Fraction(rest * b + cell * ((j + 1) * b - a * self.grid), self.denom * self.grid * b)
-
-
 @dataclass(frozen=True)
 class ScoreDensity:
     """Nonnegative piecewise-constant density on a uniform grid over [0, 1].
@@ -136,8 +78,34 @@ class ScoreDensity:
         return cell_midpoints(self.weights.size)
 
     @cached_property
-    def _exact(self) -> _ExactMass:
-        return _ExactMass(self.weights)
+    def _integer_form(self) -> tuple[tuple[int, ...], int]:
+        """``(suffix, denominator)`` with ``suffix[k] / denominator`` the exact
+        mass of [k/G, 1]. Each cell weight is a binary float, an integer over a
+        power of two; ``denominator`` is G times the least common such power."""
+        mant, expo = np.frexp(self.weights)
+        num = (mant * 2.0**53).astype(np.int64)  # w == num * 2**expo, exactly
+        expo = expo.astype(np.int64) - 53
+        nonzero = num != 0
+        # Drop each numerator's trailing zero bits, so the common denominator
+        # is the least one. ``num & -num`` is the lowest set bit, below 2**53.
+        low = np.frexp((num & -num).astype(float))[1] - 1
+        low[~nonzero] = 0
+        num >>= low
+        expo += low
+        base = min(0, int(expo[nonzero].min())) if nonzero.any() else 0
+        shift = np.where(nonzero, expo - base, 0)
+        bits = np.frexp(num.astype(float))[1]  # bit length of each numerator
+        # Weights whose exponents span a few bits, like a raw or normalized
+        # density, shift within int64, about three times as fast. The f0 and
+        # f1 of a calibrated group hold full 53-bit mantissas over exponents
+        # spread by the calibration curve, so they need Python ints.
+        if int((bits + shift).max()) < 63:
+            scaled = (num << shift).tolist()
+        else:
+            scaled = (num.astype(object) << shift).tolist()
+        suffix = list(itertools.accumulate(reversed(scaled), initial=0))
+        suffix.reverse()
+        return tuple(suffix), (1 << -base) * self.weights.size
 
     def boundary_numerators(self) -> tuple[int, ...]:
         """Integer numerators over ``exact_denominator`` of the exact mass of
@@ -147,26 +115,37 @@ class ScoreDensity:
         exact scans can compare integers and build rationals only where they
         need one.
         """
-        return self._exact.suffix
+        return self._integer_form[0]
 
     @property
     def exact_denominator(self) -> int:
         """Common denominator of ``boundary_numerators()``: a power of two times G."""
-        return self._exact.denom * self.grid_size
+        return self._integer_form[1]
 
     def exact_total(self) -> Fraction:
-        return self._exact.total()
+        return Fraction(self._integer_form[0][0], self._integer_form[1])
 
     def exact_mass_above(self, threshold) -> Fraction:
         """Exact mass of {s > threshold} under the piecewise-constant model."""
-        return self._exact.above(threshold)
+        a, b = (threshold if isinstance(threshold, Fraction) else float(threshold)).as_integer_ratio()
+        if a <= 0:
+            return self.exact_total()
+        if a >= b:
+            return Fraction(0)
+        # t = a/b lies in cell j: the cells above it, plus cell j's part over
+        # [t, (j+1)/G], all over denominator * b
+        suffix, den = self._integer_form
+        grid = self.weights.size
+        j = a * grid // b
+        rest, cell = suffix[j + 1], suffix[j] - suffix[j + 1]
+        return Fraction(rest * b + cell * ((j + 1) * b - a * grid), den * b)
 
     def exact_mass_below(self, threshold) -> Fraction:
         """Exact mass of {s <= threshold}."""
-        return self._exact.total() - self._exact.above(threshold)
+        return self.exact_total() - self.exact_mass_above(threshold)
 
     def total_mass(self) -> float:
-        return self.boundary_numerators()[0] / self.exact_denominator  # correctly rounded
+        return self._integer_form[0][0] / self._integer_form[1]  # correctly rounded
 
     def is_normalized(self, tol: float = 1e-9) -> bool:
         return abs(self.total_mass() - 1.0) <= tol

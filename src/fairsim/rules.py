@@ -9,6 +9,7 @@ re-measures to its target rates exactly, not merely within a tolerance.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -238,6 +239,7 @@ def _roc_point_policy(csd: ConditionalScoreDensity, fpr_target: Fraction, tpr_ta
     crossing with the ray from (0,0) through the target, then mixes that
     threshold with the always-decline threshold 1. The mix scales the crossing
     point back onto the target, which therefore must lie on or below the ROC.
+    A target on an axis takes the same walk along that axis.
     """
     p1 = csd.f1.exact_total()
     p0 = csd.f0.exact_total()
@@ -254,19 +256,6 @@ def _roc_point_policy(csd: ConditionalScoreDensity, fpr_target: Fraction, tpr_ta
     c1 = fpr_target * p0
     c0 = tpr_target * p1
 
-    if tpr_target == 0 or fpr_target == 0:
-        # Target on an axis: need one class fully below some threshold while
-        # the other keeps mass above it. Suffix masses only fall, so the first
-        # boundary with none of the missed class above it is the only one to try.
-        (hit, d_hit), miss, scale = ((n0, d0), n1, c1) if tpr_target == 0 else ((n1, d1), n0, c0)
-        k = miss.index(0)
-        hit_k = Fraction(hit[k], d_hit)
-        if hit_k >= scale and hit_k > 0:
-            q = scale / hit_k
-            t = Fraction(k, grid)
-            return DeterministicThreshold(t) if q == 1 else RandomizedThreshold(t, Fraction(1), q)
-        raise InfeasibleRuleError("target rate pair lies outside the group's reachable region")
-
     # h[k] = a1[k]*c1 - a0[k]*c0, with a_y[k] the mass of f_y above boundary
     # k, is the integer n1[k]*x1 - n0[k]*x0 over the positive h_den.
     x1 = c1.numerator * c0.denominator * d0
@@ -274,10 +263,11 @@ def _roc_point_policy(csd: ConditionalScoreDensity, fpr_target: Fraction, tpr_ta
     h_den = d1 * d0 * c1.denominator * c0.denominator
     h = [m1 * x1 - m0 * x0 for m1, m0 in zip(n1, n0)]
 
-    candidates: list[tuple[Fraction, Fraction]] = []  # (threshold, decided f1 mass)
+    # (threshold, decided f1 mass, decided f0 mass) where the ROC meets the ray
+    candidates: list[tuple[Fraction, Fraction, Fraction]] = []
     for k in range(grid):
         if h[k] == 0 and (n1[k] > 0 or n0[k] > 0):
-            candidates.append((Fraction(k, grid), Fraction(n1[k], d1)))
+            candidates.append((Fraction(k, grid), Fraction(n1[k], d1), Fraction(n0[k], d0)))
         if (h[k] > 0 > h[k + 1]) or (h[k] < 0 < h[k + 1]):
             w1 = Fraction((n1[k] - n1[k + 1]) * grid, d1)
             w0 = Fraction((n0[k] - n0[k + 1]) * grid, d0)
@@ -285,11 +275,13 @@ def _roc_point_policy(csd: ConditionalScoreDensity, fpr_target: Fraction, tpr_ta
             slope = w1 * c1 - w0 * c0
             u = Fraction(-h[k + 1], h_den) / slope
             t = Fraction(k + 1, grid) - u
-            candidates.append((t, Fraction(n1[k + 1], d1) + w1 * u))
+            candidates.append((t, Fraction(n1[k + 1], d1) + w1 * u, Fraction(n0[k + 1], d0) + w0 * u))
 
     best = None
-    for t, mass1 in candidates:
-        lam = mass1 / c0  # achieved tpr over target tpr along the ray
+    for t, mass1, mass0 in candidates:
+        # achieved rate over target rate along the ray, read on the tpr axis
+        # unless the target lies on the fpr axis
+        lam = mass1 / c0 if c0 else mass0 / c1
         if best is None or lam > best[0]:
             best = (lam, t)
     if best is None or best[0] < 1:
@@ -312,14 +304,12 @@ def solve_equalized_odds(pop: PopulationModel, reference: str, threshold) -> Dec
     rates equal the reference point. Raises InfeasibleRuleError when a
     group's ROC curve passes below the reference point.
     """
-    ref = pop.group(reference)
     ref_policy = DeterministicThreshold(threshold)
-    p1 = ref.f1.exact_total()
-    p0 = ref.f0.exact_total()
-    if p1 == 0 or p0 == 0:
+    tp, fp, fn, tn = group_confusion_masses(pop.group(reference), ref_policy)
+    if tp + fn == 0 or fp + tn == 0:
         raise ValueError("reference group has a degenerate outcome class; rates undefined")
-    tpr_target = ref_policy.decided_mass(ref.f1) / p1
-    fpr_target = ref_policy.decided_mass(ref.f0) / p0
+    tpr_target = tp / (tp + fn)
+    fpr_target = fp / (fp + tn)
 
     policies: dict[str, Policy] = {reference: ref_policy}
     for label, csd in pop.groups.items():
@@ -339,9 +329,8 @@ def solve_parity_ratio(pop: PopulationModel, reference: str, threshold) -> Decis
     gets the threshold at which its declined outcome-1 mass exactly equals the
     reference group's. Infeasible when the target exceeds a group's base rate.
     """
-    ref = pop.group(reference)
     ref_policy = DeterministicThreshold(threshold)
-    target = ref.f1.exact_total() - ref_policy.decided_mass(ref.f1)  # P[D=0, Y=1]
+    target = group_confusion_masses(pop.group(reference), ref_policy)[2]  # P[D=0, Y=1]
 
     policies: dict[str, Policy] = {reference: ref_policy}
     for label, csd in pop.groups.items():
@@ -366,15 +355,11 @@ def _threshold_for_below_mass(density: ScoreDensity, target: Fraction) -> Fracti
     grid = density.grid_size
     num, den = density.boundary_numerators(), density.exact_denominator
     # mass of {s <= k/grid} is (num[0] - num[k]) / den; compare it to target
-    # as the integers (num[0] - num[k]) * target.den and target.num * den
-    scaled_target = target.numerator * den
-    lo, hi = 0, grid  # largest boundary with below <= target
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if (num[0] - num[mid]) * target.denominator <= scaled_target:
-            lo = mid
-        else:
-            hi = mid - 1
+    # as the integers (num[0] - num[k]) * target.den and target.num * den.
+    # lo is the largest boundary with below <= target.
+    lo = bisect.bisect_right(
+        range(grid + 1), target.numerator * den, key=lambda k: (num[0] - num[k]) * target.denominator
+    ) - 1
     below = Fraction(num[0] - num[lo], den)
     if below == target:
         return Fraction(lo, grid)

@@ -17,7 +17,7 @@ from typing import Literal, get_args
 
 import numpy as np
 
-from .densities import UNDEFINED, PopulationModel, ScoreDensity, ScoreMap, draw_categorical, is_defined
+from .densities import UNDEFINED, PopulationModel, ScoreDensity, ScoreMap, draw_categorical, integrate, is_defined
 from .metrics import confusion, rates, spread
 from .rules import DecisionRule, PayoffMatrix
 
@@ -68,11 +68,12 @@ def long_run_eu(
     """
     if not true_density.is_normalized():
         raise ValueError("true-probability density must integrate to 1")
-    mids = true_density.midpoints()
-    shown = mids if displayed is None else displayed(mids)
-    act = shown > threshold
-    eu = _branch_eu(mids, payoff, act)
-    return float(np.sum(true_density.weights * eu) * true_density.cell_width)
+
+    def eu(mids: np.ndarray) -> np.ndarray:
+        shown = mids if displayed is None else displayed(mids)
+        return _branch_eu(mids, payoff, shown > threshold)
+
+    return integrate(true_density, eu)
 
 
 @dataclass(frozen=True)

@@ -129,6 +129,20 @@ def test_audit_writes_report_file(tmp_path, capsys):
     assert (outdir / "audit.doc").read_text() == out
 
 
+@pytest.mark.parametrize("command", [["audit", "--input", "{records}"], ["simulate", "equal-rates"]])
+def test_out_naming_a_file_fails_by_one_error_line(tmp_path, capsys, command):
+    """An ``--out`` that cannot be made a directory is an I/O error: one
+    ``<command> error:`` line and exit 1, nothing on stdout, the file intact."""
+    path = tmp_path / "four.csv"
+    write_four_cell_file(path)
+    before = path.read_bytes()
+    code, out, err = run_cli(capsys, *(a.format(records=path) for a in command), "--out", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"{command[0]} error: ")
+    assert path.read_bytes() == before
+
+
 def test_audit_of_a_sampled_judge_population(tmp_path, capsys):
     pop = judge_population(1024)
     rule = solve_equalized_odds(pop, "men", 0.5)

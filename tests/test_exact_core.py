@@ -11,7 +11,7 @@ from pathlib import Path
 
 import fairsim
 
-PRIVATE = {"_exact", "_ExactMass"}
+PRIVATE = {"_integer_form"}
 
 
 def test_only_densities_touches_the_private_exact_core():
