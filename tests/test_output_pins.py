@@ -1,14 +1,19 @@
-"""SHA-256 pins of the files ``simulate`` writes.
+"""SHA-256 pins of the files ``simulate`` writes and of what ``audit`` prints.
 
 Byte-identical output is part of what fairsim promises, across commits and
 not only across runs: a refactor or speed-up that moves one digit of a
-report or a series fails here. Each case runs one experiment at its defaults
-plus the listed overrides and writes it in the default ``doc`` format."""
+report or a series fails here. Each ``simulate`` case runs one experiment at
+its defaults plus the listed overrides and writes it in the default ``doc``
+format. Each ``audit`` case audits a seeded record file written by the test
+and pins its stdout in one format at one bin count."""
 
+import csv
 import hashlib
 
+import numpy as np
 import pytest
 
+from fairsim.cli import main
 from fairsim.experiments import EXPERIMENTS
 
 CASES = {
@@ -86,3 +91,64 @@ def test_simulate_output_bytes_are_pinned(case, tmp_path):
     report = spec.run({key: p.default for key, p in spec.params.items()} | overrides)
     written = report.write(tmp_path)
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written} == SHA256[case]
+
+
+#: Groups of the audit file: label, record count, the score range of its
+#: records and its decision threshold. The first label holds a comma and a
+#: space, so the CSV quotes it; ``narrow`` has records in only a few bins at
+#: every pinned bin count.
+AUDIT_GROUPS = (
+    ("Native American, Alaska", 400, (0.0, 1.0), 0.5),
+    ("b", 300, (0.1, 1.0), 0.45),
+    ("c", 250, (0.0, 0.9), 0.55),
+    ("narrow", 60, (0.55, 0.7), 0.62),
+)
+
+
+def write_audit_records(path, decisions: bool) -> None:
+    """A seeded record file: outcomes drawn from a per-group tilt of the
+    score, decisions by a per-group threshold, or none at all."""
+    rng = np.random.default_rng(20261018)
+    rows = []
+    for k, (label, n, (lo, hi), threshold) in enumerate(AUDIT_GROUPS):
+        scores = lo + (hi - lo) * rng.random(n)
+        outcomes = rng.random(n) < np.clip(scores * (0.8 + 0.1 * k) + 0.05, 0, 1)
+        decided = scores > threshold
+        rows += [
+            [label, repr(float(s)), int(y), int(d) if decisions else ""]
+            for s, y, d in zip(scores, outcomes, decided)
+        ]
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("group", "score", "outcome", "decision"))
+        writer.writerows(rows)
+
+
+AUDIT_SHA256 = {
+    "decided-doc-7": "915479faa875d2567abca0d9890f8467e148c2e04e81218b3b98610969b77f3e",
+    "decided-doc-10": "f154e7aee521de1ed833c7d339a7ecd1f6ecd730630ff0c7d155f7b54a471cbb",
+    "decided-doc-37": "da9b1072521d5bd72f9dcec5ced800e55ba39884f865b71bb0a04f3440a7ba40",
+    "decided-text-7": "8b9e080c869c05657a3eb1d3b12146ad4616ed383f38a01767ecf9977811a43e",
+    "decided-text-10": "b4e70c3eafe921096e0371585f3fb6e56ad72a5cef42ed556f412f273d2e069b",
+    "decided-text-37": "89ab2176cbe7958b06cbb6b885afb00785f325c4851d02eb57017f82a4b86f98",
+    "undecided-doc-7": "78a40b6758379fea3fd403e5bf01880c7064cf73c5ef152d91df3af3d90a3c97",
+    "undecided-doc-10": "e9266882c9947adb24117bb731a4cab1773bbf5a64df9e089ca747834a9ba581",
+    "undecided-doc-37": "c0968ffc9ab7491e0bb9e3c5964b8f5c853cfd354097300a53e0a7f1ee418090",
+    "undecided-text-7": "ca3724552c6408172b01340c69047599716bab928a5e112d08c61d7a2fb4024e",
+    "undecided-text-10": "ace09d5def9d70645fa97668bd363aa19ab8c1a17d75d81b48b52ce8adb4b4bc",
+    "undecided-text-37": "c814128d9ab8b8fe2d365e2f89fe2a5390db20eb4ce46d42c99c9573a335858a",
+}
+
+
+@pytest.mark.parametrize("bins", [7, 10, 37])
+@pytest.mark.parametrize("fmt", ["doc", "text"])
+@pytest.mark.parametrize("decisions", [True, False], ids=["decided", "undecided"])
+def test_audit_stdout_bytes_are_pinned(decisions, fmt, bins, tmp_path, monkeypatch, capsys):
+    # The report names its input path, so the file is read by a relative name.
+    monkeypatch.chdir(tmp_path)
+    write_audit_records("records.csv", decisions)
+    assert main(["audit", "--input", "records.csv", "--format", fmt, "--bins", str(bins)]) == 0
+    out = capsys.readouterr().out
+    key = f"{'decided' if decisions else 'undecided'}-{fmt}-{bins}"
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == AUDIT_SHA256[key]
