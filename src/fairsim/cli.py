@@ -12,6 +12,7 @@ same name."""
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import get_args
@@ -19,6 +20,7 @@ from typing import get_args
 from .densities import AuditDataset, is_defined
 from .experiments import EXPERIMENTS
 from .metrics import (
+    _tally,
     between_group_calibration_gap,
     separation_gap,
     sufficiency_gap_binary,
@@ -125,17 +127,16 @@ def audit(csv_path: str, bins: int = 10, tol: float = 1e-6) -> dict:
     """
     if not 1 <= bins <= MAX_BINS:
         raise ValueError(f"bins must be between 1 and {MAX_BINS}, got {bins}")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be a finite number of at least 0, got {tol}")
     data = AuditDataset.from_csv(csv_path)
     labels = data.labels
     if len(labels) < 2:
         raise ValueError(f"audit needs at least 2 groups, found {len(labels)} ({', '.join(labels)})")
 
     report: dict = {"input": {"path": str(csv_path), "records": len(data), "groups": len(labels)}}
-    base = {}
-    for g in labels:
-        mask = data.group_mask(g)
-        base[g] = float(data.outcome[mask].mean())
-    report["base_rate"] = base
+    counts = _tally(data, data.outcome, 2)  # records with outcome 0 and 1, one row per group
+    report["base_rate"] = dict(zip(labels, (counts[:, 1] / counts.sum(axis=1)).tolist()))
 
     calib = between_group_calibration_gap(data, bins=bins)
     report["calibration"] = {

@@ -45,6 +45,13 @@ def cell_midpoints(grid_size: int) -> np.ndarray:
     return (np.arange(grid_size) + 0.5) / grid_size
 
 
+def group_index(labels: tuple[str, ...], label: str) -> int:
+    """Position of ``label`` in ``labels``; a KeyError names the known groups."""
+    if label not in labels:
+        raise KeyError(f"unknown group {label!r}; known groups: {sorted(labels)}")
+    return labels.index(label)
+
+
 @dataclass(frozen=True)
 class ScoreDensity:
     """Nonnegative piecewise-constant density on a uniform grid over [0, 1].
@@ -260,10 +267,8 @@ class PopulationModel:
         return next(iter(self.groups.values())).grid_size
 
     def group(self, label: str) -> ConditionalScoreDensity:
-        try:
-            return self.groups[label]
-        except KeyError:
-            raise KeyError(f"unknown group {label!r}; known groups: {sorted(self.groups)}") from None
+        group_index(self.labels, label)
+        return self.groups[label]
 
     def normalized_weights(self) -> dict[str, float]:
         if self.weights is None:
@@ -273,8 +278,7 @@ class PopulationModel:
         return {g: self.weights[g] / total for g in self.groups}
 
     def with_group(self, label: str, csd: ConditionalScoreDensity) -> "PopulationModel":
-        if label not in self.groups:
-            raise KeyError(f"unknown group {label!r}; known groups: {sorted(self.groups)}")
+        group_index(self.labels, label)
         groups = dict(self.groups)
         groups[label] = csd
         return PopulationModel(groups=groups, weights=self.weights)
@@ -396,11 +400,7 @@ class AuditDataset:
         return np.array(self.labels, dtype=object)[self.codes]
 
     def group_mask(self, label: str) -> np.ndarray:
-        try:
-            k = self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown group {label!r}; known groups: {sorted(self.labels)}") from None
-        return self.codes == k
+        return self.codes == group_index(self.labels, label)
 
     def decisions_complete(self) -> bool:
         return self.decision is not None and not np.any(self.decision == NO_DECISION)

@@ -20,6 +20,7 @@ from .densities import (
     cell_index,
     cell_midpoints,
     conditional_rate,
+    group_index,
     is_defined,
 )
 from .rules import DecisionRule, group_confusion_masses
@@ -73,6 +74,13 @@ def rates(counts: ConfusionCounts) -> RatePair:
     )
 
 
+def _tally(data: AuditDataset, cell, cells: int, weights=None) -> np.ndarray:
+    """Records, or their ``weights``, summed per group and cell: one row per
+    label, from one ``bincount`` over all records, which adds each cell in
+    record order just as a ``bincount`` of one group's records does."""
+    return np.bincount(data.codes * cells + cell, weights, len(data.labels) * cells).reshape(-1, cells)
+
+
 def confusion(source: PopulationModel | AuditDataset, rule: DecisionRule | None, group: str) -> ConfusionCounts:
     """Decision-vs-outcome table for one group.
 
@@ -87,17 +95,15 @@ def confusion(source: PopulationModel | AuditDataset, rule: DecisionRule | None,
         tp, fp, fn, tn = group_confusion_masses(source.group(group), rule.for_group(group))
         return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
 
-    mask = source.group_mask(group)
-    outcomes = source.outcome[mask]
-    if rule is None:
-        if source.decision is None or np.any(source.decision[mask] == -1):
-            raise ValueError(f"group {group!r} has records without decisions and no rule was given")
-        components = [(1, source.decision[mask])]  # recorded decisions: one component of weight 1
+    row = group_index(source.labels, group)
+    if rule is None:  # the recorded decisions, weight 1; with no column, each is missing (-1)
+        components = [(1, -1 if source.decision is None else source.decision)]
     else:
-        scores = source.score[mask]
-        components = [(w, scores > float(t)) for w, t in rule.for_group(group).mixture()]
-    counts = sum(w * np.bincount(outcomes * 2 + decided, minlength=4) for w, decided in components)
-    tn, fp, fn, tp = counts.tolist()  # cell outcome * 2 + decision
+        components = [(w, source.score > float(t)) for w, t in rule.for_group(group).mixture()]
+    counts = sum(w * _tally(source, source.outcome * 3 + decided + 1, 6)[row] for w, decided in components)
+    missing_y0, tn, fp, missing_y1, fn, tp = counts.tolist()  # cell outcome * 3 + decision + 1
+    if missing_y0 or missing_y1:
+        raise ValueError(f"group {group!r} has records without decisions and no rule was given")
     return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
 
 
@@ -120,8 +126,9 @@ class CalibrationReport:
 
     Levels are grid-cell midpoints for analytic sources, bin centers for
     datasets. ``sup_gap`` is the largest per-level pairwise gap; ``l1_gap``
-    is the same gap averaged with the pooled mass per level. Levels with no
-    mass (or only one group present) are undefined and excluded.
+    averages it with ``level_mass``, the pooled mass per level, which for
+    datasets is the pooled record count. Levels with no mass (or only one
+    group present) are undefined and excluded.
     """
 
     levels: np.ndarray
@@ -153,15 +160,14 @@ def _per_level_max_gap(stack: np.ndarray) -> np.ndarray:
     enough = defined.sum(axis=0) >= 2
     lo = np.nanmin(np.where(defined, stack, np.inf), axis=0)
     hi = np.nanmax(np.where(defined, stack, -np.inf), axis=0)
-    gap = np.where(enough, hi - lo, UNDEFINED)
-    return gap
+    return np.where(enough, hi - lo, UNDEFINED)
 
 
-def _level_tallies(source: PopulationModel | AuditDataset, group: str, bins: int) -> tuple:
-    """One group's tallies per score level: the levels, the outcome-1 mass
-    (density values) or record count, the total, the reference rate that a
-    calibrated score shows, the group's weight in a pooled tally, and the
-    divisor that turns a total into a level mass.
+def _level_tallies(source: PopulationModel | AuditDataset, bins: int) -> tuple:
+    """Every group's tallies per score level, one row per label: the levels,
+    the outcome-1 mass (density values) or record count, the total, the
+    reference rate that a calibrated score shows, each group's weight in a
+    pooled tally, and the divisor that turns a total into a level mass.
 
     Analytic levels are the grid-cell midpoints, each its own reference, and
     groups pool by population weight. Empirical levels are ``bins``
@@ -169,20 +175,18 @@ def _level_tallies(source: PopulationModel | AuditDataset, group: str, bins: int
     groups pool by record count.
     """
     if isinstance(source, PopulationModel):
-        csd = source.group(group)
-        levels = csd.f0.midpoints()
-        total = csd.f0.weights + csd.f1.weights
-        weight = source.normalized_weights()[group]
-        return levels, csd.f1.weights, total, levels.copy(), weight, csd.grid_size
+        positive = np.stack([csd.f1.weights for csd in source.groups.values()])
+        total = np.stack([csd.f0.weights + csd.f1.weights for csd in source.groups.values()])
+        levels = cell_midpoints(source.grid_size)
+        weights = source.normalized_weights().values()
+        return levels, positive, total, np.tile(levels, (len(total), 1)), weights, source.grid_size
     if bins < 1:
         raise ValueError("bins must be at least 1")
-    mask = source.group_mask(group)
-    scores = source.score[mask]
-    bin_of = cell_index(scores, bins)
-    total = np.bincount(bin_of, minlength=bins).astype(float)
-    positive = np.bincount(bin_of, weights=source.outcome[mask], minlength=bins)
-    reference = conditional_rate(np.bincount(bin_of, weights=scores, minlength=bins), total)
-    return cell_midpoints(bins), positive, total, reference, 1, 1
+    bin_of = cell_index(source.score, bins)
+    total = _tally(source, bin_of, bins).astype(float)
+    positive = _tally(source, bin_of, bins, source.outcome)
+    reference = conditional_rate(_tally(source, bin_of, bins, source.score), total)
+    return cell_midpoints(bins), positive, total, reference, np.ones(len(total)), 1
 
 
 def between_group_calibration_gap(
@@ -190,21 +194,20 @@ def between_group_calibration_gap(
 ) -> CalibrationReport:
     """How far conditional positive rates at equal score levels drift apart
     across groups; a zero sup gap over defined levels is group calibration."""
-    group_rates = {}
-    pooled_pos = pooled_tot = 0.0
-    for g in source.labels:
-        levels, positive, total, _, weight, divisor = _level_tallies(source, g, bins)
-        group_rates[g] = conditional_rate(positive, total)
-        pooled_pos = pooled_pos + weight * positive
-        pooled_tot = pooled_tot + weight * total
-    if len(group_rates) < 2:
+    levels, positive, total, _, weights, divisor = _level_tallies(source, bins)
+    if len(total) < 2:
         raise ValueError("calibration gap needs at least 2 groups")
+    group_rates = conditional_rate(positive, total)
+    pooled_pos = pooled_tot = 0.0
+    for weight, pos, tot in zip(weights, positive, total):  # row by row, in label order
+        pooled_pos = pooled_pos + weight * pos
+        pooled_tot = pooled_tot + weight * tot
     level_mass = pooled_tot / divisor
-    gap = _per_level_max_gap(np.vstack(list(group_rates.values())))
+    gap = _per_level_max_gap(group_rates)
     sup_gap, l1_gap = _summarize_gaps(gap, level_mass)
     return CalibrationReport(
         levels=levels,
-        group_rates=group_rates,
+        group_rates=dict(zip(source.labels, group_rates)),
         pooled=conditional_rate(pooled_pos, pooled_tot),
         gap=gap,
         level_mass=level_mass,
@@ -231,7 +234,9 @@ def within_group_calibration_error(
     """Deviation of the group's score from the classical calibration identity
     (positive rate at score r equals r). Empirical levels compare against the
     mean score within each bin."""
-    levels, positive, total, reference, _, divisor = _level_tallies(source, group, bins)
+    levels, positive, total, reference, _, divisor = _level_tallies(source, bins)
+    row = group_index(source.labels, group)
+    positive, total, reference = positive[row], total[row], reference[row]
     observed = conditional_rate(positive, total)
     mass = total / divisor
     error = np.abs(observed - reference)
@@ -298,12 +303,9 @@ def sufficiency_gap_binary(source: PopulationModel | AuditDataset, rule: Decisio
     labels = source.labels
     if len(labels) < 2:
         raise ValueError("sufficiency gap needs at least 2 groups")
-    pos_r1: dict[str, float] = {}
-    pos_r0: dict[str, float] = {}
-    for g in labels:
-        c = confusion(source, rule, g)
-        pos_r1[g] = _ratio(c.tp, c.tp + c.fp)
-        pos_r0[g] = _ratio(c.fn, c.fn + c.tn)
+    counts = {g: confusion(source, rule, g) for g in labels}
+    pos_r1 = {g: _ratio(c.tp, c.tp + c.fp) for g, c in counts.items()}
+    pos_r0 = {g: _ratio(c.fn, c.fn + c.tn) for g, c in counts.items()}
     return SufficiencyGaps(
         pos_given_r1=pos_r1,
         pos_given_r0=pos_r0,

@@ -112,8 +112,12 @@ class DecisionRule:
         return cls({g: DeterministicThreshold(threshold) for g in labels})
 
     def serialize(self) -> str:
+        """Rule text that ``parse`` reads back; a label that holds whitespace
+        cannot be written, since a rule line is whitespace-separated."""
         lines = []
         for label, pol in self.policies.items():
+            if any(c.isspace() for c in label):
+                raise ValueError(f"group label {label!r} holds whitespace, which rule text cannot carry")
             if isinstance(pol, DeterministicThreshold):
                 lines.append(f"group={label} kind=det t1={float(pol.threshold):.12g}")
             else:

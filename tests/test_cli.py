@@ -102,6 +102,23 @@ def test_audit_rejects_bins_outside_the_cap_before_reading(tmp_path, capsys, bin
     assert err == f"audit error: bins must be between 1 and {MAX_BINS}, got {int(bins)}\n"
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "-1e-300"])
+def test_audit_rejects_a_tol_that_is_not_finite_and_nonnegative_before_reading(tmp_path, capsys, tol):
+    # Such a tol draws ``holds = false`` under every gap, even a gap of 0.
+    code, out, err = run_cli(capsys, "audit", "--input", str(tmp_path / "absent.csv"), f"--tol={tol}")
+    assert code == 1
+    assert out == ""
+    assert err == f"audit error: tol must be a finite number of at least 0, got {float(tol)}\n"
+
+
+def test_audit_accepts_a_tol_of_zero(tmp_path, capsys):
+    path = tmp_path / "four.csv"
+    write_four_cell_file(path)
+    code, out, _ = run_cli(capsys, "audit", "--input", str(path), "--format", "doc", "--tol", "0")
+    assert code == 0
+    assert doc_values(out)["separation.holds"] == "true"
+
+
 def test_audit_rejects_single_group(tmp_path, capsys):
     path = tmp_path / "one.csv"
     path.write_text("group,score,outcome,decision\na,0.5,1,\na,0.2,0,\n")

@@ -3,8 +3,8 @@
 Exact arithmetic lives in one integer core in ``densities``; every other
 module goes through its public API (``boundary_numerators``,
 ``exact_denominator``, ``exact_mass_above`` and friends). Weighted draws go
-through one sampler, decisions through one policy path, and no import is
-left unused."""
+through one sampler, decisions through one policy path, dataset records
+through one tally, and no import is left unused."""
 
 import ast
 from pathlib import Path
@@ -50,6 +50,21 @@ def test_only_draw_categorical_draws_weighted_choices():
                 and node.func.attr == "choice"
                 and any(kw.arg == "p" for kw in node.keywords)
             ):
+                offenders.append(f"{path.relative_to(package)}:{node.lineno}")
+    assert offenders == []
+
+
+def test_only_densities_uses_group_mask():
+    """Empirical metrics count records through one all-group tally in
+    ``metrics``; no module outside ``densities.py`` builds a per-group mask."""
+    package = Path(fairsim.__file__).parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        if path.relative_to(package) == Path("densities.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name == "group_mask":
                 offenders.append(f"{path.relative_to(package)}:{node.lineno}")
     assert offenders == []
 

@@ -1,4 +1,6 @@
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +11,10 @@ from fairsim import (
     ConditionalScoreDensity,
     ConfusionCounts,
     DecisionRule,
+    DeterministicThreshold,
     InfeasibleRuleError,
     PopulationModel,
+    RandomizedThreshold,
     ScoreDensity,
     ScoreMap,
     apply_score_map,
@@ -25,7 +29,9 @@ from fairsim import (
     sufficiency_gap_binary,
     within_group_calibration_error,
 )
-from fairsim.metrics import spread
+from fairsim.cli import audit
+from fairsim.densities import cell_index, cell_midpoints, conditional_rate
+from fairsim.metrics import _per_level_max_gap, _summarize_gaps, spread
 from _helpers import (
     calibrated_uniform_pair,
     judge_population,
@@ -184,6 +190,131 @@ def test_calibration_gap_requires_two_groups():
     data = AuditDataset(group=np.array(["a"]), score=np.array([0.5]), outcome=np.array([1]))
     with pytest.raises(ValueError):
         between_group_calibration_gap(data)
+
+
+# -- one tally per dataset: the per-group masked counts are the oracle ---------------
+
+TALLY_LABELS = ("a", "b, c", "d e", "f")
+#: Scores on bin edges at the bin counts drawn below, or anywhere in [0, 1].
+TALLY_SCORES = st.one_of(st.floats(0, 1), st.sampled_from([0.0, 0.1, 0.5, 0.7, 1.0, 3 / 7, 10 / 37]))
+
+
+@st.composite
+def _tally_datasets(draw):
+    """Up to four groups, some of one record; decisions recorded, absent, or
+    missing for some records of some groups only."""
+    rows = draw(
+        st.lists(
+            st.tuples(st.sampled_from(TALLY_LABELS), TALLY_SCORES, st.integers(0, 1), st.integers(0, 1), st.booleans()),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    undecided = draw(st.sets(st.sampled_from(TALLY_LABELS), max_size=2))
+    decision = [-1 if g in undecided and drop else d for g, _, _, d, drop in rows]
+    return AuditDataset(
+        group=[r[0] for r in rows],
+        score=np.array([r[1] for r in rows]),
+        outcome=np.array([r[2] for r in rows]),
+        decision=decision if draw(st.booleans()) else None,
+    )
+
+
+def _masked_confusion(data, rule, group):
+    mask = data.group_mask(group)
+    outcomes = data.outcome[mask]
+    if rule is None:
+        if data.decision is None or np.any(data.decision[mask] == -1):
+            raise ValueError(f"group {group!r} has records without decisions and no rule was given")
+        components = [(1, data.decision[mask])]
+    else:
+        components = [(w, data.score[mask] > float(t)) for w, t in rule.for_group(group).mixture()]
+    tn, fp, fn, tp = sum(w * np.bincount(outcomes * 2 + d, minlength=4) for w, d in components).tolist()
+    return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
+
+
+def _masked_level_tallies(data, group, bins):
+    mask = data.group_mask(group)
+    bin_of = cell_index(data.score[mask], bins)
+    total = np.bincount(bin_of, minlength=bins).astype(float)
+    positive = np.bincount(bin_of, weights=data.outcome[mask], minlength=bins)
+    reference = conditional_rate(np.bincount(bin_of, weights=data.score[mask], minlength=bins), total)
+    return positive, total, reference
+
+
+def _result(f, *args):
+    """What a call gives: its value, or the type and text of its error."""
+    try:
+        return f(*args)
+    except (KeyError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _bits(*values):
+    """Values as comparable bytes: NaN matches NaN, -0.0 does not match 0.0."""
+    return [(np.asarray(v).dtype, np.asarray(v).tobytes()) for v in values]
+
+
+def _cells(counts):
+    return counts if isinstance(counts, tuple) else [(type(c), c) for c in (counts.tp, counts.fp, counts.fn, counts.tn)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=_tally_datasets(),
+    bins=st.sampled_from([1, 2, 7, 10, 37]),
+    t=TALLY_SCORES,
+    ends=st.tuples(TALLY_SCORES, TALLY_SCORES),
+    mix=st.fractions(0, 1, max_denominator=10**6),
+)
+def test_the_all_group_tally_matches_per_group_masks_bit_for_bit(data, bins, t, ends, mix):
+    lower, upper = sorted(ends)
+    rules = [None] + [
+        DecisionRule({g: policy for g in data.labels})
+        for policy in (
+            DeterministicThreshold(t),
+            RandomizedThreshold(lower, upper, float(mix)),
+            RandomizedThreshold(lower, upper, mix),
+        )
+    ]
+    for g in [*data.labels, "zz"]:
+        for rule in rules:
+            assert _cells(_result(confusion, data, rule, g)) == _cells(_result(_masked_confusion, data, rule, g))
+
+    for g in data.labels:
+        got = within_group_calibration_error(data, g, bins=bins)
+        positive, total, reference = _masked_level_tallies(data, g, bins)
+        observed = conditional_rate(positive, total)
+        error = np.abs(observed - reference)
+        want = (cell_midpoints(bins), observed, reference, error, *_summarize_gaps(error, total))
+        assert _bits(got.levels, got.observed, got.reference, got.error, got.sup_error, got.l1_error) == _bits(*want)
+    assert _result(within_group_calibration_error, data, "zz", bins) == _result(data.group_mask, "zz")
+
+    if len(data.labels) < 2:
+        with pytest.raises(ValueError, match="at least 2 groups"):
+            between_group_calibration_gap(data, bins=bins)
+        return
+    got = between_group_calibration_gap(data, bins=bins)
+    group_rates, pooled_pos, pooled_tot = {}, 0.0, 0.0
+    for g in data.labels:
+        positive, total, _ = _masked_level_tallies(data, g, bins)
+        group_rates[g] = conditional_rate(positive, total)
+        pooled_pos = pooled_pos + positive
+        pooled_tot = pooled_tot + total
+    gap = _per_level_max_gap(np.vstack(list(group_rates.values())))
+    want = (cell_midpoints(bins), conditional_rate(pooled_pos, pooled_tot), gap, pooled_tot)
+    assert _bits(got.levels, got.pooled, got.gap, got.level_mass) == _bits(*want)
+    assert _bits(got.sup_gap, got.l1_gap) == _bits(*_summarize_gaps(gap, pooled_tot))
+    assert list(got.group_rates) == list(group_rates)
+    assert _bits(*got.group_rates.values()) == _bits(*group_rates.values())
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.csv"
+        data.to_csv(path)
+        base = audit(str(path), bins=bins)["base_rate"]
+    want = {g: float(data.outcome[data.group_mask(g)].mean()) for g in data.labels}
+    assert list(base) == list(want)
+    assert _bits(*base.values()) == _bits(*want.values())
 
 
 # -- separation and sufficiency -----------------------------------------------------

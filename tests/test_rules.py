@@ -131,6 +131,29 @@ def test_rule_serialization_round_trip():
     assert DecisionRule.parse("\n" + text.replace("\n", "\n \t\n\n")).serialize() == text
 
 
+@pytest.mark.parametrize("label", ["Native American", "a\tb", "trailing\n", "\u00a0"])
+def test_serialize_refuses_a_label_that_holds_whitespace(label):
+    # Rule lines split on whitespace, so ``parse`` could not read such a line back.
+    rule = DecisionRule({"a": DeterministicThreshold(0.25), label: DeterministicThreshold(0.5)})
+    with pytest.raises(ValueError) as exc:
+        rule.serialize()
+    assert str(exc.value) == f"group label {label!r} holds whitespace, which rule text cannot carry"
+
+
+def test_a_label_with_equals_signs_and_commas_round_trips():
+    rule = DecisionRule(
+        {
+            "a=b,c": DeterministicThreshold(0.5),
+            "Asian,Pacific=Islander": RandomizedThreshold(lower=0.25, upper=0.75, mix=0.125),
+        }
+    )
+    text = rule.serialize()
+    assert text.splitlines()[0] == "group=a=b,c kind=det t1=0.5"
+    back = DecisionRule.parse(text)
+    assert back == rule
+    assert back.serialize() == text
+
+
 def test_rule_parse_rejects_malformed_lines():
     good = "group=a kind=det t1=0.5\n"
     for bad, line in (
