@@ -52,6 +52,13 @@ def group_index(labels: tuple[str, ...], label: str) -> int:
     return labels.index(label)
 
 
+def _suffix_form(scaled: np.ndarray, den: int) -> tuple[tuple[int, ...], int]:
+    """``(suffix, den)`` with ``suffix[k]`` the Python-int sum of ``scaled[k:]``."""
+    suffix = list(itertools.accumulate(reversed(scaled.tolist()), initial=0))
+    suffix.reverse()
+    return tuple(suffix), den
+
+
 @dataclass(frozen=True)
 class ScoreDensity:
     """Nonnegative piecewise-constant density on a uniform grid over [0, 1].
@@ -84,11 +91,12 @@ class ScoreDensity:
     def midpoints(self) -> np.ndarray:
         return cell_midpoints(self.weights.size)
 
-    @cached_property
-    def _integer_form(self) -> tuple[tuple[int, ...], int]:
-        """``(suffix, denominator)`` with ``suffix[k] / denominator`` the exact
-        mass of [k/G, 1]. Each cell weight is a binary float, an integer over a
-        power of two; ``denominator`` is G times the least common such power."""
+    def _scaled_numerators(self) -> tuple[np.ndarray, int]:
+        """``(scaled, denominator)`` with ``scaled[k] / denominator`` the exact
+        mass of cell k. Each cell weight is a binary float, an integer over a
+        power of two; ``denominator`` is G times the least common such power.
+        ``scaled`` is int64 when every numerator is below 2**62, else it holds
+        Python ints."""
         mant, expo = np.frexp(self.weights)
         num = (mant * 2.0**53).astype(np.int64)  # w == num * 2**expo, exactly
         expo = expo.astype(np.int64) - 53
@@ -107,12 +115,34 @@ class ScoreDensity:
         # f1 of a calibrated group hold full 53-bit mantissas over exponents
         # spread by the calibration curve, so they need Python ints.
         if int((bits + shift).max()) < 63:
-            scaled = (num << shift).tolist()
+            scaled = num << shift
         else:
-            scaled = (num.astype(object) << shift).tolist()
-        suffix = list(itertools.accumulate(reversed(scaled), initial=0))
-        suffix.reverse()
-        return tuple(suffix), (1 << -base) * self.weights.size
+            scaled = num.astype(object) << shift
+        return scaled, (1 << -base) * self.weights.size
+
+    @cached_property
+    def _integer_form(self) -> tuple[tuple[int, ...], int]:
+        """``(suffix, denominator)`` with ``suffix[k] / denominator`` the exact
+        mass of [k/G, 1]; built on first use."""
+        return _suffix_form(*self._scaled_numerators())
+
+    @cached_property
+    def _total_form(self) -> tuple[int, int]:
+        """``(numerator, denominator)`` of the exact total mass, read off the
+        suffix when it is built and summed without it otherwise.
+
+        An int64 numerator is below 2**62, so its high and low 31-bit limbs
+        each sum within int64 over any grid below 2**32 cells. Python-int
+        numerators cost about as much to sum as to accumulate, and the
+        densities that hold them, the f0 and f1 of a calibrated group, are the
+        ones the solvers scan, so for them the suffix is built here."""
+        if "_integer_form" not in self.__dict__:
+            scaled, den = self._scaled_numerators()
+            if scaled.dtype == np.int64:
+                return (int((scaled >> 31).sum()) << 31) + int((scaled & 0x7FFFFFFF).sum()), den
+            self.__dict__["_integer_form"] = _suffix_form(scaled, den)
+        suffix, den = self._integer_form
+        return suffix[0], den
 
     def boundary_numerators(self) -> tuple[int, ...]:
         """Integer numerators over ``exact_denominator`` of the exact mass of
@@ -130,7 +160,7 @@ class ScoreDensity:
         return self._integer_form[1]
 
     def exact_total(self) -> Fraction:
-        return Fraction(self._integer_form[0][0], self._integer_form[1])
+        return Fraction(*self._total_form)
 
     def exact_mass_above(self, threshold) -> Fraction:
         """Exact mass of {s > threshold} under the piecewise-constant model."""
@@ -149,10 +179,12 @@ class ScoreDensity:
 
     def exact_mass_below(self, threshold) -> Fraction:
         """Exact mass of {s <= threshold}."""
-        return self.exact_total() - self.exact_mass_above(threshold)
+        above = self.exact_mass_above(threshold)  # builds the suffix that the total then reads
+        return self.exact_total() - above
 
     def total_mass(self) -> float:
-        return self._integer_form[0][0] / self._integer_form[1]  # correctly rounded
+        numerator, den = self._total_form
+        return numerator / den  # int / int is correctly rounded
 
     def is_normalized(self, tol: float = 1e-9) -> bool:
         return abs(self.total_mass() - 1.0) <= tol

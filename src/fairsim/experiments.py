@@ -29,6 +29,8 @@ from .densities import (
 from .metrics import (
     ConfusionCounts,
     between_group_calibration_gap,
+    confusion,
+    false_omission_rate,
     impossibility_witness,
     rates,
     separation_gap,
@@ -393,24 +395,23 @@ def run_appendix_counterexample(grid: int = DEFAULT_GRID, reshapes: int = 100, s
     men_b = ConditionalScoreDensity(f0=reshaped, f1=men_a.f1)
     pop_b = pop_a.with_group("men", men_b)
 
-    def missed_positive(pop: PopulationModel, g: str) -> float:
-        csd = pop.group(g)
-        pol = rule.for_group(g)
-        return float(csd.f1.exact_total() - pol.decided_mass(csd.f1))
+    def declined(pop: PopulationModel, g: str) -> tuple[float, float]:
+        """The group's missed positive mass and false omission rate under the rule."""
+        counts = confusion(pop, rule, g)
+        return float(counts.fn), false_omission_rate(counts)
 
     # every population shares the women's density and policy
-    mf = missed_positive(pop_a, "women")
+    mf, fo_women = declined(pop_a, "women")
     out = {}
     for tag, pop in (("popA", pop_a), ("popB", pop_b)):
-        mm = missed_positive(pop, "men")
-        suff = sufficiency_gap_binary(pop, rule)
+        mm, fo_men = declined(pop, "men")
         out[tag] = {
             "missed_positive_men": mm,
             "missed_positive_women": mf,
             "missed_positive_gap": abs(mm - mf),
-            "false_omission_men": suff.pos_given_r0["men"],
-            "false_omission_women": suff.pos_given_r0["women"],
-            "false_omission_gap": abs(suff.pos_given_r0["men"] - suff.pos_given_r0["women"]),
+            "false_omission_men": fo_men,
+            "false_omission_women": fo_women,
+            "false_omission_gap": abs(fo_men - fo_women),
         }
     men_shift = abs(out["popA"]["false_omission_men"] - out["popB"]["false_omission_men"])
     women_shift = abs(out["popA"]["false_omission_women"] - out["popB"]["false_omission_women"])
@@ -438,10 +439,9 @@ def run_appendix_counterexample(grid: int = DEFAULT_GRID, reshapes: int = 100, s
         if abs(float(cand.exact_mass_below(t_ref)) - below_a) < 0.02:
             continue  # must move mass across the threshold
         pop_r = pop_a.with_group("men", ConditionalScoreDensity(f0=cand, f1=men_a.f1))
-        mm = missed_positive(pop_r, "men")
+        mm, fo_men = declined(pop_r, "men")
         reshape_parity_residuals.append(abs(mm - mf))
-        suff_r = sufficiency_gap_binary(pop_r, rule)
-        reshape_false_omission_gaps.append(abs(suff_r.pos_given_r0["men"] - suff_r.pos_given_r0["women"]))
+        reshape_false_omission_gaps.append(abs(fo_men - fo_women))
         produced += 1
 
     metrics = {

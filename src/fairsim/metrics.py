@@ -74,6 +74,11 @@ def rates(counts: ConfusionCounts) -> RatePair:
     )
 
 
+def false_omission_rate(counts: ConfusionCounts) -> float:
+    """P(Y=1 | D=0) = fn/(fn+tn), via exact division."""
+    return _ratio(counts.fn, counts.fn + counts.tn)
+
+
 def _tally(data: AuditDataset, cell, cells: int, weights=None) -> np.ndarray:
     """Records, or their ``weights``, summed per group and cell: one row per
     label, from one ``bincount`` over all records, which adds each cell in
@@ -305,7 +310,7 @@ def sufficiency_gap_binary(source: PopulationModel | AuditDataset, rule: Decisio
         raise ValueError("sufficiency gap needs at least 2 groups")
     counts = {g: confusion(source, rule, g) for g in labels}
     pos_r1 = {g: _ratio(c.tp, c.tp + c.fp) for g, c in counts.items()}
-    pos_r0 = {g: _ratio(c.fn, c.fn + c.tn) for g, c in counts.items()}
+    pos_r0 = {g: false_omission_rate(c) for g, c in counts.items()}
     return SufficiencyGaps(
         pos_given_r1=pos_r1,
         pos_given_r0=pos_r0,

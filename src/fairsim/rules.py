@@ -44,8 +44,12 @@ class _ThresholdMix:
         return float(p) if p.ndim == 0 else p
 
     def decided_mass(self, density: ScoreDensity) -> Fraction:
-        """Exact mass of the density on which the policy decides 1."""
-        return sum(w * density.exact_mass_above(t) for w, t in self.mixture())
+        """Exact mass of the density on which the policy decides 1; a weight-1
+        term costs no Fraction product and a lone term no sum."""
+        first, *rest = (
+            density.exact_mass_above(t) if w == 1 else w * density.exact_mass_above(t) for w, t in self.mixture()
+        )
+        return sum(rest, first)
 
 
 @dataclass(frozen=True)
@@ -245,7 +249,10 @@ def _roc_point_policy(csd: ConditionalScoreDensity, fpr_target: Fraction, tpr_ta
     point back onto the target, which therefore must lie on or below the ROC.
     A target on an axis takes the same walk along that axis.
     """
-    p1 = csd.f1.exact_total()
+    grid = csd.grid_size
+    n1, d1 = csd.f1.boundary_numerators(), csd.f1.exact_denominator
+    n0, d0 = csd.f0.boundary_numerators(), csd.f0.exact_denominator
+    p1 = csd.f1.exact_total()  # read off the suffixes just built
     p0 = csd.f0.exact_total()
     if p1 == 0 or p0 == 0:
         raise InfeasibleRuleError("group has a degenerate outcome class; rates undefined")
@@ -254,9 +261,6 @@ def _roc_point_policy(csd: ConditionalScoreDensity, fpr_target: Fraction, tpr_ta
     if fpr_target == 1 and tpr_target == 1:
         return DeterministicThreshold(0.0)
 
-    grid = csd.grid_size
-    n1, d1 = csd.f1.boundary_numerators(), csd.f1.exact_denominator
-    n0, d0 = csd.f0.boundary_numerators(), csd.f0.exact_denominator
     c1 = fpr_target * p0
     c0 = tpr_target * p1
 

@@ -417,3 +417,34 @@ def test_boundary_numerators_are_the_exact_suffix_masses(weights, threshold):
         Fraction(0),
     )
     assert density.exact_mass_above(threshold) == above
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    grid=st.one_of(st.sampled_from([1, 2, 3, 1000, 4095, 4096]), st.integers(1, 4096)),
+    palette=st.lists(EXACT_WEIGHTS, min_size=1, max_size=6),
+    share=st.floats(0.0, 1.0),
+    low=st.integers(-1080, 80),
+    span=st.integers(0, 24),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_total_is_the_suffix_head_before_and_after_the_suffix(grid, palette, share, low, span, seed):
+    # cells drawn from the palette, the rest full mantissas over exponents
+    # low..low+span: a narrow span scales within int64, a wide one does not
+    rng = np.random.default_rng(seed)
+    spread = np.ldexp(rng.uniform(0.5, 1.0, grid), rng.integers(low, low + span + 1, grid))
+    picked = np.array(palette)[rng.integers(len(palette), size=grid)]
+    weights = np.where(rng.random(grid) < share, picked, spread)
+    exact = sum(map(Fraction, weights.tolist()), Fraction(0)) / grid
+
+    first_total = ScoreDensity(weights)
+    total = first_total.total_mass()
+    assert first_total.exact_total() == exact
+    numerators, denominator = first_total.boundary_numerators(), first_total.exact_denominator
+    assert Fraction(numerators[0], denominator) == exact
+    assert (numerators[0] / denominator).hex() == total.hex()
+
+    first_suffix = ScoreDensity(weights)
+    first_suffix.boundary_numerators()
+    assert first_suffix.total_mass().hex() == total.hex()
+    assert first_suffix.exact_total() == exact

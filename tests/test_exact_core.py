@@ -2,16 +2,20 @@
 
 Exact arithmetic lives in one integer core in ``densities``; every other
 module goes through its public API (``boundary_numerators``,
-``exact_denominator``, ``exact_mass_above`` and friends). Weighted draws go
+``exact_denominator``, ``exact_mass_above`` and friends), and a total is
+read without building the boundary numerators. Weighted draws go
 through one sampler, decisions through one policy path, dataset records
 through one tally, and no import is left unused."""
 
 import ast
 from pathlib import Path
 
-import fairsim
+import numpy as np
 
-PRIVATE = {"_integer_form"}
+import fairsim
+from fairsim import ConditionalScoreDensity, ScoreDensity
+
+PRIVATE = {"_integer_form", "_total_form", "_scaled_numerators", "_suffix_form"}
 
 
 def test_only_densities_touches_the_private_exact_core():
@@ -34,6 +38,19 @@ def test_only_densities_touches_the_private_exact_core():
             if name in PRIVATE:
                 offenders.append(f"{path.relative_to(package)}:{node.lineno}: {name}")
     assert offenders == []
+
+
+def test_a_calibrated_build_leaves_the_marginals_without_a_suffix():
+    """Building a calibrated group reads one total from the raw and the
+    normalized marginal; neither builds its G + 1 boundary numerators."""
+    grid = 4096
+    rng = np.random.default_rng(3)
+    raw = ScoreDensity(rng.uniform(0.2, 1.0, grid) * (1.0 - 0.8 * ((np.arange(grid) + 0.5) / grid - 0.5)))
+    marginal = raw.normalized()
+    ConditionalScoreDensity.calibrated(marginal)
+    for density in (raw, marginal):
+        assert "_total_form" in density.__dict__
+        assert "_integer_form" not in density.__dict__
 
 
 def test_only_draw_categorical_draws_weighted_choices():
