@@ -41,6 +41,7 @@ from .metrics import (
     separation_gap,
     sufficiency_gap_binary,
     within_group_calibration_error,
+    within_group_calibration_errors,
 )
 from .rules import (
     DecisionRule,

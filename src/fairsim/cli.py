@@ -20,11 +20,11 @@ from typing import get_args
 from .densities import AuditDataset, is_defined
 from .experiments import EXPERIMENTS
 from .metrics import (
-    _tally,
     between_group_calibration_gap,
     separation_gap,
     sufficiency_gap_binary,
-    within_group_calibration_error,
+    tally,
+    within_group_calibration_errors,
 )
 from .reports import render_doc, render_text
 from .utility import CONVENTIONS
@@ -135,7 +135,7 @@ def audit(csv_path: str, bins: int = 10, tol: float = 1e-6) -> dict:
         raise ValueError(f"audit needs at least 2 groups, found {len(labels)} ({', '.join(labels)})")
 
     report: dict = {"input": {"path": str(csv_path), "records": len(data), "groups": len(labels)}}
-    counts = _tally(data, data.outcome, 2)  # records with outcome 0 and 1, one row per group
+    counts = tally(data, data.outcome, 2)  # records with outcome 0 and 1, one row per group
     report["base_rate"] = dict(zip(labels, (counts[:, 1] / counts.sum(axis=1)).tolist()))
 
     calib = between_group_calibration_gap(data, bins=bins)
@@ -144,11 +144,8 @@ def audit(csv_path: str, bins: int = 10, tol: float = 1e-6) -> dict:
         "l1_gap": calib.l1_gap,
         "holds": is_defined(calib.sup_gap) and calib.sup_gap <= tol,
     }
-    within = {}
-    for g in labels:
-        w = within_group_calibration_error(data, g, bins=bins)
-        within[g] = {"sup_error": w.sup_error, "l1_error": w.l1_error}
-    report["within_group"] = within
+    within = within_group_calibration_errors(data, bins=bins)
+    report["within_group"] = {g: {"sup_error": w.sup_error, "l1_error": w.l1_error} for g, w in within.items()}
 
     if data.decisions_complete():
         sep = separation_gap(data)

@@ -79,11 +79,36 @@ def false_omission_rate(counts: ConfusionCounts) -> float:
     return _ratio(counts.fn, counts.fn + counts.tn)
 
 
-def _tally(data: AuditDataset, cell, cells: int, weights=None) -> np.ndarray:
-    """Records, or their ``weights``, summed per group and cell: one row per
-    label, from one ``bincount`` over all records, which adds each cell in
-    record order just as a ``bincount`` of one group's records does."""
+def tally(data: AuditDataset, cell, cells: int, weights=None) -> np.ndarray:
+    """Records, or their ``weights``, summed per group and cell, where ``cell``
+    gives each record's cell in ``range(cells)``: one row per label, from one
+    ``bincount`` over all records, which adds each cell in record order just
+    as a ``bincount`` of one group's records does."""
     return np.bincount(data.codes * cells + cell, weights, len(data.labels) * cells).reshape(-1, cells)
+
+
+def _confusion_tables(source: PopulationModel | AuditDataset, rule: DecisionRule | None, groups) -> dict:
+    """Each named group's ``confusion`` table, checked in the order given. One
+    tally of the recorded decisions serves every group; a rule tallies every
+    record once per mixture component of a group's policy."""
+    if isinstance(source, PopulationModel):
+        if rule is None:
+            raise ValueError("analytic confusion requires a decision rule")
+        return {g: ConfusionCounts(*group_confusion_masses(source.group(g), rule.for_group(g))) for g in groups}
+
+    cell = source.outcome * 3 + 1  # plus the decision, which is -1 where missing
+    if rule is None:  # with no decision column, every decision is missing
+        counts = tally(source, cell + (-1 if source.decision is None else source.decision), 6)
+    tables = {}
+    for g in groups:
+        row = group_index(source.labels, g)
+        if rule is not None:  # every record decided by this group's policy
+            counts = sum(w * tally(source, cell + (source.score > float(t)), 6) for w, t in rule.for_group(g).mixture())
+        missing_y0, tn, fp, missing_y1, fn, tp = counts[row].tolist()
+        if missing_y0 or missing_y1:
+            raise ValueError(f"group {g!r} has records without decisions and no rule was given")
+        tables[g] = ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
+    return tables
 
 
 def confusion(source: PopulationModel | AuditDataset, rule: DecisionRule | None, group: str) -> ConfusionCounts:
@@ -94,22 +119,7 @@ def confusion(source: PopulationModel | AuditDataset, rule: DecisionRule | None,
     is None; a randomized rule on a dataset yields expected (fractional)
     counts rather than draws.
     """
-    if isinstance(source, PopulationModel):
-        if rule is None:
-            raise ValueError("analytic confusion requires a decision rule")
-        tp, fp, fn, tn = group_confusion_masses(source.group(group), rule.for_group(group))
-        return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
-
-    row = group_index(source.labels, group)
-    if rule is None:  # the recorded decisions, weight 1; with no column, each is missing (-1)
-        components = [(1, -1 if source.decision is None else source.decision)]
-    else:
-        components = [(w, source.score > float(t)) for w, t in rule.for_group(group).mixture()]
-    counts = sum(w * _tally(source, source.outcome * 3 + decided + 1, 6)[row] for w, decided in components)
-    missing_y0, tn, fp, missing_y1, fn, tp = counts.tolist()  # cell outcome * 3 + decision + 1
-    if missing_y0 or missing_y1:
-        raise ValueError(f"group {group!r} has records without decisions and no rule was given")
-    return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
+    return _confusion_tables(source, rule, [group])[group]
 
 
 def spread(values) -> float:
@@ -188,9 +198,9 @@ def _level_tallies(source: PopulationModel | AuditDataset, bins: int) -> tuple:
     if bins < 1:
         raise ValueError("bins must be at least 1")
     bin_of = cell_index(source.score, bins)
-    total = _tally(source, bin_of, bins).astype(float)
-    positive = _tally(source, bin_of, bins, source.outcome)
-    reference = conditional_rate(_tally(source, bin_of, bins, source.score), total)
+    total = tally(source, bin_of, bins).astype(float)
+    positive = tally(source, bin_of, bins, source.outcome)
+    reference = conditional_rate(tally(source, bin_of, bins, source.score), total)
     return cell_midpoints(bins), positive, total, reference, np.ones(len(total)), 1
 
 
@@ -203,10 +213,8 @@ def between_group_calibration_gap(
     if len(total) < 2:
         raise ValueError("calibration gap needs at least 2 groups")
     group_rates = conditional_rate(positive, total)
-    pooled_pos = pooled_tot = 0.0
-    for weight, pos, tot in zip(weights, positive, total):  # row by row, in label order
-        pooled_pos = pooled_pos + weight * pos
-        pooled_tot = pooled_tot + weight * tot
+    pooled_pos = sum(weight * pos for weight, pos in zip(weights, positive))  # row by row, in label order
+    pooled_tot = sum(weight * tot for weight, tot in zip(weights, total))
     level_mass = pooled_tot / divisor
     gap = _per_level_max_gap(group_rates)
     sup_gap, l1_gap = _summarize_gaps(gap, level_mass)
@@ -233,27 +241,26 @@ class WithinGroupCalibration:
     l1_error: float
 
 
+def within_group_calibration_errors(
+    source: PopulationModel | AuditDataset, bins: int = 10
+) -> dict[str, WithinGroupCalibration]:
+    """Each group's deviation from the classical calibration identity
+    (positive rate at score r equals r), keyed by label in label order.
+    Empirical levels compare against the mean score within each bin."""
+    levels, positive, total, reference, _, divisor = _level_tallies(source, bins)
+    observed = conditional_rate(positive, total)
+    error = np.abs(observed - reference)
+    rows = zip(source.labels, observed, reference, error, total / divisor)
+    return {g: WithinGroupCalibration(levels, o, r, e, *_summarize_gaps(e, mass)) for g, o, r, e, mass in rows}
+
+
 def within_group_calibration_error(
     source: PopulationModel | AuditDataset, group: str, bins: int = 10
 ) -> WithinGroupCalibration:
-    """Deviation of the group's score from the classical calibration identity
-    (positive rate at score r equals r). Empirical levels compare against the
-    mean score within each bin."""
-    levels, positive, total, reference, _, divisor = _level_tallies(source, bins)
-    row = group_index(source.labels, group)
-    positive, total, reference = positive[row], total[row], reference[row]
-    observed = conditional_rate(positive, total)
-    mass = total / divisor
-    error = np.abs(observed - reference)
-    sup_error, l1_error = _summarize_gaps(error, mass)
-    return WithinGroupCalibration(
-        levels=levels,
-        observed=observed,
-        reference=reference,
-        error=error,
-        sup_error=sup_error,
-        l1_error=l1_error,
-    )
+    """One group's row of ``within_group_calibration_errors``."""
+    reports = within_group_calibration_errors(source, bins)
+    group_index(source.labels, group)  # an unknown group's KeyError
+    return reports[group]
 
 
 class _TwoGaps:
@@ -281,10 +288,9 @@ class SeparationGaps(_TwoGaps):
 
 
 def separation_gap(source: PopulationModel | AuditDataset, rule: DecisionRule | None = None) -> SeparationGaps:
-    labels = source.labels
-    if len(labels) < 2:
+    if len(source.labels) < 2:
         raise ValueError("separation gap needs at least 2 groups")
-    pairs = {g: rates(confusion(source, rule, g)) for g in labels}
+    pairs = {g: rates(c) for g, c in _confusion_tables(source, rule, source.labels).items()}
     return SeparationGaps(
         rate_pairs=pairs,
         fpr_gap=spread(rp.fpr for rp in pairs.values()),
@@ -305,10 +311,9 @@ class SufficiencyGaps(_TwoGaps):
 
 
 def sufficiency_gap_binary(source: PopulationModel | AuditDataset, rule: DecisionRule | None = None) -> SufficiencyGaps:
-    labels = source.labels
-    if len(labels) < 2:
+    if len(source.labels) < 2:
         raise ValueError("sufficiency gap needs at least 2 groups")
-    counts = {g: confusion(source, rule, g) for g in labels}
+    counts = _confusion_tables(source, rule, source.labels)
     pos_r1 = {g: _ratio(c.tp, c.tp + c.fp) for g, c in counts.items()}
     pos_r0 = {g: false_omission_rate(c) for g, c in counts.items()}
     return SufficiencyGaps(

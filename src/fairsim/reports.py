@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import csv
 import math
-from pathlib import Path
 
 
 def format_value(value) -> str:
@@ -19,8 +18,6 @@ def format_value(value) -> str:
         if value == 0.0:
             return "0"
         return f"{value:.12g}"
-    if isinstance(value, int):
-        return str(value)
     return str(value)
 
 
@@ -52,7 +49,6 @@ def render_text(title: str, mapping: dict) -> str:
 
 def write_series_csv(path, points) -> None:
     """Write one plot series as an x,y CSV file."""
-    path = Path(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("x", "y"))

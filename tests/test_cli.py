@@ -7,8 +7,10 @@ from typing import Literal, get_args, get_origin
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fairsim import sample, solve_equalized_odds
-from fairsim import experiments
+import numpy as np
+
+from fairsim import AuditDataset, sample, solve_equalized_odds
+from fairsim import cli, experiments, metrics
 from fairsim.experiments import ExperimentReport
 from fairsim.cli import (
     MAX_BINS,
@@ -18,6 +20,7 @@ from fairsim.cli import (
     SIZE_BOUNDS,
     _build_parser,
     _parse_overrides,
+    audit,
     main,
 )
 from _helpers import judge_population
@@ -135,6 +138,37 @@ def test_audit_without_decisions_skips_rate_metrics(tmp_path, capsys):
     values = doc_values(out)
     assert values["rates.available"] == "false"
     assert "separation.fpr_gap" not in values
+
+
+def test_audit_passes_over_the_records_as_often_for_six_groups_as_for_two(tmp_path, monkeypatch):
+    """Every metric of one ``audit`` reads all groups from one tally, so the
+    number of record tallies does not grow with the number of groups."""
+    calls = []
+    tally = metrics.tally
+
+    def counted(*args):
+        calls.append(args)
+        return tally(*args)
+
+    monkeypatch.setattr(metrics, "tally", counted)
+    monkeypatch.setattr(cli, "tally", counted)
+    rng = np.random.default_rng(5)
+    made = {}
+    for groups in (2, 6):
+        n = 600
+        data = AuditDataset(
+            group=[f"g{i}" for i in rng.integers(0, groups, n)],
+            score=rng.random(n),
+            outcome=rng.integers(0, 2, n),
+            decision=rng.integers(0, 2, n),
+        )
+        assert len(data.labels) == groups
+        path = tmp_path / f"{groups}.csv"
+        data.to_csv(path)
+        calls.clear()
+        audit(str(path), bins=10)
+        made[groups] = len(calls)
+    assert made[6] == made[2], made
 
 
 def test_audit_writes_report_file(tmp_path, capsys):

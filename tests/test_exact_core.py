@@ -5,7 +5,8 @@ module goes through its public API (``boundary_numerators``,
 ``exact_denominator``, ``exact_mass_above`` and friends), and a total is
 read without building the boundary numerators. Weighted draws go
 through one sampler, decisions through one policy path, dataset records
-through one tally, and no import is left unused."""
+through one tally, no module reaches into another's private names, and
+no import is left unused."""
 
 import ast
 from pathlib import Path
@@ -83,6 +84,56 @@ def test_only_densities_uses_group_mask():
             name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
             if name == "group_mask":
                 offenders.append(f"{path.relative_to(package)}:{node.lineno}")
+    assert offenders == []
+
+
+def _private_names(tree: ast.Module) -> set[str]:
+    """The single-underscore (not dunder) names a module defines at top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {n for n in names if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))}
+
+
+def _package_module(node: ast.ImportFrom) -> str | None:
+    """The package module a ``from ... import`` reads: '' for the package
+    itself, None for a module outside it."""
+    dotted = "." * node.level + (node.module or "")
+    if dotted == "fairsim" or dotted.startswith("fairsim."):
+        return dotted[len("fairsim.") :]
+    return dotted[1:] if node.level == 1 else None
+
+
+def test_no_module_reaches_into_another_modules_private_names():
+    """A single-underscore name defined at the top of one fairsim module is
+    that module's own: no other module imports it, or reads it off the
+    module as an attribute."""
+    package = Path(fairsim.__file__).parent
+    paths = sorted(package.glob("*.py"))
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in paths}
+    private = {name: _private_names(tree) for name, tree in trees.items()}
+    offenders = []
+    for name, tree in trees.items():
+        modules = {}  # a name bound in this module to a package module -> that module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("fairsim.") and alias.name[len("fairsim.") :] in trees:
+                        modules[alias.asname or alias.name] = alias.name[len("fairsim.") :]
+            elif isinstance(node, ast.ImportFrom) and (source := _package_module(node)) is not None:
+                for alias in node.names:
+                    if source == "" and alias.name in trees:
+                        modules[alias.asname or alias.name] = alias.name
+                    elif source != name and alias.name in private.get(source or "__init__", ()):
+                        offenders.append(f"{name}.py:{alias.lineno}: {alias.name}")
+        for node in ast.walk(tree):
+            owner = modules.get(ast.unparse(node.value)) if isinstance(node, ast.Attribute) else None
+            if owner not in (None, name) and node.attr in private[owner]:
+                offenders.append(f"{name}.py:{node.lineno}: {node.attr}")
     assert offenders == []
 
 

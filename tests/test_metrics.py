@@ -28,10 +28,11 @@ from fairsim import (
     solve_parity_ratio,
     sufficiency_gap_binary,
     within_group_calibration_error,
+    within_group_calibration_errors,
 )
 from fairsim.cli import audit
 from fairsim.densities import cell_index, cell_midpoints, conditional_rate
-from fairsim.metrics import _per_level_max_gap, _summarize_gaps, spread
+from fairsim.metrics import _per_level_max_gap, _ratio, _summarize_gaps, false_omission_rate, spread
 from _helpers import (
     calibrated_uniform_pair,
     judge_population,
@@ -281,6 +282,8 @@ def test_the_all_group_tally_matches_per_group_masks_bit_for_bit(data, bins, t, 
         for rule in rules:
             assert _cells(_result(confusion, data, rule, g)) == _cells(_result(_masked_confusion, data, rule, g))
 
+    every = within_group_calibration_errors(data, bins=bins)
+    assert list(every) == list(data.labels)
     for g in data.labels:
         got = within_group_calibration_error(data, g, bins=bins)
         positive, total, reference = _masked_level_tallies(data, g, bins)
@@ -288,6 +291,8 @@ def test_the_all_group_tally_matches_per_group_masks_bit_for_bit(data, bins, t, 
         error = np.abs(observed - reference)
         want = (cell_midpoints(bins), observed, reference, error, *_summarize_gaps(error, total))
         assert _bits(got.levels, got.observed, got.reference, got.error, got.sup_error, got.l1_error) == _bits(*want)
+        row = every[g]
+        assert _bits(row.levels, row.observed, row.reference, row.error, row.sup_error, row.l1_error) == _bits(*want)
     assert _result(within_group_calibration_error, data, "zz", bins) == _result(data.group_mask, "zz")
 
     if len(data.labels) < 2:
@@ -307,6 +312,25 @@ def test_the_all_group_tally_matches_per_group_masks_bit_for_bit(data, bins, t, 
     assert _bits(got.sup_gap, got.l1_gap) == _bits(*_summarize_gaps(gap, pooled_tot))
     assert list(got.group_rates) == list(group_rates)
     assert _bits(*got.group_rates.values()) == _bits(*group_rates.values())
+
+    for rule in rules:  # separation and sufficiency from the per-group masked tables, or their first error
+        tables = [_result(_masked_confusion, data, rule, g) for g in data.labels]
+        first_error = next((t for t in tables if isinstance(t, tuple)), None)
+        sep, suff = _result(separation_gap, data, rule), _result(sufficiency_gap_binary, data, rule)
+        if first_error is not None:
+            assert sep == suff == first_error
+            continue
+        pairs = [rates(c) for c in tables]
+        fpr, fnr = [p.fpr for p in pairs], [p.fnr for p in pairs]
+        assert list(sep.rate_pairs) == list(data.labels)
+        got_pairs = list(sep.rate_pairs.values())
+        assert _bits(*[p.fpr for p in got_pairs], *[p.fnr for p in got_pairs]) == _bits(*fpr, *fnr)
+        assert _bits(sep.fpr_gap, sep.fnr_gap) == _bits(spread(fpr), spread(fnr))
+        r1 = [_ratio(c.tp, c.tp + c.fp) for c in tables]
+        r0 = [false_omission_rate(c) for c in tables]
+        assert list(suff.pos_given_r1) == list(suff.pos_given_r0) == list(data.labels)
+        assert _bits(*suff.pos_given_r1.values(), *suff.pos_given_r0.values()) == _bits(*r1, *r0)
+        assert _bits(suff.gap_r1, suff.gap_r0) == _bits(spread(r1), spread(r0))
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "records.csv"
