@@ -14,6 +14,7 @@ import itertools
 import math
 import mmap
 import os
+import re
 import stat
 import warnings
 from dataclasses import dataclass
@@ -368,6 +369,9 @@ NO_DECISION = -1
 #: stay text, so they are checked exactly as the row reader checks them.
 _CSV_RECORD = np.dtype([("group", object), ("score", "f8"), ("outcome", object), ("decision", object)])
 
+#: A Unicode control character (category Cc), which could forge a report line.
+_CONTROL_CHARACTER = re.compile("[\x00-\x1f\x7f-\x9f]")
+
 #: Records per chunk in ``to_csv``; bounds the text held in memory at once.
 _WRITE_CHUNK = 1 << 16
 
@@ -537,9 +541,8 @@ def _read_columns(path) -> AuditDataset | None:
     A cell on one line is within the csv field-size limit whenever the line
     is. When the file has more non-blank lines than records and header, as it
     does for a quoted cell spread over lines, the cells are checked against
-    the limit by ``csv.reader``. ``np.loadtxt`` opens the file with universal
-    newlines, which turn a quoted CR LF into LF, so a label holding a line
-    break is left to the row reader.
+    the limit by ``csv.reader``. A label that is padded or holds a control
+    character, such as a line break, is left to the row reader.
     """
     lines = _line_count(path, csv.field_size_limit())
     if lines is None:
@@ -564,7 +567,7 @@ def _read_columns(path) -> AuditDataset | None:
     if len(records) == 0 or (lines > len(records) + 1 and not _csv_reads(path)):
         return None
     labels, codes = _factorize(records["group"].tolist())
-    if not all(label and label == label.strip() and "\n" not in label for label in labels):
+    if not all(label and label == label.strip() and not _CONTROL_CHARACTER.search(label) for label in labels):
         return None
     score = np.ascontiguousarray(records["score"])
     if not np.all((score >= 0.0) & (score <= 1.0)):
@@ -601,6 +604,8 @@ def _read_rows(path) -> AuditDataset:
                 group, score_s, outcome_s, decision_s = (c.strip() for c in row)
                 if not group:
                     raise ValueError(f"row {line_no}: empty group label")
+                if _CONTROL_CHARACTER.search(group):
+                    raise ValueError(f"row {line_no}: group label {group!r} holds a control character")
                 try:
                     score = float(score_s)
                 except ValueError:

@@ -198,8 +198,8 @@ def _level_tallies(source: PopulationModel | AuditDataset, bins: int) -> tuple:
     if bins < 1:
         raise ValueError("bins must be at least 1")
     bin_of = cell_index(source.score, bins)
-    total = tally(source, bin_of, bins).astype(float)
-    positive = tally(source, bin_of, bins, source.outcome)
+    counts = tally(source, bin_of * 2 + source.outcome, bins * 2).reshape(-1, bins, 2).astype(float)
+    positive, total = counts[:, :, 1], counts.sum(axis=2)
     reference = conditional_rate(tally(source, bin_of, bins, source.score), total)
     return cell_midpoints(bins), positive, total, reference, np.ones(len(total)), 1
 

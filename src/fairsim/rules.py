@@ -243,11 +243,13 @@ def coarsen(pop: PopulationModel, rule: DecisionRule) -> PopulationModel:
 def _roc_point_policy(csd: ConditionalScoreDensity, fpr_target: Fraction, tpr_target: Fraction) -> Policy:
     """Policy whose exact (fpr, tpr) equals the target point.
 
-    Walks the group's ROC polyline (piecewise linear in the threshold) for a
-    crossing with the ray from (0,0) through the target, then mixes that
-    threshold with the always-decline threshold 1. The mix scales the crossing
-    point back onto the target, which therefore must lie on or below the ROC.
-    A target on an axis takes the same walk along that axis.
+    Walks the group's ROC polyline (piecewise linear in the threshold) from
+    threshold 0 upward and stops at its first crossing with the ray from (0,0)
+    through the target, then mixes that threshold with the always-decline
+    threshold 1. Both decided masses only shrink as the threshold rises, so
+    the first crossing reaches farthest along the ray. The mix scales the
+    crossing point back onto the target, which therefore must lie on or below
+    the ROC. A target on an axis takes the same walk along that axis.
     """
     grid = csd.grid_size
     n1, d1 = csd.f1.boundary_numerators(), csd.f1.exact_denominator
@@ -265,40 +267,32 @@ def _roc_point_policy(csd: ConditionalScoreDensity, fpr_target: Fraction, tpr_ta
     c0 = tpr_target * p1
 
     # h[k] = a1[k]*c1 - a0[k]*c0, with a_y[k] the mass of f_y above boundary
-    # k, is the integer n1[k]*x1 - n0[k]*x0 over the positive h_den.
+    # k, is the integer n1[k]*x1 - n0[k]*x0 over a positive denominator. The
+    # ROC meets the ray where h is 0; h[grid] is 0, so the walk always stops.
     x1 = c1.numerator * c0.denominator * d0
     x0 = c0.numerator * c1.denominator * d1
-    h_den = d1 * d0 * c1.denominator * c0.denominator
-    h = [m1 * x1 - m0 * x0 for m1, m0 in zip(n1, n0)]
+    for k in range(grid + 1):
+        h = n1[k] * x1 - n0[k] * x0
+        if h == 0:
+            t, mass1, mass0 = Fraction(k, grid), Fraction(n1[k], d1), Fraction(n0[k], d0)
+            break
+        if k and (h > 0) != (h_prev > 0):
+            w1 = Fraction((n1[k - 1] - n1[k]) * grid, d1)
+            w0 = Fraction((n0[k - 1] - n0[k]) * grid, d0)
+            # within cell k - 1: masses are linear in u = k/grid - t
+            u = Fraction(-h, d1 * d0 * c1.denominator * c0.denominator) / (w1 * c1 - w0 * c0)
+            t, mass1, mass0 = Fraction(k, grid) - u, Fraction(n1[k], d1) + w1 * u, Fraction(n0[k], d0) + w0 * u
+            break
+        h_prev = h
 
-    # (threshold, decided f1 mass, decided f0 mass) where the ROC meets the ray
-    candidates: list[tuple[Fraction, Fraction, Fraction]] = []
-    for k in range(grid):
-        if h[k] == 0 and (n1[k] > 0 or n0[k] > 0):
-            candidates.append((Fraction(k, grid), Fraction(n1[k], d1), Fraction(n0[k], d0)))
-        if (h[k] > 0 > h[k + 1]) or (h[k] < 0 < h[k + 1]):
-            w1 = Fraction((n1[k] - n1[k + 1]) * grid, d1)
-            w0 = Fraction((n0[k] - n0[k + 1]) * grid, d0)
-            # within cell k: masses are linear in u = (k+1)/grid - t
-            slope = w1 * c1 - w0 * c0
-            u = Fraction(-h[k + 1], h_den) / slope
-            t = Fraction(k + 1, grid) - u
-            candidates.append((t, Fraction(n1[k + 1], d1) + w1 * u, Fraction(n0[k + 1], d0) + w0 * u))
-
-    best = None
-    for t, mass1, mass0 in candidates:
-        # achieved rate over target rate along the ray, read on the tpr axis
-        # unless the target lies on the fpr axis
-        lam = mass1 / c0 if c0 else mass0 / c1
-        if best is None or lam > best[0]:
-            best = (lam, t)
-    if best is None or best[0] < 1:
-        reach = float(best[0]) if best is not None else 0.0
+    # achieved rate over target rate along the ray, read on the tpr axis
+    # unless the target lies on the fpr axis
+    lam = mass1 / c0 if c0 else mass0 / c1
+    if lam < 1:
         raise InfeasibleRuleError(
             f"target (fpr={float(fpr_target):.6g}, tpr={float(tpr_target):.6g}) lies above the "
-            f"group's ROC curve (best reach {reach:.6g} of the target along its ray)"
+            f"group's ROC curve (best reach {float(lam):.6g} of the target along its ray)"
         )
-    lam, t = best
     if lam == 1:
         return DeterministicThreshold(t)
     return RandomizedThreshold(lower=t, upper=Fraction(1), mix=1 / lam)

@@ -1,3 +1,4 @@
+import csv
 import functools
 import inspect
 import shlex
@@ -68,21 +69,21 @@ def test_audit_flags_malformed_scores(tmp_path, capsys):
     assert "row 3" in err
 
 
-def test_audit_keeps_a_trailing_nul_label_apart(tmp_path, capsys):
-    path = tmp_path / "nul.csv"
-    path.write_text("group,score,outcome,decision\na\x00,0.9,1,1\na\x00,0.1,0,0\nb,0.9,1,1\nb,0.2,1,0\n")
+@pytest.mark.parametrize(
+    "label",
+    ["a\nb = 9", "x\x01y", "a\x00", "a\x9fb"],
+    ids=["forged-key", "raw-byte", "trailing-nul", "c1-control"],
+)
+def test_audit_rejects_a_label_that_holds_a_control_character(tmp_path, capsys, label):
+    # Printed as is, the first label would add the report line "b = 9 = 1".
+    path = tmp_path / "control.csv"
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [("group", "score", "outcome", "decision"), ("b", 0.9, 1, 1), (label, 0.9, 1, 1), (label, 0.1, 0, 0)]
+        )
     code, out, err = run_cli(capsys, "audit", "--input", str(path), "--format", "doc")
-    assert code == 0, err
-    values = doc_values(out)
-    assert values["input.groups"] == "2"
-    assert (values["base_rate.a\x00"], values["base_rate.b"]) == ("0.5", "1")
-    with path.open("a") as fh:
-        fh.write("a,0.9,0,1\n")
-    code, out, err = run_cli(capsys, "audit", "--input", str(path), "--format", "doc")
-    assert code == 0, err
-    values = doc_values(out)
-    assert values["input.groups"] == "3"
-    assert (values["base_rate.a\x00"], values["base_rate.a"]) == ("0.5", "0")
+    assert (code, out) == (1, "")
+    assert err == f"audit error: row 3: group label {label!r} holds a control character\n"
 
 
 def test_audit_reports_an_oversized_field_on_one_line(tmp_path, capsys):

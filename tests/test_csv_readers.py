@@ -20,10 +20,12 @@ from fairsim.densities import _line_count, _read_columns, _read_rows
 HEADER = "group,score,outcome,decision"
 
 # Cells both readers accept, and cells that the vectorized reader leaves to
-# the row reader (padding, line breaks, over-long cells) or that neither accepts.
-LABELS = ["a", "b", "White", "a,b", 'x"y', '""', "#c", "# c", "a\x00", "\x00", "\u00e9", "\u65e5\u672c"]
+# the row reader (padding, control characters, over-long cells) or that
+# neither accepts.
+LABELS = ["a", "b", "White", "a,b", 'x"y', '""', "#c", "# c", "\u00e9", "\u65e5\u672c"]
 ODD_LABELS = [
     "a\nb", "a\r\nb", "a\rb", " a", "a ", "\ta", "", "a\u2003", "a\x1c", "\x0cb", "q" * 45,
+    "a\x00", "\x00", "a\x01b", "a\x7fb",
 ]
 SCORES = ["0", "1", "0.5", "0.25", "1.0", "-0.0", "0.1234567890123456789", "1e-3", "+.5", " 0.5", "0.5 ", "\t0.5"]
 ODD_SCORES = [

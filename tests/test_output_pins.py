@@ -5,7 +5,9 @@ not only across runs: a refactor or speed-up that moves one digit of a
 report or a series fails here. Each ``simulate`` case runs one experiment at
 its defaults plus the listed overrides and writes it in the default ``doc``
 format. Each ``audit`` case audits a seeded record file written by the test
-and pins its stdout in one format at one bin count."""
+and pins its stdout in one format at one bin count. The solver pin covers the
+``repr`` of every solved rule, or the text of every infeasible solve, on
+seeded random calibrated populations."""
 
 import csv
 import hashlib
@@ -13,6 +15,14 @@ import hashlib
 import numpy as np
 import pytest
 
+from fairsim import (
+    ConditionalScoreDensity,
+    InfeasibleRuleError,
+    PopulationModel,
+    ScoreDensity,
+    solve_equalized_odds,
+    solve_parity_ratio,
+)
 from fairsim.cli import main
 from fairsim.experiments import EXPERIMENTS
 
@@ -152,3 +162,39 @@ def test_audit_stdout_bytes_are_pinned(decisions, fmt, bins, tmp_path, monkeypat
     out = capsys.readouterr().out
     key = f"{'decided' if decisions else 'undecided'}-{fmt}-{bins}"
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == AUDIT_SHA256[key]
+
+
+def solver_population(k: int) -> tuple[PopulationModel, float]:
+    """Seeded calibrated two-group population k and a reference threshold.
+
+    Grids alternate between 1024 and 4096. Each marginal is random positive
+    weights under a linear tilt, so base rates and ROC curves differ; every
+    fifth population has two identical groups, and every third threshold is
+    a grid boundary. Wide tilts and thresholds make some solves infeasible.
+    """
+    rng = np.random.default_rng([20261018, k])
+    grid = (1024, 4096)[k % 2]
+    mids = (np.arange(grid) + 0.5) / grid
+    slopes = rng.uniform(-1.8, 1.8, 2)
+    weights = {g: rng.uniform(0.2, 1.0, grid) * (1.0 + s * (mids - 0.5)) for g, s in zip("ab", slopes)}
+    if k % 5 == 4:
+        weights["b"] = weights["a"]
+    threshold = int(rng.integers(1, grid)) / grid if k % 3 == 0 else float(rng.uniform(0.05, 0.95))
+    groups = {g: ConditionalScoreDensity.calibrated(ScoreDensity(w).normalized()) for g, w in weights.items()}
+    return PopulationModel(groups=groups), threshold
+
+
+def test_solved_rules_are_pinned():
+    # 80 solves: 24 equalized-odds rules (8 of them deterministic), 16
+    # infeasible equalized-odds targets, 39 parity rules and 1 infeasible one.
+    digest = hashlib.sha256()
+    for k in range(20):
+        pop, threshold = solver_population(k)
+        for reference in ("a", "b"):
+            for solve in (solve_equalized_odds, solve_parity_ratio):
+                try:
+                    out = repr(solve(pop, reference, threshold))
+                except InfeasibleRuleError as exc:
+                    out = "ERR " + str(exc)
+                digest.update(out.encode("utf-8") + b"\0")
+    assert digest.hexdigest() == "dfb860385b8c3153d096f582a22f98f5a32dd2d92842b53549bb075641267ba3"

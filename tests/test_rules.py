@@ -317,6 +317,95 @@ def test_axis_targets_are_met_exactly_or_unreachable_at_every_boundary(instance)
         assert (fp / csd.f0.exact_total(), tp / csd.f1.exact_total()) == (fpr, tpr)
 
 
+def _farthest_crossing_policy(csd: ConditionalScoreDensity, fpr_target: Fraction, tpr_target: Fraction):
+    """Reference chord walk: collect every crossing of the ROC polyline with
+    the ray through the target, then take the one that reaches farthest along
+    it (the first one on ties)."""
+    grid = csd.grid_size
+    n1, d1 = csd.f1.boundary_numerators(), csd.f1.exact_denominator
+    n0, d0 = csd.f0.boundary_numerators(), csd.f0.exact_denominator
+    p1, p0 = csd.f1.exact_total(), csd.f0.exact_total()
+    if p1 == 0 or p0 == 0:
+        raise InfeasibleRuleError("group has a degenerate outcome class; rates undefined")
+    if fpr_target == 0 and tpr_target == 0:
+        return DeterministicThreshold(1.0)
+    if fpr_target == 1 and tpr_target == 1:
+        return DeterministicThreshold(0.0)
+    c1, c0 = fpr_target * p0, tpr_target * p1
+    # the mass of f_y above boundary k is n_y[k] / d_y; h[k] has the sign of
+    # (fpr, tpr) at boundary k relative to the ray
+    h = [Fraction(m1, d1) * c1 - Fraction(m0, d0) * c0 for m1, m0 in zip(n1, n0)]
+    candidates = []
+    for k in range(grid):
+        if h[k] == 0 and (n1[k] > 0 or n0[k] > 0):
+            candidates.append((Fraction(k, grid), Fraction(n1[k], d1), Fraction(n0[k], d0)))
+        if (h[k] > 0 > h[k + 1]) or (h[k] < 0 < h[k + 1]):
+            w1 = Fraction((n1[k] - n1[k + 1]) * grid, d1)
+            w0 = Fraction((n0[k] - n0[k + 1]) * grid, d0)
+            u = -h[k + 1] / (w1 * c1 - w0 * c0)
+            t = Fraction(k + 1, grid) - u
+            candidates.append((t, Fraction(n1[k + 1], d1) + w1 * u, Fraction(n0[k + 1], d0) + w0 * u))
+    best = None
+    for t, mass1, mass0 in candidates:
+        lam = mass1 / c0 if c0 else mass0 / c1
+        if best is None or lam > best[0]:
+            best = (lam, t)
+    if best is None or best[0] < 1:
+        reach = float(best[0]) if best is not None else 0.0
+        raise InfeasibleRuleError(
+            f"target (fpr={float(fpr_target):.6g}, tpr={float(tpr_target):.6g}) lies above the "
+            f"group's ROC curve (best reach {reach:.6g} of the target along its ray)"
+        )
+    lam, t = best
+    if lam == 1:
+        return DeterministicThreshold(t)
+    return RandomizedThreshold(lower=t, upper=Fraction(1), mix=1 / lam)
+
+
+@st.composite
+def _chord_targets(draw):
+    """A two-class group from small integer cell weights, whose ROC curve is
+    in general not concave and can cross a ray several times, and a target:
+    any rational point, a point on either axis, or the ROC point of a grid
+    boundary scaled by 1/2, 1 or 6/5."""
+    grid = draw(st.integers(2, 12))
+    cells = st.lists(st.integers(0, 5), min_size=grid, max_size=grid)
+    w0, w1 = np.array(draw(cells)), np.array(draw(cells))
+    assume(w0.sum() > 0 and w1.sum() > 0)
+    csd = _two_class_group(w0, w1)
+    rate = st.fractions(0, 1, max_denominator=10**6)
+    kind = draw(st.sampled_from(["point", "axis", "boundary"]))
+    if kind == "point":
+        return csd, draw(rate), draw(rate)
+    if kind == "axis":
+        return (csd, Fraction(0), draw(rate)) if draw(st.booleans()) else (csd, draw(rate), Fraction(0))
+    n1, n0 = csd.f1.boundary_numerators(), csd.f0.boundary_numerators()
+    k = draw(st.integers(0, grid))
+    scale = draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(6, 5)]))
+    fpr, tpr = scale * Fraction(n0[k], n0[0]), scale * Fraction(n1[k], n1[0])
+    assume(fpr <= 1 and tpr <= 1)
+    return csd, fpr, tpr
+
+
+def _policy_or_error(solve, csd, fpr, tpr) -> str:
+    try:
+        return repr(solve(csd, fpr, tpr))
+    except InfeasibleRuleError as exc:
+        return f"InfeasibleRuleError: {exc}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(instance=_chord_targets())
+def test_the_first_crossing_is_the_farthest_crossing(instance):
+    """The walk stops at its first crossing of the ray; on any ROC curve,
+    however often it crosses the ray, that gives the policy or the error of
+    the scan over every crossing."""
+    csd, fpr, tpr = instance
+    assert _policy_or_error(_roc_point_policy, csd, fpr, tpr) == _policy_or_error(
+        _farthest_crossing_policy, csd, fpr, tpr
+    )
+
+
 def test_equalized_odds_needs_known_reference():
     pop = judge_population(64)
     with pytest.raises(KeyError):
