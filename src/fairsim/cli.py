@@ -29,9 +29,15 @@ from .metrics import (
 from .reports import render_doc, render_text
 from .utility import CONVENTIONS
 
-#: Largest ``--bins`` that ``audit`` accepts. Each group's calibration arrays
-#: hold one cell per bin, so the cap bounds their memory before any is built.
+#: Largest ``--bins`` that ``audit`` accepts, checked before the file is read.
+#: Each group's calibration arrays hold one cell per bin, so the cap bounds one
+#: group's arrays; ``MAX_LEVEL_CELLS`` bounds all groups' together.
 MAX_BINS = 100_000
+#: Largest groups x bins that ``audit`` accepts, checked once the file is read
+#: and the group count known, before any tally is built. A group-bin cell
+#: takes about 65 bytes across the tallies and reports, so the cap bounds
+#: them near 130 MiB.
+MAX_LEVEL_CELLS = 2_000_000
 
 #: Largest ``grid`` (cells per density) that ``simulate`` accepts. Exact
 #: solves and reshapes take time in proportion to it.
@@ -133,6 +139,11 @@ def audit(csv_path: str, bins: int = 10, tol: float = 1e-6) -> dict:
     labels = data.labels
     if len(labels) < 2:
         raise ValueError(f"audit needs at least 2 groups, found {len(labels)} ({', '.join(labels)})")
+    if len(labels) * bins > MAX_LEVEL_CELLS:
+        raise ValueError(
+            f"{len(labels)} groups at {bins} bins make {len(labels) * bins:,} calibration cells, "
+            f"over the cap of {MAX_LEVEL_CELLS:,}"
+        )
 
     report: dict = {"input": {"path": str(csv_path), "records": len(data), "groups": len(labels)}}
     counts = tally(data, data.outcome, 2)  # records with outcome 0 and 1, one row per group

@@ -53,13 +53,6 @@ def group_index(labels: tuple[str, ...], label: str) -> int:
     return labels.index(label)
 
 
-def _suffix_form(scaled: np.ndarray, den: int) -> tuple[tuple[int, ...], int]:
-    """``(suffix, den)`` with ``suffix[k]`` the Python-int sum of ``scaled[k:]``."""
-    suffix = list(itertools.accumulate(reversed(scaled.tolist()), initial=0))
-    suffix.reverse()
-    return tuple(suffix), den
-
-
 @dataclass(frozen=True)
 class ScoreDensity:
     """Nonnegative piecewise-constant density on a uniform grid over [0, 1].
@@ -92,6 +85,7 @@ class ScoreDensity:
     def midpoints(self) -> np.ndarray:
         return cell_midpoints(self.weights.size)
 
+    @cached_property
     def _scaled_numerators(self) -> tuple[np.ndarray, int]:
         """``(scaled, denominator)`` with ``scaled[k] / denominator`` the exact
         mass of cell k. Each cell weight is a binary float, an integer over a
@@ -122,28 +116,27 @@ class ScoreDensity:
         return scaled, (1 << -base) * self.weights.size
 
     @cached_property
-    def _integer_form(self) -> tuple[tuple[int, ...], int]:
-        """``(suffix, denominator)`` with ``suffix[k] / denominator`` the exact
-        mass of [k/G, 1]; built on first use."""
-        return _suffix_form(*self._scaled_numerators())
+    def _integer_form(self) -> tuple[int, ...]:
+        """The G + 1 suffix sums of the scaled numerators, as Python ints:
+        entry k is the numerator of the exact mass of [k/G, 1]; built on
+        first use."""
+        suffix = list(itertools.accumulate(reversed(self._scaled_numerators[0].tolist()), initial=0))
+        suffix.reverse()
+        return tuple(suffix)
 
-    @cached_property
-    def _total_form(self) -> tuple[int, int]:
-        """``(numerator, denominator)`` of the exact total mass, read off the
-        suffix when it is built and summed without it otherwise.
+    def _tail(self, k: int) -> int:
+        """Numerator over ``exact_denominator`` of the exact mass of [k/G, 1].
 
         An int64 numerator is below 2**62, so its high and low 31-bit limbs
         each sum within int64 over any grid below 2**32 cells. Python-int
         numerators cost about as much to sum as to accumulate, and the
         densities that hold them, the f0 and f1 of a calibrated group, are the
-        ones the solvers scan, so for them the suffix is built here."""
-        if "_integer_form" not in self.__dict__:
-            scaled, den = self._scaled_numerators()
-            if scaled.dtype == np.int64:
-                return (int((scaled >> 31).sum()) << 31) + int((scaled & 0x7FFFFFFF).sum()), den
-            self.__dict__["_integer_form"] = _suffix_form(scaled, den)
-        suffix, den = self._integer_form
-        return suffix[0], den
+        ones the solvers scan, so for them the suffix is built and read."""
+        scaled = self._scaled_numerators[0]
+        if scaled.dtype != np.int64:
+            return self._integer_form[k]
+        rest = scaled[k:]
+        return (int((rest >> 31).sum()) << 31) + int((rest & 0x7FFFFFFF).sum())
 
     def boundary_numerators(self) -> tuple[int, ...]:
         """Integer numerators over ``exact_denominator`` of the exact mass of
@@ -153,15 +146,15 @@ class ScoreDensity:
         exact scans can compare integers and build rationals only where they
         need one.
         """
-        return self._integer_form[0]
+        return self._integer_form
 
     @property
     def exact_denominator(self) -> int:
         """Common denominator of ``boundary_numerators()``: a power of two times G."""
-        return self._integer_form[1]
+        return self._scaled_numerators[1]
 
     def exact_total(self) -> Fraction:
-        return Fraction(*self._total_form)
+        return Fraction(self._tail(0), self.exact_denominator)
 
     def exact_mass_above(self, threshold) -> Fraction:
         """Exact mass of {s > threshold} under the piecewise-constant model."""
@@ -172,20 +165,18 @@ class ScoreDensity:
             return Fraction(0)
         # t = a/b lies in cell j: the cells above it, plus cell j's part over
         # [t, (j+1)/G], all over denominator * b
-        suffix, den = self._integer_form
+        scaled, den = self._scaled_numerators
         grid = self.weights.size
         j = a * grid // b
-        rest, cell = suffix[j + 1], suffix[j] - suffix[j + 1]
+        rest, cell = self._tail(j + 1), int(scaled[j])
         return Fraction(rest * b + cell * ((j + 1) * b - a * grid), den * b)
 
     def exact_mass_below(self, threshold) -> Fraction:
         """Exact mass of {s <= threshold}."""
-        above = self.exact_mass_above(threshold)  # builds the suffix that the total then reads
-        return self.exact_total() - above
+        return self.exact_total() - self.exact_mass_above(threshold)
 
     def total_mass(self) -> float:
-        numerator, den = self._total_form
-        return numerator / den  # int / int is correctly rounded
+        return self._tail(0) / self.exact_denominator  # int / int is correctly rounded
 
     def is_normalized(self, tol: float = 1e-9) -> bool:
         return abs(self.total_mass() - 1.0) <= tol
@@ -371,6 +362,22 @@ _CSV_RECORD = np.dtype([("group", object), ("score", "f8"), ("outcome", object),
 
 #: A Unicode control character (category Cc), which could forge a report line.
 _CONTROL_CHARACTER = re.compile("[\x00-\x1f\x7f-\x9f]")
+#: A lone surrogate (category Cs), which UTF-8 cannot encode.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _is_plain_label(label) -> bool:
+    """True for a group label that a record file gives back as it is: a
+    non-empty ``str`` with no surrounding space, no control character and no
+    surrogate."""
+    return (
+        isinstance(label, str)
+        and label != ""
+        and label == label.strip()
+        and not _CONTROL_CHARACTER.search(label)
+        and not _SURROGATE.search(label)
+    )
+
 
 #: Records per chunk in ``to_csv``; bounds the text held in memory at once.
 _WRITE_CHUNK = 1 << 16
@@ -384,6 +391,9 @@ class AuditDataset:
     ``labels`` lists each group once, in the order of its first record, and
     ``codes[i]`` is the index in ``labels`` of record i's group. The
     constructor takes the per-record labels; ``group`` derives them back.
+    Each label must be one that ``from_csv`` reads back as written: a
+    non-empty string that UTF-8 can encode, with no surrounding space or
+    control character.
     """
 
     codes: np.ndarray
@@ -404,6 +414,11 @@ class AuditDataset:
         return data
 
     def _set_columns(self, codes, labels, score, outcome, decision) -> None:
+        for label in labels:
+            if not _is_plain_label(label):
+                raise ValueError(
+                    f"group label {label!r} must be non-empty UTF-8 text with no surrounding space or control character"
+                )
         n = len(codes)
         score = np.asarray(score, dtype=float)
         outcome = np.asarray(outcome, dtype=np.int8)
@@ -567,7 +582,7 @@ def _read_columns(path) -> AuditDataset | None:
     if len(records) == 0 or (lines > len(records) + 1 and not _csv_reads(path)):
         return None
     labels, codes = _factorize(records["group"].tolist())
-    if not all(label and label == label.strip() and not _CONTROL_CHARACTER.search(label) for label in labels):
+    if not all(map(_is_plain_label, labels)):
         return None
     score = np.ascontiguousarray(records["score"])
     if not np.all((score >= 0.0) & (score <= 1.0)):

@@ -16,6 +16,7 @@ from fairsim.experiments import ExperimentReport
 from fairsim.cli import (
     MAX_BINS,
     MAX_GRID,
+    MAX_LEVEL_CELLS,
     MAX_RESHAPES,
     MAX_SAMPLES,
     SIZE_BOUNDS,
@@ -104,6 +105,24 @@ def test_audit_rejects_bins_outside_the_cap_before_reading(tmp_path, capsys, bin
     assert code == 1
     assert out == ""
     assert err == f"audit error: bins must be between 1 and {MAX_BINS}, got {int(bins)}\n"
+
+
+@pytest.mark.parametrize("groups", [20, 21])
+def test_audit_caps_groups_times_bins_after_reading(tmp_path, capsys, groups):
+    # MAX_BINS bounds one group's calibration arrays; MAX_LEVEL_CELLS bounds
+    # every group's together, before any tally is built.
+    path = tmp_path / "groups.csv"
+    path.write_text("group,score,outcome,decision\n" + "".join(f"g{k},0.5,{k % 2},\n" for k in range(groups)))
+    code, out, err = run_cli(capsys, "audit", "--input", str(path), "--bins", str(MAX_BINS))
+    if groups * MAX_BINS <= MAX_LEVEL_CELLS:
+        assert (code, err) == (0, "")
+        assert out.startswith("audit: ")
+    else:
+        assert (code, out) == (1, "")
+        assert err == (
+            f"audit error: {groups} groups at {MAX_BINS} bins make {groups * MAX_BINS:,} calibration cells, "
+            f"over the cap of {MAX_LEVEL_CELLS:,}\n"
+        )
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "-1e-300"])

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairsim import AuditDataset, densities
-from fairsim.densities import _line_count, _read_columns, _read_rows
+from fairsim.densities import _is_plain_label, _line_count, _read_columns, _read_rows
 
 HEADER = "group,score,outcome,decision"
 
@@ -178,7 +178,7 @@ def _csv_writer_rendering(data: AuditDataset) -> bytes:
             st.one_of(
                 st.sampled_from(LABELS + ODD_LABELS),
                 st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
-            ),
+            ).filter(_is_plain_label),
             st.floats(0.0, 1.0),
             st.integers(0, 1),
             st.integers(-1, 1),
@@ -200,6 +200,42 @@ def test_to_csv_matches_csv_writer(records, with_decisions):
         path = Path(tmp) / "records.csv"
         data.to_csv(path)
         assert path.read_bytes() == _csv_writer_rendering(data)
+
+
+# Every odd label but the over-long one, which is odd only under a small
+# field-size limit, a lone surrogate, which UTF-8 cannot encode, and labels
+# that are not strings.
+@pytest.mark.parametrize(
+    "label", [label for label in ODD_LABELS if label != "q" * 45] + ["a\ud800", None, 1, b"a"]
+)
+def test_constructor_rejects_a_label_that_a_file_cannot_give_back(label):
+    with pytest.raises(ValueError, match="^group label"):
+        AuditDataset(group=[label, "c"], score=[0.1, 0.2], outcome=[0, 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    group=st.lists(
+        st.one_of(
+            st.sampled_from(LABELS + ODD_LABELS),
+            st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_every_accepted_dataset_reads_back_with_its_labels_and_codes(group):
+    try:
+        data = AuditDataset(group=group, score=np.full(len(group), 0.5), outcome=np.zeros(len(group)))
+    except ValueError:
+        assert not all(map(_is_plain_label, group))
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.csv"
+        data.to_csv(path)
+        back = AuditDataset.from_csv(path)
+    assert back.labels == data.labels
+    assert np.array_equal(back.codes, data.codes)
 
 
 def test_to_csv_chunks_keep_record_order(tmp_path, monkeypatch):

@@ -427,8 +427,9 @@ def test_boundary_numerators_are_the_exact_suffix_masses(weights, threshold):
     low=st.integers(-1080, 80),
     span=st.integers(0, 24),
     seed=st.integers(0, 2**32 - 1),
+    threshold=st.one_of(st.floats(-0.5, 1.5), st.fractions(0, 1)),
 )
-def test_exact_total_is_the_suffix_head_before_and_after_the_suffix(grid, palette, share, low, span, seed):
+def test_exact_total_is_the_suffix_head_before_and_after_the_suffix(grid, palette, share, low, span, seed, threshold):
     # cells drawn from the palette, the rest full mantissas over exponents
     # low..low+span: a narrow span scales within int64, a wide one does not
     rng = np.random.default_rng(seed)
@@ -436,10 +437,18 @@ def test_exact_total_is_the_suffix_head_before_and_after_the_suffix(grid, palett
     picked = np.array(palette)[rng.integers(len(palette), size=grid)]
     weights = np.where(rng.random(grid) < share, picked, spread)
     exact = sum(map(Fraction, weights.tolist()), Fraction(0)) / grid
+    # t in cell j: the cells above j, plus cell j's part over [t, (j+1)/G]
+    t = min(max(Fraction(threshold), Fraction(0)), Fraction(1))
+    j = min(int(t * grid), grid - 1)
+    above = sum(map(Fraction, weights[j + 1 :].tolist()), Fraction(0)) / grid + Fraction(weights[j]) * (
+        Fraction(j + 1, grid) - t
+    )
 
     first_total = ScoreDensity(weights)
     total = first_total.total_mass()
     assert first_total.exact_total() == exact
+    assert first_total.exact_mass_above(threshold) == above
+    assert first_total.exact_mass_below(threshold) == exact - above
     numerators, denominator = first_total.boundary_numerators(), first_total.exact_denominator
     assert Fraction(numerators[0], denominator) == exact
     assert (numerators[0] / denominator).hex() == total.hex()
@@ -448,3 +457,5 @@ def test_exact_total_is_the_suffix_head_before_and_after_the_suffix(grid, palett
     first_suffix.boundary_numerators()
     assert first_suffix.total_mass().hex() == total.hex()
     assert first_suffix.exact_total() == exact
+    assert first_suffix.exact_mass_above(threshold) == above
+    assert first_suffix.exact_mass_below(threshold) == exact - above

@@ -2,21 +2,22 @@
 
 Exact arithmetic lives in one integer core in ``densities``; every other
 module goes through its public API (``boundary_numerators``,
-``exact_denominator``, ``exact_mass_above`` and friends), and a total is
-read without building the boundary numerators. Weighted draws go
-through one sampler, decisions through one policy path, dataset records
-through one tally, no module reaches into another's private names, and
-no import is left unused."""
+``exact_denominator``, ``exact_mass_above`` and friends), and a total or a
+one-threshold mass of an int64-scaled density is read without building the
+boundary numerators. Weighted draws go through one sampler, decisions
+through one policy path, dataset records through one tally, no module
+reaches into another's private names, and no import is left unused."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 import fairsim
-from fairsim import ConditionalScoreDensity, ScoreDensity
+from fairsim import ConditionalScoreDensity, DeterministicThreshold, ScoreDensity
 
-PRIVATE = {"_integer_form", "_total_form", "_scaled_numerators", "_suffix_form"}
+PRIVATE = {"_integer_form", "_scaled_numerators", "_tail"}
 
 
 def test_only_densities_touches_the_private_exact_core():
@@ -50,8 +51,27 @@ def test_a_calibrated_build_leaves_the_marginals_without_a_suffix():
     marginal = raw.normalized()
     ConditionalScoreDensity.calibrated(marginal)
     for density in (raw, marginal):
-        assert "_total_form" in density.__dict__
+        assert "_scaled_numerators" in density.__dict__
         assert "_integer_form" not in density.__dict__
+
+
+def test_a_three_level_density_reads_one_threshold_without_a_suffix():
+    """A three-level density, the shape of an appendix reshape, scales within
+    int64, so its mass below a threshold, its total and a policy's decided
+    mass are tail sums of its cell numerators; none builds the G + 1
+    boundary numerators."""
+    grid = 1024
+    weights = np.repeat([0.7 / 0.3, 0.25 / 0.45, 0.05 / 0.25], [307, 461, 256])
+    density = ScoreDensity(weights)
+    below = density.exact_mass_below(0.5)
+    total = density.exact_total()
+    decided = DeterministicThreshold(0.5).decided_mass(density)
+    assert "_integer_form" not in density.__dict__
+    assert density._scaled_numerators[0].dtype == np.int64
+    cells = [Fraction(w) for w in weights.tolist()]
+    assert total == sum(cells) / grid
+    assert decided == sum(cells[grid // 2 :]) / grid
+    assert below == total - decided
 
 
 def test_only_draw_categorical_draws_weighted_choices():
