@@ -16,7 +16,6 @@ import mmap
 import os
 import re
 import stat
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -279,8 +278,9 @@ class PopulationModel:
         if self.weights is not None:
             if set(self.weights) != set(self.groups):
                 raise ValueError("weights must cover exactly the group labels")
-            if any(w <= 0 for w in self.weights.values()):
-                raise ValueError("group weights must be positive")
+            weights = self.weights.values()
+            if not (all(math.isfinite(w) and w > 0 for w in weights) and math.isfinite(sum(weights))):
+                raise ValueError("group weights must be finite and positive")
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -480,9 +480,9 @@ class AuditDataset:
         a byte-order mark.
 
         One vectorized pass reads well-formed files. A file it cannot take
-        as is (padded cells, bad tokens, over-long cells, no records) is read
-        again row by row; that reader's result, or its line-numbered error,
-        defines the format.
+        as is (padded cells, bad tokens, over-long cells, a record spread over
+        lines, no records) is read again row by row; that reader's result, or
+        its line-numbered error, defines the format.
         """
         data = _read_columns(path)
         return data if data is not None else _read_rows(path)
@@ -536,31 +536,19 @@ def _line_count(path, limit: int) -> int | None:
     return lines + (not after_break)
 
 
-def _csv_reads(path) -> bool:
-    """True when ``csv.reader`` reads all of ``path`` without an error, such
-    as a field over the csv field-size limit."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        try:
-            for _ in csv.reader(fh):
-                pass
-        except csv.Error:
-            return False
-    return True
-
-
 def _read_columns(path) -> AuditDataset | None:
     """The records of ``path`` from one ``np.loadtxt`` pass, or None when the
     row reader must decide: on any parse error, and on any cell that it
     would read differently or reject.
 
-    A cell on one line is within the csv field-size limit whenever the line
-    is. When the file has more non-blank lines than records and header, as it
-    does for a quoted cell spread over lines, the cells are checked against
-    the limit by ``csv.reader``. A label that is padded or holds a control
-    character, such as a line break, is left to the row reader.
+    Only a file with one record on each non-blank line but the header is
+    read here, so every cell lies on one line, and ``_line_count`` holds each
+    line below the csv field-size limit. A file with a quoted cell spread
+    over lines, or with no record, is left to the row reader, and so is a
+    label or score that the dataset constructor refuses.
     """
     lines = _line_count(path, csv.field_size_limit())
-    if lines is None:
+    if lines is None or lines < 2:
         return None
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -571,29 +559,26 @@ def _read_columns(path) -> AuditDataset | None:
         if header is None or reader.line_num != 1 or tuple(h.strip() for h in header) != CSV_HEADER:
             return None
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # raised for a file without records
-            records = np.loadtxt(
-                os.fspath(path), dtype=_CSV_RECORD, delimiter=",", quotechar='"', comments=None,
-                skiprows=1, encoding="utf-8-sig", ndmin=1,
-            )
+        records = np.loadtxt(
+            os.fspath(path), dtype=_CSV_RECORD, delimiter=",", quotechar='"', comments=None,
+            skiprows=1, encoding="utf-8-sig", ndmin=1,
+        )
     except ValueError:
         return None
-    if len(records) == 0 or (lines > len(records) + 1 and not _csv_reads(path)):
+    if lines != len(records) + 1:
         return None
     labels, codes = _factorize(records["group"].tolist())
-    if not all(map(_is_plain_label, labels)):
-        return None
     score = np.ascontiguousarray(records["score"])
-    if not np.all((score >= 0.0) & (score <= 1.0)):
-        return None
     outcome = records["outcome"] == "1"
     decided = records["decision"] == "1"
     missing = ~(decided | (records["decision"] == "0"))
     if not (np.all(outcome | (records["outcome"] == "0")) and np.all(records["decision"][missing] == "")):
         return None
     decision = None if missing.all() else np.where(missing, NO_DECISION, decided).astype(np.int8)
-    return AuditDataset._from_codes(codes, labels, score, outcome.astype(np.int8), decision)
+    try:
+        return AuditDataset._from_codes(codes, labels, score, outcome.astype(np.int8), decision)
+    except ValueError:  # a label or score that the constructor refuses
+        return None
 
 
 def _read_rows(path) -> AuditDataset:

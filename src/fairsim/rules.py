@@ -116,18 +116,20 @@ class DecisionRule:
         return cls({g: DeterministicThreshold(threshold) for g in labels})
 
     def serialize(self) -> str:
-        """Rule text that ``parse`` reads back; a label that holds whitespace
-        cannot be written, since a rule line is whitespace-separated."""
+        """Rule text that ``parse`` reads back to the same values: a
+        ``Fraction`` as ``n/d`` and any other number as the ``repr`` of its
+        float. A label that holds whitespace cannot be written, since a rule
+        line is whitespace-separated."""
         lines = []
         for label, pol in self.policies.items():
             if any(c.isspace() for c in label):
                 raise ValueError(f"group label {label!r} holds whitespace, which rule text cannot carry")
             if isinstance(pol, DeterministicThreshold):
-                lines.append(f"group={label} kind=det t1={float(pol.threshold):.12g}")
+                lines.append(f"group={label} kind=det t1={_number_text(pol.threshold)}")
             else:
                 lines.append(
-                    f"group={label} kind=rand t1={float(pol.lower):.12g} "
-                    f"t2={float(pol.upper):.12g} q={float(pol.mix):.12g}"
+                    f"group={label} kind=rand t1={_number_text(pol.lower)} "
+                    f"t2={_number_text(pol.upper)} q={_number_text(pol.mix)}"
                 )
         return "\n".join(lines)
 
@@ -151,6 +153,13 @@ class DecisionRule:
         return cls(policies)
 
 
+def _number_text(value) -> str:
+    """``value`` as rule text: ``n/d`` for a ``Fraction``, else its float's ``repr``."""
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    return repr(float(value))
+
+
 #: The keys a rule line of each kind holds, as ``serialize`` writes them.
 _RULE_KEYS = {"det": {"group", "kind", "t1"}, "rand": {"group", "kind", "t1", "t2", "q"}}
 
@@ -165,11 +174,12 @@ def _parse_rule_line(line: str) -> tuple[str, Policy]:
             raise ValueError(f"key {key!r} is repeated")
         fields[key] = value
 
-    def number(key: str) -> float:
+    def number(key: str) -> float | Fraction:
+        value = fields[key]
         try:
-            return float(fields[key])
-        except ValueError:
-            raise ValueError(f"{key} {fields[key]!r} is not a number") from None
+            return Fraction(value) if "/" in value else float(value)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{key} {value!r} is not a number") from None
 
     kind = fields["kind"]
     if kind not in _RULE_KEYS:

@@ -3,6 +3,7 @@ defines the format, and the chunked writer against row-by-row csv.writer."""
 
 import csv
 import io
+import itertools
 import os
 import re
 import tempfile
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fairsim import AuditDataset, densities
+from fairsim import AuditDataset
 from fairsim.densities import _is_plain_label, _line_count, _read_columns, _read_rows
 
 HEADER = "group,score,outcome,decision"
@@ -151,13 +152,26 @@ def test_vectorized_reader_matches_row_reader_on_each_odd_cell(limit):
 
 def test_vectorized_reader_reads_well_formed_files(tmp_path):
     path = tmp_path / "records.csv"
-    path.write_text(f'{HEADER}\n"a,b",0.5,1,1\r\nb,0.25,0,\n\nb,1,1,0\n', encoding="utf-8")
-    data = _read_columns(path)
-    assert data is not None
-    assert data.labels == ("a,b", "b")
-    assert data.codes.dtype == np.int32
-    assert list(data.codes) == [0, 1, 1]
-    assert list(data.decision) == [1, -1, 0]
+    # With or without a byte-order mark, and with or without blank lines
+    # after a quoted-comma label's records.
+    for mark, tail in itertools.product(["", "\ufeff"], ["", "\n\n\r\n"]):
+        path.write_text(f'{mark}{HEADER}\n"a,b",0.5,1,1\r\nb,0.25,0,\n\nb,1,1,0\n{tail}', encoding="utf-8")
+        data = _read_columns(path)
+        assert data is not None
+        assert data.labels == ("a,b", "b")
+        assert data.codes.dtype == np.int32
+        assert list(data.codes) == [0, 1, 1]
+        assert list(data.decision) == [1, -1, 0]
+
+
+@pytest.mark.parametrize("text", [HEADER, f"{HEADER}\n", f"\ufeff{HEADER}\r\n\n\r\n\r\r"])
+def test_a_file_without_records_fails_with_no_warning(tmp_path, text):
+    # Warnings are errors under pytest, so a warning would fail this test.
+    path = tmp_path / "empty.csv"
+    path.write_text(text, encoding="utf-8")
+    assert _read_columns(path) is None
+    with pytest.raises(ValueError, match="^CSV contains no data rows$"):
+        AuditDataset.from_csv(path)
 
 
 def _csv_writer_rendering(data: AuditDataset) -> bytes:
@@ -302,10 +316,19 @@ def test_readers_agree_on_a_score_cell_spread_over_lines(tmp_path):
     assert _read_columns(path) is None
     with pytest.raises(ValueError, match=r"^row 2: field larger than field limit \(131072\)"):
         AuditDataset.from_csv(path)
-    # Under the limit both readers take the cell, and blank lines stay on the fast path.
-    for text in (f'{HEADER}\na,"\n0.5\n",1,1\nb,0.25,0,0', f"{HEADER}\n\na,0.5,1,1\n\r\n\nb,0.25,0,0\n"):
+    # Under the limit the row reader takes the cell: the fast reader leaves
+    # every record spread over lines to it, and the readers agree.
+    for ends in ("\n", "\r\n", "\r"):
+        text = f'{HEADER}\na,"{ends}0.5{ends}",1,1{ends}b,0.25,0,0'
+        path.write_bytes(text.encode())
+        assert _read_columns(path) is None
+        assert list(AuditDataset.from_csv(path).score) == [0.5, 0.25]
         _check_readers_agree(text)
         _check_readers_agree(text, limit=40)
+    # Blank lines stay on the fast path, and the readers agree on them.
+    blank = f"{HEADER}\n\na,0.5,1,1\n\r\n\nb,0.25,0,0\n"
+    _check_readers_agree(blank)
+    _check_readers_agree(blank, limit=40)
 
 
 @settings(max_examples=300, deadline=None)
@@ -319,16 +342,14 @@ def test_line_count_counts_non_blank_lines(text, limit, tmp_path_factory):
     assert got == want or (limit and got is None)
 
 
-def test_blank_lines_need_no_second_csv_pass(tmp_path, monkeypatch):
-    def second_pass(path):
-        raise AssertionError("blank lines sent the file through csv.reader again")
-
-    monkeypatch.setattr(densities, "_csv_reads", second_pass)
+def test_blank_lines_need_no_second_csv_pass(tmp_path):
+    # Blank lines are not records, so they keep a file on the fast path.
     path = tmp_path / "blank.csv"
     for text in (f"{HEADER}\n\na,0.5,1,1\n\r\n\nb,0.25,0,0\n\n", f"{HEADER}\r\ra,0.5,1,1\r\r\n\rb,0.25,0,0\r"):
         path.write_bytes(text.encode())
         data = _read_columns(path)
         assert data is not None and data.labels == ("a", "b")
+        _assert_same(data, _read_rows(path))
 
 
 def test_group_codes_are_integers_and_labels_first_seen():

@@ -59,6 +59,17 @@ def test_population_needs_two_groups_and_one_grid():
         PopulationModel(groups={"a": csd, "b": other})
 
 
+@pytest.mark.parametrize(
+    "a, b", [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (0.0, 1.0), (-1.0, 1.0), (1e308, 1e308)]
+)
+def test_population_rejects_a_group_weight_that_is_not_finite_and_positive(a, b):
+    # A NaN weight compares False with 0, so only a finiteness check stops it;
+    # finite weights whose sum overflows would normalize to 0.
+    csd = ConditionalScoreDensity.calibrated(ScoreDensity.uniform(8))
+    with pytest.raises(ValueError, match="^group weights must be finite and positive$"):
+        PopulationModel(groups={"a": csd, "b": csd}, weights={"a": a, "b": b})
+
+
 # -- integrate ---------------------------------------------------------------
 
 

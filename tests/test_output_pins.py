@@ -62,32 +62,32 @@ SHA256 = {
         "series_men_negative_density_popB.csv": "080423206fa01278123cc0771ee5fdd87efae68d9ec2e3951daff44c59ef2727",
     },
     "judge-per-outcome-equalized-odds": {
-        "report.doc": "2dfa29458a21aaa22b8ecefbe44670b8007c59ddc8c350cb17f7b7cd48f970ad",
+        "report.doc": "626e3951e4d38707e4fe613fc9067fc983e91c8f34b752f80f1c5e8c0a7d5f49",
         "series_roc_men.csv": "05a81efcc4178b0daba8606f73a34e1fab3d72aa146f6e36ae462a0926b850fc",
         "series_roc_women.csv": "a947138aedbe96db7aed8a53bac48729c4388525558979ae122cc141f99ad1b4",
     },
     "judge-per-outcome-parity-ratio": {
-        "report.doc": "dbada3311d97e0252227985273164b6abcd611d0f85045dcadb16935c2b7bc0b",
+        "report.doc": "f31e5937033705d7e2738e48d95618fba4b849b9d0d6c647f165c889c6a94cbc",
         "series_roc_men.csv": "05a81efcc4178b0daba8606f73a34e1fab3d72aa146f6e36ae462a0926b850fc",
         "series_roc_women.csv": "a947138aedbe96db7aed8a53bac48729c4388525558979ae122cc141f99ad1b4",
     },
     "judge-per-person-equalized-odds": {
-        "report.doc": "4e65772a4bd789e99b1a9adb0cdb41251c2d162725ed9f864b59ee89d4e51a87",
+        "report.doc": "ade30a0fd1a688aa49251f748dbd40bfdc74f691a7938961acee36807ad38dcf",
         "series_roc_men.csv": "05a81efcc4178b0daba8606f73a34e1fab3d72aa146f6e36ae462a0926b850fc",
         "series_roc_women.csv": "a947138aedbe96db7aed8a53bac48729c4388525558979ae122cc141f99ad1b4",
     },
     "judge-per-person-parity-ratio": {
-        "report.doc": "b46b7bc426efda937128a8ffa7fa09aa414cc3cdf06c9a63eecd8c0e63d41b60",
+        "report.doc": "8ba9334d85df56ac2670cc62f8bcff70ec21e187c684f2646ac9c7beb07fd643",
         "series_roc_men.csv": "05a81efcc4178b0daba8606f73a34e1fab3d72aa146f6e36ae462a0926b850fc",
         "series_roc_women.csv": "a947138aedbe96db7aed8a53bac48729c4388525558979ae122cc141f99ad1b4",
     },
     "judge-grid1000-equalized-odds": {
-        "report.doc": "6aa7d42174bffeb7e8648de57dafee7ecd165f8ce9206e0a091070029471a0cc",
+        "report.doc": "ec78f3a8fd8d6a451642852e16a5606a72a691c1e861959f3bef99e5e702d8db",
         "series_roc_men.csv": "0d5e5d7ff61ce72d70036c670aa276add2552ae15ff9b8e4c9df1ca6c053e511",
         "series_roc_women.csv": "b898a68e5beb569017e1cec00f1593bcba3ba928969baf5ef1753673a7523078",
     },
     "judge-grid1000-parity-ratio": {
-        "report.doc": "ae9025630a36ad71ce0e6a7ff11b753d5d800e4c529d375255518f50cc56752f",
+        "report.doc": "dd3fd62898e191bd75676c24bece0352b35e98ad8544d788ccfde3e98e1ee6e1",
         "series_roc_men.csv": "0d5e5d7ff61ce72d70036c670aa276add2552ae15ff9b8e4c9df1ca6c053e511",
         "series_roc_women.csv": "b898a68e5beb569017e1cec00f1593bcba3ba928969baf5ef1753673a7523078",
     },

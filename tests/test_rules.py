@@ -27,7 +27,7 @@ from fairsim import (
     sufficiency_gap_binary,
 )
 from fairsim.rules import _roc_point_policy, group_confusion_masses
-from _helpers import calibrated_uniform_pair, judge_population
+from _helpers import calibrated_uniform_pair, judge_population, random_calibrated_population
 
 
 def test_decide_is_strict_at_the_threshold():
@@ -129,6 +129,45 @@ def test_rule_serialization_round_trip():
     assert back.for_group("women").mix == 0.125
     # blank and whitespace-only lines, before or between rules, are skipped
     assert DecisionRule.parse("\n" + text.replace("\n", "\n \t\n\n")).serialize() == text
+    # a rational is written as n/d and read back as the same Fraction
+    rule = DecisionRule(
+        {
+            "a": DeterministicThreshold(Fraction(1, 3)),
+            "b": RandomizedThreshold(lower=0.1, upper=Fraction(1), mix=Fraction(2, 7)),
+        }
+    )
+    text = rule.serialize()
+    assert text == "group=a kind=det t1=1/3\ngroup=b kind=rand t1=0.1 t2=1/1 q=2/7"
+    back = DecisionRule.parse(text)
+    assert back == rule
+    assert isinstance(back.for_group("b").upper, Fraction) and isinstance(back.for_group("b").lower, float)
+
+
+def test_a_parsed_judge_rule_re_measures_to_zero_gaps():
+    # The solved women's policy holds rationals of about 155 digits, which
+    # twelve significant digits would round off.
+    pop = judge_population(1024)
+    rule = solve_equalized_odds(pop, "men", 0.5)
+    back = DecisionRule.parse(rule.serialize())
+    gap = separation_gap(pop, back)
+    assert (gap.fpr_gap, gap.fnr_gap) == (0.0, 0.0)
+    assert back == rule
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), threshold=st.floats(0.05, 0.95))
+def test_rule_text_round_trip_keeps_exact_confusion_masses(seed, threshold):
+    pop = random_calibrated_population(np.random.default_rng(seed), grid=64)
+    for solve in (solve_equalized_odds, solve_parity_ratio):
+        for reference in pop.labels:
+            try:
+                rule = solve(pop, reference, threshold)
+            except InfeasibleRuleError:
+                continue
+            back = DecisionRule.parse(rule.serialize())
+            for label, csd in pop.groups.items():
+                want = group_confusion_masses(csd, rule.for_group(label))
+                assert group_confusion_masses(csd, back.for_group(label)) == want
 
 
 @pytest.mark.parametrize("label", ["Native American", "a\tb", "trailing\n", "\u00a0"])
@@ -165,6 +204,11 @@ def test_rule_parse_rejects_malformed_lines():
         (good + "group=men kind=rand t1=0.2 t2=0.8 q=-0.5", 2),
         (good + "group=men kind=rand t1=0.8 t2=0.2 q=0.5", 2),  # lower above upper
         (good + "group=men kind=det t1=nan", 2),
+        (good + "group=men kind=det t1=1/0", 2),  # zero denominator
+        (good + "group=men kind=det t1=1/-2", 2),  # negative denominator
+        (good + "group=men kind=det t1=3/2", 2),  # out of range
+        (good + "group=men kind=rand t1=0 t2=1 q=1/2/3", 2),
+        (good + "group=men kind=det t1=1/" + "1" * 5000, 2),  # past the int-string digit limit
         (good + "kind=det t1=0.5", 2),  # no group
         ("", 1),
         (" \n\t\n", 1),
