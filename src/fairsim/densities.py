@@ -52,6 +52,12 @@ def group_index(labels: tuple[str, ...], label: str) -> int:
     return labels.index(label)
 
 
+def _int64_sum(values: np.ndarray) -> int:
+    """Exact sum of int64 values below 2**62: their high and low 31-bit limbs
+    each sum within int64 over fewer than 2**32 values."""
+    return (int((values >> 31).sum()) << 31) + int((values & 0x7FFFFFFF).sum())
+
+
 @dataclass(frozen=True)
 class ScoreDensity:
     """Nonnegative piecewise-constant density on a uniform grid over [0, 1].
@@ -85,12 +91,13 @@ class ScoreDensity:
         return cell_midpoints(self.weights.size)
 
     @cached_property
-    def _scaled_numerators(self) -> tuple[np.ndarray, int]:
-        """``(scaled, denominator)`` with ``scaled[k] / denominator`` the exact
-        mass of cell k. Each cell weight is a binary float, an integer over a
-        power of two; ``denominator`` is G times the least common such power.
-        ``scaled`` is int64 when every numerator is below 2**62, else it holds
-        Python ints."""
+    def _scaled_numerators(self) -> tuple[np.ndarray, int, int | None]:
+        """``(scaled, denominator, total)`` with ``scaled[k] / denominator``
+        the exact mass of cell k. Each cell weight is a binary float, an
+        integer over a power of two; ``denominator`` is G times the least
+        common such power. ``scaled`` is int64 when every numerator is below
+        2**62, and ``total`` is then its sum; else ``scaled`` holds Python
+        ints and ``total`` is None, since their total heads the suffix."""
         mant, expo = np.frexp(self.weights)
         num = (mant * 2.0**53).astype(np.int64)  # w == num * 2**expo, exactly
         expo = expo.astype(np.int64) - 53
@@ -108,11 +115,11 @@ class ScoreDensity:
         # density, shift within int64, about three times as fast. The f0 and
         # f1 of a calibrated group hold full 53-bit mantissas over exponents
         # spread by the calibration curve, so they need Python ints.
+        den = (1 << -base) * self.weights.size
         if int((bits + shift).max()) < 63:
             scaled = num << shift
-        else:
-            scaled = num.astype(object) << shift
-        return scaled, (1 << -base) * self.weights.size
+            return scaled, den, _int64_sum(scaled)
+        return num.astype(object) << shift, den, None
 
     @cached_property
     def _integer_form(self) -> tuple[int, ...]:
@@ -126,16 +133,14 @@ class ScoreDensity:
     def _tail(self, k: int) -> int:
         """Numerator over ``exact_denominator`` of the exact mass of [k/G, 1].
 
-        An int64 numerator is below 2**62, so its high and low 31-bit limbs
-        each sum within int64 over any grid below 2**32 cells. Python-int
-        numerators cost about as much to sum as to accumulate, and the
-        densities that hold them, the f0 and f1 of a calibrated group, are the
-        ones the solvers scan, so for them the suffix is built and read."""
-        scaled = self._scaled_numerators[0]
-        if scaled.dtype != np.int64:
+        An int64 array sums its cells from k on, or gives its cached total.
+        Python-int numerators cost about as much to sum as to accumulate, and
+        the densities that hold them, the f0 and f1 of a calibrated group, are
+        the ones the solvers scan, so for them the suffix is built and read."""
+        scaled, _, total = self._scaled_numerators
+        if total is None:
             return self._integer_form[k]
-        rest = scaled[k:]
-        return (int((rest >> 31).sum()) << 31) + int((rest & 0x7FFFFFFF).sum())
+        return total if k == 0 else _int64_sum(scaled[k:])
 
     def boundary_numerators(self) -> tuple[int, ...]:
         """Integer numerators over ``exact_denominator`` of the exact mass of
@@ -164,7 +169,7 @@ class ScoreDensity:
             return Fraction(0)
         # t = a/b lies in cell j: the cells above it, plus cell j's part over
         # [t, (j+1)/G], all over denominator * b
-        scaled, den = self._scaled_numerators
+        scaled, den, _ = self._scaled_numerators
         grid = self.weights.size
         j = a * grid // b
         rest, cell = self._tail(j + 1), int(scaled[j])
@@ -458,21 +463,28 @@ class AuditDataset:
 
     def to_csv(self, path) -> None:
         """Write the records with a header, byte for byte as ``csv.writer``
-        writes them row by row; rows are joined in bounded chunks."""
-        label_cells = np.array([_csv_cell(label) for label in self.labels], dtype=object)
-        decision_cells = np.array(["", "0", "1"], dtype=object)  # indexed by decision + 1
-        row = "{},{!r},{},{}\n".format
+        writes them row by row.
+
+        A row is three strings: its group's prefix (the label cell as
+        ``csv.writer`` quotes it, then a comma), the ``repr`` of its score,
+        and one of six suffixes ``",{outcome},{decision}\\n"``, at index
+        ``3 * outcome + decision + 1`` (``3 * outcome`` with no decision
+        column, whose cell is empty). Each chunk of ``_WRITE_CHUNK`` records
+        gathers its prefixes and suffixes from those small arrays and is
+        joined into one string, so memory stays bounded."""
+        prefixes = np.array([_csv_cell(label) + "," for label in self.labels], dtype=object)
+        suffixes = np.array([f",{y},{d}\n" for y in (0, 1) for d in ("", "0", "1")], dtype=object)
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh, lineterminator="\n").writerow(CSV_HEADER)
             for start in range(0, len(self), _WRITE_CHUNK):
                 part = slice(start, start + _WRITE_CHUNK)
-                scores = self.score[part].tolist()
-                if self.decision is None:
-                    decisions = itertools.repeat("", len(scores))
-                else:
-                    decisions = decision_cells[self.decision[part] + 1].tolist()
-                cells = label_cells[self.codes[part]].tolist()
-                fh.write("".join(map(row, cells, scores, self.outcome[part].tolist(), decisions)))
+                kinds = 3 * self.outcome[part] + (0 if self.decision is None else self.decision[part] + 1)
+                rows = zip(
+                    prefixes[self.codes[part]].tolist(),
+                    map(repr, self.score[part].tolist()),
+                    suffixes[kinds].tolist(),
+                )
+                fh.write("".join(itertools.chain.from_iterable(rows)))
 
     @classmethod
     def from_csv(cls, path) -> "AuditDataset":

@@ -89,22 +89,31 @@ def tally(data: AuditDataset, cell, cells: int, weights=None) -> np.ndarray:
 
 def _confusion_tables(source: PopulationModel | AuditDataset, rule: DecisionRule | None, groups) -> dict:
     """Each named group's ``confusion`` table, checked in the order given. One
-    tally of the recorded decisions serves every group; a rule tallies every
-    record once per mixture component of a group's policy."""
+    tally of the recorded decisions serves every group; a rule makes one
+    tally per mixture position, in which each record meets its own group's
+    threshold at that position, and a group sums the tallies of its own
+    positions with its policy's weights."""
     if isinstance(source, PopulationModel):
         if rule is None:
             raise ValueError("analytic confusion requires a decision rule")
         return {g: ConfusionCounts(*group_confusion_masses(source.group(g), rule.for_group(g))) for g in groups}
 
     cell = source.outcome * 3 + 1  # plus the decision, which is -1 where missing
+    rows = {g: group_index(source.labels, g) for g in groups}
     if rule is None:  # with no decision column, every decision is missing
         counts = tally(source, cell + (-1 if source.decision is None else source.decision), 6)
-    tables = {}
-    for g in groups:
-        row = group_index(source.labels, g)
-        if rule is not None:  # every record decided by this group's policy
-            counts = sum(w * tally(source, cell + (source.score > float(t)), 6) for w, t in rule.for_group(g).mixture())
-        missing_y0, tn, fp, missing_y1, fn, tp = counts[row].tolist()
+        tables = {g: counts[row] for g, row in rows.items()}
+    else:
+        mixtures = {g: rule.for_group(g).mixture() for g in groups}
+        # Row c holds each group's threshold at position c; a group with
+        # fewer positions leaves its entry unread.
+        thresholds = np.zeros((max(map(len, mixtures.values())), len(source.labels)))
+        for g, mixture in mixtures.items():
+            thresholds[: len(mixture), rows[g]] = [float(t) for _, t in mixture]
+        counts = [tally(source, cell + (source.score > t[source.codes]), 6) for t in thresholds]
+        tables = {g: sum(w * counts[c][rows[g]] for c, (w, _) in enumerate(mixture)) for g, mixture in mixtures.items()}
+    for g, table in tables.items():
+        missing_y0, tn, fp, missing_y1, fn, tp = table.tolist()
         if missing_y0 or missing_y1:
             raise ValueError(f"group {g!r} has records without decisions and no rule was given")
         tables[g] = ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)

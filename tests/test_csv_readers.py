@@ -10,13 +10,15 @@ import tempfile
 import threading
 from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fairsim import AuditDataset
-from fairsim.densities import _is_plain_label, _line_count, _read_columns, _read_rows
+from fairsim import AuditDataset, sample, solve_equalized_odds
+from fairsim.densities import _WRITE_CHUNK as WRITE_CHUNK, _is_plain_label, _line_count, _read_columns, _read_rows
+from _helpers import judge_population
 
 HEADER = "group,score,outcome,decision"
 
@@ -201,8 +203,10 @@ def _csv_writer_rendering(data: AuditDataset) -> bytes:
         max_size=20,
     ),
     with_decisions=st.booleans(),
+    chunk=st.one_of(st.integers(1, 8), st.just(WRITE_CHUNK)),
 )
-def test_to_csv_matches_csv_writer(records, with_decisions):
+def test_to_csv_matches_csv_writer(records, with_decisions, chunk):
+    # Small chunks make most datasets span several, the last one partial.
     group, score, outcome, decision = zip(*records)
     data = AuditDataset(
         group=list(group),
@@ -210,10 +214,20 @@ def test_to_csv_matches_csv_writer(records, with_decisions):
         outcome=np.array(outcome),
         decision=np.array(decision) if with_decisions else None,
     )
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, mock.patch("fairsim.densities._WRITE_CHUNK", chunk):
         path = Path(tmp) / "records.csv"
         data.to_csv(path)
         assert path.read_bytes() == _csv_writer_rendering(data)
+
+
+def test_sampled_records_without_decisions_match_csv_writer_across_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr("fairsim.densities._WRITE_CHUNK", 7)
+    pop = judge_population(64)
+    records = sample(pop, 5_000, seed=3, rule=solve_equalized_odds(pop, "men", 0.5))
+    data = AuditDataset(group=records.group, score=records.score, outcome=records.outcome)
+    path = tmp_path / "records.csv"
+    data.to_csv(path)
+    assert path.read_bytes() == _csv_writer_rendering(data)
 
 
 # Every odd label but the over-long one, which is odd only under a small

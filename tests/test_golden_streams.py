@@ -23,6 +23,12 @@ def test_seeded_sample_csv_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SAMPLE_CSV_SHA256
 
 
+def test_seeded_sample_csv_bytes_do_not_depend_on_the_write_chunk(tmp_path, monkeypatch):
+    # 5,000 records in chunks of 7: 714 full chunks and a last one of 2.
+    monkeypatch.setattr("fairsim.densities._WRITE_CHUNK", 7)
+    test_seeded_sample_csv_bytes_are_pinned(tmp_path)
+
+
 def test_seeded_monte_carlo_estimate_is_pinned():
     est, stderr = mc_long_run_eu(
         ScoreDensity.uniform(1024), ScoreMap.identity(1024), PayoffMatrix.recommender(), 0.5, n=200_000, seed=11

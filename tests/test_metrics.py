@@ -32,7 +32,16 @@ from fairsim import (
 )
 from fairsim.cli import audit
 from fairsim.densities import cell_index, cell_midpoints, conditional_rate
-from fairsim.metrics import _per_level_max_gap, _ratio, _summarize_gaps, false_omission_rate, spread
+from fairsim import metrics
+from fairsim.metrics import (
+    _confusion_tables,
+    _per_level_max_gap,
+    _ratio,
+    _summarize_gaps,
+    false_omission_rate,
+    spread,
+    tally,
+)
 from _helpers import (
     calibrated_uniform_pair,
     judge_population,
@@ -339,6 +348,59 @@ def test_the_all_group_tally_matches_per_group_masks_bit_for_bit(data, bins, t, 
     want = {g: float(data.outcome[data.group_mask(g)].mean()) for g in data.labels}
     assert list(base) == list(want)
     assert _bits(*base.values()) == _bits(*want.values())
+
+
+def test_a_rule_on_six_groups_tallies_once_per_mixture_position(monkeypatch):
+    labels = ["a", "b", "c", "d", "e", "f"]
+    rule = DecisionRule(
+        {
+            "a": RandomizedThreshold(0.25, 0.5, Fraction(1, 3)),
+            "b": DeterministicThreshold(0.5),
+            "c": RandomizedThreshold(Fraction(1, 3), Fraction(2, 3), 0.125),
+            "d": DeterministicThreshold(Fraction(1, 3)),
+            "e": RandomizedThreshold(0.0, 1.0, Fraction(0)),
+            "f": DeterministicThreshold(0.0),
+        }
+    )
+    rng = np.random.default_rng(5)
+    n = 600
+    # Scores on the thresholds too, where "above" is strict.
+    edges = [0.0, 0.25, 0.5, 1 / 3, 2 / 3, 1.0]
+    score = np.where(rng.random(n) < 0.3, rng.choice(edges, n), rng.random(n))
+    data = AuditDataset(group=rng.choice(labels, n), score=score, outcome=rng.integers(0, 2, n))
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return tally(*args)
+
+    monkeypatch.setattr(metrics, "tally", counted)
+    tables = _confusion_tables(data, rule, data.labels)
+    assert len(calls) <= 2
+    calls.clear()
+    separation_gap(data, rule)
+    assert len(calls) <= 2
+
+    assert list(tables) == list(data.labels)
+    for g, table in tables.items():
+        mask = data.group_mask(g)
+        want = {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
+        for w, t in rule.for_group(g).mixture():
+            decided = data.score[mask] > float(t)
+            positive = data.outcome[mask] == 1
+            cells = {
+                "tp": decided & positive,
+                "fp": decided & ~positive,
+                "fn": ~decided & positive,
+                "tn": ~decided & ~positive,
+            }
+            for name, cell in cells.items():
+                want[name] += w * int(np.count_nonzero(cell))
+        kind = int if isinstance(rule.for_group(g), DeterministicThreshold) else Fraction
+        assert [(type(c), c) for c in (table.tp, table.fp, table.fn, table.tn)] == [
+            (kind, want[name]) for name in ("tp", "fp", "fn", "tn")
+        ]
 
 
 # -- separation and sufficiency -----------------------------------------------------

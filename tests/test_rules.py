@@ -223,6 +223,29 @@ def test_rule_parse_rejects_malformed_lines():
             DecisionRule.parse(bad)
 
 
+@pytest.mark.parametrize(
+    "bad, named",
+    [
+        ("group=men kind=det t1=1/" + "1" * 5000, "t1 '1/1"),  # past the int-string digit limit
+        ("group=men kind=det t1=" + "9" * 5000 + "x", "t1 '9"),
+        ("group=men kind=det t1=0.5 " + "x" * 5000, "token 'x"),
+        ("group=men kind=det t1=0.5 " + "k" * 5000 + "=1", "unknown key 'k"),
+        ("group=men kind=det t1=0.5 " + "k" * 5000 + "=1 " + "k" * 5000 + "=2", "key 'k"),
+        ("group=men t1=0.5 kind=" + "r" * 5000, "malformed rule line 'group=men"),
+        (("group=" + "a" * 5000 + " kind=det t1=0.5\n") * 2, "group 'a"),  # repeated group
+    ],
+    ids=["long-fraction", "long-number", "long-token", "long-key", "long-repeat", "long-kind", "long-group"],
+)
+def test_rule_parse_errors_echo_a_bounded_piece_of_the_text(bad, named):
+    good = "group=b kind=det t1=0.5\n"
+    with pytest.raises(ValueError) as info:
+        DecisionRule.parse(good + bad)
+    message = str(info.value)
+    assert len(message) < 200
+    assert message.startswith(f"line {1 + len(bad.splitlines())}: ")
+    assert named in message
+
+
 _RULE_TOKENS = st.one_of(
     st.sampled_from(["group=a", "group=b", "kind=det", "kind=rand", "kind=", "t1=0.25", "t2=0.75", "q=0.5", "t1", "=", "=="]),
     st.builds("{}={}".format, st.sampled_from(["group", "kind", "t1", "t2", "q", "x", ""]), st.text(max_size=6)),
