@@ -5,13 +5,11 @@ from .densities import (
     DEFAULT_GRID,
     UNDEFINED,
     AuditDataset,
-    CalibrationCurve,
     ConditionalScoreDensity,
     PopulationModel,
     ScoreDensity,
     ScoreMap,
     apply_score_map,
-    calibration_curve,
     integrate,
     is_defined,
     sample,
@@ -40,7 +38,6 @@ from .metrics import (
     rates,
     separation_gap,
     sufficiency_gap_binary,
-    within_group_calibration_error,
     within_group_calibration_errors,
 )
 from .rules import (
@@ -50,7 +47,6 @@ from .rules import (
     PayoffMatrix,
     RandomizedThreshold,
     coarsen,
-    decide,
     solve_equalized_odds,
     solve_parity_ratio,
 )

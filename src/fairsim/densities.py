@@ -182,8 +182,8 @@ class ScoreDensity:
     def total_mass(self) -> float:
         return self._tail(0) / self.exact_denominator  # int / int is correctly rounded
 
-    def is_normalized(self, tol: float = 1e-9) -> bool:
-        return abs(self.total_mass() - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        return abs(self.total_mass() - 1.0) <= 1e-9
 
     def normalized(self) -> "ScoreDensity":
         total = self.total_mass()
@@ -194,11 +194,6 @@ class ScoreDensity:
     @classmethod
     def uniform(cls, grid_size: int = DEFAULT_GRID) -> "ScoreDensity":
         return cls(np.ones(grid_size))
-
-    @classmethod
-    def from_callable(cls, fn, grid_size: int = DEFAULT_GRID) -> "ScoreDensity":
-        """Density with values taken at cell midpoints."""
-        return cls(np.asarray(fn(cell_midpoints(grid_size)), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -398,7 +393,7 @@ class AuditDataset:
     constructor takes the per-record labels; ``group`` derives them back.
     Each label must be one that ``from_csv`` reads back as written: a
     non-empty string that UTF-8 can encode, with no surrounding space or
-    control character.
+    control character, and no longer than the csv field-size limit.
     """
 
     codes: np.ndarray
@@ -419,11 +414,14 @@ class AuditDataset:
         return data
 
     def _set_columns(self, codes, labels, score, outcome, decision) -> None:
+        limit = csv.field_size_limit()
         for label in labels:
             if not _is_plain_label(label):
                 raise ValueError(
                     f"group label {label!r} must be non-empty UTF-8 text with no surrounding space or control character"
                 )
+            if len(label) > limit:
+                raise ValueError(f"group label of {len(label)} characters exceeds the csv field limit ({limit})")
         n = len(codes)
         score = np.asarray(score, dtype=float)
         outcome = np.asarray(outcome, dtype=np.int8)
@@ -454,9 +452,6 @@ class AuditDataset:
     def group(self) -> np.ndarray:
         """Per-record group labels, as a new object array."""
         return np.array(self.labels, dtype=object)[self.codes]
-
-    def group_mask(self, label: str) -> np.ndarray:
-        return self.codes == group_index(self.labels, label)
 
     def decisions_complete(self) -> bool:
         return self.decision is not None and not np.any(self.decision == NO_DECISION)
@@ -653,26 +648,6 @@ def conditional_rate(num, den) -> np.ndarray:
     return np.divide(num, den, out=np.full(den.shape, UNDEFINED), where=den > 0)
 
 
-@dataclass(frozen=True)
-class CalibrationCurve:
-    """Per-cell conditional positive rate P(Y=1 | S in cell).
-
-    Cells with zero total density carry the undefined marker.
-    """
-
-    midpoints: np.ndarray
-    values: np.ndarray
-
-    def __call__(self, score: float) -> float:
-        return float(self.values[cell_index(score, len(self.values))])
-
-
-def calibration_curve(pop: PopulationModel, group: str) -> CalibrationCurve:
-    csd = pop.group(group)
-    values = conditional_rate(csd.f1.weights, csd.f0.weights + csd.f1.weights)
-    return CalibrationCurve(midpoints=csd.f0.midpoints(), values=values)
-
-
 def apply_score_map(pop: PopulationModel, group: str, score_map: ScoreMap) -> PopulationModel:
     """Population in which the group's displayed score is transformed cell-wise.
 
@@ -801,13 +776,7 @@ def integrate(density: ScoreDensity, weight) -> float:
     """Midpoint-rule integral of weight(s) against the density.
 
     Exact for integrands linear within each cell; O(grid^-2) error for smooth
-    integrands. ``weight`` may be vectorized or scalar-valued.
+    integrands. ``weight`` maps the array of cell midpoints to an array of
+    values.
     """
-    mids = density.midpoints()
-    try:
-        vals = np.asarray(weight(mids), dtype=float)
-        if vals.shape != mids.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([float(weight(m)) for m in mids])
-    return float(np.sum(density.weights * vals) * density.cell_width)
+    return float(np.sum(density.weights * weight(density.midpoints())) * density.cell_width)

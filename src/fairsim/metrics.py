@@ -48,9 +48,6 @@ class ConfusionCounts:
     def total(self):
         return self.tp + self.fp + self.fn + self.tn
 
-    def as_floats(self) -> tuple[float, float, float, float]:
-        return (float(self.tp), float(self.fp), float(self.fn), float(self.tn))
-
 
 @dataclass(frozen=True)
 class RatePair:
@@ -163,10 +160,6 @@ class CalibrationReport:
     sup_gap: float
     l1_gap: float
 
-    @property
-    def sufficiency_holds(self) -> bool:
-        return is_defined(self.sup_gap) and self.sup_gap <= 1e-12
-
 
 def _summarize_gaps(gap: np.ndarray, mass: np.ndarray) -> tuple[float, float]:
     defined = ~np.isnan(gap)
@@ -263,15 +256,6 @@ def within_group_calibration_errors(
     return {g: WithinGroupCalibration(levels, o, r, e, *_summarize_gaps(e, mass)) for g, o, r, e, mass in rows}
 
 
-def within_group_calibration_error(
-    source: PopulationModel | AuditDataset, group: str, bins: int = 10
-) -> WithinGroupCalibration:
-    """One group's row of ``within_group_calibration_errors``."""
-    reports = within_group_calibration_errors(source, bins)
-    group_index(source.labels, group)  # an unknown group's KeyError
-    return reports[group]
-
-
 class _TwoGaps:
     """A criterion measured by the two gaps named in ``_gap_names``: it holds
     when the larger, ``max_gap``, is within a tolerance."""
@@ -336,23 +320,21 @@ def sufficiency_gap_binary(source: PopulationModel | AuditDataset, rule: Decisio
 @dataclass(frozen=True)
 class ImpossibilityWitness:
     """Measured evidence that rate equality and group calibration of a binary
-    output cannot coexist on unequal base rates with an imperfect rule."""
+    output cannot coexist on unequal base rates with an imperfect rule.
+    Separation holds within 1e-6; sufficiency is violated by more than 1e-4."""
 
     base_rates: dict[str, float]
     separation: SeparationGaps
     sufficiency: SufficiencyGaps
-    predicted_sufficiency_gap: float
-    separation_tol: float
-    sufficiency_floor: float
 
     @property
     def separation_holds(self) -> bool:
-        return self.separation.holds(self.separation_tol)
+        return self.separation.holds(1e-6)
 
     @property
     def sufficiency_violated(self) -> bool:
         g = self.sufficiency.max_gap
-        return is_defined(g) and g > self.sufficiency_floor
+        return is_defined(g) and g > 1e-4
 
     @property
     def consistent(self) -> bool:
@@ -360,12 +342,7 @@ class ImpossibilityWitness:
         return self.sufficiency_violated or not self.separation_holds
 
 
-def impossibility_witness(
-    pop: PopulationModel,
-    rule: DecisionRule,
-    separation_tol: float = 1e-6,
-    sufficiency_floor: float = 1e-4,
-) -> ImpossibilityWitness:
+def impossibility_witness(pop: PopulationModel, rule: DecisionRule) -> ImpossibilityWitness:
     """Measure both criteria on a population where they cannot both hold.
 
     Preconditions (ValueError otherwise): base rates differ by more than 1e-6
@@ -390,26 +367,4 @@ def impossibility_witness(
     if not imperfect:
         raise ValueError("rule is (near-)perfectly accurate; the conflict is not forced")
 
-    suff = sufficiency_gap_binary(pop, rule)
-
-    # Gap implied by exactly shared rates: what sufficiency would measure if
-    # separation held with the mean observed rates.
-    fpr = float(np.mean([rp.fpr for rp in sep.rate_pairs.values()]))
-    fnr = float(np.mean([rp.fnr for rp in sep.rate_pairs.values()]))
-    pred_r1 = {}
-    pred_r0 = {}
-    for g, b in base.items():
-        flag = (1 - fnr) * b + fpr * (1 - b)
-        clear = fnr * b + (1 - fpr) * (1 - b)
-        pred_r1[g] = (1 - fnr) * b / flag if flag > 0 else UNDEFINED
-        pred_r0[g] = fnr * b / clear if clear > 0 else UNDEFINED
-    predicted = SufficiencyGaps(pred_r1, pred_r0, spread(pred_r1.values()), spread(pred_r0.values())).max_gap
-
-    return ImpossibilityWitness(
-        base_rates=base,
-        separation=sep,
-        sufficiency=suff,
-        predicted_sufficiency_gap=predicted,
-        separation_tol=separation_tol,
-        sufficiency_floor=sufficiency_floor,
-    )
+    return ImpossibilityWitness(base_rates=base, separation=sep, sufficiency=sufficiency_gap_binary(pop, rule))

@@ -227,13 +227,6 @@ class PayoffMatrix:
         return cls(u11=1.0, u10=-1.0, u01=outside, u00=outside, outside=outside)
 
 
-def decide(rule: DecisionRule, group: str, score: float) -> float:
-    """Probability of deciding 1 at this score; exact 0/1 for deterministic policies."""
-    if not 0.0 <= score <= 1.0:
-        raise ValueError(f"score must lie in [0, 1], got {score!r}")
-    return rule.for_group(group).probability(score)
-
-
 def group_confusion_masses(csd: ConditionalScoreDensity, policy: Policy) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """Exact (tp, fp, fn, tn) masses of the policy on one group."""
     tp = policy.decided_mass(csd.f1)

@@ -95,22 +95,13 @@ class CaseBreakdown:
     cases: dict[str, CaseStats]
 
     @property
-    def total_loss(self) -> float:
-        return sum(c.loss for c in self.cases.values())
-
-    @property
     def wrong_side_mass(self) -> float:
         return self.cases["case2"].mass + self.cases["case3"].mass
 
 
 def classify_cases(
-    true_density: ScoreDensity,
-    displayed: ScoreMap | None,
-    threshold: float,
-    payoff: PayoffMatrix | None = None,
+    true_density: ScoreDensity, displayed: ScoreMap | None, threshold: float, payoff: PayoffMatrix
 ) -> CaseBreakdown:
-    if payoff is None:
-        payoff = PayoffMatrix.recommender()
     mids = true_density.midpoints()
     shown = mids if displayed is None else displayed(mids)
     act = shown > threshold
@@ -154,13 +145,9 @@ def utility_report(per_group: dict[str, float], tolerance: float) -> UtilityRepo
     return UtilityReport(per_group=per_group, disparity=disparity, tolerance=tolerance, verdict=verdict)
 
 
-def judge_disutility(
-    pop: PopulationModel,
-    rule: DecisionRule,
-    convention: Convention,
-    tolerance: float = 1e-6,
-) -> UtilityReport:
-    """Expected harm per group when declining a positive case costs 1.
+def judge_disutility(pop: PopulationModel, rule: DecisionRule, convention: Convention) -> UtilityReport:
+    """Expected harm per group when declining a positive case costs 1; the
+    verdict holds when the groups' harms lie within 1e-6.
 
     ``per-outcome`` reports P(D=0 | Y=1), the harm among those the decision
     actually fails; ``per-person`` reports P(D=0, Y=1), the harm averaged over
@@ -176,7 +163,7 @@ def judge_disutility(
             per_group[g] = rates(c).fnr
         else:
             per_group[g] = float(Fraction(c.fn) / Fraction(c.total))
-    return utility_report(per_group, tolerance)
+    return utility_report(per_group, 1e-6)
 
 
 def mc_long_run_eu(

@@ -16,8 +16,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fairsim import AuditDataset, sample, solve_equalized_odds
-from fairsim.densities import _WRITE_CHUNK as WRITE_CHUNK, _is_plain_label, _line_count, _read_columns, _read_rows
+from fairsim import AuditDataset, PopulationModel, sample, solve_equalized_odds
+from fairsim.densities import (
+    _WRITE_CHUNK as WRITE_CHUNK,
+    _is_plain_label,
+    _line_count,
+    _read_columns,
+    _read_rows,
+    group_index,
+)
 from _helpers import judge_population
 
 HEADER = "group,score,outcome,decision"
@@ -372,6 +379,24 @@ def test_group_codes_are_integers_and_labels_first_seen():
     assert data.codes.dtype == np.int32
     assert list(data.codes) == [0, 1, 0, 2]
     assert list(data.group) == ["w", "m", "w", "x"]
-    assert list(data.group_mask("w")) == [True, False, True, False]
+    assert list(data.codes == group_index(data.labels, "w")) == [True, False, True, False]
     with pytest.raises(KeyError, match="known groups"):
-        data.group_mask("z")
+        group_index(data.labels, "z")
+
+
+def test_a_label_longer_than_the_field_limit_is_refused(tmp_path):
+    # The csv field limit applies to the unquoted cell, so a label of the
+    # limit's length reads back even when quoting doubles its quotes.
+    limit = csv.field_size_limit()
+    path = tmp_path / "records.csv"
+    for label in ("q" * limit, 'q"' * (limit // 2)):
+        data = AuditDataset(group=[label, "b"], score=[0.1, 0.2], outcome=[0, 1])
+        data.to_csv(path)
+        assert AuditDataset.from_csv(path).labels == (label, "b")
+    too_long = "q" * (limit + 1)
+    with pytest.raises(ValueError, match=rf"^group label of {limit + 1} characters exceeds the csv field limit"):
+        AuditDataset(group=[too_long, "b"], score=[0.1, 0.2], outcome=[0, 1])
+    pop = judge_population(64)
+    pop = PopulationModel(groups={too_long: pop.group("men"), "b": pop.group("women")})
+    with pytest.raises(ValueError, match="^group label of"):
+        sample(pop, 100, seed=1)

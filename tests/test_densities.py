@@ -14,13 +14,13 @@ from fairsim import (
     ScoreDensity,
     ScoreMap,
     apply_score_map,
-    calibration_curve,
     integrate,
     is_defined,
     mc_long_run_eu,
     sample,
+    within_group_calibration_errors,
 )
-from fairsim.densities import draw_categorical
+from fairsim.densities import draw_categorical, group_index
 from _helpers import calibrated_uniform_pair, judge_population
 
 GRID = 1024
@@ -89,8 +89,8 @@ def test_integrate_clipped_utility_weight():
     assert got == pytest.approx(0.25, abs=1e-4)
 
 
-def test_integrate_accepts_scalar_functions():
-    got = integrate(ScoreDensity.uniform(64), lambda s: float(s) ** 2)
+def test_integrate_quadratic_weight():
+    got = integrate(ScoreDensity.uniform(64), lambda s: s ** 2)
     assert got == pytest.approx(1.0 / 3.0, abs=1e-4)
 
 
@@ -115,7 +115,7 @@ def test_integrate_monotone_for_nonnegative_weights(weights):
     assert small <= large + 1e-12
 
 
-# -- base rate and calibration curve ------------------------------------------
+# -- base rate and per-cell calibration ------------------------------------------
 
 
 def test_base_rate_zero_when_no_positive_mass():
@@ -148,8 +148,8 @@ def test_base_rate_unknown_group():
 
 def test_calibration_curve_of_calibrated_group_is_identity():
     pop = calibrated_uniform_pair(GRID)
-    curve = calibration_curve(pop, "a")
-    assert np.max(np.abs(curve.values - curve.midpoints)) <= 1e-12
+    curve = within_group_calibration_errors(pop)["a"]
+    assert np.max(np.abs(curve.observed - curve.levels)) <= 1e-12
 
 
 def test_calibration_curve_zero_when_f1_empty():
@@ -159,8 +159,8 @@ def test_calibration_curve_zero_when_f1_empty():
             "b": ConditionalScoreDensity.calibrated(ScoreDensity.uniform(GRID)),
         }
     )
-    curve = calibration_curve(pop, "a")
-    assert np.all(curve.values == 0.0)
+    curve = within_group_calibration_errors(pop)["a"]
+    assert np.all(curve.observed == 0.0)
 
 
 def test_calibration_curve_detects_inflated_positive_mass():
@@ -170,9 +170,9 @@ def test_calibration_curve_detects_inflated_positive_mass():
     total = f1.sum() / GRID + f0.sum() / GRID
     csd = ConditionalScoreDensity(f0=ScoreDensity(f0 / total), f1=ScoreDensity(f1 / total))
     pop = PopulationModel(groups={"a": csd, "b": csd})
-    curve = calibration_curve(pop, "a")
-    interior = (curve.midpoints > 0.1) & (curve.midpoints < 0.9)
-    assert np.max(np.abs(curve.values[interior] - curve.midpoints[interior])) > 0.05
+    curve = within_group_calibration_errors(pop)["a"]
+    interior = (curve.levels > 0.1) & (curve.levels < 0.9)
+    assert np.max(np.abs(curve.observed[interior] - curve.levels[interior])) > 0.05
 
 
 @settings(max_examples=50, deadline=None)
@@ -181,8 +181,8 @@ def test_calibrated_split_is_a_fixed_point_of_the_curve(weights):
     marginal = ScoreDensity(np.array(weights)).normalized()
     csd = ConditionalScoreDensity.calibrated(marginal)
     pop = PopulationModel(groups={"a": csd, "b": csd})
-    curve = calibration_curve(pop, "a")
-    assert np.max(np.abs(curve.values - curve.midpoints)) <= 1e-12
+    curve = within_group_calibration_errors(pop)["a"]
+    assert np.max(np.abs(curve.observed - curve.levels)) <= 1e-12
 
 
 def test_calibration_curve_marks_empty_cells_undefined():
@@ -190,9 +190,9 @@ def test_calibration_curve_marks_empty_cells_undefined():
     w[2] = 8.0
     csd = ConditionalScoreDensity(f0=ScoreDensity(w * 0.5), f1=ScoreDensity(w * 0.5))
     pop = PopulationModel(groups={"a": csd, "b": csd})
-    curve = calibration_curve(pop, "a")
-    assert not is_defined(curve.values[0])
-    assert curve.values[2] == pytest.approx(0.5)
+    curve = within_group_calibration_errors(pop)["a"]
+    assert not is_defined(curve.observed[0])
+    assert curve.observed[2] == pytest.approx(0.5)
 
 
 # -- score maps ----------------------------------------------------------------
@@ -221,8 +221,8 @@ def test_constant_map_concentrates_mass_and_conserves_class_totals():
 def test_flip_map_inverts_the_calibration_curve():
     pop = calibrated_uniform_pair(GRID)
     mapped = apply_score_map(pop, "a", ScoreMap.from_callable(lambda p: 1.0 - p, GRID))
-    curve = calibration_curve(mapped, "a")
-    assert np.max(np.abs(curve.values - (1.0 - curve.midpoints))) <= 1e-12
+    curve = within_group_calibration_errors(mapped)["a"]
+    assert np.max(np.abs(curve.observed - (1.0 - curve.levels))) <= 1e-12
 
 
 def test_score_map_rejects_values_outside_unit_interval():
@@ -284,7 +284,7 @@ def test_sampling_converges_to_analytic_base_rate():
     data = sample(pop, 1_000_000, seed=42)
     assert abs(float(data.outcome.mean()) - 0.5) < 0.005
     for g in ("a", "b"):
-        mask = data.group_mask(g)
+        mask = data.codes == group_index(data.labels, g)
         assert abs(float(data.outcome[mask].mean()) - 0.5) < 0.005
 
 

@@ -6,9 +6,11 @@ module goes through its public API (``boundary_numerators``,
 one-threshold mass of an int64-scaled density is read without building the
 boundary numerators. Weighted draws go through one sampler, decisions
 through one policy path, dataset records through one tally, no module
-reaches into another's private names, and no import is left unused."""
+reaches into another's private names, no import is left unused, and no
+export is left that only tests use."""
 
 import ast
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -92,19 +94,31 @@ def test_only_draw_categorical_draws_weighted_choices():
     assert offenders == []
 
 
-def test_only_densities_uses_group_mask():
-    """Empirical metrics count records through one all-group tally in
-    ``metrics``; no module outside ``densities.py`` builds a per-group mask."""
+def test_every_export_is_used_or_documented():
+    """Each name the package re-exports is used somewhere in the package
+    outside its own definition, or named in a code span of the README: an
+    export that only tests reach is code to delete. A use inside the
+    definition of such an export does not count, so a name that only dead
+    code uses is dead too."""
     package = Path(fairsim.__file__).parent
-    offenders = []
-    for path in sorted(package.rglob("*.py")):
-        if path.relative_to(package) == Path("densities.py"):
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    exported = [alias.name for node in init.body if isinstance(node, ast.ImportFrom) for alias in node.names]
+    uses = []  # (name of a top-level definition, or None, and the names it uses)
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
-            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
-            if name == "group_mask":
-                offenders.append(f"{path.relative_to(package)}:{node.lineno}")
-    assert offenders == []
+        for top in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            owner = getattr(top, "name", None)
+            names = {node.id if isinstance(node, ast.Name) else getattr(node, "attr", None) for node in ast.walk(top)}
+            uses.append((owner, names - {owner}))
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    documented = {word for span in re.findall(r"`([^`\n]+)`", readme) for word in re.findall(r"\w+", span)}
+    dead, previous = set(), None
+    while dead != previous:
+        previous = dead
+        used = set().union(*(names for owner, names in uses if owner not in dead))
+        dead = {name for name in exported if name not in used | documented}
+    assert sorted(dead) == []
 
 
 def _private_names(tree: ast.Module) -> set[str]:

@@ -19,7 +19,6 @@ from fairsim import (
     between_group_calibration_gap,
     coarsen,
     confusion,
-    decide,
     rates,
     separation_gap,
     solve_equalized_odds,
@@ -32,23 +31,21 @@ from _helpers import calibrated_uniform_pair, judge_population, random_calibrate
 
 def test_decide_is_strict_at_the_threshold():
     rule = DecisionRule.shared(0.5, ["a"])
-    assert decide(rule, "a", 0.5) == 0.0
-    assert decide(rule, "a", 0.51) == 1.0
+    assert rule.for_group("a").probability(0.5) == 0.0
+    assert rule.for_group("a").probability(0.51) == 1.0
 
 
 def test_decide_randomized_mixes_the_two_thresholds():
     rule = DecisionRule({"a": RandomizedThreshold(lower=0.3, upper=0.7, mix=0.25)})
-    assert decide(rule, "a", 0.5) == pytest.approx(0.25)
-    assert decide(rule, "a", 0.2) == 0.0
-    assert decide(rule, "a", 0.8) == 1.0
+    assert rule.for_group("a").probability(0.5) == pytest.approx(0.25)
+    assert rule.for_group("a").probability(0.2) == 0.0
+    assert rule.for_group("a").probability(0.8) == 1.0
 
 
 def test_decide_validates_inputs():
     rule = DecisionRule.shared(0.5, ["a"])
-    with pytest.raises(KeyError):
-        decide(rule, "b", 0.5)
-    with pytest.raises(ValueError):
-        decide(rule, "a", 1.5)
+    with pytest.raises(KeyError, match="covered groups"):
+        rule.for_group("b")
 
 
 def test_policy_validation():

@@ -19,6 +19,7 @@ from fairsim import (
     separation_gap,
     solve_equalized_odds,
     solve_parity_ratio,
+    utility_report,
 )
 from _helpers import judge_population
 
@@ -85,7 +86,7 @@ def test_long_run_eu_requires_normalized_density():
 
 def test_classify_cases_identity_has_no_loss():
     cases = classify_cases(UNIFORM, IDENTITY, 0.5, REC)
-    assert cases.total_loss == 0.0
+    assert sum(c.loss for c in cases.cases.values()) == 0.0
     assert cases.cases["case1"].mass == pytest.approx(0.5, abs=1e-12)
     assert cases.cases["case4"].mass == pytest.approx(0.5, abs=1e-12)
 
@@ -106,7 +107,7 @@ def test_no_map_beats_the_truthful_score_and_losses_decompose():
         eu = long_run_eu(UNIFORM, score_map, REC, 0.5)
         cases = classify_cases(UNIFORM, score_map, 0.5, REC)
         assert eu <= eu_id + 1e-9
-        assert eu_id - eu == pytest.approx(cases.total_loss, abs=1e-9)
+        assert eu_id - eu == pytest.approx(sum(c.loss for c in cases.cases.values()), abs=1e-9)
 
 
 def test_optimum_threshold_beats_a_threshold_sweep():
@@ -125,7 +126,7 @@ def test_loss_decomposition_property(values):
     density = ScoreDensity.uniform(16)
     score_map = ScoreMap(np.array(values))
     delta = long_run_eu(density, None, REC, 0.5) - long_run_eu(density, score_map, REC, 0.5)
-    assert delta == pytest.approx(classify_cases(density, score_map, 0.5, REC).total_loss, abs=1e-9)
+    assert delta == pytest.approx(sum(c.loss for c in classify_cases(density, score_map, 0.5, REC).cases.values()), abs=1e-9)
 
 
 # -- judge disutility ----------------------------------------------------------------
@@ -175,9 +176,9 @@ def test_convention_must_be_named():
 def test_disparity_verdict_returns_magnitude_either_way():
     pop = judge_population(GRID)
     rule = solve_equalized_odds(pop, "men", 0.5)
-    strict = judge_disutility(pop, rule, "per-person", tolerance=1e-6)
-    assert not strict.verdict and strict.disparity > 1e-6
-    loose = judge_disutility(pop, rule, "per-person", tolerance=1.0)
+    strict = judge_disutility(pop, rule, "per-person")
+    assert not strict.verdict and strict.disparity > 1e-6 and strict.tolerance == 1e-6
+    loose = utility_report(strict.per_group, 1.0)
     assert loose.verdict and loose.disparity == strict.disparity
 
 
