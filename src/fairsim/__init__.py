@@ -34,7 +34,7 @@ from .metrics import (
     WithinGroupCalibration,
     between_group_calibration_gap,
     confusion,
-    impossibility_witness,
+    confusion_tables,
     rates,
     separation_gap,
     sufficiency_gap_binary,
@@ -46,7 +46,6 @@ from .rules import (
     InfeasibleRuleError,
     PayoffMatrix,
     RandomizedThreshold,
-    coarsen,
     solve_equalized_odds,
     solve_parity_ratio,
 )

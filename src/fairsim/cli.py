@@ -20,9 +20,10 @@ from typing import get_args
 from .densities import AuditDataset, is_defined
 from .experiments import EXPERIMENTS
 from .metrics import (
+    SeparationGaps,
+    SufficiencyGaps,
     between_group_calibration_gap,
-    separation_gap,
-    sufficiency_gap_binary,
+    confusion_tables,
     tally,
     within_group_calibration_errors,
 )
@@ -159,19 +160,12 @@ def audit(csv_path: str, bins: int = 10, tol: float = 1e-6) -> dict:
     report["within_group"] = {g: {"sup_error": w.sup_error, "l1_error": w.l1_error} for g, w in within.items()}
 
     if data.decisions_complete():
-        sep = separation_gap(data)
-        suff = sufficiency_gap_binary(data)
+        tables = confusion_tables(data)
+        sep = SeparationGaps.of(tables)
+        suff = SufficiencyGaps.of(tables, dict.fromkeys(labels, 1))  # groups pool by record count
         report["rates"] = {g: {"fpr": rp.fpr, "fnr": rp.fnr} for g, rp in sep.rate_pairs.items()}
-        report["separation"] = {
-            "fpr_gap": sep.fpr_gap,
-            "fnr_gap": sep.fnr_gap,
-            "holds": sep.holds(tol),
-        }
-        report["sufficiency"] = {
-            "gap_r1": suff.gap_r1,
-            "gap_r0": suff.gap_r0,
-            "holds": suff.holds(tol),
-        }
+        report["separation"] = {"fpr_gap": sep.fpr_gap, "fnr_gap": sep.fnr_gap, "holds": sep.holds(tol)}
+        report["sufficiency"] = {"gap_r1": suff.gap_r1, "gap_r0": suff.gap_r0, "holds": suff.holds(tol)}
     else:
         report["rates"] = {"available": False}
     return report

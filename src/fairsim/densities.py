@@ -91,13 +91,16 @@ class ScoreDensity:
         return cell_midpoints(self.weights.size)
 
     @cached_property
-    def _scaled_numerators(self) -> tuple[np.ndarray, int, int | None]:
-        """``(scaled, denominator, total)`` with ``scaled[k] / denominator``
-        the exact mass of cell k. Each cell weight is a binary float, an
-        integer over a power of two; ``denominator`` is G times the least
-        common such power. ``scaled`` is int64 when every numerator is below
-        2**62, and ``total`` is then its sum; else ``scaled`` holds Python
-        ints and ``total`` is None, since their total heads the suffix."""
+    def _scaled_numerators(self) -> tuple[np.ndarray | tuple[int, ...], int, int | None]:
+        """``(scaled, denominator, total)``. Each cell weight is a binary
+        float, an integer over a power of two; ``denominator`` is G times the
+        least common such power. When every cell numerator is below 2**62,
+        ``scaled`` is their int64 array and ``total`` its sum. Else ``total``
+        is None and ``scaled`` is ``_integer_form``, the G + 1 suffix sums of
+        the Python-int numerators, with cell k as ``scaled[k] - scaled[k + 1]``:
+        no array is kept beside it. Python ints cost about as much to sum as
+        to accumulate, and the densities that hold them, the f0 and f1 of a
+        calibrated group, are the ones the solvers scan."""
         mant, expo = np.frexp(self.weights)
         num = (mant * 2.0**53).astype(np.int64)  # w == num * 2**expo, exactly
         expo = expo.astype(np.int64) - 53
@@ -119,27 +122,24 @@ class ScoreDensity:
         if int((bits + shift).max()) < 63:
             scaled = num << shift
             return scaled, den, _int64_sum(scaled)
-        return num.astype(object) << shift, den, None
+        cells = (num.astype(object) << shift).tolist()
+        return tuple(itertools.accumulate(reversed(cells), initial=0))[::-1], den, None
 
     @cached_property
     def _integer_form(self) -> tuple[int, ...]:
         """The G + 1 suffix sums of the scaled numerators, as Python ints:
         entry k is the numerator of the exact mass of [k/G, 1]; built on
-        first use."""
-        suffix = list(itertools.accumulate(reversed(self._scaled_numerators[0].tolist()), initial=0))
-        suffix.reverse()
-        return tuple(suffix)
+        first use from an int64 array."""
+        scaled, _, total = self._scaled_numerators
+        return scaled if total is None else tuple(itertools.accumulate(reversed(scaled.tolist()), initial=0))[::-1]
 
     def _tail(self, k: int) -> int:
-        """Numerator over ``exact_denominator`` of the exact mass of [k/G, 1].
-
-        An int64 array sums its cells from k on, or gives its cached total.
-        Python-int numerators cost about as much to sum as to accumulate, and
-        the densities that hold them, the f0 and f1 of a calibrated group, are
-        the ones the solvers scan, so for them the suffix is built and read."""
+        """Numerator over ``exact_denominator`` of the exact mass of [k/G, 1]:
+        an int64 array sums its cells from k on, or gives its cached total;
+        Python-int numerators are read off their suffix."""
         scaled, _, total = self._scaled_numerators
         if total is None:
-            return self._integer_form[k]
+            return scaled[k]
         return total if k == 0 else _int64_sum(scaled[k:])
 
     def boundary_numerators(self) -> tuple[int, ...]:
@@ -169,10 +169,11 @@ class ScoreDensity:
             return Fraction(0)
         # t = a/b lies in cell j: the cells above it, plus cell j's part over
         # [t, (j+1)/G], all over denominator * b
-        scaled, den, _ = self._scaled_numerators
+        scaled, den, total = self._scaled_numerators
         grid = self.weights.size
         j = a * grid // b
-        rest, cell = self._tail(j + 1), int(scaled[j])
+        rest = self._tail(j + 1)
+        cell = int(scaled[j]) if total is not None else scaled[j] - rest
         return Fraction(rest * b + cell * ((j + 1) * b - a * grid), den * b)
 
     def exact_mass_below(self, threshold) -> Fraction:

@@ -28,21 +28,22 @@ from .densities import (
 )
 from .metrics import (
     ConfusionCounts,
+    ImpossibilityWitness,
+    SeparationGaps,
+    SufficiencyGaps,
     between_group_calibration_gap,
     confusion,
+    confusion_tables,
     false_omission_rate,
-    impossibility_witness,
     rates,
-    separation_gap,
-    sufficiency_gap_binary,
 )
 from .reports import render_doc, render_text, write_series_csv
-from .rules import PayoffMatrix, coarsen, solve_equalized_odds, solve_parity_ratio
+from .rules import PayoffMatrix, solve_equalized_odds, solve_parity_ratio
 from .utility import (
     CONVENTIONS,
     Convention,
     classify_cases,
-    judge_disutility,
+    harm_report,
     long_run_eu,
     mc_long_run_eu,
     optimal_threshold,
@@ -284,26 +285,21 @@ def run_judge_experiment(
     solve = solve_equalized_odds if rule == "equalized-odds" else solve_parity_ratio
     solved = solve(pop, reference, reference_t)
 
-    sep = separation_gap(pop, solved)
-    suff = sufficiency_gap_binary(pop, solved)
-    coarse = coarsen(pop, solved)
-    coarse_cal = between_group_calibration_gap(coarse)
-    du_outcome = judge_disutility(pop, solved, "per-outcome")
-    du_person = judge_disutility(pop, solved, "per-person")
+    tables = confusion_tables(pop, solved)
+    sep = SeparationGaps.of(tables)
+    suff = SufficiencyGaps.of(tables, pop.normalized_weights())
+    du_outcome = harm_report(tables, "per-outcome")
+    du_person = harm_report(tables, "per-person")
     selected = du_outcome if convention == "per-outcome" else du_person
 
-    base_gap = abs(base_rate_m - base_rate_f)
-    witness_applies = base_gap > 1e-6
-    witness_consistent = True
-    if witness_applies:
-        try:
-            witness = impossibility_witness(pop, solved)
-            witness_consistent = witness.consistent
-        except ValueError:
-            witness_applies = False
+    base = {g: pop.group(g).base_rate for g in pop.labels}
+    try:
+        witness_applies, witness_consistent = True, ImpossibilityWitness(base, sep, suff).consistent
+    except ValueError:  # the conflict is not forced
+        witness_applies, witness_consistent = False, True
 
     metrics = {
-        "base_rate": {"men": pop.group("men").base_rate, "women": pop.group("women").base_rate},
+        "base_rate": base,
         "rule": {label: line for label, line in zip(solved.labels, solved.serialize().splitlines())},
         "separation": {
             "fpr_gap": sep.fpr_gap,
@@ -317,18 +313,16 @@ def run_judge_experiment(
             "pos_given_r1": dict(suff.pos_given_r1),
             "pos_given_r0": dict(suff.pos_given_r0),
         },
-        "coarsened_calibration": {"sup_gap": coarse_cal.sup_gap, "l1_gap": coarse_cal.l1_gap},
+        "coarsened_calibration": {"sup_gap": suff.coarsened_sup_gap, "l1_gap": suff.coarsened_l1_gap},
         "disutility": {
             "per_outcome": {**du_outcome.per_group, "disparity": du_outcome.disparity},
             "per_person": {**du_person.per_group, "disparity": du_person.disparity},
         },
         "witness": {"applies": witness_applies, "consistent": witness_consistent},
     }
-    sep_max = sep.max_gap
-    suff_max = suff.max_gap
     verdicts = {
-        "separation": Verdict(sep.holds(ANALYTIC_TOL), sep_max, ANALYTIC_TOL),
-        "sufficiency": Verdict(suff.holds(ANALYTIC_TOL), suff_max, ANALYTIC_TOL),
+        "separation": Verdict(sep.holds(ANALYTIC_TOL), sep.max_gap, ANALYTIC_TOL),
+        "sufficiency": Verdict(suff.holds(ANALYTIC_TOL), suff.max_gap, ANALYTIC_TOL),
         "equal_harm": Verdict(selected.verdict, selected.disparity, selected.tolerance),
     }
     series = {

@@ -57,23 +57,32 @@ class RatePair:
     fnr: float
 
 
-def _ratio(num, den) -> float:
-    if den == 0:
-        return UNDEFINED
-    return float(Fraction(num) / Fraction(den))
+def _rate(num, den) -> Fraction | None:
+    """num / den as an exact rate, or None when the conditioning event is empty."""
+    return Fraction(num) / Fraction(den) if den else None
+
+
+def _float(rate: Fraction | None) -> float:
+    """An exact rate correctly rounded, or the undefined marker for None."""
+    return UNDEFINED if rate is None else float(rate)
+
+
+def _gap(rates) -> float:
+    """``float(max - min)`` of a collection of exact rates, rounded once: undefined if any is."""
+    return UNDEFINED if None in rates else float(max(rates) - min(rates))
 
 
 def rates(counts: ConfusionCounts) -> RatePair:
     """fpr = fp/(fp+tn), fnr = fn/(fn+tp), via exact division."""
     return RatePair(
-        fpr=_ratio(counts.fp, counts.fp + counts.tn),
-        fnr=_ratio(counts.fn, counts.fn + counts.tp),
+        fpr=_float(_rate(counts.fp, counts.fp + counts.tn)),
+        fnr=_float(_rate(counts.fn, counts.fn + counts.tp)),
     )
 
 
 def false_omission_rate(counts: ConfusionCounts) -> float:
     """P(Y=1 | D=0) = fn/(fn+tn), via exact division."""
-    return _ratio(counts.fn, counts.fn + counts.tn)
+    return _float(_rate(counts.fn, counts.fn + counts.tn))
 
 
 def tally(data: AuditDataset, cell, cells: int, weights=None) -> np.ndarray:
@@ -85,11 +94,11 @@ def tally(data: AuditDataset, cell, cells: int, weights=None) -> np.ndarray:
 
 
 def _confusion_tables(source: PopulationModel | AuditDataset, rule: DecisionRule | None, groups) -> dict:
-    """Each named group's ``confusion`` table, checked in the order given. One
-    tally of the recorded decisions serves every group; a rule makes one
-    tally per mixture position, in which each record meets its own group's
-    threshold at that position, and a group sums the tallies of its own
-    positions with its policy's weights."""
+    """Each named group's table, checked in the order given. One tally of the
+    recorded decisions serves every group; a rule makes one tally per mixture
+    position, in which each record meets its own group's threshold at that
+    position, and a group sums the tallies of its own positions with its
+    policy's weights."""
     if isinstance(source, PopulationModel):
         if rule is None:
             raise ValueError("analytic confusion requires a decision rule")
@@ -117,14 +126,20 @@ def _confusion_tables(source: PopulationModel | AuditDataset, rule: DecisionRule
     return tables
 
 
-def confusion(source: PopulationModel | AuditDataset, rule: DecisionRule | None, group: str) -> ConfusionCounts:
-    """Decision-vs-outcome table for one group.
+def confusion_tables(source: PopulationModel | AuditDataset, rule: DecisionRule | None = None) -> dict:
+    """Every group's decision-vs-outcome ``ConfusionCounts``, keyed by label
+    in label order: the one measurement every binary-decision metric reads.
 
     Analytic sources need a rule and yield exact masses. Empirical sources
     yield exact counts, taken from the recorded decision column when ``rule``
     is None; a randomized rule on a dataset yields expected (fractional)
     counts rather than draws.
     """
+    return _confusion_tables(source, rule, source.labels)
+
+
+def confusion(source: PopulationModel | AuditDataset, rule: DecisionRule | None, group: str) -> ConfusionCounts:
+    """The ``confusion_tables`` row of one group, measured alone."""
     return _confusion_tables(source, rule, [group])[group]
 
 
@@ -265,7 +280,7 @@ class _TwoGaps:
         gaps = [getattr(self, name) for name in self._gap_names]
         return max(gaps) if all(is_defined(g) for g in gaps) else UNDEFINED
 
-    def holds(self, tol: float = 1e-12) -> bool:
+    def holds(self, tol: float) -> bool:
         return is_defined(self.max_gap) and self.max_gap <= tol
 
 
@@ -279,21 +294,32 @@ class SeparationGaps(_TwoGaps):
     fpr_gap: float
     fnr_gap: float
 
+    @classmethod
+    def of(cls, tables: dict[str, ConfusionCounts]) -> "SeparationGaps":
+        """The view of ``confusion_tables``: exact rates, each gap rounded once."""
+        if len(tables) < 2:
+            raise ValueError("separation gap needs at least 2 groups")
+        fpr = {g: _rate(c.fp, c.fp + c.tn) for g, c in tables.items()}
+        fnr = {g: _rate(c.fn, c.fn + c.tp) for g, c in tables.items()}
+        return cls(
+            rate_pairs={g: RatePair(_float(fpr[g]), _float(fnr[g])) for g in tables},
+            fpr_gap=_gap(fpr.values()),
+            fnr_gap=_gap(fnr.values()),
+        )
+
 
 def separation_gap(source: PopulationModel | AuditDataset, rule: DecisionRule | None = None) -> SeparationGaps:
-    if len(source.labels) < 2:
-        raise ValueError("separation gap needs at least 2 groups")
-    pairs = {g: rates(c) for g, c in _confusion_tables(source, rule, source.labels).items()}
-    return SeparationGaps(
-        rate_pairs=pairs,
-        fpr_gap=spread(rp.fpr for rp in pairs.values()),
-        fnr_gap=spread(rp.fnr for rp in pairs.values()),
-    )
+    return SeparationGaps.of(confusion_tables(source, rule))
 
 
 @dataclass(frozen=True)
 class SufficiencyGaps(_TwoGaps):
-    """Pairwise spread of outcome rates conditional on the binary decision."""
+    """Pairwise spread of outcome rates conditional on the binary decision.
+    The same rates read the decision as a score with two levels, decided 0
+    and 1, whose coarsened calibration gap ``coarsened_sup_gap`` is the
+    largest level gap over the groups defined there (``max_gap`` when every
+    rate is defined); ``coarsened_l1_gap`` averages the level gaps by pooled
+    mass. A level with fewer than 2 defined groups is left out."""
 
     _gap_names = ("gap_r1", "gap_r0")
 
@@ -301,31 +327,58 @@ class SufficiencyGaps(_TwoGaps):
     pos_given_r0: dict[str, float]
     gap_r1: float
     gap_r0: float
+    coarsened_sup_gap: float
+    coarsened_l1_gap: float
+
+    @classmethod
+    def of(cls, tables: dict[str, ConfusionCounts], weights: dict[str, float]) -> "SufficiencyGaps":
+        """The view of ``confusion_tables``: exact rates, each gap rounded
+        once; a group's masses pool with its ``weights`` entry."""
+        if len(tables) < 2:
+            raise ValueError("sufficiency gap needs at least 2 groups")
+        r1 = {g: _rate(c.tp, c.tp + c.fp) for g, c in tables.items()}
+        r0 = {g: _rate(c.fn, c.fn + c.tn) for g, c in tables.items()}
+        levels = []  # (exact gap, pooled mass) of each level with 2 or more defined groups
+        for level, decided in ((r0, lambda c: c.fn + c.tn), (r1, lambda c: c.tp + c.fp)):
+            defined = [r for r in level.values() if r is not None]
+            if len(defined) >= 2:
+                mass = sum(Fraction(weights[g]) * decided(c) for g, c in tables.items())
+                levels.append((max(defined) - min(defined), mass))
+        return cls(
+            pos_given_r1={g: _float(r) for g, r in r1.items()},
+            pos_given_r0={g: _float(r) for g, r in r0.items()},
+            gap_r1=_gap(r1.values()),
+            gap_r0=_gap(r0.values()),
+            coarsened_sup_gap=float(max(gap for gap, _ in levels)) if levels else UNDEFINED,
+            coarsened_l1_gap=_float(_rate(sum(gap * mass for gap, mass in levels), sum(mass for _, mass in levels))),
+        )
 
 
 def sufficiency_gap_binary(source: PopulationModel | AuditDataset, rule: DecisionRule | None = None) -> SufficiencyGaps:
-    if len(source.labels) < 2:
-        raise ValueError("sufficiency gap needs at least 2 groups")
-    counts = _confusion_tables(source, rule, source.labels)
-    pos_r1 = {g: _ratio(c.tp, c.tp + c.fp) for g, c in counts.items()}
-    pos_r0 = {g: false_omission_rate(c) for g, c in counts.items()}
-    return SufficiencyGaps(
-        pos_given_r1=pos_r1,
-        pos_given_r0=pos_r0,
-        gap_r1=spread(pos_r1.values()),
-        gap_r0=spread(pos_r0.values()),
-    )
+    weights = source.normalized_weights() if isinstance(source, PopulationModel) else dict.fromkeys(source.labels, 1)
+    return SufficiencyGaps.of(confusion_tables(source, rule), weights)
 
 
 @dataclass(frozen=True)
 class ImpossibilityWitness:
     """Measured evidence that rate equality and group calibration of a binary
     output cannot coexist on unequal base rates with an imperfect rule.
-    Separation holds within 1e-6; sufficiency is violated by more than 1e-4."""
+    Separation holds within 1e-6; sufficiency is violated by more than 1e-4.
+    A ValueError says the conflict is not forced: base rates within 1e-6, an
+    undefined rate, or fpr + fnr within 1e-6 in every group."""
 
     base_rates: dict[str, float]
     separation: SeparationGaps
     sufficiency: SufficiencyGaps
+
+    def __post_init__(self):
+        base_gap = spread(self.base_rates.values())
+        if base_gap <= 1e-6:
+            raise ValueError(f"base rates are equal (spread {base_gap:.3g}); the conflict is not forced")
+        if not is_defined(self.separation.max_gap):
+            raise ValueError("a group has an empty outcome class; rates undefined")
+        if all(rp.fpr + rp.fnr <= 1e-6 for rp in self.separation.rate_pairs.values()):
+            raise ValueError("rule is (near-)perfectly accurate; the conflict is not forced")
 
     @property
     def separation_holds(self) -> bool:
@@ -333,38 +386,9 @@ class ImpossibilityWitness:
 
     @property
     def sufficiency_violated(self) -> bool:
-        g = self.sufficiency.max_gap
-        return is_defined(g) and g > 1e-4
+        return self.sufficiency.max_gap > 1e-4  # false when undefined
 
     @property
     def consistent(self) -> bool:
         """True unless both criteria were observed to hold simultaneously."""
         return self.sufficiency_violated or not self.separation_holds
-
-
-def impossibility_witness(pop: PopulationModel, rule: DecisionRule) -> ImpossibilityWitness:
-    """Measure both criteria on a population where they cannot both hold.
-
-    Preconditions (ValueError otherwise): base rates differ by more than 1e-6
-    and the rule is imperfect (fpr + fnr > 1e-6 in some group), the regime in
-    which the conflict is forced.
-    """
-    labels = pop.labels
-    if len(labels) < 2:
-        raise ValueError("witness needs at least 2 groups")
-    base = {g: pop.group(g).base_rate for g in labels}
-    base_gap = spread(base.values())
-    if base_gap <= 1e-6:
-        raise ValueError(f"base rates are equal (spread {base_gap:.3g}); the conflict is not forced")
-
-    sep = separation_gap(pop, rule)
-    imperfect = False
-    for rp in sep.rate_pairs.values():
-        if not (is_defined(rp.fpr) and is_defined(rp.fnr)):
-            raise ValueError("a group has an empty outcome class; rates undefined")
-        if rp.fpr + rp.fnr > 1e-6:
-            imperfect = True
-    if not imperfect:
-        raise ValueError("rule is (near-)perfectly accurate; the conflict is not forced")
-
-    return ImpossibilityWitness(base_rates=base, separation=sep, sufficiency=sufficiency_gap_binary(pop, rule))

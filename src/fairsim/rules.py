@@ -236,22 +236,6 @@ def group_confusion_masses(csd: ConditionalScoreDensity, policy: Policy) -> tupl
     return tp, fp, fn, tn
 
 
-def coarsen(pop: PopulationModel, rule: DecisionRule) -> PopulationModel:
-    """Two-cell population of the rule's binary output.
-
-    Cell 0 holds the mass decided 0, cell 1 the mass decided 1; the coarsened
-    output is itself a score that all calibration metrics apply to.
-    """
-    groups = {}
-    for label, csd in pop.groups.items():
-        tp, fp, fn, tn = group_confusion_masses(csd, rule.for_group(label))
-        # density value = mass / cell width, with two half-unit cells
-        f1 = ScoreDensity(np.array([float(fn), float(tp)]) * 2.0)
-        f0 = ScoreDensity(np.array([float(tn), float(fp)]) * 2.0)
-        groups[label] = ConditionalScoreDensity(f0=f0, f1=f1)
-    return PopulationModel(groups=groups, weights=pop.weights)
-
-
 def _roc_point_policy(csd: ConditionalScoreDensity, fpr_target: Fraction, tpr_target: Fraction) -> Policy:
     """Policy whose exact (fpr, tpr) equals the target point.
 

@@ -18,7 +18,7 @@ from typing import Literal, get_args
 import numpy as np
 
 from .densities import UNDEFINED, PopulationModel, ScoreDensity, ScoreMap, draw_categorical, integrate, is_defined
-from .metrics import confusion, rates, spread
+from .metrics import ConfusionCounts, confusion_tables, rates, spread
 from .rules import DecisionRule, PayoffMatrix
 
 Convention = Literal["per-outcome", "per-person"]
@@ -145,9 +145,10 @@ def utility_report(per_group: dict[str, float], tolerance: float) -> UtilityRepo
     return UtilityReport(per_group=per_group, disparity=disparity, tolerance=tolerance, verdict=verdict)
 
 
-def judge_disutility(pop: PopulationModel, rule: DecisionRule, convention: Convention) -> UtilityReport:
-    """Expected harm per group when declining a positive case costs 1; the
-    verdict holds when the groups' harms lie within 1e-6.
+def harm_report(tables: dict[str, ConfusionCounts], convention: Convention) -> UtilityReport:
+    """Expected harm per group, read off ``confusion_tables``, when declining
+    a positive case costs 1; the verdict holds when the groups' harms lie
+    within 1e-6.
 
     ``per-outcome`` reports P(D=0 | Y=1), the harm among those the decision
     actually fails; ``per-person`` reports P(D=0, Y=1), the harm averaged over
@@ -156,14 +157,16 @@ def judge_disutility(pop: PopulationModel, rule: DecisionRule, convention: Conve
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
-    per_group: dict[str, float] = {}
-    for g in pop.labels:
-        c = confusion(pop, rule, g)
-        if convention == "per-outcome":
-            per_group[g] = rates(c).fnr
-        else:
-            per_group[g] = float(Fraction(c.fn) / Fraction(c.total))
+    if convention == "per-outcome":
+        per_group = {g: rates(c).fnr for g, c in tables.items()}
+    else:
+        per_group = {g: float(Fraction(c.fn) / Fraction(c.total)) for g, c in tables.items()}
     return utility_report(per_group, 1e-6)
+
+
+def judge_disutility(pop: PopulationModel, rule: DecisionRule, convention: Convention) -> UtilityReport:
+    """``harm_report`` of the rule on the population."""
+    return harm_report(confusion_tables(pop, rule), convention)
 
 
 def mc_long_run_eu(

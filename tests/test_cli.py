@@ -191,6 +191,23 @@ def test_audit_passes_over_the_records_as_often_for_six_groups_as_for_two(tmp_pa
     assert made[6] == made[2], made
 
 
+def test_audit_tallies_the_recorded_decisions_once(tmp_path, monkeypatch):
+    """Separation and sufficiency are views of one confusion table, so an
+    audit with decisions makes one tally of its 6 decision cells per group."""
+    calls = []
+    tally = metrics.tally
+
+    def counted(*args):
+        calls.append(args)
+        return tally(*args)
+
+    monkeypatch.setattr(metrics, "tally", counted)
+    path = tmp_path / "four.csv"
+    write_four_cell_file(path)
+    assert "separation" in audit(str(path))
+    assert [args[2] for args in calls].count(6) == 1
+
+
 def test_audit_writes_report_file(tmp_path, capsys):
     path = tmp_path / "four.csv"
     write_four_cell_file(path)

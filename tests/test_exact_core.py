@@ -5,7 +5,8 @@ module goes through its public API (``boundary_numerators``,
 ``exact_denominator``, ``exact_mass_above`` and friends), and a total or a
 one-threshold mass of an int64-scaled density is read without building the
 boundary numerators. Weighted draws go through one sampler, decisions
-through one policy path, dataset records through one tally, no module
+through one policy path, dataset records through one tally, confusion
+masses through one table builder and the solvers, no module
 reaches into another's private names, no import is left unused, and no
 export is left that only tests use."""
 
@@ -57,6 +58,22 @@ def test_a_calibrated_build_leaves_the_marginals_without_a_suffix():
         assert "_integer_form" not in density.__dict__
 
 
+def test_a_calibrated_group_keeps_only_the_suffix_of_its_python_int_cells():
+    """The f0 and f1 of a calibrated group overflow int64, so their integer
+    form is the G + 1 boundary numerators alone: no array of cell
+    numerators is kept beside it, and a cell is the difference of two."""
+    grid = 1000
+    csd = ConditionalScoreDensity.from_base_rate(0.3, grid)
+    for density in (csd.f0, csd.f1):
+        scaled, den, total = density._scaled_numerators
+        assert total is None and isinstance(scaled, tuple) and len(scaled) == grid + 1
+        assert density.boundary_numerators() is scaled
+        cells = [Fraction(w) / grid for w in density.weights.tolist()]
+        assert [Fraction(scaled[k] - scaled[k + 1], den) for k in range(grid)] == cells
+        # 1/3 lies in cell 333, two thirds of which lie above it
+        assert density.exact_mass_above(Fraction(1, 3)) == sum(cells[334:]) + cells[333] * Fraction(2, 3)
+
+
 def test_a_three_level_density_reads_one_threshold_without_a_suffix():
     """A three-level density, the shape of an appendix reshape, scales within
     int64, so its mass below a threshold, its total and a policy's decided
@@ -91,6 +108,24 @@ def test_only_draw_categorical_draws_weighted_choices():
                 and any(kw.arg == "p" for kw in node.keywords)
             ):
                 offenders.append(f"{path.relative_to(package)}:{node.lineno}")
+    assert offenders == []
+
+
+def test_only_the_table_builder_and_the_solvers_measure_confusion_masses():
+    """Every binary-decision metric reads ``confusion_tables``: outside
+    ``metrics.py``, which builds the tables, and ``rules.py``, whose solvers
+    measure their reference group, no module calls ``group_confusion_masses``."""
+    package = Path(fairsim.__file__).parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        if path.relative_to(package) in (Path("metrics.py"), Path("rules.py")):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "group_confusion_masses":
+                    offenders.append(f"{path.relative_to(package)}:{node.lineno}")
     assert offenders == []
 
 

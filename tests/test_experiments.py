@@ -13,8 +13,9 @@ from fairsim import (
     run_judge_experiment,
     run_recommender_experiment,
 )
+from fairsim import metrics, rules
 from fairsim.densities import is_defined
-from fairsim.experiments import EXPERIMENTS
+from fairsim.experiments import EXPERIMENTS, JUDGE_RULES
 from fairsim.utility import CONVENTIONS
 
 GRID = 1024
@@ -134,6 +135,23 @@ def test_judge_verdicts_are_recomputable_from_metrics():
     suff = max(report.metrics["sufficiency"]["gap_r1"], report.metrics["sufficiency"]["gap_r0"])
     assert report.verdicts["sufficiency"].magnitude == suff
     assert report.verdicts["equal_harm"].magnitude == report.metrics["disutility"]["per_outcome"]["disparity"]
+
+
+@pytest.mark.parametrize("rule", JUDGE_RULES)
+def test_judge_measures_each_group_once_beyond_the_solver(rule, monkeypatch):
+    """The solver measures its reference group, then one table serves every
+    reported metric: 3 exact confusion measurements for 2 groups."""
+    calls = []
+    measure = rules.group_confusion_masses
+
+    def counted(*args):
+        calls.append(args)
+        return measure(*args)
+
+    monkeypatch.setattr(rules, "group_confusion_masses", counted)
+    monkeypatch.setattr(metrics, "group_confusion_masses", counted)
+    run_judge_experiment(rule=rule)
+    assert len(calls) == 3
 
 
 # -- declined-case composition counterexample ----------------------------------------

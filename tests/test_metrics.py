@@ -12,6 +12,7 @@ from fairsim import (
     ConfusionCounts,
     DecisionRule,
     DeterministicThreshold,
+    ImpossibilityWitness,
     InfeasibleRuleError,
     PopulationModel,
     RandomizedThreshold,
@@ -20,7 +21,7 @@ from fairsim import (
     apply_score_map,
     between_group_calibration_gap,
     confusion,
-    impossibility_witness,
+    confusion_tables,
     is_defined,
     rates,
     separation_gap,
@@ -32,10 +33,9 @@ from fairsim import (
 from fairsim.cli import audit
 from fairsim.densities import cell_index, cell_midpoints, conditional_rate, group_index
 from fairsim import metrics
+from fairsim.rules import group_confusion_masses
 from fairsim.metrics import (
-    _confusion_tables,
     _per_level_max_gap,
-    _ratio,
     _summarize_gaps,
     false_omission_rate,
     spread,
@@ -142,10 +142,7 @@ def test_flipped_group_blows_up_the_calibration_gap():
 def test_equalized_odds_on_unequal_base_rates_breaks_output_calibration():
     pop = judge_population(1024)
     rule = solve_equalized_odds(pop, "men", 0.5)
-    from fairsim import coarsen
-
-    report = between_group_calibration_gap(coarsen(pop, rule))
-    assert report.sup_gap > 1e-3
+    assert sufficiency_gap_binary(pop, rule).coarsened_sup_gap > 1e-3
 
 
 def test_within_group_error_of_calibrated_group_vanishes():
@@ -262,6 +259,39 @@ def _bits(*values):
     return [(np.asarray(v).dtype, np.asarray(v).tobytes()) for v in values]
 
 
+def _exact_gap(ratios):
+    """float(max - min) of the exact rates num/den, rounded once: undefined
+    if any den is 0."""
+    if any(den == 0 for _, den in ratios):
+        return float("nan")
+    exact = [Fraction(num) / Fraction(den) for num, den in ratios]
+    return float(max(exact) - min(exact))
+
+
+def _assert_gaps_round_once(sep, suff, tables, weights):
+    """Each separation, sufficiency and coarsened gap is ``float(max - min)``
+    of the exact rates of the oracle ``tables``; the coarsened gaps leave out
+    a level with fewer than 2 defined groups, and the l1 gap weights the
+    levels by the mass decided 0 and 1, pooled with ``weights``."""
+    fpr = [(c.fp, c.fp + c.tn) for c in tables]
+    fnr = [(c.fn, c.fn + c.tp) for c in tables]
+    r1 = [(c.tp, c.tp + c.fp) for c in tables]
+    r0 = [(c.fn, c.fn + c.tn) for c in tables]
+    got = (sep.fpr_gap, sep.fnr_gap, suff.gap_r1, suff.gap_r0)
+    assert _bits(*got) == _bits(*map(_exact_gap, (fpr, fnr, r1, r0)))
+    gaps, masses = [], []
+    for level in (r0, r1):
+        defined = [Fraction(num) / Fraction(den) for num, den in level if den]
+        if len(defined) >= 2:
+            gaps.append(max(defined) - min(defined))
+            masses.append(sum(Fraction(w) * den for w, (_, den) in zip(weights, level)))
+    sup = float(max(gaps)) if gaps else float("nan")
+    l1 = float(sum(g * m for g, m in zip(gaps, masses)) / sum(masses)) if gaps and sum(masses) else float("nan")
+    assert _bits(suff.coarsened_sup_gap, suff.coarsened_l1_gap) == _bits(sup, l1)
+    if is_defined(suff.max_gap):  # every group is defined at both levels
+        assert _bits(suff.coarsened_sup_gap) == _bits(suff.max_gap)
+
+
 def _cells(counts):
     return counts if isinstance(counts, tuple) else [(type(c), c) for c in (counts.tp, counts.fp, counts.fn, counts.tn)]
 
@@ -328,12 +358,11 @@ def test_the_all_group_tally_matches_per_group_masks_bit_for_bit(data, bins, t, 
         assert list(sep.rate_pairs) == list(data.labels)
         got_pairs = list(sep.rate_pairs.values())
         assert _bits(*[p.fpr for p in got_pairs], *[p.fnr for p in got_pairs]) == _bits(*fpr, *fnr)
-        assert _bits(sep.fpr_gap, sep.fnr_gap) == _bits(spread(fpr), spread(fnr))
-        r1 = [_ratio(c.tp, c.tp + c.fp) for c in tables]
+        r1 = [float(Fraction(c.tp) / Fraction(c.tp + c.fp)) if c.tp + c.fp else float("nan") for c in tables]
         r0 = [false_omission_rate(c) for c in tables]
         assert list(suff.pos_given_r1) == list(suff.pos_given_r0) == list(data.labels)
         assert _bits(*suff.pos_given_r1.values(), *suff.pos_given_r0.values()) == _bits(*r1, *r0)
-        assert _bits(suff.gap_r1, suff.gap_r0) == _bits(spread(r1), spread(r0))
+        _assert_gaps_round_once(sep, suff, tables, [1] * len(tables))  # records pool by count
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "records.csv"
@@ -370,7 +399,7 @@ def test_a_rule_on_six_groups_tallies_once_per_mixture_position(monkeypatch):
         return tally(*args)
 
     monkeypatch.setattr(metrics, "tally", counted)
-    tables = _confusion_tables(data, rule, data.labels)
+    tables = confusion_tables(data, rule)
     assert len(calls) <= 2
     calls.clear()
     separation_gap(data, rule)
@@ -458,13 +487,48 @@ def test_spread_is_the_largest_pairwise_gap_bit_for_bit(values, undefined_at):
     assert spread(values).hex() == pairwise.hex()
 
 
-# -- impossibility witness -------------------------------------------------------------
+# -- every gap is the exact spread of exact rates, rounded once ----------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    groups=st.sampled_from([2, 3]),
+    grid=st.sampled_from([16, 100, 128, 1000]),
+    kind=st.sampled_from(["equalized-odds", "parity-ratio", "shared"]),
+    t_ref=st.floats(0.2, 0.8),
+)
+def test_population_gaps_are_exact_spreads_rounded_once(seed, groups, grid, kind, t_ref):
+    rng = np.random.default_rng(seed)
+    mids = cell_midpoints(grid)
+    labels = ["a", "b", "c"][:groups]
+    marginals = {g: rng.uniform(0.2, 1.0, grid) * (1.0 + rng.uniform(-1.6, 1.6) * (mids - 0.5)) for g in labels}
+    pop = PopulationModel(
+        groups={g: ConditionalScoreDensity.calibrated(ScoreDensity(w).normalized()) for g, w in marginals.items()},
+        weights={g: float(rng.uniform(0.5, 2.0)) for g in labels},
+    )
+    rule = DecisionRule.shared(t_ref, labels)
+    if kind != "shared":
+        solve = solve_equalized_odds if kind == "equalized-odds" else solve_parity_ratio
+        try:
+            rule = solve(pop, "a", t_ref)
+        except InfeasibleRuleError:
+            pass
+    tables = [ConfusionCounts(*group_confusion_masses(pop.group(g), rule.for_group(g))) for g in labels]
+    sep, suff = separation_gap(pop, rule), sufficiency_gap_binary(pop, rule)
+    _assert_gaps_round_once(sep, suff, tables, pop.normalized_weights().values())
+
+
+def _witness(pop, rule):
+    """The witness of the rule on the population, built from its gaps."""
+    base = {g: pop.group(g).base_rate for g in pop.labels}
+    return ImpossibilityWitness(base, separation_gap(pop, rule), sufficiency_gap_binary(pop, rule))
 
 
 def test_witness_rejects_equal_base_rates():
     pop = calibrated_uniform_pair(1024)
     with pytest.raises(ValueError, match="base rates"):
-        impossibility_witness(pop, DecisionRule.shared(0.5, pop.labels))
+        _witness(pop, DecisionRule.shared(0.5, pop.labels))
 
 
 def test_witness_rejects_perfect_rules():
@@ -480,13 +544,13 @@ def test_witness_rejects_perfect_rules():
     )
     pop = PopulationModel(groups={"a": a, "b": b})
     with pytest.raises(ValueError, match="accurate"):
-        impossibility_witness(pop, DecisionRule.shared(0.5, pop.labels))
+        _witness(pop, DecisionRule.shared(0.5, pop.labels))
 
 
 def test_witness_on_the_equalized_odds_construction():
     pop = judge_population(1024)
     rule = solve_equalized_odds(pop, "men", 0.5)
-    witness = impossibility_witness(pop, rule)
+    witness = _witness(pop, rule)
     assert witness.separation_holds
     assert witness.sufficiency_violated
     assert witness.consistent
@@ -505,7 +569,7 @@ def test_witness_on_the_equalized_odds_construction():
 def test_witness_never_sees_both_criteria_hold(seed):
     rng = np.random.default_rng(seed)
     pop, rule = random_equalized_odds_instance(rng, grid=128)
-    witness = impossibility_witness(pop, rule)
+    witness = _witness(pop, rule)
     assert witness.separation_holds
     assert witness.sufficiency.max_gap >= 1e-4
     assert witness.consistent

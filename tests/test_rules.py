@@ -16,9 +16,9 @@ from fairsim import (
     PopulationModel,
     RandomizedThreshold,
     ScoreDensity,
-    between_group_calibration_gap,
-    coarsen,
     confusion,
+    confusion_tables,
+    is_defined,
     rates,
     separation_gap,
     solve_equalized_odds,
@@ -267,34 +267,44 @@ def test_recommender_payoff_values():
     assert (payoff.u11, payoff.u10, payoff.u01, payoff.u00, payoff.outside) == (1.0, -1.0, 0.0, 0.0, 0.0)
 
 
-# -- coarsen -------------------------------------------------------------------
+# -- the decision as a two-level score: sufficiency over decided 0 and 1 ------
 
 
-def test_coarsen_always_act_puts_all_mass_high():
+def test_always_act_leaves_the_decided_0_level_empty():
     pop = calibrated_uniform_pair(1024)
-    coarse = coarsen(pop, DecisionRule.shared(0.0, pop.labels))
-    g = coarse.group("a")
-    assert g.f1.weights[0] == 0.0 and g.f0.weights[0] == 0.0
-    assert g.f1.total_mass() + g.f0.total_mass() == pytest.approx(1.0, abs=1e-12)
+    rule = DecisionRule.shared(0.0, pop.labels)
+    c = confusion_tables(pop, rule)["a"]
+    assert c.fn == 0 and c.tn == 0
+    assert float(c.tp + c.fp) == pytest.approx(1.0, abs=1e-12)
+    suff = sufficiency_gap_binary(pop, rule)
+    assert not any(is_defined(r) for r in suff.pos_given_r0.values())
+    assert suff.coarsened_sup_gap == suff.gap_r1 == 0.0  # only the decided-1 level counts
 
 
-def test_coarsen_calibrated_uniform_at_half():
+def test_calibrated_uniform_at_half_flags_half_at_rate_three_quarters():
     pop = calibrated_uniform_pair(1024)
-    coarse = coarsen(pop, DecisionRule.shared(0.5, pop.labels))
-    g = coarse.group("a")
-    flagged = (g.f1.weights[1] + g.f0.weights[1]) / 2.0
-    assert flagged == pytest.approx(0.5, abs=1e-12)
-    pos_given_flagged = g.f1.weights[1] / (g.f1.weights[1] + g.f0.weights[1])
-    assert pos_given_flagged == pytest.approx(0.75, abs=1e-12)
+    rule = DecisionRule.shared(0.5, pop.labels)
+    c = confusion_tables(pop, rule)["a"]
+    assert float(c.tp + c.fp) == pytest.approx(0.5, abs=1e-12)
+    assert sufficiency_gap_binary(pop, rule).pos_given_r1["a"] == pytest.approx(0.75, abs=1e-12)
 
 
-def test_coarsen_feeds_the_same_sufficiency_numbers():
+def test_coarsened_calibration_reads_the_sufficiency_gaps():
+    """The coarsened sup gap is the larger sufficiency gap, bit for bit, and
+    the l1 gap averages the exact level gaps by the pooled mass decided 0
+    and 1, rounded once."""
     pop = judge_population(1024)
     rule = solve_equalized_odds(pop, "men", 0.5)
-    direct = sufficiency_gap_binary(pop, rule)
-    via_coarse = between_group_calibration_gap(coarsen(pop, rule))
-    assert via_coarse.gap[1] == pytest.approx(direct.gap_r1, abs=1e-12)
-    assert via_coarse.gap[0] == pytest.approx(direct.gap_r0, abs=1e-12)
+    suff = sufficiency_gap_binary(pop, rule)
+    assert suff.coarsened_sup_gap == suff.max_gap == max(suff.gap_r1, suff.gap_r0)
+    tables = confusion_tables(pop, rule).values()
+    weight = Fraction(1, 2)  # two groups of equal size
+    r0 = [c.fn / (c.fn + c.tn) for c in tables]
+    r1 = [c.tp / (c.tp + c.fp) for c in tables]
+    m0 = sum(weight * (c.fn + c.tn) for c in tables)
+    m1 = sum(weight * (c.tp + c.fp) for c in tables)
+    l1 = ((max(r0) - min(r0)) * m0 + (max(r1) - min(r1)) * m1) / (m0 + m1)
+    assert suff.coarsened_l1_gap == float(l1)
 
 
 # -- equalized odds solver -------------------------------------------------------
