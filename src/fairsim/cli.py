@@ -20,12 +20,12 @@ from typing import get_args
 from .densities import AuditDataset, is_defined
 from .experiments import EXPERIMENTS
 from .metrics import (
+    CalibrationReport,
     SeparationGaps,
     SufficiencyGaps,
-    between_group_calibration_gap,
+    WithinGroupCalibration,
     confusion_tables,
-    tally,
-    within_group_calibration_errors,
+    level_tables,
 )
 from .reports import render_doc, render_text
 from .utility import CONVENTIONS
@@ -147,16 +147,13 @@ def audit(csv_path: str, bins: int = 10, tol: float = 1e-6) -> dict:
         )
 
     report: dict = {"input": {"path": str(csv_path), "records": len(data), "groups": len(labels)}}
-    counts = tally(data, data.outcome, 2)  # records with outcome 0 and 1, one row per group
-    report["base_rate"] = dict(zip(labels, (counts[:, 1] / counts.sum(axis=1)).tolist()))
+    by_level = level_tables(data, bins)  # record counts: integer-valued floats, so each sum is exact
+    report["base_rate"] = dict(zip(labels, (by_level.positive.sum(axis=1) / by_level.total.sum(axis=1)).tolist()))
 
-    calib = between_group_calibration_gap(data, bins=bins)
-    report["calibration"] = {
-        "sup_gap": calib.sup_gap,
-        "l1_gap": calib.l1_gap,
-        "holds": is_defined(calib.sup_gap) and calib.sup_gap <= tol,
-    }
-    within = within_group_calibration_errors(data, bins=bins)
+    calib = CalibrationReport.of(by_level)
+    holds = is_defined(calib.sup_gap) and calib.sup_gap <= tol
+    report["calibration"] = {"sup_gap": calib.sup_gap, "l1_gap": calib.l1_gap, "holds": holds}
+    within = WithinGroupCalibration.of(by_level)
     report["within_group"] = {g: {"sup_error": w.sup_error, "l1_error": w.l1_error} for g, w in within.items()}
 
     if data.decisions_complete():

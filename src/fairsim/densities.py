@@ -230,7 +230,7 @@ class ConditionalScoreDensity:
 
         Puts mass proportional to s into the outcome-1 component and 1-s into
         the outcome-0 component, cell by cell, so P(Y=1 | S=s) = s wherever
-        the marginal has mass.
+        the marginal has mass, up to float rounding of each cell's weights.
         """
         if not marginal.is_normalized():
             raise ValueError("marginal density must integrate to 1")
@@ -653,7 +653,7 @@ def apply_score_map(pop: PopulationModel, group: str, score_map: ScoreMap) -> Po
     """Population in which the group's displayed score is transformed cell-wise.
 
     Each cell's mass moves, per outcome class, to the cell containing its
-    mapped score, so class totals are conserved.
+    mapped score, so class totals are conserved up to float rounding.
     """
     csd = pop.group(group)
     if score_map.grid_size != csd.grid_size:

@@ -158,14 +158,11 @@ def spread(values) -> float:
 
 @dataclass(frozen=True)
 class CalibrationReport:
-    """Per-level conditional positive rates and their between-group gaps.
-
-    Levels are grid-cell midpoints for analytic sources, bin centers for
-    datasets. ``sup_gap`` is the largest per-level pairwise gap; ``l1_gap``
-    averages it with ``level_mass``, the pooled mass per level, which for
-    datasets is the pooled record count. Levels with no mass (or only one
-    group present) are undefined and excluded.
-    """
+    """Per-level conditional positive rates at the ``level_tables`` levels,
+    and their between-group gaps. ``sup_gap`` is the largest per-level
+    pairwise gap; ``l1_gap`` averages it with ``level_mass``, the pooled mass
+    per level, which for datasets is the pooled record count. Levels with no
+    mass (or only one group present) are undefined and excluded."""
 
     levels: np.ndarray
     group_rates: dict[str, np.ndarray]
@@ -174,6 +171,18 @@ class CalibrationReport:
     level_mass: np.ndarray
     sup_gap: float
     l1_gap: float
+
+    @classmethod
+    def of(cls, tables: LevelTables) -> "CalibrationReport":
+        """The between-group view of ``level_tables``."""
+        if len(tables.total) < 2:
+            raise ValueError("calibration gap needs at least 2 groups")
+        group_rates = conditional_rate(tables.positive, tables.total)
+        pooled_pos = sum(w * pos for w, pos in zip(tables.weights, tables.positive))  # row by row, in label order
+        pooled_tot = sum(w * tot for w, tot in zip(tables.weights, tables.total))
+        level_mass, gap = pooled_tot / tables.divisor, _per_level_max_gap(group_rates)
+        by_group, pooled = dict(zip(tables.labels, group_rates)), conditional_rate(pooled_pos, pooled_tot)
+        return cls(tables.levels, by_group, pooled, gap, level_mass, *_summarize_gaps(gap, level_mass))
 
 
 def _summarize_gaps(gap: np.ndarray, mass: np.ndarray) -> tuple[float, float]:
@@ -195,55 +204,46 @@ def _per_level_max_gap(stack: np.ndarray) -> np.ndarray:
     return np.where(enough, hi - lo, UNDEFINED)
 
 
-def _level_tallies(source: PopulationModel | AuditDataset, bins: int) -> tuple:
-    """Every group's tallies per score level, one row per label: the levels,
-    the outcome-1 mass (density values) or record count, the total, the
-    reference rate that a calibrated score shows, each group's weight in a
-    pooled tally, and the divisor that turns a total into a level mass.
+@dataclass(frozen=True)
+class LevelTables:
+    """Every group's tallies per score level, one row per label in label
+    order: the outcome-1 mass (density values) or record count, the total,
+    and the rate a calibrated score shows. Groups pool with ``weights``, and
+    a total over ``divisor`` is a level mass."""
 
-    Analytic levels are the grid-cell midpoints, each its own reference, and
-    groups pool by population weight. Empirical levels are ``bins``
-    equal-width bins, whose reference is the mean score in the bin, and
-    groups pool by record count.
-    """
+    labels: tuple[str, ...]
+    levels: np.ndarray
+    positive: np.ndarray
+    total: np.ndarray
+    reference: np.ndarray
+    weights: tuple[float, ...]
+    divisor: int
+
+
+def level_tables(source: PopulationModel | AuditDataset, bins: int = 10) -> LevelTables:
+    """The one measurement of score levels, which every calibration metric
+    reads. Analytic levels are the grid-cell midpoints, each its own
+    reference, and groups pool by population weight. ``bins`` applies only to
+    datasets: their levels are ``bins`` equal-width bins, whose reference is
+    the mean score in the bin, and groups pool by record count."""
     if isinstance(source, PopulationModel):
         positive = np.stack([csd.f1.weights for csd in source.groups.values()])
         total = np.stack([csd.f0.weights + csd.f1.weights for csd in source.groups.values()])
-        levels = cell_midpoints(source.grid_size)
-        weights = source.normalized_weights().values()
-        return levels, positive, total, np.tile(levels, (len(total), 1)), weights, source.grid_size
+        levels, weights = cell_midpoints(source.grid_size), tuple(source.normalized_weights().values())
+        return LevelTables(source.labels, levels, positive, total, np.tile(levels, (len(total), 1)), weights, len(levels))
     if bins < 1:
         raise ValueError("bins must be at least 1")
     bin_of = cell_index(source.score, bins)
     counts = tally(source, bin_of * 2 + source.outcome, bins * 2).reshape(-1, bins, 2).astype(float)
-    positive, total = counts[:, :, 1], counts.sum(axis=2)
+    total = counts.sum(axis=2)
     reference = conditional_rate(tally(source, bin_of, bins, source.score), total)
-    return cell_midpoints(bins), positive, total, reference, np.ones(len(total)), 1
+    return LevelTables(source.labels, cell_midpoints(bins), counts[:, :, 1], total, reference, (1.0,) * len(total), 1)
 
 
-def between_group_calibration_gap(
-    source: PopulationModel | AuditDataset, bins: int = 10
-) -> CalibrationReport:
+def between_group_calibration_gap(source: PopulationModel | AuditDataset, bins: int = 10) -> CalibrationReport:
     """How far conditional positive rates at equal score levels drift apart
     across groups; a zero sup gap over defined levels is group calibration."""
-    levels, positive, total, _, weights, divisor = _level_tallies(source, bins)
-    if len(total) < 2:
-        raise ValueError("calibration gap needs at least 2 groups")
-    group_rates = conditional_rate(positive, total)
-    pooled_pos = sum(weight * pos for weight, pos in zip(weights, positive))  # row by row, in label order
-    pooled_tot = sum(weight * tot for weight, tot in zip(weights, total))
-    level_mass = pooled_tot / divisor
-    gap = _per_level_max_gap(group_rates)
-    sup_gap, l1_gap = _summarize_gaps(gap, level_mass)
-    return CalibrationReport(
-        levels=levels,
-        group_rates=dict(zip(source.labels, group_rates)),
-        pooled=conditional_rate(pooled_pos, pooled_tot),
-        gap=gap,
-        level_mass=level_mass,
-        sup_gap=sup_gap,
-        l1_gap=l1_gap,
-    )
+    return CalibrationReport.of(level_tables(source, bins))
 
 
 @dataclass(frozen=True)
@@ -257,18 +257,21 @@ class WithinGroupCalibration:
     sup_error: float
     l1_error: float
 
+    @classmethod
+    def of(cls, tables: LevelTables) -> "dict[str, WithinGroupCalibration]":
+        """The within-group view of ``level_tables``: one row per label, in label order."""
+        observed = conditional_rate(tables.positive, tables.total)
+        error = np.abs(observed - tables.reference)
+        rows = zip(tables.labels, observed, tables.reference, error, tables.total / tables.divisor)
+        return {g: cls(tables.levels, o, r, e, *_summarize_gaps(e, mass)) for g, o, r, e, mass in rows}
+
 
 def within_group_calibration_errors(
     source: PopulationModel | AuditDataset, bins: int = 10
 ) -> dict[str, WithinGroupCalibration]:
     """Each group's deviation from the classical calibration identity
-    (positive rate at score r equals r), keyed by label in label order.
-    Empirical levels compare against the mean score within each bin."""
-    levels, positive, total, reference, _, divisor = _level_tallies(source, bins)
-    observed = conditional_rate(positive, total)
-    error = np.abs(observed - reference)
-    rows = zip(source.labels, observed, reference, error, total / divisor)
-    return {g: WithinGroupCalibration(levels, o, r, e, *_summarize_gaps(e, mass)) for g, o, r, e, mass in rows}
+    (positive rate at score r equals r), keyed by label in label order."""
+    return WithinGroupCalibration.of(level_tables(source, bins))
 
 
 class _TwoGaps:

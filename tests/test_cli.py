@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import numpy as np
 
 from fairsim import AuditDataset, sample, solve_equalized_odds
-from fairsim import cli, experiments, metrics
+from fairsim import experiments, metrics
 from fairsim.experiments import ExperimentReport
 from fairsim.cli import (
     MAX_BINS,
@@ -161,8 +161,9 @@ def test_audit_without_decisions_skips_rate_metrics(tmp_path, capsys):
 
 
 def test_audit_passes_over_the_records_as_often_for_six_groups_as_for_two(tmp_path, monkeypatch):
-    """Every metric of one ``audit`` reads all groups from one tally, so the
-    number of record tallies does not grow with the number of groups."""
+    """Every metric of one ``audit`` reads all groups from one level table
+    and one confusion table, so the number of record tallies does not grow
+    with the number of groups."""
     calls = []
     tally = metrics.tally
 
@@ -171,7 +172,6 @@ def test_audit_passes_over_the_records_as_often_for_six_groups_as_for_two(tmp_pa
         return tally(*args)
 
     monkeypatch.setattr(metrics, "tally", counted)
-    monkeypatch.setattr(cli, "tally", counted)
     rng = np.random.default_rng(5)
     made = {}
     for groups in (2, 6):
@@ -193,7 +193,9 @@ def test_audit_passes_over_the_records_as_often_for_six_groups_as_for_two(tmp_pa
 
 def test_audit_tallies_the_recorded_decisions_once(tmp_path, monkeypatch):
     """Separation and sufficiency are views of one confusion table, so an
-    audit with decisions makes one tally of its 6 decision cells per group."""
+    audit with decisions makes one tally of its 6 decision cells per group.
+    Base rates and both calibrations are views of one level table, which
+    takes 2 tallies: 3 in all with decisions, 2 without."""
     calls = []
     tally = metrics.tally
 
@@ -206,6 +208,11 @@ def test_audit_tallies_the_recorded_decisions_once(tmp_path, monkeypatch):
     write_four_cell_file(path)
     assert "separation" in audit(str(path))
     assert [args[2] for args in calls].count(6) == 1
+    assert len(calls) == 3
+    calls.clear()
+    path.write_text("group,score,outcome,decision\na,0.9,1,\na,0.1,0,\nb,0.9,1,\nb,0.1,0,\n")
+    assert audit(str(path))["rates"] == {"available": False}
+    assert len(calls) == 2
 
 
 def test_audit_writes_report_file(tmp_path, capsys):

@@ -5,8 +5,9 @@ module goes through its public API (``boundary_numerators``,
 ``exact_denominator``, ``exact_mass_above`` and friends), and a total or a
 one-threshold mass of an int64-scaled density is read without building the
 boundary numerators. Weighted draws go through one sampler, decisions
-through one policy path, dataset records through one tally, confusion
-masses through one table builder and the solvers, no module
+through one policy path, dataset records through one tally that only the
+two table builders call (``confusion_tables`` and ``level_tables``),
+confusion masses through one table builder and the solvers, no module
 reaches into another's private names, no import is left unused, and no
 export is left that only tests use."""
 
@@ -111,22 +112,33 @@ def test_only_draw_categorical_draws_weighted_choices():
     assert offenders == []
 
 
+def _callers(name: str) -> dict[str, set[str]]:
+    """Each package module that calls ``name``, by plain name or attribute,
+    with the top-level definitions the calls sit in (None for module level)."""
+    package = Path(fairsim.__file__).parent
+    callers = {}
+    for path in sorted(package.rglob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                        callers.setdefault(str(path.relative_to(package)), set()).add(getattr(top, "name", None))
+    return callers
+
+
 def test_only_the_table_builder_and_the_solvers_measure_confusion_masses():
     """Every binary-decision metric reads ``confusion_tables``: outside
     ``metrics.py``, which builds the tables, and ``rules.py``, whose solvers
     measure their reference group, no module calls ``group_confusion_masses``."""
-    package = Path(fairsim.__file__).parent
-    offenders = []
-    for path in sorted(package.rglob("*.py")):
-        if path.relative_to(package) in (Path("metrics.py"), Path("rules.py")):
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "group_confusion_masses":
-                    offenders.append(f"{path.relative_to(package)}:{node.lineno}")
-    assert offenders == []
+    assert set(_callers("group_confusion_masses")) <= {"metrics.py", "rules.py"}
+
+
+def test_only_the_two_table_builders_tally_records():
+    """Every pass over a dataset's records goes through the two tables: no
+    module outside ``metrics.py`` calls ``tally``, and inside it only the
+    builders of ``confusion_tables`` and ``level_tables`` do."""
+    assert _callers("tally") == {"metrics.py": {"_confusion_tables", "level_tables"}}
 
 
 def test_every_export_is_used_or_documented():

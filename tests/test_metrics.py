@@ -38,6 +38,7 @@ from fairsim.metrics import (
     _per_level_max_gap,
     _summarize_gaps,
     false_omission_rate,
+    level_tables,
     spread,
     tally,
 )
@@ -327,6 +328,10 @@ def test_the_all_group_tally_matches_per_group_masks_bit_for_bit(data, bins, t, 
         want = (cell_midpoints(bins), observed, reference, error, *_summarize_gaps(error, total))
         row = every[g]
         assert _bits(row.levels, row.observed, row.reference, row.error, row.sup_error, row.l1_error) == _bits(*want)
+    by_level = level_tables(data, bins)  # each group's base rate, from its level counts
+    masks = [data.codes == group_index(data.labels, g) for g in data.labels]
+    base_rates = [np.count_nonzero(data.outcome[mask]) / np.count_nonzero(mask) for mask in masks]
+    assert _bits(by_level.positive.sum(axis=1) / by_level.total.sum(axis=1)) == _bits(np.array(base_rates))
 
     if len(data.labels) < 2:
         with pytest.raises(ValueError, match="at least 2 groups"):
