@@ -117,6 +117,8 @@ def _parse_overrides(spec, args) -> dict[str, object]:
     for name, (lo, hi) in SIZE_BOUNDS.items():
         if name in values and not lo <= values[name] <= hi:
             raise ValueError(f"{name} must be between {lo} and {hi}, got {values[name]}")
+    if values.get("seed", 0) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {values['seed']}")
     missing = [name for name in spec.cli_required if name not in explicit]
     if missing:
         raise ValueError(

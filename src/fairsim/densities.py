@@ -264,7 +264,7 @@ class PopulationModel:
     """Named groups, each with a conditional score density.
 
     ``weights`` are relative group sizes used for sampling and pooling;
-    they default to equal sizes.
+    given as None, they are stored as 1.0 per group: equal sizes.
     """
 
     groups: dict[str, ConditionalScoreDensity]
@@ -276,12 +276,13 @@ class PopulationModel:
         grids = {csd.grid_size for csd in self.groups.values()}
         if len(grids) != 1:
             raise ValueError("all groups must share one grid size")
-        if self.weights is not None:
-            if set(self.weights) != set(self.groups):
-                raise ValueError("weights must cover exactly the group labels")
-            weights = self.weights.values()
-            if not (all(math.isfinite(w) and w > 0 for w in weights) and math.isfinite(sum(weights))):
-                raise ValueError("group weights must be finite and positive")
+        if self.weights is None:
+            object.__setattr__(self, "weights", dict.fromkeys(self.groups, 1.0))
+        if set(self.weights) != set(self.groups):
+            raise ValueError("weights must cover exactly the group labels")
+        weights = self.weights.values()
+        if not (all(math.isfinite(w) and w > 0 for w in weights) and math.isfinite(sum(weights))):
+            raise ValueError("group weights must be finite and positive")
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -296,9 +297,6 @@ class PopulationModel:
         return self.groups[label]
 
     def normalized_weights(self) -> dict[str, float]:
-        if self.weights is None:
-            w = 1.0 / len(self.groups)
-            return {g: w for g in self.groups}
         total = sum(self.weights.values())
         return {g: self.weights[g] / total for g in self.groups}
 
@@ -392,6 +390,8 @@ class AuditDataset:
     ``labels`` lists each group once, in the order of its first record, and
     ``codes[i]`` is the index in ``labels`` of record i's group. The
     constructor takes the per-record labels; ``group`` derives them back.
+    ``decision`` is an int8 column of 0, 1 or ``NO_DECISION`` (-1) for a
+    missing decision; the constructor stores ``decision=None`` as all -1.
     Each label must be one that ``from_csv`` reads back as written: a
     non-empty string that UTF-8 can encode, with no surrounding space or
     control character, and no longer than the csv field-size limit.
@@ -401,14 +401,16 @@ class AuditDataset:
     labels: tuple[str, ...]
     score: np.ndarray
     outcome: np.ndarray
-    decision: np.ndarray | None = None
+    decision: np.ndarray  # int8: 0, 1, or NO_DECISION (-1) where missing
 
     def __init__(self, group, score, outcome, decision=None):
         labels, codes = _factorize(np.asarray(group, dtype=object).tolist())
+        if decision is None:
+            decision = np.full(len(codes), NO_DECISION, dtype=np.int8)
         self._set_columns(codes, labels, score, outcome, decision)
 
     @classmethod
-    def _from_codes(cls, codes, labels, score, outcome, decision=None) -> "AuditDataset":
+    def _from_codes(cls, codes, labels, score, outcome, decision) -> "AuditDataset":
         """Dataset whose ``labels`` are already in first-record order, each used."""
         data = cls.__new__(cls)
         data._set_columns(codes, labels, score, outcome, decision)
@@ -438,12 +440,11 @@ class AuditDataset:
         object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "score", score)
         object.__setattr__(self, "outcome", outcome)
-        if decision is not None:
-            decision = np.asarray(decision, dtype=np.int8)
-            if len(decision) != n:
-                raise ValueError("decision column length mismatch")
-            if not np.all(np.isin(decision, (NO_DECISION, 0, 1))):
-                raise ValueError("decisions must be 0, 1, or missing")
+        decision = np.asarray(decision, dtype=np.int8)
+        if len(decision) != n:
+            raise ValueError("decision column length mismatch")
+        if not np.all(np.isin(decision, (NO_DECISION, 0, 1))):
+            raise ValueError("decisions must be 0, 1, or missing")
         object.__setattr__(self, "decision", decision)
 
     def __len__(self) -> int:
@@ -455,7 +456,7 @@ class AuditDataset:
         return np.array(self.labels, dtype=object)[self.codes]
 
     def decisions_complete(self) -> bool:
-        return self.decision is not None and not np.any(self.decision == NO_DECISION)
+        return not np.any(self.decision == NO_DECISION)
 
     def to_csv(self, path) -> None:
         """Write the records with a header, byte for byte as ``csv.writer``
@@ -464,17 +465,17 @@ class AuditDataset:
         A row is three strings: its group's prefix (the label cell as
         ``csv.writer`` quotes it, then a comma), the ``repr`` of its score,
         and one of six suffixes ``",{outcome},{decision}\\n"``, at index
-        ``3 * outcome + decision + 1`` (``3 * outcome`` with no decision
-        column, whose cell is empty). Each chunk of ``_WRITE_CHUNK`` records
-        gathers its prefixes and suffixes from those small arrays and is
-        joined into one string, so memory stays bounded."""
+        ``3 * outcome + decision + 1``, where a missing decision (-1) has an
+        empty cell. Each chunk of ``_WRITE_CHUNK`` records gathers its
+        prefixes and suffixes from those small arrays and is joined into one
+        string, so memory stays bounded."""
         prefixes = np.array([_csv_cell(label) + "," for label in self.labels], dtype=object)
         suffixes = np.array([f",{y},{d}\n" for y in (0, 1) for d in ("", "0", "1")], dtype=object)
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh, lineterminator="\n").writerow(CSV_HEADER)
             for start in range(0, len(self), _WRITE_CHUNK):
                 part = slice(start, start + _WRITE_CHUNK)
-                kinds = 3 * self.outcome[part] + (0 if self.decision is None else self.decision[part] + 1)
+                kinds = 3 * self.outcome[part] + self.decision[part] + 1
                 rows = zip(
                     prefixes[self.codes[part]].tolist(),
                     map(repr, self.score[part].tolist()),
@@ -582,7 +583,7 @@ def _read_columns(path) -> AuditDataset | None:
     missing = ~(decided | (records["decision"] == "0"))
     if not (np.all(outcome | (records["outcome"] == "0")) and np.all(records["decision"][missing] == "")):
         return None
-    decision = None if missing.all() else np.where(missing, NO_DECISION, decided).astype(np.int8)
+    decision = np.where(missing, NO_DECISION, decided).astype(np.int8)
     try:
         return AuditDataset._from_codes(codes, labels, score, outcome.astype(np.int8), decision)
     except ValueError:  # a label or score that the constructor refuses
@@ -601,7 +602,9 @@ def _read_rows(path) -> AuditDataset:
         line_no = 0
         try:
             header = next(reader, None)
-            if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
+            if header is None:
+                raise ValueError(f"file is empty; expected header {','.join(CSV_HEADER)!r}")
+            if tuple(h.strip() for h in header) != CSV_HEADER:
                 raise ValueError(f"expected header {','.join(CSV_HEADER)!r}, got {header!r}")
             line_no = 1
             for line_no, row in enumerate(reader, start=2):
@@ -633,12 +636,11 @@ def _read_rows(path) -> AuditDataset:
             raise ValueError(f"row {line_no + 1}: {exc}") from None
     if not groups:
         raise ValueError("CSV contains no data rows")
-    decision_col = None if all(d == NO_DECISION for d in decisions) else np.array(decisions, dtype=np.int8)
     return AuditDataset(
         group=groups,
         score=np.array(scores),
         outcome=np.array(outcomes, dtype=np.int8),
-        decision=decision_col,
+        decision=np.array(decisions, dtype=np.int8),
     )
 
 
@@ -729,8 +731,8 @@ def sample(pop: PopulationModel, n: int, seed: int, rule=None) -> AuditDataset:
             sampled score.
 
     Returns:
-        An AuditDataset with n records, decision column present iff a rule
-        was given.
+        An AuditDataset with n records, whose decisions are drawn if a rule
+        was given and missing (``NO_DECISION``) otherwise.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -742,7 +744,7 @@ def sample(pop: PopulationModel, n: int, seed: int, rule=None) -> AuditDataset:
 
     score_col = np.empty(n)
     outcome_col = np.empty(n, dtype=np.int8)
-    decision_col = np.empty(n, dtype=np.int8) if rule is not None else None
+    decision_col = np.full(n, NO_DECISION, dtype=np.int8)
 
     first_record: dict[int, int] = {}
     for gi, label in enumerate(labels):

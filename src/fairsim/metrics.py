@@ -57,32 +57,23 @@ class RatePair:
     fnr: float
 
 
-def _rate(num, den) -> Fraction | None:
-    """num / den as an exact rate, or None when the conditioning event is empty."""
-    return Fraction(num) / Fraction(den) if den else None
-
-
-def _float(rate: Fraction | None) -> float:
-    """An exact rate correctly rounded, or the undefined marker for None."""
-    return UNDEFINED if rate is None else float(rate)
-
-
-def _gap(rates) -> float:
-    """``float(max - min)`` of a collection of exact rates, rounded once: undefined if any is."""
-    return UNDEFINED if None in rates else float(max(rates) - min(rates))
+def _rate(num, den) -> Fraction | float:
+    """num / den as an exact rate, or the undefined marker when the
+    conditioning event is empty."""
+    return Fraction(num) / Fraction(den) if den else UNDEFINED
 
 
 def rates(counts: ConfusionCounts) -> RatePair:
     """fpr = fp/(fp+tn), fnr = fn/(fn+tp), via exact division."""
     return RatePair(
-        fpr=_float(_rate(counts.fp, counts.fp + counts.tn)),
-        fnr=_float(_rate(counts.fn, counts.fn + counts.tp)),
+        fpr=float(_rate(counts.fp, counts.fp + counts.tn)),
+        fnr=float(_rate(counts.fn, counts.fn + counts.tp)),
     )
 
 
 def false_omission_rate(counts: ConfusionCounts) -> float:
     """P(Y=1 | D=0) = fn/(fn+tn), via exact division."""
-    return _float(_rate(counts.fn, counts.fn + counts.tn))
+    return float(_rate(counts.fn, counts.fn + counts.tn))
 
 
 def tally(data: AuditDataset, cell, cells: int, weights=None) -> np.ndarray:
@@ -106,8 +97,8 @@ def _confusion_tables(source: PopulationModel | AuditDataset, rule: DecisionRule
 
     cell = source.outcome * 3 + 1  # plus the decision, which is -1 where missing
     rows = {g: group_index(source.labels, g) for g in groups}
-    if rule is None:  # with no decision column, every decision is missing
-        counts = tally(source, cell + (-1 if source.decision is None else source.decision), 6)
+    if rule is None:
+        counts = tally(source, cell + source.decision, 6)
         tables = {g: counts[row] for g, row in rows.items()}
     else:
         mixtures = {g: rule.for_group(g).mixture() for g in groups}
@@ -144,16 +135,18 @@ def confusion(source: PopulationModel | AuditDataset, rule: DecisionRule | None,
 
 
 def spread(values) -> float:
-    """Largest pairwise |a - b| among the values: undefined if any value is,
-    0.0 if there are none.
+    """Largest pairwise |a - b| among the values, floats or exact rates, as
+    ``float(max - min)``, rounded once: undefined if any value is, 0.0 if
+    there are none.
 
-    It is max - min, the same IEEE subtraction as |a - b| of the extreme
-    pair, which no other pair's rounded difference exceeds.
+    For floats, the IEEE subtraction max - min is the exact difference
+    rounded once, and it is |a - b| of the extreme pair, which no other
+    pair's rounded difference exceeds.
     """
     values = list(values)
     if not all(is_defined(v) for v in values):
         return UNDEFINED
-    return max(values) - min(values) if values else 0.0
+    return float(max(values) - min(values)) if values else 0.0
 
 
 @dataclass(frozen=True)
@@ -305,9 +298,9 @@ class SeparationGaps(_TwoGaps):
         fpr = {g: _rate(c.fp, c.fp + c.tn) for g, c in tables.items()}
         fnr = {g: _rate(c.fn, c.fn + c.tp) for g, c in tables.items()}
         return cls(
-            rate_pairs={g: RatePair(_float(fpr[g]), _float(fnr[g])) for g in tables},
-            fpr_gap=_gap(fpr.values()),
-            fnr_gap=_gap(fnr.values()),
+            rate_pairs={g: RatePair(float(fpr[g]), float(fnr[g])) for g in tables},
+            fpr_gap=spread(fpr.values()),
+            fnr_gap=spread(fnr.values()),
         )
 
 
@@ -343,17 +336,17 @@ class SufficiencyGaps(_TwoGaps):
         r0 = {g: _rate(c.fn, c.fn + c.tn) for g, c in tables.items()}
         levels = []  # (exact gap, pooled mass) of each level with 2 or more defined groups
         for level, decided in ((r0, lambda c: c.fn + c.tn), (r1, lambda c: c.tp + c.fp)):
-            defined = [r for r in level.values() if r is not None]
+            defined = [r for r in level.values() if is_defined(r)]
             if len(defined) >= 2:
                 mass = sum(Fraction(weights[g]) * decided(c) for g, c in tables.items())
                 levels.append((max(defined) - min(defined), mass))
         return cls(
-            pos_given_r1={g: _float(r) for g, r in r1.items()},
-            pos_given_r0={g: _float(r) for g, r in r0.items()},
-            gap_r1=_gap(r1.values()),
-            gap_r0=_gap(r0.values()),
+            pos_given_r1={g: float(r) for g, r in r1.items()},
+            pos_given_r0={g: float(r) for g, r in r0.items()},
+            gap_r1=spread(r1.values()),
+            gap_r0=spread(r0.values()),
             coarsened_sup_gap=float(max(gap for gap, _ in levels)) if levels else UNDEFINED,
-            coarsened_l1_gap=_float(_rate(sum(gap * mass for gap, mass in levels), sum(mass for _, mass in levels))),
+            coarsened_l1_gap=float(_rate(sum(gap * mass for gap, mass in levels), sum(mass for _, mass in levels))),
         )
 
 

@@ -400,6 +400,8 @@ def test_list_output_is_pinned(capsys):
         (["judge", "noeq", "--convention", "per-outcome"], "override 'noeq' is not of the form key=value"),
         (["appendix", "reshapes=0"], "reshapes must be between 1 and 10000, got 0"),
         (["appendix", "grid=2"], "grid 2 is too small for the reshaped negative density"),
+        (["recommender", "seed=-1"], "seed must be a non-negative integer, got -1"),
+        (["appendix", "--seed", "-3"], "seed must be a non-negative integer, got -3"),
     ],
 )
 def test_simulate_error_lines_are_pinned(tmp_path, capsys, argv, message):

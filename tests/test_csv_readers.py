@@ -120,10 +120,7 @@ def _assert_same(got, want):
     assert np.array_equal(got.codes, want.codes)
     assert got.score.tobytes() == want.score.tobytes()
     assert np.array_equal(got.outcome, want.outcome)
-    if want.decision is None:
-        assert got.decision is None
-    else:
-        assert np.array_equal(got.decision, want.decision)
+    assert np.array_equal(got.decision, want.decision)
 
 
 def _check_readers_agree(text: str, limit=None) -> None:
@@ -183,13 +180,23 @@ def test_a_file_without_records_fails_with_no_warning(tmp_path, text):
         AuditDataset.from_csv(path)
 
 
+@pytest.mark.parametrize("source", ["", "\ufeff", None])
+def test_an_empty_file_is_named_empty(tmp_path, source):
+    path = os.devnull
+    if source is not None:
+        path = tmp_path / "empty.csv"
+        path.write_text(source, encoding="utf-8")
+    with pytest.raises(ValueError, match="^file is empty; expected header 'group,score,outcome,decision'$"):
+        AuditDataset.from_csv(path)
+
+
 def _csv_writer_rendering(data: AuditDataset) -> bytes:
     """The row-by-row csv.writer rendering that to_csv must reproduce."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("group", "score", "outcome", "decision"))
     for i in range(len(data)):
-        d = "" if data.decision is None or data.decision[i] == -1 else str(int(data.decision[i]))
+        d = "" if data.decision[i] == -1 else str(int(data.decision[i]))
         writer.writerow((data.group[i], repr(float(data.score[i])), int(data.outcome[i]), d))
     return buf.getvalue().encode("utf-8")
 

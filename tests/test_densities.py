@@ -20,7 +20,7 @@ from fairsim import (
     sample,
     within_group_calibration_errors,
 )
-from fairsim.densities import draw_categorical, group_index
+from fairsim.densities import NO_DECISION, draw_categorical, group_index
 from _helpers import calibrated_uniform_pair, judge_population
 
 GRID = 1024
@@ -254,13 +254,19 @@ def test_any_score_map_conserves_class_masses(w0, w1, targets):
 # -- sampling -------------------------------------------------------------------
 
 
-def test_sampling_is_deterministic():
-    pop = calibrated_uniform_pair(64)
+def test_sampling_is_deterministic(tmp_path):
+    groups = calibrated_uniform_pair(64).groups
+    pop = PopulationModel(groups)
+    assert pop.weights == dict.fromkeys(groups, 1.0)
     a = sample(pop, 10, seed=123)
     b = sample(pop, 10, seed=123)
     assert list(a.group) == list(b.group)
     assert np.array_equal(a.score, b.score)
     assert np.array_equal(a.outcome, b.outcome)
+    # default weights sample exactly as explicit equal weights
+    a.to_csv(tmp_path / "default.csv")
+    sample(PopulationModel(groups, weights={"a": 1.0, "b": 1.0}), 10, seed=123).to_csv(tmp_path / "equal.csv")
+    assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "equal.csv").read_bytes()
 
 
 def test_sampling_rejects_empty_draw():
@@ -369,7 +375,8 @@ def test_csv_round_trip(tmp_path):
     assert list(back.group) == list(data.group)
     assert np.array_equal(back.score, data.score)
     assert np.array_equal(back.outcome, data.outcome)
-    assert back.decision is None
+    assert np.array_equal(back.decision, data.decision)
+    assert np.all(data.decision == NO_DECISION)
 
 
 def test_csv_rejects_wrong_header(tmp_path):

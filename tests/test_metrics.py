@@ -18,6 +18,7 @@ from fairsim import (
     RandomizedThreshold,
     ScoreDensity,
     ScoreMap,
+    UNDEFINED,
     apply_score_map,
     between_group_calibration_gap,
     confusion,
@@ -229,7 +230,7 @@ def _masked_confusion(data, rule, group):
     mask = data.codes == group_index(data.labels, group)
     outcomes = data.outcome[mask]
     if rule is None:
-        if data.decision is None or np.any(data.decision[mask] == -1):
+        if np.any(data.decision[mask] == -1):
             raise ValueError(f"group {group!r} has records without decisions and no rule was given")
         components = [(1, data.decision[mask])]
     else:
@@ -484,12 +485,15 @@ def test_undefined_rates_propagate_to_gaps():
     undefined_at=st.none() | st.integers(0, 7),
 )
 def test_spread_is_the_largest_pairwise_gap_bit_for_bit(values, undefined_at):
+    exact = [Fraction(v) for v in values]
     if undefined_at is not None and values:
-        values[undefined_at % len(values)] = float("nan")
+        values[undefined_at % len(values)] = exact[undefined_at % len(values)] = UNDEFINED
         assert not is_defined(spread(values))
+        assert not is_defined(spread(exact))
         return
     pairwise = max((abs(a - b) for a in values for b in values), default=0.0)
     assert spread(values).hex() == pairwise.hex()
+    assert spread(exact).hex() == pairwise.hex()  # exact rates take the same gap rule
 
 
 # -- every gap is the exact spread of exact rates, rounded once ----------------------
