@@ -28,17 +28,12 @@ from .metrics import (
     CalibrationReport,
     ConfusionCounts,
     ImpossibilityWitness,
-    RatePair,
     SeparationGaps,
     SufficiencyGaps,
     WithinGroupCalibration,
-    between_group_calibration_gap,
-    confusion,
     confusion_tables,
-    rates,
     separation_gap,
     sufficiency_gap_binary,
-    within_group_calibration_errors,
 )
 from .rules import (
     DecisionRule,

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 from typing import get_args
 
-from .densities import AuditDataset, is_defined
+from .densities import AuditDataset
 from .experiments import EXPERIMENTS
 from .metrics import (
     CalibrationReport,
@@ -26,6 +26,7 @@ from .metrics import (
     WithinGroupCalibration,
     confusion_tables,
     level_tables,
+    within,
 )
 from .reports import render_doc, render_text
 from .utility import CONVENTIONS
@@ -153,16 +154,15 @@ def audit(csv_path: str, bins: int = 10, tol: float = 1e-6) -> dict:
     report["base_rate"] = dict(zip(labels, (by_level.positive.sum(axis=1) / by_level.total.sum(axis=1)).tolist()))
 
     calib = CalibrationReport.of(by_level)
-    holds = is_defined(calib.sup_gap) and calib.sup_gap <= tol
-    report["calibration"] = {"sup_gap": calib.sup_gap, "l1_gap": calib.l1_gap, "holds": holds}
-    within = WithinGroupCalibration.of(by_level)
-    report["within_group"] = {g: {"sup_error": w.sup_error, "l1_error": w.l1_error} for g, w in within.items()}
+    report["calibration"] = {"sup_gap": calib.sup_gap, "l1_gap": calib.l1_gap, "holds": within(calib.sup_gap, tol)}
+    within_group = WithinGroupCalibration.of(by_level)
+    report["within_group"] = {g: {"sup_error": w.sup_error, "l1_error": w.l1_error} for g, w in within_group.items()}
 
     if data.decisions_complete():
         tables = confusion_tables(data)
         sep = SeparationGaps.of(tables)
         suff = SufficiencyGaps.of(tables, dict.fromkeys(labels, 1))  # groups pool by record count
-        report["rates"] = {g: {"fpr": rp.fpr, "fnr": rp.fnr} for g, rp in sep.rate_pairs.items()}
+        report["rates"] = {g: {"fpr": sep.fpr[g], "fnr": sep.fnr[g]} for g in labels}
         report["separation"] = {"fpr_gap": sep.fpr_gap, "fnr_gap": sep.fnr_gap, "holds": sep.holds(tol)}
         report["sufficiency"] = {"gap_r1": suff.gap_r1, "gap_r0": suff.gap_r0, "holds": suff.holds(tol)}
     else:

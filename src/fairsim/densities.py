@@ -427,7 +427,8 @@ class AuditDataset:
                 raise ValueError(f"group label of {len(label)} characters exceeds the csv field limit ({limit})")
         n = len(codes)
         score = np.asarray(score, dtype=float)
-        outcome = np.asarray(outcome, dtype=np.int8)
+        # Values are checked as given, before the int8 cast could wrap them.
+        outcome = np.asarray(outcome)
         if len(score) != n or len(outcome) != n:
             raise ValueError("all columns must have equal length")
         if n == 0:
@@ -439,13 +440,13 @@ class AuditDataset:
         object.__setattr__(self, "codes", np.asarray(codes, dtype=np.int32))
         object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "score", score)
-        object.__setattr__(self, "outcome", outcome)
-        decision = np.asarray(decision, dtype=np.int8)
+        object.__setattr__(self, "outcome", outcome.astype(np.int8, copy=False))
+        decision = np.asarray(decision)
         if len(decision) != n:
             raise ValueError("decision column length mismatch")
         if not np.all(np.isin(decision, (NO_DECISION, 0, 1))):
             raise ValueError("decisions must be 0, 1, or missing")
-        object.__setattr__(self, "decision", decision)
+        object.__setattr__(self, "decision", decision.astype(np.int8, copy=False))
 
     def __len__(self) -> int:
         return len(self.codes)

@@ -27,15 +27,14 @@ from .densities import (
     apply_score_map,
 )
 from .metrics import (
+    CalibrationReport,
     ConfusionCounts,
     ImpossibilityWitness,
     SeparationGaps,
     SufficiencyGaps,
-    between_group_calibration_gap,
-    confusion,
     confusion_tables,
-    false_omission_rate,
-    rates,
+    level_tables,
+    within,
 )
 from .reports import render_doc, render_text, write_series_csv
 from .rules import PayoffMatrix, solve_equalized_odds, solve_parity_ratio
@@ -59,6 +58,11 @@ class Verdict:
     holds: bool
     magnitude: float
     tolerance: float
+
+    @classmethod
+    def within(cls, magnitude: float, tolerance: float) -> "Verdict":
+        """The verdict that ``magnitude`` is defined and at most ``tolerance``."""
+        return cls(within(magnitude, tolerance), magnitude, tolerance)
 
 
 @dataclass(frozen=True)
@@ -158,7 +162,7 @@ def run_recommender_experiment(
     eu_women = long_run_eu(true_density, identity, payoff, t)
     eu_men = long_run_eu(true_density, men_map, payoff, t)
     cases_men = classify_cases(true_density, men_map, t, payoff)
-    analytic = utility_report({"women": eu_women, "men": eu_men}, tolerance=ANALYTIC_TOL)
+    analytic = utility_report({"women": eu_women, "men": eu_men})
 
     mc_women, se_women = mc_long_run_eu(true_density, identity, payoff, t, samples, seed)
     mc_men, se_men = mc_long_run_eu(true_density, men_map, payoff, t, samples, seed + 1)
@@ -170,7 +174,7 @@ def run_recommender_experiment(
         }
     )
     displayed_pop = apply_score_map(displayed_pop, "men", men_map)
-    calib = between_group_calibration_gap(displayed_pop)
+    calib = CalibrationReport.of(level_tables(displayed_pop))
 
     grid_line = np.linspace(0.0, 1.0, 101)
     series = {
@@ -197,10 +201,8 @@ def run_recommender_experiment(
         "calibration_displayed": {"sup_gap": calib.sup_gap, "l1_gap": calib.l1_gap},
     }
     verdicts = {
-        "equal_utility": Verdict(analytic.verdict, analytic.disparity, ANALYTIC_TOL),
-        "zero_wrong_side_mass": Verdict(
-            cases_men.wrong_side_mass == 0.0, cases_men.wrong_side_mass, 0.0
-        ),
+        "equal_utility": Verdict.within(analytic.disparity, ANALYTIC_TOL),
+        "zero_wrong_side_mass": Verdict.within(cases_men.wrong_side_mass, 0.0),
     }
     params = {"grid": grid, "n_mc": samples, "seed": seed, "threshold": t}
     return ExperimentReport("recommender", params, metrics, verdicts, series)
@@ -225,7 +227,6 @@ def run_equal_rates_unequal_utility(
     quadrants = ConfusionCounts(
         tp=Fraction(0), fp=Fraction(float(fp_mass)), fn=Fraction(0), tn=1 - Fraction(float(fp_mass))
     )
-    rate_pair = rates(quadrants)  # decision-vs-warranted quadrants, shared by construction
 
     eu = {}
     loss_per_decision = {}
@@ -233,16 +234,16 @@ def run_equal_rates_unequal_utility(
         acted = pointwise_eu(p, payoff, 1)
         eu[label] = fp_mass * acted + (1.0 - fp_mass) * payoff.outside
         loss_per_decision[label] = payoff.outside - acted
-    analytic = utility_report(eu, tolerance=ANALYTIC_TOL)
+    analytic = utility_report(eu)
 
     metrics = {
-        "rates": {"fpr": rate_pair.fpr, "fnr": rate_pair.fnr},
+        "rates": {"fpr": float(quadrants.fpr), "fnr": float(quadrants.fnr)},
         "eu": {"men": eu["men"], "women": eu["women"], "disparity": analytic.disparity},
         "loss_per_false_decision": dict(loss_per_decision),
     }
     verdicts = {
-        "equal_rates": Verdict(True, 0.0, 0.0),
-        "equal_utility": Verdict(analytic.verdict, analytic.disparity, ANALYTIC_TOL),
+        "equal_rates": Verdict.within(0.0, 0.0),  # both groups share the quadrants by construction
+        "equal_utility": Verdict.within(analytic.disparity, ANALYTIC_TOL),
     }
     series = {
         "false_decision_loss": [(p_men, loss_per_decision["men"]), (p_women, loss_per_decision["women"])]
@@ -304,8 +305,8 @@ def run_judge_experiment(
         "separation": {
             "fpr_gap": sep.fpr_gap,
             "fnr_gap": sep.fnr_gap,
-            "fpr": {g: rp.fpr for g, rp in sep.rate_pairs.items()},
-            "fnr": {g: rp.fnr for g, rp in sep.rate_pairs.items()},
+            "fpr": sep.fpr,
+            "fnr": sep.fnr,
         },
         "sufficiency": {
             "gap_r1": suff.gap_r1,
@@ -321,9 +322,9 @@ def run_judge_experiment(
         "witness": {"applies": witness_applies, "consistent": witness_consistent},
     }
     verdicts = {
-        "separation": Verdict(sep.holds(ANALYTIC_TOL), sep.max_gap, ANALYTIC_TOL),
-        "sufficiency": Verdict(suff.holds(ANALYTIC_TOL), suff.max_gap, ANALYTIC_TOL),
-        "equal_harm": Verdict(selected.verdict, selected.disparity, selected.tolerance),
+        "separation": Verdict.within(sep.max_gap, ANALYTIC_TOL),
+        "sufficiency": Verdict.within(suff.max_gap, ANALYTIC_TOL),
+        "equal_harm": Verdict.within(selected.disparity, ANALYTIC_TOL),
     }
     series = {
         "roc_men": _roc_series(pop.group("men")),
@@ -391,8 +392,8 @@ def run_appendix_counterexample(grid: int = DEFAULT_GRID, reshapes: int = 100, s
 
     def declined(pop: PopulationModel, g: str) -> tuple[float, float]:
         """The group's missed positive mass and false omission rate under the rule."""
-        counts = confusion(pop, rule, g)
-        return float(counts.fn), false_omission_rate(counts)
+        counts = ConfusionCounts.of(pop.group(g), rule.for_group(g))
+        return float(counts.fn), float(counts.pos_given_r0)
 
     # every population shares the women's density and policy
     mf, fo_women = declined(pop_a, "women")
@@ -450,9 +451,9 @@ def run_appendix_counterexample(grid: int = DEFAULT_GRID, reshapes: int = 100, s
     }
     parity_worst = max(out["popA"]["missed_positive_gap"], out["popB"]["missed_positive_gap"])
     verdicts = {
-        "harm_parity_preserved": Verdict(parity_worst <= ANALYTIC_TOL, parity_worst, ANALYTIC_TOL),
+        "harm_parity_preserved": Verdict.within(parity_worst, ANALYTIC_TOL),
         "composition_changed": Verdict(men_shift > 0.01, men_shift, 0.01),
-        "women_unchanged": Verdict(women_shift == 0.0, women_shift, 0.0),
+        "women_unchanged": Verdict.within(women_shift, 0.0),
     }
     mids = men_a.f0.midpoints()
     series = {

@@ -16,23 +16,31 @@ import numpy as np
 from .densities import (
     UNDEFINED,
     AuditDataset,
+    ConditionalScoreDensity,
     PopulationModel,
     cell_index,
     cell_midpoints,
     conditional_rate,
-    group_index,
     is_defined,
 )
-from .rules import DecisionRule, group_confusion_masses
+from .rules import DecisionRule, Policy, group_confusion_masses
+
+
+def _rate(num, den) -> Fraction | float:
+    """num / den as an exact rate, or the undefined marker when the
+    conditioning event is empty."""
+    return Fraction(num) / Fraction(den) if den else UNDEFINED
 
 
 @dataclass(frozen=True)
 class ConfusionCounts:
-    """Cells of a 2x2 decision-vs-outcome table.
+    """Cells of a 2x2 decision-vs-outcome table, and the exact conditional
+    rates read off them.
 
     Cells are exact: integers for empirical data, rationals for analytic
     masses. ``tp`` counts (d=1, y=1), ``fp`` (d=1, y=0), ``fn`` (d=0, y=1),
-    ``tn`` (d=0, y=0).
+    ``tn`` (d=0, y=0). Each rate is a ``Fraction``, or the undefined marker
+    when its conditioning class is empty.
     """
 
     tp: int | Fraction
@@ -44,36 +52,34 @@ class ConfusionCounts:
         if any(c < 0 for c in (self.tp, self.fp, self.fn, self.tn)):
             raise ValueError("confusion cells must be nonnegative")
 
+    @classmethod
+    def of(cls, csd: ConditionalScoreDensity, policy: Policy) -> "ConfusionCounts":
+        """One group's exact masses under its policy."""
+        return cls(*group_confusion_masses(csd, policy))
+
     @property
     def total(self):
         return self.tp + self.fp + self.fn + self.tn
 
+    @property
+    def fpr(self) -> Fraction | float:
+        """P(D=1 | Y=0) = fp/(fp+tn)."""
+        return _rate(self.fp, self.fp + self.tn)
 
-@dataclass(frozen=True)
-class RatePair:
-    """False positive and false negative rates; undefined on empty classes."""
+    @property
+    def fnr(self) -> Fraction | float:
+        """P(D=0 | Y=1) = fn/(fn+tp)."""
+        return _rate(self.fn, self.fn + self.tp)
 
-    fpr: float
-    fnr: float
+    @property
+    def pos_given_r1(self) -> Fraction | float:
+        """P(Y=1 | D=1) = tp/(tp+fp)."""
+        return _rate(self.tp, self.tp + self.fp)
 
-
-def _rate(num, den) -> Fraction | float:
-    """num / den as an exact rate, or the undefined marker when the
-    conditioning event is empty."""
-    return Fraction(num) / Fraction(den) if den else UNDEFINED
-
-
-def rates(counts: ConfusionCounts) -> RatePair:
-    """fpr = fp/(fp+tn), fnr = fn/(fn+tp), via exact division."""
-    return RatePair(
-        fpr=float(_rate(counts.fp, counts.fp + counts.tn)),
-        fnr=float(_rate(counts.fn, counts.fn + counts.tp)),
-    )
-
-
-def false_omission_rate(counts: ConfusionCounts) -> float:
-    """P(Y=1 | D=0) = fn/(fn+tn), via exact division."""
-    return float(_rate(counts.fn, counts.fn + counts.tn))
+    @property
+    def pos_given_r0(self) -> Fraction | float:
+        """P(Y=1 | D=0) = fn/(fn+tn), the false omission rate."""
+        return _rate(self.fn, self.fn + self.tn)
 
 
 def tally(data: AuditDataset, cell, cells: int, weights=None) -> np.ndarray:
@@ -84,54 +90,45 @@ def tally(data: AuditDataset, cell, cells: int, weights=None) -> np.ndarray:
     return np.bincount(data.codes * cells + cell, weights, len(data.labels) * cells).reshape(-1, cells)
 
 
-def _confusion_tables(source: PopulationModel | AuditDataset, rule: DecisionRule | None, groups) -> dict:
-    """Each named group's table, checked in the order given. One tally of the
-    recorded decisions serves every group; a rule makes one tally per mixture
-    position, in which each record meets its own group's threshold at that
-    position, and a group sums the tallies of its own positions with its
-    policy's weights."""
+def confusion_tables(source: PopulationModel | AuditDataset, rule: DecisionRule | None = None) -> dict:
+    """Every group's decision-vs-outcome ``ConfusionCounts``, keyed by label
+    in label order: the one measurement every binary-decision metric reads.
+
+    Analytic sources need a rule and yield exact masses. Empirical sources
+    yield exact counts, taken from one tally of the recorded decision column
+    when ``rule`` is None. A rule makes one tally per mixture position, in
+    which each record meets its own group's threshold at that position, and
+    a group sums the tallies of its own positions with its policy's weights;
+    so a randomized rule on a dataset yields expected (fractional) counts
+    rather than draws.
+    """
     if isinstance(source, PopulationModel):
         if rule is None:
             raise ValueError("analytic confusion requires a decision rule")
-        return {g: ConfusionCounts(*group_confusion_masses(source.group(g), rule.for_group(g))) for g in groups}
+        return {g: ConfusionCounts.of(csd, rule.for_group(g)) for g, csd in source.groups.items()}
 
     cell = source.outcome * 3 + 1  # plus the decision, which is -1 where missing
-    rows = {g: group_index(source.labels, g) for g in groups}
     if rule is None:
         counts = tally(source, cell + source.decision, 6)
-        tables = {g: counts[row] for g, row in rows.items()}
+        tables = dict(zip(source.labels, counts))
     else:
-        mixtures = {g: rule.for_group(g).mixture() for g in groups}
+        mixtures = [rule.for_group(g).mixture() for g in source.labels]
         # Row c holds each group's threshold at position c; a group with
         # fewer positions leaves its entry unread.
-        thresholds = np.zeros((max(map(len, mixtures.values())), len(source.labels)))
-        for g, mixture in mixtures.items():
-            thresholds[: len(mixture), rows[g]] = [float(t) for _, t in mixture]
+        thresholds = np.zeros((max(map(len, mixtures)), len(source.labels)))
+        for row, mixture in enumerate(mixtures):
+            thresholds[: len(mixture), row] = [float(t) for _, t in mixture]
         counts = [tally(source, cell + (source.score > t[source.codes]), 6) for t in thresholds]
-        tables = {g: sum(w * counts[c][rows[g]] for c, (w, _) in enumerate(mixture)) for g, mixture in mixtures.items()}
+        tables = {
+            g: sum(w * counts[c][row] for c, (w, _) in enumerate(mixture))
+            for row, (g, mixture) in enumerate(zip(source.labels, mixtures))
+        }
     for g, table in tables.items():
         missing_y0, tn, fp, missing_y1, fn, tp = table.tolist()
         if missing_y0 or missing_y1:
             raise ValueError(f"group {g!r} has records without decisions and no rule was given")
         tables[g] = ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
     return tables
-
-
-def confusion_tables(source: PopulationModel | AuditDataset, rule: DecisionRule | None = None) -> dict:
-    """Every group's decision-vs-outcome ``ConfusionCounts``, keyed by label
-    in label order: the one measurement every binary-decision metric reads.
-
-    Analytic sources need a rule and yield exact masses. Empirical sources
-    yield exact counts, taken from the recorded decision column when ``rule``
-    is None; a randomized rule on a dataset yields expected (fractional)
-    counts rather than draws.
-    """
-    return _confusion_tables(source, rule, source.labels)
-
-
-def confusion(source: PopulationModel | AuditDataset, rule: DecisionRule | None, group: str) -> ConfusionCounts:
-    """The ``confusion_tables`` row of one group, measured alone."""
-    return _confusion_tables(source, rule, [group])[group]
 
 
 def spread(values) -> float:
@@ -147,6 +144,11 @@ def spread(values) -> float:
     if not all(is_defined(v) for v in values):
         return UNDEFINED
     return float(max(values) - min(values)) if values else 0.0
+
+
+def within(gap, tol: float) -> bool:
+    """The one holds rule: the gap is defined and at most ``tol``."""
+    return is_defined(gap) and gap <= tol
 
 
 @dataclass(frozen=True)
@@ -233,12 +235,6 @@ def level_tables(source: PopulationModel | AuditDataset, bins: int = 10) -> Leve
     return LevelTables(source.labels, cell_midpoints(bins), counts[:, :, 1], total, reference, (1.0,) * len(total), 1)
 
 
-def between_group_calibration_gap(source: PopulationModel | AuditDataset, bins: int = 10) -> CalibrationReport:
-    """How far conditional positive rates at equal score levels drift apart
-    across groups; a zero sup gap over defined levels is group calibration."""
-    return CalibrationReport.of(level_tables(source, bins))
-
-
 @dataclass(frozen=True)
 class WithinGroupCalibration:
     """Per-level |conditional positive rate - score level| for one group."""
@@ -259,14 +255,6 @@ class WithinGroupCalibration:
         return {g: cls(tables.levels, o, r, e, *_summarize_gaps(e, mass)) for g, o, r, e, mass in rows}
 
 
-def within_group_calibration_errors(
-    source: PopulationModel | AuditDataset, bins: int = 10
-) -> dict[str, WithinGroupCalibration]:
-    """Each group's deviation from the classical calibration identity
-    (positive rate at score r equals r), keyed by label in label order."""
-    return WithinGroupCalibration.of(level_tables(source, bins))
-
-
 class _TwoGaps:
     """A criterion measured by the two gaps named in ``_gap_names``: it holds
     when the larger, ``max_gap``, is within a tolerance."""
@@ -277,16 +265,18 @@ class _TwoGaps:
         return max(gaps) if all(is_defined(g) for g in gaps) else UNDEFINED
 
     def holds(self, tol: float) -> bool:
-        return is_defined(self.max_gap) and self.max_gap <= tol
+        return within(self.max_gap, tol)
 
 
 @dataclass(frozen=True)
 class SeparationGaps(_TwoGaps):
-    """Pairwise spread of false positive and false negative rates."""
+    """Per-group false positive and false negative rates, and their
+    pairwise spreads."""
 
     _gap_names = ("fpr_gap", "fnr_gap")
 
-    rate_pairs: dict[str, RatePair]
+    fpr: dict[str, float]
+    fnr: dict[str, float]
     fpr_gap: float
     fnr_gap: float
 
@@ -295,10 +285,11 @@ class SeparationGaps(_TwoGaps):
         """The view of ``confusion_tables``: exact rates, each gap rounded once."""
         if len(tables) < 2:
             raise ValueError("separation gap needs at least 2 groups")
-        fpr = {g: _rate(c.fp, c.fp + c.tn) for g, c in tables.items()}
-        fnr = {g: _rate(c.fn, c.fn + c.tp) for g, c in tables.items()}
+        fpr = {g: c.fpr for g, c in tables.items()}
+        fnr = {g: c.fnr for g, c in tables.items()}
         return cls(
-            rate_pairs={g: RatePair(float(fpr[g]), float(fnr[g])) for g in tables},
+            fpr={g: float(r) for g, r in fpr.items()},
+            fnr={g: float(r) for g, r in fnr.items()},
             fpr_gap=spread(fpr.values()),
             fnr_gap=spread(fnr.values()),
         )
@@ -332,8 +323,8 @@ class SufficiencyGaps(_TwoGaps):
         once; a group's masses pool with its ``weights`` entry."""
         if len(tables) < 2:
             raise ValueError("sufficiency gap needs at least 2 groups")
-        r1 = {g: _rate(c.tp, c.tp + c.fp) for g, c in tables.items()}
-        r0 = {g: _rate(c.fn, c.fn + c.tn) for g, c in tables.items()}
+        r1 = {g: c.pos_given_r1 for g, c in tables.items()}
+        r0 = {g: c.pos_given_r0 for g, c in tables.items()}
         levels = []  # (exact gap, pooled mass) of each level with 2 or more defined groups
         for level, decided in ((r0, lambda c: c.fn + c.tn), (r1, lambda c: c.tp + c.fp)):
             defined = [r for r in level.values() if is_defined(r)]
@@ -369,11 +360,12 @@ class ImpossibilityWitness:
 
     def __post_init__(self):
         base_gap = spread(self.base_rates.values())
-        if base_gap <= 1e-6:
+        if within(base_gap, 1e-6):
             raise ValueError(f"base rates are equal (spread {base_gap:.3g}); the conflict is not forced")
-        if not is_defined(self.separation.max_gap):
+        sep = self.separation
+        if not is_defined(sep.max_gap):
             raise ValueError("a group has an empty outcome class; rates undefined")
-        if all(rp.fpr + rp.fnr <= 1e-6 for rp in self.separation.rate_pairs.values()):
+        if all(within(fpr + fnr, 1e-6) for fpr, fnr in zip(sep.fpr.values(), sep.fnr.values())):
             raise ValueError("rule is (near-)perfectly accurate; the conflict is not forced")
 
     @property

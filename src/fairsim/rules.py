@@ -203,28 +203,25 @@ def _parse_rule_line(line: str) -> tuple[str, Policy]:
 
 @dataclass(frozen=True)
 class PayoffMatrix:
-    """Utilities of (decision, outcome) pairs plus the value of not acting.
+    """Utilities of acting, by outcome, and the value of not acting.
 
-    ``u11`` applies on (d=1, y=1), ``u10`` on (d=1, y=0); ``u01``/``u00`` on
-    the d=0 branch. ``outside`` is the flat value of declining used when the
-    d=0 branch is a pure outside option.
+    ``u11`` applies on (d=1, y=1), ``u10`` on (d=1, y=0). ``outside`` is the
+    flat value of declining, whatever the outcome.
     """
 
     u11: float
     u10: float
-    u01: float
-    u00: float
     outside: float
 
     def __post_init__(self):
-        for name in ("u11", "u10", "u01", "u00", "outside"):
+        for name in ("u11", "u10", "outside"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
     @classmethod
     def recommender(cls, outside: float = 0.0) -> "PayoffMatrix":
         """+1 for an enjoyed pick, -1 for a dud; declining yields the outside value."""
-        return cls(u11=1.0, u10=-1.0, u01=outside, u00=outside, outside=outside)
+        return cls(u11=1.0, u10=-1.0, outside=outside)
 
 
 def group_confusion_masses(csd: ConditionalScoreDensity, policy: Policy) -> tuple[Fraction, Fraction, Fraction, Fraction]:

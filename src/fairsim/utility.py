@@ -17,8 +17,8 @@ from typing import Literal, get_args
 
 import numpy as np
 
-from .densities import UNDEFINED, PopulationModel, ScoreDensity, ScoreMap, draw_categorical, integrate, is_defined
-from .metrics import ConfusionCounts, confusion_tables, rates, spread
+from .densities import UNDEFINED, PopulationModel, ScoreDensity, ScoreMap, draw_categorical, integrate
+from .metrics import ConfusionCounts, confusion_tables, spread
 from .rules import DecisionRule, PayoffMatrix
 
 Convention = Literal["per-outcome", "per-person"]
@@ -31,9 +31,7 @@ def pointwise_eu(p: float, payoff: PayoffMatrix, decision: int) -> float:
         raise ValueError(f"probability must lie in [0, 1], got {p!r}")
     if decision not in (0, 1):
         raise ValueError("decision must be 0 or 1")
-    if decision:
-        return p * payoff.u11 + (1.0 - p) * payoff.u10
-    return p * payoff.u01 + (1.0 - p) * payoff.u00
+    return p * payoff.u11 + (1.0 - p) * payoff.u10 if decision else payoff.outside
 
 
 def optimal_threshold(payoff: PayoffMatrix) -> float:
@@ -49,14 +47,12 @@ def optimal_threshold(payoff: PayoffMatrix) -> float:
 
 
 def _branch_eu(mids: np.ndarray, payoff: PayoffMatrix, act: np.ndarray) -> np.ndarray:
-    eu_act = mids * payoff.u11 + (1.0 - mids) * payoff.u10
-    eu_skip = mids * payoff.u01 + (1.0 - mids) * payoff.u00
-    return np.where(act, eu_act, eu_skip)
+    return np.where(act, mids * payoff.u11 + (1.0 - mids) * payoff.u10, payoff.outside)
 
 
 def long_run_eu(
     true_density: ScoreDensity,
-    displayed: ScoreMap | None,
+    displayed: ScoreMap,
     payoff: PayoffMatrix,
     threshold: float,
 ) -> float:
@@ -69,11 +65,7 @@ def long_run_eu(
     if not true_density.is_normalized():
         raise ValueError("true-probability density must integrate to 1")
 
-    def eu(mids: np.ndarray) -> np.ndarray:
-        shown = mids if displayed is None else displayed(mids)
-        return _branch_eu(mids, payoff, shown > threshold)
-
-    return integrate(true_density, eu)
+    return integrate(true_density, lambda mids: _branch_eu(mids, payoff, displayed(mids) > threshold))
 
 
 @dataclass(frozen=True)
@@ -100,11 +92,10 @@ class CaseBreakdown:
 
 
 def classify_cases(
-    true_density: ScoreDensity, displayed: ScoreMap | None, threshold: float, payoff: PayoffMatrix
+    true_density: ScoreDensity, displayed: ScoreMap, threshold: float, payoff: PayoffMatrix
 ) -> CaseBreakdown:
     mids = true_density.midpoints()
-    shown = mids if displayed is None else displayed(mids)
-    act = shown > threshold
+    act = displayed(mids) > threshold
     should = mids > threshold
     cell_mass = true_density.weights * true_density.cell_width
     taken = _branch_eu(mids, payoff, act)
@@ -133,22 +124,16 @@ class UtilityReport:
 
     per_group: dict[str, float]
     disparity: float
-    tolerance: float
-    verdict: bool
 
 
-def utility_report(per_group: dict[str, float], tolerance: float) -> UtilityReport:
-    """Assemble a report; the disparity is the largest pairwise gap and the
-    verdict compares it against the tolerance."""
-    disparity = spread(per_group.values())
-    verdict = is_defined(disparity) and disparity <= tolerance
-    return UtilityReport(per_group=per_group, disparity=disparity, tolerance=tolerance, verdict=verdict)
+def utility_report(per_group: dict[str, float]) -> UtilityReport:
+    """Assemble a report; the disparity is the largest pairwise gap."""
+    return UtilityReport(per_group=per_group, disparity=spread(per_group.values()))
 
 
 def harm_report(tables: dict[str, ConfusionCounts], convention: Convention) -> UtilityReport:
     """Expected harm per group, read off ``confusion_tables``, when declining
-    a positive case costs 1; the verdict holds when the groups' harms lie
-    within 1e-6.
+    a positive case costs 1.
 
     ``per-outcome`` reports P(D=0 | Y=1), the harm among those the decision
     actually fails; ``per-person`` reports P(D=0, Y=1), the harm averaged over
@@ -158,10 +143,10 @@ def harm_report(tables: dict[str, ConfusionCounts], convention: Convention) -> U
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
     if convention == "per-outcome":
-        per_group = {g: rates(c).fnr for g, c in tables.items()}
+        per_group = {g: float(c.fnr) for g, c in tables.items()}
     else:
         per_group = {g: float(Fraction(c.fn) / Fraction(c.total)) for g, c in tables.items()}
-    return utility_report(per_group, 1e-6)
+    return utility_report(per_group)
 
 
 def judge_disutility(pop: PopulationModel, rule: DecisionRule, convention: Convention) -> UtilityReport:
@@ -171,7 +156,7 @@ def judge_disutility(pop: PopulationModel, rule: DecisionRule, convention: Conve
 
 def mc_long_run_eu(
     true_density: ScoreDensity,
-    displayed: ScoreMap | None,
+    displayed: ScoreMap,
     payoff: PayoffMatrix,
     threshold: float,
     n: int,
@@ -189,10 +174,9 @@ def mc_long_run_eu(
     g = true_density.grid_size
     cells = draw_categorical(rng, true_density.weights / true_density.weights.sum(), n)
     p = (cells + rng.random(n)) / g
-    shown = p if displayed is None else displayed(p)
-    act = shown > threshold
+    act = displayed(p) > threshold
     liked = rng.random(n) < p
-    u = np.array([payoff.u00, payoff.u01, payoff.u10, payoff.u11])[(act << 1) | liked]
+    u = np.array([payoff.outside, payoff.outside, payoff.u10, payoff.u11])[(act << 1) | liked]
     est = float(np.mean(u))
     stderr = float(np.std(u, ddof=1) / math.sqrt(n)) if n > 1 else UNDEFINED
     return est, stderr

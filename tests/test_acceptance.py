@@ -50,7 +50,7 @@ def test_criterion_1_recommender_optimum():
 def test_criterion_2_calibration_dominance():
     start = time.perf_counter()
     uniform = ScoreDensity.uniform(GRID)
-    eu_truthful = long_run_eu(uniform, None, REC, 0.5)
+    eu_truthful = long_run_eu(uniform, ScoreMap.identity(GRID), REC, 0.5)
     rng = np.random.default_rng(2024)
     mids = uniform.midpoints()
     n_equal = n_strict = 0
@@ -114,8 +114,7 @@ def test_criterion_5_impossibility_sweep():
         pop, rule = random_equalized_odds_instance(rng, grid=256, min_gap=0.05)
         sep = separation_gap(pop, rule)
         assert sep.max_gap <= 1e-6
-        pairs = sep.rate_pairs.values()
-        assert any(rp.fpr + rp.fnr > 1e-6 for rp in pairs)  # imperfect
+        assert any(sep.fpr[g] + sep.fnr[g] > 1e-6 for g in pop.labels)  # imperfect
         gap = sufficiency_gap_binary(pop, rule).max_gap
         min_gap = min(min_gap, gap)
         if gap < 1e-4:
@@ -186,10 +185,10 @@ def test_criterion_8_empirical_analytic_coherence(tmp_path):
     analytic = {
         "base_rate.men": pop.group("men").base_rate,
         "base_rate.women": pop.group("women").base_rate,
-        "rates.men.fpr": sep.rate_pairs["men"].fpr,
-        "rates.men.fnr": sep.rate_pairs["men"].fnr,
-        "rates.women.fpr": sep.rate_pairs["women"].fpr,
-        "rates.women.fnr": sep.rate_pairs["women"].fnr,
+        "rates.men.fpr": sep.fpr["men"],
+        "rates.men.fnr": sep.fnr["men"],
+        "rates.women.fpr": sep.fpr["women"],
+        "rates.women.fnr": sep.fnr["women"],
         "separation.fpr_gap": sep.fpr_gap,
         "separation.fnr_gap": sep.fnr_gap,
         "sufficiency.gap_r1": suff.gap_r1,

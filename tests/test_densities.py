@@ -13,14 +13,15 @@ from fairsim import (
     PopulationModel,
     ScoreDensity,
     ScoreMap,
+    WithinGroupCalibration,
     apply_score_map,
     integrate,
     is_defined,
     mc_long_run_eu,
     sample,
-    within_group_calibration_errors,
 )
 from fairsim.densities import NO_DECISION, draw_categorical, group_index
+from fairsim.metrics import level_tables
 from _helpers import calibrated_uniform_pair, judge_population
 
 GRID = 1024
@@ -148,7 +149,7 @@ def test_base_rate_unknown_group():
 
 def test_calibration_curve_of_calibrated_group_is_identity():
     pop = calibrated_uniform_pair(GRID)
-    curve = within_group_calibration_errors(pop)["a"]
+    curve = WithinGroupCalibration.of(level_tables(pop))["a"]
     assert np.max(np.abs(curve.observed - curve.levels)) <= 1e-12
 
 
@@ -159,7 +160,7 @@ def test_calibration_curve_zero_when_f1_empty():
             "b": ConditionalScoreDensity.calibrated(ScoreDensity.uniform(GRID)),
         }
     )
-    curve = within_group_calibration_errors(pop)["a"]
+    curve = WithinGroupCalibration.of(level_tables(pop))["a"]
     assert np.all(curve.observed == 0.0)
 
 
@@ -170,7 +171,7 @@ def test_calibration_curve_detects_inflated_positive_mass():
     total = f1.sum() / GRID + f0.sum() / GRID
     csd = ConditionalScoreDensity(f0=ScoreDensity(f0 / total), f1=ScoreDensity(f1 / total))
     pop = PopulationModel(groups={"a": csd, "b": csd})
-    curve = within_group_calibration_errors(pop)["a"]
+    curve = WithinGroupCalibration.of(level_tables(pop))["a"]
     interior = (curve.levels > 0.1) & (curve.levels < 0.9)
     assert np.max(np.abs(curve.observed[interior] - curve.levels[interior])) > 0.05
 
@@ -181,7 +182,7 @@ def test_calibrated_split_is_a_fixed_point_of_the_curve(weights):
     marginal = ScoreDensity(np.array(weights)).normalized()
     csd = ConditionalScoreDensity.calibrated(marginal)
     pop = PopulationModel(groups={"a": csd, "b": csd})
-    curve = within_group_calibration_errors(pop)["a"]
+    curve = WithinGroupCalibration.of(level_tables(pop))["a"]
     assert np.max(np.abs(curve.observed - curve.levels)) <= 1e-12
 
 
@@ -190,7 +191,7 @@ def test_calibration_curve_marks_empty_cells_undefined():
     w[2] = 8.0
     csd = ConditionalScoreDensity(f0=ScoreDensity(w * 0.5), f1=ScoreDensity(w * 0.5))
     pop = PopulationModel(groups={"a": csd, "b": csd})
-    curve = within_group_calibration_errors(pop)["a"]
+    curve = WithinGroupCalibration.of(level_tables(pop))["a"]
     assert not is_defined(curve.observed[0])
     assert curve.observed[2] == pytest.approx(0.5)
 
@@ -221,7 +222,7 @@ def test_constant_map_concentrates_mass_and_conserves_class_totals():
 def test_flip_map_inverts_the_calibration_curve():
     pop = calibrated_uniform_pair(GRID)
     mapped = apply_score_map(pop, "a", ScoreMap.from_callable(lambda p: 1.0 - p, GRID))
-    curve = within_group_calibration_errors(mapped)["a"]
+    curve = WithinGroupCalibration.of(level_tables(mapped))["a"]
     assert np.max(np.abs(curve.observed - (1.0 - curve.levels))) <= 1e-12
 
 
@@ -360,7 +361,7 @@ def test_draw_categorical_rejects_invalid_probabilities_before_drawing(p):
 @pytest.mark.filterwarnings("error")
 def test_monte_carlo_of_a_zero_mass_density_raises():
     with pytest.raises(ValueError, match="true-probability density must integrate to 1"):
-        mc_long_run_eu(ScoreDensity(np.zeros(16)), None, PayoffMatrix.recommender(), 0.5, n=10, seed=1)
+        mc_long_run_eu(ScoreDensity(np.zeros(16)), ScoreMap.identity(16), PayoffMatrix.recommender(), 0.5, n=10, seed=1)
 
 
 # -- audit dataset CSV ------------------------------------------------------------
@@ -406,6 +407,26 @@ def test_csv_validates_outcome_and_decision(tmp_path):
 def test_dataset_validates_score_range():
     with pytest.raises(ValueError):
         AuditDataset(group=np.array(["a"]), score=np.array([1.5]), outcome=np.array([1]))
+
+
+def test_dataset_rejects_an_outcome_that_int8_would_wrap_into_range():
+    # 257 wraps to 1 in int8; the value is checked as given, not as stored
+    with pytest.raises(ValueError, match="outcomes must be 0 or 1"):
+        AuditDataset(group=["a", "a"], score=[0.5, 0.5], outcome=np.array([257, 0]))
+
+
+def test_dataset_rejects_a_decision_that_int8_would_wrap_to_missing():
+    # 255 wraps to -1, the missing-decision marker
+    with pytest.raises(ValueError, match="decisions must be 0, 1, or missing"):
+        AuditDataset(group=["a", "a"], score=[0.5, 0.5], outcome=[1, 0], decision=np.array([255, 0]))
+
+
+def test_dataset_rejects_an_out_of_range_python_int_with_a_value_error():
+    # not the OverflowError of casting 257 to int8
+    with pytest.raises(ValueError, match="outcomes must be 0 or 1"):
+        AuditDataset(group=["a", "a"], score=[0.5, 0.5], outcome=[257, 0])
+    with pytest.raises(ValueError, match="decisions must be 0, 1, or missing"):
+        AuditDataset(group=["a", "a"], score=[0.5, 0.5], outcome=[1, 0], decision=[1, 255])
 
 
 EXACT_WEIGHTS = st.one_of(

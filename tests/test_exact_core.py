@@ -138,7 +138,7 @@ def test_only_the_two_table_builders_tally_records():
     """Every pass over a dataset's records goes through the two tables: no
     module outside ``metrics.py`` calls ``tally``, and inside it only the
     builders of ``confusion_tables`` and ``level_tables`` do."""
-    assert _callers("tally") == {"metrics.py": {"_confusion_tables", "level_tables"}}
+    assert _callers("tally") == {"metrics.py": {"confusion_tables", "level_tables"}}
 
 
 def test_every_export_is_used_or_documented():

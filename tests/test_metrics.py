@@ -1,3 +1,4 @@
+import math
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -19,17 +20,16 @@ from fairsim import (
     ScoreDensity,
     ScoreMap,
     UNDEFINED,
+    CalibrationReport,
+    Verdict,
+    WithinGroupCalibration,
     apply_score_map,
-    between_group_calibration_gap,
-    confusion,
     confusion_tables,
     is_defined,
-    rates,
     separation_gap,
     solve_equalized_odds,
     solve_parity_ratio,
     sufficiency_gap_binary,
-    within_group_calibration_errors,
 )
 from fairsim.cli import audit
 from fairsim.densities import cell_index, cell_midpoints, conditional_rate, group_index
@@ -38,10 +38,10 @@ from fairsim.rules import group_confusion_masses
 from fairsim.metrics import (
     _per_level_max_gap,
     _summarize_gaps,
-    false_omission_rate,
     level_tables,
     spread,
     tally,
+    within,
 )
 from _helpers import (
     calibrated_uniform_pair,
@@ -53,27 +53,26 @@ from _helpers import (
 
 def test_confusion_always_act_rule():
     pop = calibrated_uniform_pair(1024)
-    c = confusion(pop, DecisionRule.shared(0.0, pop.labels), "a")
+    c = confusion_tables(pop, DecisionRule.shared(0.0, pop.labels))["a"]
     assert float(c.fp) == pytest.approx(0.5, abs=1e-12)  # whole f0 mass
     assert float(c.fn) == 0.0
 
 
 def test_confusion_calibrated_uniform_at_half_matches_closed_form():
     pop = calibrated_uniform_pair(1024)
-    c = confusion(pop, DecisionRule.shared(0.5, pop.labels), "a")
+    c = confusion_tables(pop, DecisionRule.shared(0.5, pop.labels))["a"]
     assert float(c.tp) == pytest.approx(0.375, abs=1e-12)
     assert float(c.fp) == pytest.approx(0.125, abs=1e-12)
     assert float(c.total) == pytest.approx(1.0, abs=1e-9)
-    rp = rates(c)
-    assert rp.fpr == pytest.approx(0.25, abs=1e-12)
-    assert rp.fnr == pytest.approx(0.25, abs=1e-12)
+    assert float(c.fpr) == pytest.approx(0.25, abs=1e-12)
+    assert float(c.fnr) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_confusion_cells_sum_to_group_mass():
     pop = judge_population(512)
     rule = DecisionRule.shared(0.37, pop.labels)
     for g in pop.labels:
-        c = confusion(pop, rule, g)
+        c = confusion_tables(pop, rule)[g]
         assert float(c.total) == pytest.approx(1.0, abs=1e-9)
         assert all(v >= 0 for v in (c.tp, c.fp, c.fn, c.tn))
 
@@ -85,51 +84,49 @@ def test_confusion_empirical_counts_one_record_per_cell():
         outcome=np.array([1, 0, 1, 0]),
         decision=np.array([1, 1, 0, 0]),
     )
-    c = confusion(data, None, "a")
+    c = confusion_tables(data)["a"]
     assert (c.tp, c.fp, c.fn, c.tn) == (1, 1, 1, 1)
-    rp = rates(c)
-    assert (rp.fpr, rp.fnr) == (0.5, 0.5)
+    assert (c.fpr, c.fnr, c.pos_given_r1, c.pos_given_r0) == (Fraction(1, 2),) * 4
 
 
 def test_confusion_empirical_requires_decisions_or_rule():
     data = AuditDataset(group=np.array(["a"]), score=np.array([0.4]), outcome=np.array([1]))
     with pytest.raises(ValueError, match="decision"):
-        confusion(data, None, "a")
-    c = confusion(data, DecisionRule.shared(0.5, ["a"]), "a")
+        confusion_tables(data)
+    c = confusion_tables(data, DecisionRule.shared(0.5, ["a"]))["a"]
     assert (c.tp, c.fn) == (0, 1)
 
 
 def test_rates_of_perfect_classifier():
-    rp = rates(ConfusionCounts(tp=3, fp=0, fn=0, tn=7))
-    assert (rp.fpr, rp.fnr) == (0.0, 0.0)
+    c = ConfusionCounts(tp=3, fp=0, fn=0, tn=7)
+    assert (c.fpr, c.fnr, c.pos_given_r1, c.pos_given_r0) == (0, 0, 1, 0)
 
 
 def test_rates_undefined_on_empty_classes():
-    rp = rates(ConfusionCounts(tp=0, fp=2, fn=0, tn=3))
-    assert not is_defined(rp.fnr)
-    assert rp.fpr == pytest.approx(0.4)
+    c = ConfusionCounts(tp=0, fp=2, fn=0, tn=3)
+    assert not is_defined(c.fnr)
+    assert c.fpr == Fraction(2, 5)
 
 
 @given(
     tp=st.integers(0, 50), fp=st.integers(0, 50), fn=st.integers(0, 50), tn=st.integers(0, 50)
 )
 def test_rates_equal_exact_rational_arithmetic(tp, fp, fn, tn):
-    rp = rates(ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn))
-    if fp + tn:
-        assert rp.fpr == float(Fraction(fp, fp + tn))
-    else:
-        assert not is_defined(rp.fpr)
-    if fn + tp:
-        assert rp.fnr == float(Fraction(fn, fn + tp))
-    else:
-        assert not is_defined(rp.fnr)
+    c = ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
+    ratios = {"fpr": (fp, fp + tn), "fnr": (fn, fn + tp), "pos_given_r1": (tp, tp + fp), "pos_given_r0": (fn, fn + tn)}
+    for name, (num, den) in ratios.items():
+        rate = getattr(c, name)
+        if den:
+            assert type(rate) is Fraction and rate == Fraction(num, den)
+        else:
+            assert not is_defined(rate)
 
 
 # -- calibration reports ----------------------------------------------------------
 
 
 def test_identical_groups_have_zero_calibration_gap():
-    report = between_group_calibration_gap(calibrated_uniform_pair(1024))
+    report = CalibrationReport.of(level_tables(calibrated_uniform_pair(1024)))
     assert report.sup_gap <= 1e-12
 
 
@@ -137,7 +134,7 @@ def test_flipped_group_blows_up_the_calibration_gap():
     pop = apply_score_map(
         calibrated_uniform_pair(1024), "a", ScoreMap.from_callable(lambda p: 1.0 - p, 1024)
     )
-    report = between_group_calibration_gap(pop)
+    report = CalibrationReport.of(level_tables(pop))
     assert report.sup_gap > 0.95
 
 
@@ -148,7 +145,7 @@ def test_equalized_odds_on_unequal_base_rates_breaks_output_calibration():
 
 
 def test_within_group_error_of_calibrated_group_vanishes():
-    report = within_group_calibration_errors(calibrated_uniform_pair(1024))["a"]
+    report = WithinGroupCalibration.of(level_tables(calibrated_uniform_pair(1024)))["a"]
     assert report.sup_error <= 1.0 / 1024
 
 
@@ -166,7 +163,7 @@ def narrative_dataset():
 
 def test_skewed_bin_composition_breaks_within_group_calibration():
     data = narrative_dataset()
-    report = within_group_calibration_errors(data, bins=10)["men"]
+    report = WithinGroupCalibration.of(level_tables(data, bins=10))["men"]
     expected = float(Fraction(80, 81) - Fraction(4, 5))
     bin8 = int(np.argmax(~np.isnan(report.error)))
     assert report.levels[bin8] == pytest.approx(0.85)
@@ -175,7 +172,7 @@ def test_skewed_bin_composition_breaks_within_group_calibration():
 
 def test_skewed_bin_composition_keeps_pooled_calibration():
     data = narrative_dataset()
-    report = between_group_calibration_gap(data, bins=10)
+    report = CalibrationReport.of(level_tables(data, bins=10))
     occupied = ~np.isnan(report.pooled)
     assert report.pooled[occupied][0] == pytest.approx(0.8, abs=1e-12)
     assert report.gap[occupied][0] == pytest.approx(80 / 81, abs=1e-12)
@@ -187,7 +184,7 @@ def test_constant_score_at_matching_base_rate_is_calibrated():
         score=np.full(4, 0.5),
         outcome=np.array([1, 0, 1, 0]),
     )
-    report = within_group_calibration_errors(data, bins=10)["a"]
+    report = WithinGroupCalibration.of(level_tables(data, bins=10))["a"]
     occupied = ~np.isnan(report.error)
     assert report.error[occupied][0] == 0.0
 
@@ -195,7 +192,7 @@ def test_constant_score_at_matching_base_rate_is_calibrated():
 def test_calibration_gap_requires_two_groups():
     data = AuditDataset(group=np.array(["a"]), score=np.array([0.5]), outcome=np.array([1]))
     with pytest.raises(ValueError):
-        between_group_calibration_gap(data)
+        CalibrationReport.of(level_tables(data))
 
 
 # -- one tally per dataset: the per-group masked counts are the oracle ---------------
@@ -294,6 +291,15 @@ def _assert_gaps_round_once(sep, suff, tables, weights):
         assert _bits(suff.coarsened_sup_gap) == _bits(suff.max_gap)
 
 
+def _assert_rates_read_the_properties(sep, suff, tables):
+    """Every per-group rate of the views is ``float`` of the matching exact
+    ``ConfusionCounts`` property of the oracle ``tables``, keyed in their order."""
+    views = {"fpr": sep.fpr, "fnr": sep.fnr, "pos_given_r1": suff.pos_given_r1, "pos_given_r0": suff.pos_given_r0}
+    for name, view in views.items():
+        assert list(view) == list(tables)
+        assert _bits(*view.values()) == _bits(*(float(getattr(c, name)) for c in tables.values()))
+
+
 def _cells(counts):
     return counts if isinstance(counts, tuple) else [(type(c), c) for c in (counts.tp, counts.fp, counts.fn, counts.tn)]
 
@@ -316,11 +322,17 @@ def test_the_all_group_tally_matches_per_group_masks_bit_for_bit(data, bins, t, 
             RandomizedThreshold(lower, upper, mix),
         )
     ]
-    for g in [*data.labels, "zz"]:
-        for rule in rules:
-            assert _cells(_result(confusion, data, rule, g)) == _cells(_result(_masked_confusion, data, rule, g))
+    for rule in rules:  # every group's table, or the first error of the per-group masked tables
+        tables = [_result(_masked_confusion, data, rule, g) for g in data.labels]
+        first_error = next((t for t in tables if isinstance(t, tuple)), None)
+        got = _result(confusion_tables, data, rule)
+        if first_error is not None:
+            assert got == first_error
+            continue
+        assert list(got) == list(data.labels)
+        assert [_cells(c) for c in got.values()] == [_cells(c) for c in tables]
 
-    every = within_group_calibration_errors(data, bins=bins)
+    every = WithinGroupCalibration.of(level_tables(data, bins=bins))
     assert list(every) == list(data.labels)
     for g in data.labels:
         positive, total, reference = _masked_level_tallies(data, g, bins)
@@ -336,9 +348,9 @@ def test_the_all_group_tally_matches_per_group_masks_bit_for_bit(data, bins, t, 
 
     if len(data.labels) < 2:
         with pytest.raises(ValueError, match="at least 2 groups"):
-            between_group_calibration_gap(data, bins=bins)
+            CalibrationReport.of(level_tables(data, bins=bins))
         return
-    got = between_group_calibration_gap(data, bins=bins)
+    got = CalibrationReport.of(level_tables(data, bins=bins))
     group_rates, pooled_pos, pooled_tot = {}, 0.0, 0.0
     for g in data.labels:
         positive, total, _ = _masked_level_tallies(data, g, bins)
@@ -359,15 +371,7 @@ def test_the_all_group_tally_matches_per_group_masks_bit_for_bit(data, bins, t, 
         if first_error is not None:
             assert sep == suff == first_error
             continue
-        pairs = [rates(c) for c in tables]
-        fpr, fnr = [p.fpr for p in pairs], [p.fnr for p in pairs]
-        assert list(sep.rate_pairs) == list(data.labels)
-        got_pairs = list(sep.rate_pairs.values())
-        assert _bits(*[p.fpr for p in got_pairs], *[p.fnr for p in got_pairs]) == _bits(*fpr, *fnr)
-        r1 = [float(Fraction(c.tp) / Fraction(c.tp + c.fp)) if c.tp + c.fp else float("nan") for c in tables]
-        r0 = [false_omission_rate(c) for c in tables]
-        assert list(suff.pos_given_r1) == list(suff.pos_given_r0) == list(data.labels)
-        assert _bits(*suff.pos_given_r1.values(), *suff.pos_given_r0.values()) == _bits(*r1, *r0)
+        _assert_rates_read_the_properties(sep, suff, dict(zip(data.labels, tables)))
         _assert_gaps_round_once(sep, suff, tables, [1] * len(tables))  # records pool by count
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -496,6 +500,26 @@ def test_spread_is_the_largest_pairwise_gap_bit_for_bit(values, undefined_at):
     assert spread(exact).hex() == pairwise.hex()  # exact rates take the same gap rule
 
 
+@pytest.mark.parametrize(
+    "gap, tol, holds",
+    [
+        (UNDEFINED, 1.0, False),
+        (UNDEFINED, math.inf, False),
+        (1e-6, 1e-6, True),
+        (Fraction(1, 3), Fraction(1, 3), True),
+        (0.0, 0.0, True),
+        (-0.0, 0.0, True),
+        (5e-324, 0.0, False),
+        (0.5, 0.25, False),
+    ],
+)
+def test_within_is_the_one_holds_rule(gap, tol, holds):
+    """A gap holds when it is defined and at most the tolerance; a verdict
+    built by the rule carries the gap and the tolerance it was judged by."""
+    assert within(gap, tol) is holds
+    assert Verdict.within(gap, tol) == Verdict(holds, gap, tol)
+
+
 # -- every gap is the exact spread of exact rates, rounded once ----------------------
 
 
@@ -525,6 +549,7 @@ def test_population_gaps_are_exact_spreads_rounded_once(seed, groups, grid, kind
             pass
     tables = [ConfusionCounts(*group_confusion_masses(pop.group(g), rule.for_group(g))) for g in labels]
     sep, suff = separation_gap(pop, rule), sufficiency_gap_binary(pop, rule)
+    _assert_rates_read_the_properties(sep, suff, dict(zip(labels, tables)))
     _assert_gaps_round_once(sep, suff, tables, pop.normalized_weights().values())
 
 
@@ -565,8 +590,8 @@ def test_witness_on_the_equalized_odds_construction():
     assert witness.consistent
     # Error rates shared by every group fix each group's P(Y=1 | D=1) and
     # P(Y=1 | D=0) by its base rate alone; the sufficiency gap is their spread.
-    fpr = np.mean([rp.fpr for rp in witness.separation.rate_pairs.values()])
-    fnr = np.mean([rp.fnr for rp in witness.separation.rate_pairs.values()])
+    fpr = np.mean(list(witness.separation.fpr.values()))
+    fnr = np.mean(list(witness.separation.fnr.values()))
     flagged = [(1 - fnr) * b / ((1 - fnr) * b + fpr * (1 - b)) for b in witness.base_rates.values()]
     cleared = [fnr * b / (fnr * b + (1 - fpr) * (1 - b)) for b in witness.base_rates.values()]
     predicted = max(spread(flagged), spread(cleared))
@@ -600,5 +625,5 @@ def test_sufficiency_matches_chouldechova_identity(seed, t_ref, reference):
     for g in pop.labels:
         p = pop.group(g).base_rate
         ppv = suff.pos_given_r1[g]
-        fnr = sep.rate_pairs[g].fnr
-        assert sep.rate_pairs[g].fpr == pytest.approx(p / (1 - p) * (1 - ppv) / ppv * (1 - fnr), rel=1e-9)
+        fnr = sep.fnr[g]
+        assert sep.fpr[g] == pytest.approx(p / (1 - p) * (1 - ppv) / ppv * (1 - fnr), rel=1e-9)

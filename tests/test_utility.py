@@ -21,6 +21,7 @@ from fairsim import (
     solve_parity_ratio,
     utility_report,
 )
+from fairsim.metrics import within
 from _helpers import judge_population
 
 REC = PayoffMatrix.recommender()
@@ -55,12 +56,12 @@ def test_optimal_threshold_of_the_recommender_payoff():
 def test_optimal_threshold_moves_with_the_outside_option():
     assert optimal_threshold(PayoffMatrix.recommender(outside=0.5)) == pytest.approx(0.75)
     # outside option no better than a sure dud: acting always wins
-    assert optimal_threshold(PayoffMatrix(u11=1, u10=-1, u01=-1, u00=-1, outside=-1)) == 0.0
+    assert optimal_threshold(PayoffMatrix(u11=1, u10=-1, outside=-1)) == 0.0
 
 
 def test_optimal_threshold_rejects_degenerate_payoffs():
     with pytest.raises(ValueError):
-        optimal_threshold(PayoffMatrix(u11=1.0, u10=1.0, u01=0, u00=0, outside=0))
+        optimal_threshold(PayoffMatrix(u11=1.0, u10=1.0, outside=0))
 
 
 def test_long_run_eu_calibrated_uniform():
@@ -81,7 +82,7 @@ def test_side_preserving_distortion_keeps_the_optimum():
 
 def test_long_run_eu_requires_normalized_density():
     with pytest.raises(ValueError):
-        long_run_eu(ScoreDensity(np.full(8, 2.0)), None, REC, 0.5)
+        long_run_eu(ScoreDensity(np.full(8, 2.0)), ScoreMap.identity(8), REC, 0.5)
 
 
 def test_classify_cases_identity_has_no_loss():
@@ -125,7 +126,7 @@ def test_optimum_threshold_beats_a_threshold_sweep():
 def test_loss_decomposition_property(values):
     density = ScoreDensity.uniform(16)
     score_map = ScoreMap(np.array(values))
-    delta = long_run_eu(density, None, REC, 0.5) - long_run_eu(density, score_map, REC, 0.5)
+    delta = long_run_eu(density, ScoreMap.identity(16), REC, 0.5) - long_run_eu(density, score_map, REC, 0.5)
     assert delta == pytest.approx(sum(c.loss for c in classify_cases(density, score_map, 0.5, REC).cases.values()), abs=1e-9)
 
 
@@ -137,7 +138,7 @@ def test_equal_fnr_gives_exactly_equal_per_outcome_harm():
     rule = solve_equalized_odds(pop, "men", 0.5)
     report = judge_disutility(pop, rule, "per-outcome")
     assert report.disparity == 0.0
-    assert report.verdict
+    assert within(report.disparity, 1e-6)
     # the per-outcome disparity is by construction the fnr separation gap
     assert report.disparity == separation_gap(pop, rule).fnr_gap
 
@@ -147,7 +148,7 @@ def test_equal_fnr_does_not_equalize_per_person_harm():
     rule = solve_equalized_odds(pop, "men", 0.5)
     report = judge_disutility(pop, rule, "per-person")
     assert report.disparity > 0.1
-    assert not report.verdict
+    assert not within(report.disparity, 1e-6)
 
 
 def test_parity_rule_equalizes_per_person_harm():
@@ -164,7 +165,7 @@ def test_per_outcome_undefined_without_positive_mass():
     report = judge_disutility(pop, DecisionRule.shared(0.5, pop.labels), "per-outcome")
     assert not is_defined(report.per_group["a"])
     assert not is_defined(report.disparity)
-    assert not report.verdict
+    assert not within(report.disparity, 1e-6)
 
 
 def test_convention_must_be_named():
@@ -177,9 +178,9 @@ def test_disparity_verdict_returns_magnitude_either_way():
     pop = judge_population(GRID)
     rule = solve_equalized_odds(pop, "men", 0.5)
     strict = judge_disutility(pop, rule, "per-person")
-    assert not strict.verdict and strict.disparity > 1e-6 and strict.tolerance == 1e-6
-    loose = utility_report(strict.per_group, 1.0)
-    assert loose.verdict and loose.disparity == strict.disparity
+    assert not within(strict.disparity, 1e-6) and strict.disparity > 1e-6
+    assert within(strict.disparity, 1.0)
+    assert utility_report(strict.per_group) == strict
 
 
 # -- Monte Carlo -------------------------------------------------------------------
