@@ -33,7 +33,6 @@ from .metrics import (
     WithinGroupCalibration,
     confusion_tables,
     separation_gap,
-    sufficiency_gap_binary,
 )
 from .rules import (
     DecisionRule,

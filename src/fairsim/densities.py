@@ -261,14 +261,9 @@ class ConditionalScoreDensity:
 
 @dataclass(frozen=True)
 class PopulationModel:
-    """Named groups, each with a conditional score density.
-
-    ``weights`` are relative group sizes used for sampling and pooling;
-    given as None, they are stored as 1.0 per group: equal sizes.
-    """
+    """Named groups of equal size, each with a conditional score density."""
 
     groups: dict[str, ConditionalScoreDensity]
-    weights: dict[str, float] | None = None
 
     def __post_init__(self):
         if len(self.groups) < 2:
@@ -276,13 +271,6 @@ class PopulationModel:
         grids = {csd.grid_size for csd in self.groups.values()}
         if len(grids) != 1:
             raise ValueError("all groups must share one grid size")
-        if self.weights is None:
-            object.__setattr__(self, "weights", dict.fromkeys(self.groups, 1.0))
-        if set(self.weights) != set(self.groups):
-            raise ValueError("weights must cover exactly the group labels")
-        weights = self.weights.values()
-        if not (all(math.isfinite(w) and w > 0 for w in weights) and math.isfinite(sum(weights))):
-            raise ValueError("group weights must be finite and positive")
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -296,15 +284,11 @@ class PopulationModel:
         group_index(self.labels, label)
         return self.groups[label]
 
-    def normalized_weights(self) -> dict[str, float]:
-        total = sum(self.weights.values())
-        return {g: self.weights[g] / total for g in self.groups}
-
     def with_group(self, label: str, csd: ConditionalScoreDensity) -> "PopulationModel":
         group_index(self.labels, label)
         groups = dict(self.groups)
         groups[label] = csd
-        return PopulationModel(groups=groups, weights=self.weights)
+        return PopulationModel(groups=groups)
 
 
 @dataclass(frozen=True)
@@ -593,24 +577,31 @@ def _read_columns(path) -> AuditDataset | None:
 
 def _read_rows(path) -> AuditDataset:
     """The row-by-row reader. Its result and its line-numbered errors are the
-    specification that ``_read_columns`` reproduces faster."""
+    specification that ``_read_columns`` reproduces faster.
+
+    Bytes that are not UTF-8 decode to lone surrogates, so the row that
+    holds them is named, wherever the decoder's chunks fall."""
     groups: list[str] = []
     scores: list[float] = []
     outcomes: list[int] = []
     decisions: list[int] = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         line_no = 0
         try:
             header = next(reader, None)
             if header is None:
                 raise ValueError(f"file is empty; expected header {','.join(CSV_HEADER)!r}")
+            if any(map(_SURROGATE.search, header)):
+                raise ValueError("row 1: a cell holds bytes that are not UTF-8")
             if tuple(h.strip() for h in header) != CSV_HEADER:
                 raise ValueError(f"expected header {','.join(CSV_HEADER)!r}, got {header!r}")
             line_no = 1
             for line_no, row in enumerate(reader, start=2):
                 if not row:
                     continue
+                if any(map(_SURROGATE.search, row)):
+                    raise ValueError(f"row {line_no}: a cell holds bytes that are not UTF-8")
                 if len(row) != 4:
                     raise ValueError(f"row {line_no}: expected 4 columns, got {len(row)}")
                 group, score_s, outcome_s, decision_s = (c.strip() for c in row)
@@ -719,9 +710,9 @@ def draw_categorical(rng: np.random.Generator, p, n: int) -> np.ndarray:
 def sample(pop: PopulationModel, n: int, seed: int, rule=None) -> AuditDataset:
     """Draw n i.i.d. records from the population.
 
-    Groups are drawn with probability proportional to the population's group
-    weights; (score, outcome) pairs follow each group's conditional density,
-    with scores uniform within their grid cell.
+    Each of the k groups is drawn with probability 1/k; (score, outcome)
+    pairs follow each group's conditional density, with scores uniform within
+    their grid cell.
 
     Args:
         pop: population to sample from.
@@ -739,8 +730,9 @@ def sample(pop: PopulationModel, n: int, seed: int, rule=None) -> AuditDataset:
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
     labels = pop.labels
-    weights = pop.normalized_weights()
-    pvec = np.array([weights[g] for g in labels])
+    pvec = np.full(len(labels), 1.0 / len(labels))
+    # k copies of 1/k need not sum to 1.0 (they do not for k = 6); seeded
+    # records are pinned to the draw over this vector divided by its sum.
     gidx = draw_categorical(rng, pvec / pvec.sum(), n)
 
     score_col = np.empty(n)

@@ -288,7 +288,7 @@ def run_judge_experiment(
 
     tables = confusion_tables(pop, solved)
     sep = SeparationGaps.of(tables)
-    suff = SufficiencyGaps.of(tables, pop.normalized_weights())
+    suff = SufficiencyGaps.of(tables)
     du_outcome = harm_report(tables, "per-outcome")
     du_person = harm_report(tables, "per-person")
     selected = du_outcome if convention == "per-outcome" else du_person

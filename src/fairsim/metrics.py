@@ -95,38 +95,22 @@ def confusion_tables(source: PopulationModel | AuditDataset, rule: DecisionRule 
     in label order: the one measurement every binary-decision metric reads.
 
     Analytic sources need a rule and yield exact masses. Empirical sources
-    yield exact counts, taken from one tally of the recorded decision column
-    when ``rule`` is None. A rule makes one tally per mixture position, in
-    which each record meets its own group's threshold at that position, and
-    a group sums the tallies of its own positions with its policy's weights;
-    so a randomized rule on a dataset yields expected (fractional) counts
-    rather than draws.
+    take no rule: they yield exact counts from one tally of the recorded
+    decision column.
     """
     if isinstance(source, PopulationModel):
         if rule is None:
             raise ValueError("analytic confusion requires a decision rule")
         return {g: ConfusionCounts.of(csd, rule.for_group(g)) for g, csd in source.groups.items()}
+    if rule is not None:
+        raise ValueError("a dataset is measured on its recorded decisions; it takes no rule")
 
-    cell = source.outcome * 3 + 1  # plus the decision, which is -1 where missing
-    if rule is None:
-        counts = tally(source, cell + source.decision, 6)
-        tables = dict(zip(source.labels, counts))
-    else:
-        mixtures = [rule.for_group(g).mixture() for g in source.labels]
-        # Row c holds each group's threshold at position c; a group with
-        # fewer positions leaves its entry unread.
-        thresholds = np.zeros((max(map(len, mixtures)), len(source.labels)))
-        for row, mixture in enumerate(mixtures):
-            thresholds[: len(mixture), row] = [float(t) for _, t in mixture]
-        counts = [tally(source, cell + (source.score > t[source.codes]), 6) for t in thresholds]
-        tables = {
-            g: sum(w * counts[c][row] for c, (w, _) in enumerate(mixture))
-            for row, (g, mixture) in enumerate(zip(source.labels, mixtures))
-        }
-    for g, table in tables.items():
+    counts = tally(source, source.outcome * 3 + 1 + source.decision, 6)  # a missing decision is -1
+    tables = {}
+    for g, table in zip(source.labels, counts):
         missing_y0, tn, fp, missing_y1, fn, tp = table.tolist()
         if missing_y0 or missing_y1:
-            raise ValueError(f"group {g!r} has records without decisions and no rule was given")
+            raise ValueError(f"group {g!r} has records without decisions")
         tables[g] = ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
     return tables
 
@@ -173,8 +157,7 @@ class CalibrationReport:
         if len(tables.total) < 2:
             raise ValueError("calibration gap needs at least 2 groups")
         group_rates = conditional_rate(tables.positive, tables.total)
-        pooled_pos = sum(w * pos for w, pos in zip(tables.weights, tables.positive))  # row by row, in label order
-        pooled_tot = sum(w * tot for w, tot in zip(tables.weights, tables.total))
+        pooled_pos, pooled_tot = tables.positive.sum(axis=0), tables.total.sum(axis=0)
         level_mass, gap = pooled_tot / tables.divisor, _per_level_max_gap(group_rates)
         by_group, pooled = dict(zip(tables.labels, group_rates)), conditional_rate(pooled_pos, pooled_tot)
         return cls(tables.levels, by_group, pooled, gap, level_mass, *_summarize_gaps(gap, level_mass))
@@ -203,36 +186,36 @@ def _per_level_max_gap(stack: np.ndarray) -> np.ndarray:
 class LevelTables:
     """Every group's tallies per score level, one row per label in label
     order: the outcome-1 mass (density values) or record count, the total,
-    and the rate a calibrated score shows. Groups pool with ``weights``, and
-    a total over ``divisor`` is a level mass."""
+    and the rate a calibrated score shows. Groups pool by plain row sums,
+    and a total over ``divisor`` is a level mass."""
 
     labels: tuple[str, ...]
     levels: np.ndarray
     positive: np.ndarray
     total: np.ndarray
     reference: np.ndarray
-    weights: tuple[float, ...]
     divisor: int
 
 
 def level_tables(source: PopulationModel | AuditDataset, bins: int = 10) -> LevelTables:
     """The one measurement of score levels, which every calibration metric
     reads. Analytic levels are the grid-cell midpoints, each its own
-    reference, and groups pool by population weight. ``bins`` applies only to
-    datasets: their levels are ``bins`` equal-width bins, whose reference is
-    the mean score in the bin, and groups pool by record count."""
+    reference; the k groups are of equal size, so a pooled total over G*k
+    is a mass. ``bins`` applies only to datasets: their levels are ``bins``
+    equal-width bins, whose reference is the mean score in the bin, and a
+    pooled total is a record count."""
     if isinstance(source, PopulationModel):
         positive = np.stack([csd.f1.weights for csd in source.groups.values()])
         total = np.stack([csd.f0.weights + csd.f1.weights for csd in source.groups.values()])
-        levels, weights = cell_midpoints(source.grid_size), tuple(source.normalized_weights().values())
-        return LevelTables(source.labels, levels, positive, total, np.tile(levels, (len(total), 1)), weights, len(levels))
+        levels = cell_midpoints(source.grid_size)
+        return LevelTables(source.labels, levels, positive, total, np.tile(levels, (len(total), 1)), len(levels) * len(total))
     if bins < 1:
         raise ValueError("bins must be at least 1")
     bin_of = cell_index(source.score, bins)
     counts = tally(source, bin_of * 2 + source.outcome, bins * 2).reshape(-1, bins, 2).astype(float)
     total = counts.sum(axis=2)
     reference = conditional_rate(tally(source, bin_of, bins, source.score), total)
-    return LevelTables(source.labels, cell_midpoints(bins), counts[:, :, 1], total, reference, (1.0,) * len(total), 1)
+    return LevelTables(source.labels, cell_midpoints(bins), counts[:, :, 1], total, reference, 1)
 
 
 @dataclass(frozen=True)
@@ -306,7 +289,8 @@ class SufficiencyGaps(_TwoGaps):
     and 1, whose coarsened calibration gap ``coarsened_sup_gap`` is the
     largest level gap over the groups defined there (``max_gap`` when every
     rate is defined); ``coarsened_l1_gap`` averages the level gaps by pooled
-    mass. A level with fewer than 2 defined groups is left out."""
+    mass, the sum of the level's cells over the groups. A level with fewer
+    than 2 defined groups is left out."""
 
     _gap_names = ("gap_r1", "gap_r0")
 
@@ -318,9 +302,8 @@ class SufficiencyGaps(_TwoGaps):
     coarsened_l1_gap: float
 
     @classmethod
-    def of(cls, tables: dict[str, ConfusionCounts], weights: dict[str, float]) -> "SufficiencyGaps":
-        """The view of ``confusion_tables``: exact rates, each gap rounded
-        once; a group's masses pool with its ``weights`` entry."""
+    def of(cls, tables: dict[str, ConfusionCounts]) -> "SufficiencyGaps":
+        """The view of ``confusion_tables``: exact rates, each gap rounded once."""
         if len(tables) < 2:
             raise ValueError("sufficiency gap needs at least 2 groups")
         r1 = {g: c.pos_given_r1 for g, c in tables.items()}
@@ -329,8 +312,7 @@ class SufficiencyGaps(_TwoGaps):
         for level, decided in ((r0, lambda c: c.fn + c.tn), (r1, lambda c: c.tp + c.fp)):
             defined = [r for r in level.values() if is_defined(r)]
             if len(defined) >= 2:
-                mass = sum(Fraction(weights[g]) * decided(c) for g, c in tables.items())
-                levels.append((max(defined) - min(defined), mass))
+                levels.append((max(defined) - min(defined), sum(map(decided, tables.values()))))
         return cls(
             pos_given_r1={g: float(r) for g, r in r1.items()},
             pos_given_r0={g: float(r) for g, r in r0.items()},
@@ -339,11 +321,6 @@ class SufficiencyGaps(_TwoGaps):
             coarsened_sup_gap=float(max(gap for gap, _ in levels)) if levels else UNDEFINED,
             coarsened_l1_gap=float(_rate(sum(gap * mass for gap, mass in levels), sum(mass for _, mass in levels))),
         )
-
-
-def sufficiency_gap_binary(source: PopulationModel | AuditDataset, rule: DecisionRule | None = None) -> SufficiencyGaps:
-    weights = source.normalized_weights() if isinstance(source, PopulationModel) else dict.fromkeys(source.labels, 1)
-    return SufficiencyGaps.of(confusion_tables(source, rule), weights)
 
 
 @dataclass(frozen=True)

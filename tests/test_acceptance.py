@@ -11,7 +11,9 @@ from fairsim import (
     PayoffMatrix,
     ScoreDensity,
     ScoreMap,
+    SufficiencyGaps,
     classify_cases,
+    confusion_tables,
     judge_disutility,
     long_run_eu,
     mc_long_run_eu,
@@ -22,7 +24,6 @@ from fairsim import (
     separation_gap,
     solve_equalized_odds,
     solve_parity_ratio,
-    sufficiency_gap_binary,
 )
 from fairsim.cli import audit
 from _helpers import judge_population, random_equalized_odds_instance
@@ -115,7 +116,7 @@ def test_criterion_5_impossibility_sweep():
         sep = separation_gap(pop, rule)
         assert sep.max_gap <= 1e-6
         assert any(sep.fpr[g] + sep.fnr[g] > 1e-6 for g in pop.labels)  # imperfect
-        gap = sufficiency_gap_binary(pop, rule).max_gap
+        gap = SufficiencyGaps.of(confusion_tables(pop, rule)).max_gap
         min_gap = min(min_gap, gap)
         if gap < 1e-4:
             violations += 1
@@ -181,7 +182,7 @@ def test_criterion_8_empirical_analytic_coherence(tmp_path):
     measured = audit(str(path), bins=10)
 
     sep = separation_gap(pop, rule)
-    suff = sufficiency_gap_binary(pop, rule)
+    suff = SufficiencyGaps.of(confusion_tables(pop, rule))
     analytic = {
         "base_rate.men": pop.group("men").base_rate,
         "base_rate.women": pop.group("women").base_rate,

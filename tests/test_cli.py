@@ -97,6 +97,14 @@ def test_audit_reports_an_oversized_field_on_one_line(tmp_path, capsys):
     assert err.startswith("audit error: row 3: field larger than field limit")
 
 
+def test_audit_names_the_row_of_a_byte_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"group,score,outcome,decision\na,0.5,1,1\n\xe9,0.5,1,1\nb,0.1,0,0\n")
+    code, out, err = run_cli(capsys, "audit", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err == "audit error: row 3: a cell holds bytes that are not UTF-8\n"
+
+
 @pytest.mark.parametrize("bins", ["0", "-3", str(MAX_BINS + 1), str(10**18)])
 def test_audit_rejects_bins_outside_the_cap_before_reading(tmp_path, capsys, bins):
     # The input does not exist: the error names the bins, so nothing was read

@@ -330,6 +330,18 @@ def test_row_reader_names_the_row_of_an_oversized_field(tmp_path):
         AuditDataset.from_csv(path)
 
 
+@pytest.mark.parametrize("lines, bad_row", [(4, 1), (4, 3), (20_001, 15_001)])
+def test_reader_names_the_row_of_a_byte_that_is_not_utf8(tmp_path, lines, bad_row):
+    # Row 15,001 lies past the first chunk that a text decoder reads.
+    rows = [HEADER.encode()] + [b"a,0.5,1,1", b"b,0.25,0,0"] * (lines // 2)
+    rows[bad_row - 1] = b"a\xff,0.5,1,1"
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"\n".join(rows[:lines]) + b"\n")
+    assert _read_columns(path) is None
+    with pytest.raises(ValueError, match=rf"^row {bad_row}: a cell holds bytes that are not UTF-8$"):
+        AuditDataset.from_csv(path)
+
+
 def test_readers_agree_on_a_score_cell_spread_over_lines(tmp_path):
     # Each line is short, but the quoted cell is over the csv field limit.
     path = tmp_path / "spread.csv"

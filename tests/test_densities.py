@@ -60,17 +60,6 @@ def test_population_needs_two_groups_and_one_grid():
         PopulationModel(groups={"a": csd, "b": other})
 
 
-@pytest.mark.parametrize(
-    "a, b", [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (0.0, 1.0), (-1.0, 1.0), (1e308, 1e308)]
-)
-def test_population_rejects_a_group_weight_that_is_not_finite_and_positive(a, b):
-    # A NaN weight compares False with 0, so only a finiteness check stops it;
-    # finite weights whose sum overflows would normalize to 0.
-    csd = ConditionalScoreDensity.calibrated(ScoreDensity.uniform(8))
-    with pytest.raises(ValueError, match="^group weights must be finite and positive$"):
-        PopulationModel(groups={"a": csd, "b": csd}, weights={"a": a, "b": b})
-
-
 # -- integrate ---------------------------------------------------------------
 
 
@@ -258,16 +247,14 @@ def test_any_score_map_conserves_class_masses(w0, w1, targets):
 def test_sampling_is_deterministic(tmp_path):
     groups = calibrated_uniform_pair(64).groups
     pop = PopulationModel(groups)
-    assert pop.weights == dict.fromkeys(groups, 1.0)
     a = sample(pop, 10, seed=123)
     b = sample(pop, 10, seed=123)
     assert list(a.group) == list(b.group)
     assert np.array_equal(a.score, b.score)
     assert np.array_equal(a.outcome, b.outcome)
-    # default weights sample exactly as explicit equal weights
-    a.to_csv(tmp_path / "default.csv")
-    sample(PopulationModel(groups, weights={"a": 1.0, "b": 1.0}), 10, seed=123).to_csv(tmp_path / "equal.csv")
-    assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "equal.csv").read_bytes()
+    a.to_csv(tmp_path / "a.csv")
+    b.to_csv(tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_sampling_rejects_empty_draw():
@@ -295,12 +282,13 @@ def test_sampling_converges_to_analytic_base_rate():
         assert abs(float(data.outcome[mask].mean()) - 0.5) < 0.005
 
 
-def test_group_weights_drive_sampling_proportions():
-    pop = judge_population(64)
-    pop = PopulationModel(groups=pop.groups, weights={"men": 3.0, "women": 1.0})
-    data = sample(pop, 100_000, seed=9)
-    share_men = float(np.mean(data.group == "men"))
-    assert share_men == pytest.approx(0.75, abs=0.01)
+def test_sampling_draws_each_of_three_groups_with_share_one_third():
+    groups = {g: ConditionalScoreDensity.from_base_rate(rate, 64) for g, rate in zip("abc", (0.3, 0.5, 0.7))}
+    n = 100_000
+    data = sample(PopulationModel(groups), n, seed=9)
+    sigma = math.sqrt(n * (1 / 3) * (2 / 3))  # binomial standard deviation of one group's count
+    for g in groups:
+        assert abs(np.count_nonzero(data.group == g) - n / 3) <= 5 * sigma
 
 
 # -- draw_categorical ------------------------------------------------------------

@@ -189,7 +189,7 @@ def test_counterexample_reshapes_keep_parity_and_break_composition():
 
 def test_reshape_on_one_side_of_the_threshold_changes_nothing():
     from fairsim.experiments import run_appendix_counterexample as run
-    from fairsim import PopulationModel, solve_parity_ratio, sufficiency_gap_binary
+    from fairsim import PopulationModel, SufficiencyGaps, confusion_tables, solve_parity_ratio
 
     men = ConditionalScoreDensity.from_base_rate(0.3, GRID)
     women = ConditionalScoreDensity.from_base_rate(0.6, GRID)
@@ -210,8 +210,8 @@ def test_reshape_on_one_side_of_the_threshold_changes_nothing():
     reshaped = ConditionalScoreDensity(f0=ScoreDensity(w), f1=men.f1)
     pop_r = pop.with_group("men", reshaped)
 
-    before = sufficiency_gap_binary(pop, rule).pos_given_r0["men"]
-    after = sufficiency_gap_binary(pop_r, rule).pos_given_r0["men"]
+    before = SufficiencyGaps.of(confusion_tables(pop, rule)).pos_given_r0["men"]
+    after = SufficiencyGaps.of(confusion_tables(pop_r, rule)).pos_given_r0["men"]
     assert after == pytest.approx(before, abs=1e-12)
 
 

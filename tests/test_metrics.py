@@ -12,13 +12,12 @@ from fairsim import (
     ConditionalScoreDensity,
     ConfusionCounts,
     DecisionRule,
-    DeterministicThreshold,
     ImpossibilityWitness,
     InfeasibleRuleError,
     PopulationModel,
-    RandomizedThreshold,
     ScoreDensity,
     ScoreMap,
+    SufficiencyGaps,
     UNDEFINED,
     CalibrationReport,
     Verdict,
@@ -29,18 +28,15 @@ from fairsim import (
     separation_gap,
     solve_equalized_odds,
     solve_parity_ratio,
-    sufficiency_gap_binary,
 )
 from fairsim.cli import audit
 from fairsim.densities import cell_index, cell_midpoints, conditional_rate, group_index
-from fairsim import metrics
 from fairsim.rules import group_confusion_masses
 from fairsim.metrics import (
     _per_level_max_gap,
     _summarize_gaps,
     level_tables,
     spread,
-    tally,
     within,
 )
 from _helpers import (
@@ -89,12 +85,16 @@ def test_confusion_empirical_counts_one_record_per_cell():
     assert (c.fpr, c.fnr, c.pos_given_r1, c.pos_given_r0) == (Fraction(1, 2),) * 4
 
 
-def test_confusion_empirical_requires_decisions_or_rule():
+def test_confusion_empirical_requires_recorded_decisions():
     data = AuditDataset(group=np.array(["a"]), score=np.array([0.4]), outcome=np.array([1]))
-    with pytest.raises(ValueError, match="decision"):
+    with pytest.raises(ValueError, match="^group 'a' has records without decisions$"):
         confusion_tables(data)
-    c = confusion_tables(data, DecisionRule.shared(0.5, ["a"]))["a"]
-    assert (c.tp, c.fn) == (0, 1)
+
+
+def test_confusion_tables_refuses_a_rule_on_a_dataset():
+    data = AuditDataset(group=["a", "b"], score=np.array([0.4, 0.6]), outcome=np.array([1, 0]), decision=[1, 0])
+    with pytest.raises(ValueError, match="^a dataset is measured on its recorded decisions; it takes no rule$"):
+        confusion_tables(data, DecisionRule.shared(0.5, data.labels))
 
 
 def test_rates_of_perfect_classifier():
@@ -141,7 +141,7 @@ def test_flipped_group_blows_up_the_calibration_gap():
 def test_equalized_odds_on_unequal_base_rates_breaks_output_calibration():
     pop = judge_population(1024)
     rule = solve_equalized_odds(pop, "men", 0.5)
-    assert sufficiency_gap_binary(pop, rule).coarsened_sup_gap > 1e-3
+    assert SufficiencyGaps.of(confusion_tables(pop, rule)).coarsened_sup_gap > 1e-3
 
 
 def test_within_group_error_of_calibrated_group_vanishes():
@@ -223,16 +223,11 @@ def _tally_datasets(draw):
     )
 
 
-def _masked_confusion(data, rule, group):
+def _masked_confusion(data, group):
     mask = data.codes == group_index(data.labels, group)
-    outcomes = data.outcome[mask]
-    if rule is None:
-        if np.any(data.decision[mask] == -1):
-            raise ValueError(f"group {group!r} has records without decisions and no rule was given")
-        components = [(1, data.decision[mask])]
-    else:
-        components = [(w, data.score[mask] > float(t)) for w, t in rule.for_group(group).mixture()]
-    tn, fp, fn, tp = sum(w * np.bincount(outcomes * 2 + d, minlength=4) for w, d in components).tolist()
+    if np.any(data.decision[mask] == -1):
+        raise ValueError(f"group {group!r} has records without decisions")
+    tn, fp, fn, tp = np.bincount(data.outcome[mask] * 2 + data.decision[mask], minlength=4).tolist()
     return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
 
 
@@ -267,11 +262,11 @@ def _exact_gap(ratios):
     return float(max(exact) - min(exact))
 
 
-def _assert_gaps_round_once(sep, suff, tables, weights):
+def _assert_gaps_round_once(sep, suff, tables):
     """Each separation, sufficiency and coarsened gap is ``float(max - min)``
     of the exact rates of the oracle ``tables``; the coarsened gaps leave out
     a level with fewer than 2 defined groups, and the l1 gap weights the
-    levels by the mass decided 0 and 1, pooled with ``weights``."""
+    levels by the mass decided 0 and 1, summed over the groups."""
     fpr = [(c.fp, c.fp + c.tn) for c in tables]
     fnr = [(c.fn, c.fn + c.tp) for c in tables]
     r1 = [(c.tp, c.tp + c.fp) for c in tables]
@@ -283,7 +278,7 @@ def _assert_gaps_round_once(sep, suff, tables, weights):
         defined = [Fraction(num) / Fraction(den) for num, den in level if den]
         if len(defined) >= 2:
             gaps.append(max(defined) - min(defined))
-            masses.append(sum(Fraction(w) * den for w, (_, den) in zip(weights, level)))
+            masses.append(sum(den for _, den in level))
     sup = float(max(gaps)) if gaps else float("nan")
     l1 = float(sum(g * m for g, m in zip(gaps, masses)) / sum(masses)) if gaps and sum(masses) else float("nan")
     assert _bits(suff.coarsened_sup_gap, suff.coarsened_l1_gap) == _bits(sup, l1)
@@ -305,30 +300,15 @@ def _cells(counts):
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    data=_tally_datasets(),
-    bins=st.sampled_from([1, 2, 7, 10, 37]),
-    t=TALLY_SCORES,
-    ends=st.tuples(TALLY_SCORES, TALLY_SCORES),
-    mix=st.fractions(0, 1, max_denominator=10**6),
-)
-def test_the_all_group_tally_matches_per_group_masks_bit_for_bit(data, bins, t, ends, mix):
-    lower, upper = sorted(ends)
-    rules = [None] + [
-        DecisionRule({g: policy for g in data.labels})
-        for policy in (
-            DeterministicThreshold(t),
-            RandomizedThreshold(lower, upper, float(mix)),
-            RandomizedThreshold(lower, upper, mix),
-        )
-    ]
-    for rule in rules:  # every group's table, or the first error of the per-group masked tables
-        tables = [_result(_masked_confusion, data, rule, g) for g in data.labels]
-        first_error = next((t for t in tables if isinstance(t, tuple)), None)
-        got = _result(confusion_tables, data, rule)
-        if first_error is not None:
-            assert got == first_error
-            continue
+@given(data=_tally_datasets(), bins=st.sampled_from([1, 2, 7, 10, 37]))
+def test_the_all_group_tally_matches_per_group_masks_bit_for_bit(data, bins):
+    # every group's table, or the first error of the per-group masked tables
+    tables = [_result(_masked_confusion, data, g) for g in data.labels]
+    first_error = next((t for t in tables if isinstance(t, tuple)), None)
+    got = _result(confusion_tables, data)
+    if first_error is not None:
+        assert got == first_error
+    else:
         assert list(got) == list(data.labels)
         assert [_cells(c) for c in got.values()] == [_cells(c) for c in tables]
 
@@ -364,15 +344,14 @@ def test_the_all_group_tally_matches_per_group_masks_bit_for_bit(data, bins, t, 
     assert list(got.group_rates) == list(group_rates)
     assert _bits(*got.group_rates.values()) == _bits(*group_rates.values())
 
-    for rule in rules:  # separation and sufficiency from the per-group masked tables, or their first error
-        tables = [_result(_masked_confusion, data, rule, g) for g in data.labels]
-        first_error = next((t for t in tables if isinstance(t, tuple)), None)
-        sep, suff = _result(separation_gap, data, rule), _result(sufficiency_gap_binary, data, rule)
-        if first_error is not None:
-            assert sep == suff == first_error
-            continue
+    # separation and sufficiency from the per-group masked tables, or their first error
+    sep = _result(separation_gap, data)
+    suff = _result(lambda: SufficiencyGaps.of(confusion_tables(data)))
+    if first_error is not None:
+        assert sep == suff == first_error
+    else:
         _assert_rates_read_the_properties(sep, suff, dict(zip(data.labels, tables)))
-        _assert_gaps_round_once(sep, suff, tables, [1] * len(tables))  # records pool by count
+        _assert_gaps_round_once(sep, suff, tables)
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "records.csv"
@@ -383,59 +362,6 @@ def test_the_all_group_tally_matches_per_group_masks_bit_for_bit(data, bins, t, 
     assert _bits(*base.values()) == _bits(*want.values())
 
 
-def test_a_rule_on_six_groups_tallies_once_per_mixture_position(monkeypatch):
-    labels = ["a", "b", "c", "d", "e", "f"]
-    rule = DecisionRule(
-        {
-            "a": RandomizedThreshold(0.25, 0.5, Fraction(1, 3)),
-            "b": DeterministicThreshold(0.5),
-            "c": RandomizedThreshold(Fraction(1, 3), Fraction(2, 3), 0.125),
-            "d": DeterministicThreshold(Fraction(1, 3)),
-            "e": RandomizedThreshold(0.0, 1.0, Fraction(0)),
-            "f": DeterministicThreshold(0.0),
-        }
-    )
-    rng = np.random.default_rng(5)
-    n = 600
-    # Scores on the thresholds too, where "above" is strict.
-    edges = [0.0, 0.25, 0.5, 1 / 3, 2 / 3, 1.0]
-    score = np.where(rng.random(n) < 0.3, rng.choice(edges, n), rng.random(n))
-    data = AuditDataset(group=rng.choice(labels, n), score=score, outcome=rng.integers(0, 2, n))
-
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return tally(*args)
-
-    monkeypatch.setattr(metrics, "tally", counted)
-    tables = confusion_tables(data, rule)
-    assert len(calls) <= 2
-    calls.clear()
-    separation_gap(data, rule)
-    assert len(calls) <= 2
-
-    assert list(tables) == list(data.labels)
-    for g, table in tables.items():
-        mask = data.codes == group_index(data.labels, g)
-        want = {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
-        for w, t in rule.for_group(g).mixture():
-            decided = data.score[mask] > float(t)
-            positive = data.outcome[mask] == 1
-            cells = {
-                "tp": decided & positive,
-                "fp": decided & ~positive,
-                "fn": ~decided & positive,
-                "tn": ~decided & ~positive,
-            }
-            for name, cell in cells.items():
-                want[name] += w * int(np.count_nonzero(cell))
-        kind = int if isinstance(rule.for_group(g), DeterministicThreshold) else Fraction
-        assert [(type(c), c) for c in (table.tp, table.fp, table.fn, table.tn)] == [
-            (kind, want[name]) for name in ("tp", "fp", "fn", "tn")
-        ]
-
-
 # -- separation and sufficiency -----------------------------------------------------
 
 
@@ -443,7 +369,7 @@ def test_identical_groups_share_rates():
     pop = calibrated_uniform_pair(1024)
     sep = separation_gap(pop, DecisionRule.shared(0.5, pop.labels))
     assert sep.fpr_gap == 0.0 and sep.fnr_gap == 0.0
-    suff = sufficiency_gap_binary(pop, DecisionRule.shared(0.5, pop.labels))
+    suff = SufficiencyGaps.of(confusion_tables(pop, DecisionRule.shared(0.5, pop.labels)))
     assert suff.max_gap == 0.0
 
 
@@ -468,7 +394,7 @@ def test_perfect_predictor_keeps_sufficiency():
     f1 = ScoreDensity(w1 * 0.5 / (w1.sum() / 16))
     csd = ConditionalScoreDensity(f0=f0, f1=f1)
     pop = PopulationModel(groups={"a": csd, "b": csd})
-    suff = sufficiency_gap_binary(pop, DecisionRule.shared(0.5, pop.labels))
+    suff = SufficiencyGaps.of(confusion_tables(pop, DecisionRule.shared(0.5, pop.labels)))
     assert suff.pos_given_r1["a"] == 1.0
     assert suff.max_gap == 0.0
 
@@ -538,7 +464,6 @@ def test_population_gaps_are_exact_spreads_rounded_once(seed, groups, grid, kind
     marginals = {g: rng.uniform(0.2, 1.0, grid) * (1.0 + rng.uniform(-1.6, 1.6) * (mids - 0.5)) for g in labels}
     pop = PopulationModel(
         groups={g: ConditionalScoreDensity.calibrated(ScoreDensity(w).normalized()) for g, w in marginals.items()},
-        weights={g: float(rng.uniform(0.5, 2.0)) for g in labels},
     )
     rule = DecisionRule.shared(t_ref, labels)
     if kind != "shared":
@@ -548,15 +473,15 @@ def test_population_gaps_are_exact_spreads_rounded_once(seed, groups, grid, kind
         except InfeasibleRuleError:
             pass
     tables = [ConfusionCounts(*group_confusion_masses(pop.group(g), rule.for_group(g))) for g in labels]
-    sep, suff = separation_gap(pop, rule), sufficiency_gap_binary(pop, rule)
+    sep, suff = separation_gap(pop, rule), SufficiencyGaps.of(confusion_tables(pop, rule))
     _assert_rates_read_the_properties(sep, suff, dict(zip(labels, tables)))
-    _assert_gaps_round_once(sep, suff, tables, pop.normalized_weights().values())
+    _assert_gaps_round_once(sep, suff, tables)
 
 
 def _witness(pop, rule):
     """The witness of the rule on the population, built from its gaps."""
     base = {g: pop.group(g).base_rate for g in pop.labels}
-    return ImpossibilityWitness(base, separation_gap(pop, rule), sufficiency_gap_binary(pop, rule))
+    return ImpossibilityWitness(base, separation_gap(pop, rule), SufficiencyGaps.of(confusion_tables(pop, rule)))
 
 
 def test_witness_rejects_equal_base_rates():
@@ -614,14 +539,14 @@ def test_witness_never_sees_both_criteria_hold(seed):
 def test_sufficiency_matches_chouldechova_identity(seed, t_ref, reference):
     """Per group FPR = p/(1-p) * (1-PPV)/PPV * (1-FNR) (Chouldechova,
     arXiv:1703.00056), so the base rate and separation_gap's rates predict
-    the PPV that sufficiency_gap_binary reports."""
+    the PPV that SufficiencyGaps reports."""
     pop = random_calibrated_population(np.random.default_rng(seed), grid=128)
     try:
         rule = solve_equalized_odds(pop, reference, t_ref)
     except InfeasibleRuleError:
         rule = solve_parity_ratio(pop, reference, t_ref)
     sep = separation_gap(pop, rule)
-    suff = sufficiency_gap_binary(pop, rule)
+    suff = SufficiencyGaps.of(confusion_tables(pop, rule))
     for g in pop.labels:
         p = pop.group(g).base_rate
         ppv = suff.pos_given_r1[g]

@@ -28,6 +28,7 @@ from fairsim.experiments import EXPERIMENTS
 
 CASES = {
     "recommender": ("recommender", {}),
+    **{f"recommender-{m}": ("recommender", {"map": m}) for m in ("identity", "flip", "compress")},
     "equal-rates": ("equal-rates", {}),
     "appendix": ("appendix", {}),
     "appendix-grid1000": ("appendix", {"grid": 1000}),
@@ -46,6 +47,27 @@ SHA256 = {
         "series_eu_skip.csv": "a36dcce4da43b87c7b895991fd50e46021590d4818874e3df266004516e723a4",
         "series_displayed_calibration_women.csv": "c9181f2c8da235ef3963ab7b98701bf98048be91533ffd7e8747fc0b15f888be",
         "series_displayed_calibration_men.csv": "d4762653d7eb238f1f8b8e83c12fce6ba2c41ec9fadf77eb007d1c3c09d90f84",
+    },
+    "recommender-identity": {
+        "report.doc": "a4dbfe9369aca8ecb4375452993223122225c3ad1baea80b7c538e691a897c41",
+        "series_eu_act.csv": "b2e3e9815e0f65482fb0de4bf197f8abf4cfb68c776f4cfa66efe8131abe493d",
+        "series_eu_skip.csv": "a36dcce4da43b87c7b895991fd50e46021590d4818874e3df266004516e723a4",
+        "series_displayed_calibration_women.csv": "c9181f2c8da235ef3963ab7b98701bf98048be91533ffd7e8747fc0b15f888be",
+        "series_displayed_calibration_men.csv": "c9181f2c8da235ef3963ab7b98701bf98048be91533ffd7e8747fc0b15f888be",
+    },
+    "recommender-flip": {
+        "report.doc": "fc08fc4a0077f3c77c27c8f55a71cb5338a1adafebd63818ed30e524dafc0f98",
+        "series_eu_act.csv": "b2e3e9815e0f65482fb0de4bf197f8abf4cfb68c776f4cfa66efe8131abe493d",
+        "series_eu_skip.csv": "a36dcce4da43b87c7b895991fd50e46021590d4818874e3df266004516e723a4",
+        "series_displayed_calibration_women.csv": "c9181f2c8da235ef3963ab7b98701bf98048be91533ffd7e8747fc0b15f888be",
+        "series_displayed_calibration_men.csv": "5c5a2a80b916f533b67b824524af95a02605762f31dfc9d2164625c2e3dc9a9a",
+    },
+    "recommender-compress": {
+        "report.doc": "af3493526cae0796970d23449dfe327c16503d788ea8d625d62b28f068c2dcfb",
+        "series_eu_act.csv": "b2e3e9815e0f65482fb0de4bf197f8abf4cfb68c776f4cfa66efe8131abe493d",
+        "series_eu_skip.csv": "a36dcce4da43b87c7b895991fd50e46021590d4818874e3df266004516e723a4",
+        "series_displayed_calibration_women.csv": "c9181f2c8da235ef3963ab7b98701bf98048be91533ffd7e8747fc0b15f888be",
+        "series_displayed_calibration_men.csv": "95fdf185656407ae0c292133d7b175f281de2c8008519b4c293f0b9798c1be71",
     },
     "equal-rates": {
         "report.doc": "67b431c8a4b9b4d76d94836b4d53d5b5cda533e4e36117fa948e8ded05fa4b21",

@@ -6,9 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fairsim import (
-    AuditDataset,
     ConditionalScoreDensity,
-    ConfusionCounts,
     DecisionRule,
     DeterministicThreshold,
     InfeasibleRuleError,
@@ -16,12 +14,12 @@ from fairsim import (
     PopulationModel,
     RandomizedThreshold,
     ScoreDensity,
+    SufficiencyGaps,
     confusion_tables,
     is_defined,
     separation_gap,
     solve_equalized_odds,
     solve_parity_ratio,
-    sufficiency_gap_binary,
 )
 from fairsim.rules import _roc_point_policy, group_confusion_masses
 from _helpers import calibrated_uniform_pair, judge_population, random_calibrated_population
@@ -65,16 +63,14 @@ UNIT = st.one_of(st.floats(0, 1), st.fractions(0, 1, max_denominator=10**12))
     a=UNIT,
     b=UNIT,
     mix=UNIT,
-    records=st.lists(st.tuples(st.floats(0, 1), st.integers(0, 1)), min_size=1, max_size=40),
+    scores=st.lists(st.floats(0, 1), min_size=1, max_size=40),
     weights=st.lists(st.floats(0, 8), min_size=1, max_size=16),
 )
-def test_policies_match_the_per_kind_decision_formulas(a, b, mix, records, weights):
+def test_policies_match_the_per_kind_decision_formulas(a, b, mix, scores, weights):
     """Both policy kinds evaluate through ``mixture()``; the formulas each kind
     used to have of its own are the oracle."""
     lower, upper = sorted((a, b))
-    scores = np.array([s for s, _ in records] + [float(lower), float(upper)])
-    outcomes = np.array([y for _, y in records] + [1, 0], dtype=np.int8)
-    data = AuditDataset(group=["g"] * len(scores), score=scores, outcome=outcomes)
+    scores = np.array(scores + [float(lower), float(upper)])
     density = ScoreDensity(np.array(weights))
 
     det = DeterministicThreshold(a)
@@ -82,13 +78,6 @@ def test_policies_match_the_per_kind_decision_formulas(a, b, mix, records, weigh
     assert det.probability(scores).tobytes() == want.tobytes()
     assert [det.probability(s) for s in scores] == want.tolist()
     assert det.decided_mass(density) == density.exact_mass_above(a)
-    decided = scores > float(a)
-    assert confusion_tables(data, DecisionRule({"g": det}))["g"] == ConfusionCounts(
-        tp=int(np.sum(decided & (outcomes == 1))),
-        fp=int(np.sum(decided & (outcomes == 0))),
-        fn=int(np.sum(~decided & (outcomes == 1))),
-        tn=int(np.sum(~decided & (outcomes == 0))),
-    )
 
     rand = RandomizedThreshold(lower, upper, mix)
     q = float(mix)
@@ -97,16 +86,6 @@ def test_policies_match_the_per_kind_decision_formulas(a, b, mix, records, weigh
     assert [rand.probability(s) for s in scores] == want.tolist()
     qf = mix if isinstance(mix, Fraction) else Fraction(float(mix))
     assert rand.decided_mass(density) == qf * density.exact_mass_above(lower) + (1 - qf) * density.exact_mass_above(upper)
-    lo, hi = float(lower), float(upper)
-    n1_lo = int(np.sum((scores > lo) & (outcomes == 1)))
-    n1_hi = int(np.sum((scores > hi) & (outcomes == 1)))
-    n0_lo = int(np.sum((scores > lo) & (outcomes == 0)))
-    n0_hi = int(np.sum((scores > hi) & (outcomes == 0)))
-    tp = qf * n1_lo + (1 - qf) * n1_hi
-    fp = qf * n0_lo + (1 - qf) * n0_hi
-    pos, neg = int(np.sum(outcomes == 1)), int(np.sum(outcomes == 0))
-    want_counts = ConfusionCounts(tp=tp, fp=fp, fn=pos - tp, tn=neg - fp)
-    assert confusion_tables(data, DecisionRule({"g": rand}))["g"] == want_counts
 
 
 def test_rule_serialization_round_trip():
@@ -274,7 +253,7 @@ def test_always_act_leaves_the_decided_0_level_empty():
     c = confusion_tables(pop, rule)["a"]
     assert c.fn == 0 and c.tn == 0
     assert float(c.tp + c.fp) == pytest.approx(1.0, abs=1e-12)
-    suff = sufficiency_gap_binary(pop, rule)
+    suff = SufficiencyGaps.of(confusion_tables(pop, rule))
     assert not any(is_defined(r) for r in suff.pos_given_r0.values())
     assert suff.coarsened_sup_gap == suff.gap_r1 == 0.0  # only the decided-1 level counts
 
@@ -284,7 +263,7 @@ def test_calibrated_uniform_at_half_flags_half_at_rate_three_quarters():
     rule = DecisionRule.shared(0.5, pop.labels)
     c = confusion_tables(pop, rule)["a"]
     assert float(c.tp + c.fp) == pytest.approx(0.5, abs=1e-12)
-    assert sufficiency_gap_binary(pop, rule).pos_given_r1["a"] == pytest.approx(0.75, abs=1e-12)
+    assert SufficiencyGaps.of(confusion_tables(pop, rule)).pos_given_r1["a"] == pytest.approx(0.75, abs=1e-12)
 
 
 def test_coarsened_calibration_reads_the_sufficiency_gaps():
@@ -293,7 +272,7 @@ def test_coarsened_calibration_reads_the_sufficiency_gaps():
     and 1, rounded once."""
     pop = judge_population(1024)
     rule = solve_equalized_odds(pop, "men", 0.5)
-    suff = sufficiency_gap_binary(pop, rule)
+    suff = SufficiencyGaps.of(confusion_tables(pop, rule))
     assert suff.coarsened_sup_gap == suff.max_gap == max(suff.gap_r1, suff.gap_r0)
     tables = confusion_tables(pop, rule).values()
     weight = Fraction(1, 2)  # two groups of equal size
@@ -323,7 +302,7 @@ def test_equalized_odds_matches_rates_exactly():
     assert sep.fpr_gap == 0.0
     assert sep.fnr_gap == 0.0
     # on unequal base rates the same rule cannot keep the binary output calibrated
-    assert sufficiency_gap_binary(pop, rule).max_gap > 1e-3
+    assert SufficiencyGaps.of(confusion_tables(pop, rule)).max_gap > 1e-3
 
 
 def test_equalized_odds_reports_infeasible_targets():
