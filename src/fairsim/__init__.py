@@ -26,7 +26,6 @@ from .experiments import (
 )
 from .metrics import (
     CalibrationReport,
-    ConfusionCounts,
     ImpossibilityWitness,
     SeparationGaps,
     SufficiencyGaps,
@@ -35,6 +34,7 @@ from .metrics import (
     separation_gap,
 )
 from .rules import (
+    ConfusionCounts,
     DecisionRule,
     DeterministicThreshold,
     InfeasibleRuleError,

@@ -163,8 +163,8 @@ def audit(csv_path: str, bins: int = 10, tol: float = 1e-6) -> dict:
         sep = SeparationGaps.of(tables)
         suff = SufficiencyGaps.of(tables)
         report["rates"] = {g: {"fpr": sep.fpr[g], "fnr": sep.fnr[g]} for g in labels}
-        report["separation"] = {"fpr_gap": sep.fpr_gap, "fnr_gap": sep.fnr_gap, "holds": sep.holds(tol)}
-        report["sufficiency"] = {"gap_r1": suff.gap_r1, "gap_r0": suff.gap_r0, "holds": suff.holds(tol)}
+        report["separation"] = {"fpr_gap": sep.fpr_gap, "fnr_gap": sep.fnr_gap, "holds": within(sep.max_gap, tol)}
+        report["sufficiency"] = {"gap_r1": suff.gap_r1, "gap_r0": suff.gap_r0, "holds": within(suff.max_gap, tol)}
     else:
         report["rates"] = {"available": False}
     return report

@@ -178,7 +178,7 @@ def run_recommender_experiment(
 
     grid_line = np.linspace(0.0, 1.0, 101)
     series = {
-        "eu_act": [(float(p), float(2 * p - 1)) for p in grid_line],
+        "eu_act": [(float(p), pointwise_eu(float(p), payoff, 1)) for p in grid_line],
         "eu_skip": [(float(p), payoff.outside) for p in grid_line],
         "displayed_calibration_women": list(zip(calib.levels, calib.group_rates["women"])),
         "displayed_calibration_men": list(zip(calib.levels, calib.group_rates["men"])),
@@ -204,7 +204,7 @@ def run_recommender_experiment(
         "equal_utility": Verdict.within(analytic.disparity, ANALYTIC_TOL),
         "zero_wrong_side_mass": Verdict.within(cases_men.wrong_side_mass, 0.0),
     }
-    params = {"grid": grid, "n_mc": samples, "seed": seed, "threshold": t}
+    params = {"map": map, "map_value": map_value, "grid": grid, "n_mc": samples, "seed": seed, "threshold": t}
     return ExperimentReport("recommender", params, metrics, verdicts, series)
 
 

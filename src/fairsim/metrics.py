@@ -9,77 +9,19 @@ conditioning event has no mass carry the in-band undefined marker.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .densities import (
     UNDEFINED,
     AuditDataset,
-    ConditionalScoreDensity,
     PopulationModel,
     cell_index,
     cell_midpoints,
     conditional_rate,
     is_defined,
 )
-from .rules import DecisionRule, Policy, group_confusion_masses
-
-
-def _rate(num, den) -> Fraction | float:
-    """num / den as an exact rate, or the undefined marker when the
-    conditioning event is empty."""
-    return Fraction(num) / Fraction(den) if den else UNDEFINED
-
-
-@dataclass(frozen=True)
-class ConfusionCounts:
-    """Cells of a 2x2 decision-vs-outcome table, and the exact conditional
-    rates read off them.
-
-    Cells are exact: integers for empirical data, rationals for analytic
-    masses. ``tp`` counts (d=1, y=1), ``fp`` (d=1, y=0), ``fn`` (d=0, y=1),
-    ``tn`` (d=0, y=0). Each rate is a ``Fraction``, or the undefined marker
-    when its conditioning class is empty.
-    """
-
-    tp: int | Fraction
-    fp: int | Fraction
-    fn: int | Fraction
-    tn: int | Fraction
-
-    def __post_init__(self):
-        if any(c < 0 for c in (self.tp, self.fp, self.fn, self.tn)):
-            raise ValueError("confusion cells must be nonnegative")
-
-    @classmethod
-    def of(cls, csd: ConditionalScoreDensity, policy: Policy) -> "ConfusionCounts":
-        """One group's exact masses under its policy."""
-        return cls(*group_confusion_masses(csd, policy))
-
-    @property
-    def total(self):
-        return self.tp + self.fp + self.fn + self.tn
-
-    @property
-    def fpr(self) -> Fraction | float:
-        """P(D=1 | Y=0) = fp/(fp+tn)."""
-        return _rate(self.fp, self.fp + self.tn)
-
-    @property
-    def fnr(self) -> Fraction | float:
-        """P(D=0 | Y=1) = fn/(fn+tp)."""
-        return _rate(self.fn, self.fn + self.tp)
-
-    @property
-    def pos_given_r1(self) -> Fraction | float:
-        """P(Y=1 | D=1) = tp/(tp+fp)."""
-        return _rate(self.tp, self.tp + self.fp)
-
-    @property
-    def pos_given_r0(self) -> Fraction | float:
-        """P(Y=1 | D=0) = fn/(fn+tn), the false omission rate."""
-        return _rate(self.fn, self.fn + self.tn)
+from .rules import ConfusionCounts, DecisionRule
 
 
 def tally(data: AuditDataset, cell, cells: int, weights=None) -> np.ndarray:
@@ -240,15 +182,12 @@ class WithinGroupCalibration:
 
 class _TwoGaps:
     """A criterion measured by the two gaps named in ``_gap_names``: it holds
-    when the larger, ``max_gap``, is within a tolerance."""
+    when the larger, ``max_gap``, is ``within`` a tolerance."""
 
     @property
     def max_gap(self) -> float:
         gaps = [getattr(self, name) for name in self._gap_names]
         return max(gaps) if all(is_defined(g) for g in gaps) else UNDEFINED
-
-    def holds(self, tol: float) -> bool:
-        return within(self.max_gap, tol)
 
 
 @dataclass(frozen=True)
@@ -313,13 +252,14 @@ class SufficiencyGaps(_TwoGaps):
             defined = [r for r in level.values() if is_defined(r)]
             if len(defined) >= 2:
                 levels.append((max(defined) - min(defined), sum(map(decided, tables.values()))))
+        pooled = sum(mass for _, mass in levels)
         return cls(
             pos_given_r1={g: float(r) for g, r in r1.items()},
             pos_given_r0={g: float(r) for g, r in r0.items()},
             gap_r1=spread(r1.values()),
             gap_r0=spread(r0.values()),
             coarsened_sup_gap=float(max(gap for gap, _ in levels)) if levels else UNDEFINED,
-            coarsened_l1_gap=float(_rate(sum(gap * mass for gap, mass in levels), sum(mass for _, mass in levels))),
+            coarsened_l1_gap=float(sum(gap * mass for gap, mass in levels) / pooled) if pooled else UNDEFINED,
         )
 
 
@@ -347,7 +287,7 @@ class ImpossibilityWitness:
 
     @property
     def separation_holds(self) -> bool:
-        return self.separation.holds(1e-6)
+        return within(self.separation.max_gap, 1e-6)
 
     @property
     def sufficiency_violated(self) -> bool:

@@ -1,4 +1,5 @@
-"""Threshold decision policies and solvers for rate- and harm-parity targets.
+"""Threshold decision policies, the exact confusion table a policy gives on a
+group, and solvers for rate- and harm-parity targets.
 
 Decisions are binary: decide 1 exactly when the score strictly exceeds a
 threshold. Randomized policies mix two thresholds, which reaches any point on
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .densities import PopulationModel, ConditionalScoreDensity, ScoreDensity
+from .densities import UNDEFINED, ConditionalScoreDensity, PopulationModel, ScoreDensity, is_defined
 
 
 class InfeasibleRuleError(ValueError):
@@ -224,13 +225,63 @@ class PayoffMatrix:
         return cls(u11=1.0, u10=-1.0, outside=outside)
 
 
-def group_confusion_masses(csd: ConditionalScoreDensity, policy: Policy) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Exact (tp, fp, fn, tn) masses of the policy on one group."""
-    tp = policy.decided_mass(csd.f1)
-    fp = policy.decided_mass(csd.f0)
-    fn = csd.f1.exact_total() - tp
-    tn = csd.f0.exact_total() - fp
-    return tp, fp, fn, tn
+def _rate(num, den) -> Fraction | float:
+    """num / den as an exact rate, or the undefined marker when the
+    conditioning event is empty."""
+    return Fraction(num) / Fraction(den) if den else UNDEFINED
+
+
+@dataclass(frozen=True)
+class ConfusionCounts:
+    """Cells of a 2x2 decision-vs-outcome table, and the exact conditional
+    rates read off them.
+
+    Cells are exact: integers for empirical data, rationals for analytic
+    masses. ``tp`` counts (d=1, y=1), ``fp`` (d=1, y=0), ``fn`` (d=0, y=1),
+    ``tn`` (d=0, y=0). Each rate is a ``Fraction``, or the undefined marker
+    when its conditioning class is empty.
+    """
+
+    tp: int | Fraction
+    fp: int | Fraction
+    fn: int | Fraction
+    tn: int | Fraction
+
+    def __post_init__(self):
+        if any(c < 0 for c in (self.tp, self.fp, self.fn, self.tn)):
+            raise ValueError("confusion cells must be nonnegative")
+
+    @classmethod
+    def of(cls, csd: ConditionalScoreDensity, policy: Policy) -> "ConfusionCounts":
+        """One group's exact masses under its policy: the one analytic
+        measurement of a policy, which the solvers and every metric read."""
+        tp = policy.decided_mass(csd.f1)
+        fp = policy.decided_mass(csd.f0)
+        return cls(tp=tp, fp=fp, fn=csd.f1.exact_total() - tp, tn=csd.f0.exact_total() - fp)
+
+    @property
+    def total(self):
+        return self.tp + self.fp + self.fn + self.tn
+
+    @property
+    def fpr(self) -> Fraction | float:
+        """P(D=1 | Y=0) = fp/(fp+tn)."""
+        return _rate(self.fp, self.fp + self.tn)
+
+    @property
+    def fnr(self) -> Fraction | float:
+        """P(D=0 | Y=1) = fn/(fn+tp)."""
+        return _rate(self.fn, self.fn + self.tp)
+
+    @property
+    def pos_given_r1(self) -> Fraction | float:
+        """P(Y=1 | D=1) = tp/(tp+fp)."""
+        return _rate(self.tp, self.tp + self.fp)
+
+    @property
+    def pos_given_r0(self) -> Fraction | float:
+        """P(Y=1 | D=0) = fn/(fn+tn), the false omission rate."""
+        return _rate(self.fn, self.fn + self.tn)
 
 
 def _roc_point_policy(csd: ConditionalScoreDensity, fpr_target: Fraction, tpr_target: Fraction) -> Policy:
@@ -300,18 +351,17 @@ def solve_equalized_odds(pop: PopulationModel, reference: str, threshold) -> Dec
     group's ROC curve passes below the reference point.
     """
     ref_policy = DeterministicThreshold(threshold)
-    tp, fp, fn, tn = group_confusion_masses(pop.group(reference), ref_policy)
-    if tp + fn == 0 or fp + tn == 0:
+    ref = ConfusionCounts.of(pop.group(reference), ref_policy)
+    fpr, fnr = ref.fpr, ref.fnr
+    if not (is_defined(fpr) and is_defined(fnr)):
         raise ValueError("reference group has a degenerate outcome class; rates undefined")
-    tpr_target = tp / (tp + fn)
-    fpr_target = fp / (fp + tn)
 
     policies: dict[str, Policy] = {reference: ref_policy}
     for label, csd in pop.groups.items():
         if label == reference:
             continue
         try:
-            policies[label] = _roc_point_policy(csd, fpr_target, tpr_target)
+            policies[label] = _roc_point_policy(csd, fpr, 1 - fnr)
         except InfeasibleRuleError as exc:
             raise InfeasibleRuleError(f"group {label!r}: {exc}") from None
     return DecisionRule(policies)
@@ -325,7 +375,7 @@ def solve_parity_ratio(pop: PopulationModel, reference: str, threshold) -> Decis
     reference group's. Infeasible when the target exceeds a group's base rate.
     """
     ref_policy = DeterministicThreshold(threshold)
-    target = group_confusion_masses(pop.group(reference), ref_policy)[2]  # P[D=0, Y=1]
+    target = ConfusionCounts.of(pop.group(reference), ref_policy).fn
 
     policies: dict[str, Policy] = {reference: ref_policy}
     for label, csd in pop.groups.items():

@@ -127,11 +127,10 @@ def _callers(name: str) -> dict[str, set[str]]:
     return callers
 
 
-def test_only_the_table_builder_and_the_solvers_measure_confusion_masses():
-    """Every binary-decision metric reads ``confusion_tables``: outside
-    ``metrics.py``, which builds the tables, and ``rules.py``, whose solvers
-    measure their reference group, no module calls ``group_confusion_masses``."""
-    assert set(_callers("group_confusion_masses")) <= {"metrics.py", "rules.py"}
+def test_one_analytic_measurement_reads_decided_masses():
+    """A policy on a group is measured one way: only ``ConfusionCounts.of``
+    calls ``decided_mass``, and the solvers and every metric read its rates."""
+    assert _callers("decided_mass") == {"rules.py": {"ConfusionCounts"}}
 
 
 def test_only_the_two_table_builders_tally_records():

@@ -13,7 +13,7 @@ from fairsim import (
     run_judge_experiment,
     run_recommender_experiment,
 )
-from fairsim import metrics, rules
+from fairsim import rules
 from fairsim.densities import is_defined
 from fairsim.experiments import EXPERIMENTS, JUDGE_RULES
 from fairsim.utility import CONVENTIONS
@@ -49,6 +49,15 @@ def test_recommender_side_preserving_map_is_unfair_free():
     # miscalibrated on display, yet no utility gap
     assert report.metrics["calibration_displayed"]["sup_gap"] > 0.1
     assert report.verdicts["zero_wrong_side_mass"].holds
+
+
+def test_recommender_reports_name_their_map():
+    """Two maps give two reports whose ``params`` lines tell them apart."""
+    docs = {m: run_recommender_experiment(m, grid=64, samples=1000).to_doc() for m in ("constant", "flip")}
+    params = {m: [line for line in doc.splitlines() if line.startswith("params.")] for m, doc in docs.items()}
+    assert params["constant"][:2] == ["params.map = constant", "params.map_value = 0.9"]
+    assert params["flip"][:2] == ["params.map = flip", "params.map_value = 0.9"]
+    assert params["constant"][2:] == params["flip"][2:]
 
 
 def test_recommender_mc_tracks_the_analytic_values():
@@ -142,14 +151,13 @@ def test_judge_measures_each_group_once_beyond_the_solver(rule, monkeypatch):
     """The solver measures its reference group, then one table serves every
     reported metric: 3 exact confusion measurements for 2 groups."""
     calls = []
-    measure = rules.group_confusion_masses
+    measure = rules.ConfusionCounts.of
 
     def counted(*args):
         calls.append(args)
         return measure(*args)
 
-    monkeypatch.setattr(rules, "group_confusion_masses", counted)
-    monkeypatch.setattr(metrics, "group_confusion_masses", counted)
+    monkeypatch.setattr(rules.ConfusionCounts, "of", counted)
     run_judge_experiment(rule=rule)
     assert len(calls) == 3
 

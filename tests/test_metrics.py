@@ -31,7 +31,6 @@ from fairsim import (
 )
 from fairsim.cli import audit
 from fairsim.densities import cell_index, cell_midpoints, conditional_rate, group_index
-from fairsim.rules import group_confusion_masses
 from fairsim.metrics import (
     _per_level_max_gap,
     _summarize_gaps,
@@ -472,7 +471,7 @@ def test_population_gaps_are_exact_spreads_rounded_once(seed, groups, grid, kind
             rule = solve(pop, "a", t_ref)
         except InfeasibleRuleError:
             pass
-    tables = [ConfusionCounts(*group_confusion_masses(pop.group(g), rule.for_group(g))) for g in labels]
+    tables = [ConfusionCounts.of(pop.group(g), rule.for_group(g)) for g in labels]
     sep, suff = separation_gap(pop, rule), SufficiencyGaps.of(confusion_tables(pop, rule))
     _assert_rates_read_the_properties(sep, suff, dict(zip(labels, tables)))
     _assert_gaps_round_once(sep, suff, tables)

@@ -42,28 +42,28 @@ CASES = {
 
 SHA256 = {
     "recommender": {
-        "report.doc": "f46694ef1af2d5403362d08bf65d0729ec62fe926f55e63beeae51509c29952d",
+        "report.doc": "381db367d6f8f5a08bc03526098dbc82263e93e581a8b2120bb7384b79bc2a2e",
         "series_eu_act.csv": "b2e3e9815e0f65482fb0de4bf197f8abf4cfb68c776f4cfa66efe8131abe493d",
         "series_eu_skip.csv": "a36dcce4da43b87c7b895991fd50e46021590d4818874e3df266004516e723a4",
         "series_displayed_calibration_women.csv": "c9181f2c8da235ef3963ab7b98701bf98048be91533ffd7e8747fc0b15f888be",
         "series_displayed_calibration_men.csv": "d4762653d7eb238f1f8b8e83c12fce6ba2c41ec9fadf77eb007d1c3c09d90f84",
     },
     "recommender-identity": {
-        "report.doc": "a4dbfe9369aca8ecb4375452993223122225c3ad1baea80b7c538e691a897c41",
+        "report.doc": "d9cf50ef104d12583a04529d0afb6a81cb7ac29648fb56310655079d50d2c7a5",
         "series_eu_act.csv": "b2e3e9815e0f65482fb0de4bf197f8abf4cfb68c776f4cfa66efe8131abe493d",
         "series_eu_skip.csv": "a36dcce4da43b87c7b895991fd50e46021590d4818874e3df266004516e723a4",
         "series_displayed_calibration_women.csv": "c9181f2c8da235ef3963ab7b98701bf98048be91533ffd7e8747fc0b15f888be",
         "series_displayed_calibration_men.csv": "c9181f2c8da235ef3963ab7b98701bf98048be91533ffd7e8747fc0b15f888be",
     },
     "recommender-flip": {
-        "report.doc": "fc08fc4a0077f3c77c27c8f55a71cb5338a1adafebd63818ed30e524dafc0f98",
+        "report.doc": "abba5c7e2d348e5848368dcef6b0476e9a6fbe80f318b9d735dcab67438c11ac",
         "series_eu_act.csv": "b2e3e9815e0f65482fb0de4bf197f8abf4cfb68c776f4cfa66efe8131abe493d",
         "series_eu_skip.csv": "a36dcce4da43b87c7b895991fd50e46021590d4818874e3df266004516e723a4",
         "series_displayed_calibration_women.csv": "c9181f2c8da235ef3963ab7b98701bf98048be91533ffd7e8747fc0b15f888be",
         "series_displayed_calibration_men.csv": "5c5a2a80b916f533b67b824524af95a02605762f31dfc9d2164625c2e3dc9a9a",
     },
     "recommender-compress": {
-        "report.doc": "af3493526cae0796970d23449dfe327c16503d788ea8d625d62b28f068c2dcfb",
+        "report.doc": "e2e38d2ce3650b3b26e321fbac2903cb61ccdf24d3985881c89c83321b810175",
         "series_eu_act.csv": "b2e3e9815e0f65482fb0de4bf197f8abf4cfb68c776f4cfa66efe8131abe493d",
         "series_eu_skip.csv": "a36dcce4da43b87c7b895991fd50e46021590d4818874e3df266004516e723a4",
         "series_displayed_calibration_women.csv": "c9181f2c8da235ef3963ab7b98701bf98048be91533ffd7e8747fc0b15f888be",

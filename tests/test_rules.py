@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fairsim import (
     ConditionalScoreDensity,
+    ConfusionCounts,
     DecisionRule,
     DeterministicThreshold,
     InfeasibleRuleError,
@@ -21,7 +22,7 @@ from fairsim import (
     solve_equalized_odds,
     solve_parity_ratio,
 )
-from fairsim.rules import _roc_point_policy, group_confusion_masses
+from fairsim.rules import _roc_point_policy
 from _helpers import calibrated_uniform_pair, judge_population, random_calibrated_population
 
 
@@ -140,8 +141,8 @@ def test_rule_text_round_trip_keeps_exact_confusion_masses(seed, threshold):
                 continue
             back = DecisionRule.parse(rule.serialize())
             for label, csd in pop.groups.items():
-                want = group_confusion_masses(csd, rule.for_group(label))
-                assert group_confusion_masses(csd, back.for_group(label)) == want
+                want = ConfusionCounts.of(csd, rule.for_group(label))
+                assert ConfusionCounts.of(csd, back.for_group(label)) == want
 
 
 @pytest.mark.parametrize("label", ["Native American", "a\tb", "trailing\n", "\u00a0"])
@@ -364,8 +365,8 @@ def test_axis_targets_are_met_exactly_or_unreachable_at_every_boundary(instance)
         assert not reachable
     else:
         assert reachable
-        tp, fp, _, _ = group_confusion_masses(csd, policy)
-        assert (fp / csd.f0.exact_total(), tp / csd.f1.exact_total()) == (fpr, tpr)
+        c = ConfusionCounts.of(csd, policy)
+        assert (c.fp / csd.f0.exact_total(), c.tp / csd.f1.exact_total()) == (fpr, tpr)
 
 
 def _farthest_crossing_policy(csd: ConditionalScoreDensity, fpr_target: Fraction, tpr_target: Fraction):
@@ -457,6 +458,19 @@ def test_the_first_crossing_is_the_farthest_crossing(instance):
     )
 
 
+def test_equalized_odds_with_a_group_that_has_no_outcome_1_mass():
+    """A group whose f1 is all zero has no false negative rate: as the
+    reference it leaves no target, and as any other group it cannot be
+    moved onto one."""
+    pop = PopulationModel(
+        {"none": _two_class_group(np.ones(8), np.zeros(8)), "uniform": calibrated_uniform_pair(8).group("a")}
+    )
+    with pytest.raises(ValueError, match="^reference group has a degenerate outcome class; rates undefined$"):
+        solve_equalized_odds(pop, "none", 0.5)
+    with pytest.raises(InfeasibleRuleError, match="^group 'none': group has a degenerate outcome class"):
+        solve_equalized_odds(pop, "uniform", 0.5)
+
+
 def test_equalized_odds_needs_known_reference():
     pop = judge_population(64)
     with pytest.raises(KeyError):
@@ -510,14 +524,14 @@ def _groups_with_empty_leading_cells(draw):
 @settings(max_examples=200, deadline=None)
 @given(pop=_groups_with_empty_leading_cells(), reference=st.sampled_from("ab"), threshold=UNIT)
 def test_parity_declines_the_reference_positive_mass_in_every_group(pop, reference, threshold):
-    target = group_confusion_masses(pop.group(reference), DeterministicThreshold(threshold))[2]
+    target = ConfusionCounts.of(pop.group(reference), DeterministicThreshold(threshold)).fn
     if any(csd.f1.exact_total() < target for csd in pop.groups.values()):
         with pytest.raises(InfeasibleRuleError):
             solve_parity_ratio(pop, reference, threshold)
         return
     rule = solve_parity_ratio(pop, reference, threshold)
     for label, csd in pop.groups.items():
-        assert group_confusion_masses(csd, rule.for_group(label))[2] == target
+        assert ConfusionCounts.of(csd, rule.for_group(label)).fn == target
 
 
 # -- monotonicity -------------------------------------------------------------------
