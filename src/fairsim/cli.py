@@ -3,11 +3,11 @@ or list the experiments. Exit status encodes whether the computation ran,
 never what it found; identical configurations produce byte-identical output
 files.
 
-An experiment's parameters are set by key=value pairs. Each of --grid,
---samples, --seed and --convention is another way to write the pair of the
-same name, and is ignored by an experiment that has no such parameter.
-Pairs may come before or after the flags; a pair wins over the flag of the
-same name."""
+An experiment's parameters are set by key=value pairs; a parameter with no
+default must be set. Each of --grid, --samples, --seed and --convention is
+another way to write the pair of the same name, and an experiment without
+that parameter refuses it. Pairs may come before or after the flags; a pair
+wins over the flag of the same name."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 from typing import get_args
 
-from .densities import AuditDataset
+from .densities import AuditDataset, echo
 from .experiments import EXPERIMENTS
 from .metrics import (
     CalibrationReport,
@@ -90,37 +90,36 @@ _PAIR_FLAGS = ("grid", "samples", "seed", "convention")
 
 
 def _parse_overrides(spec, args) -> dict[str, object]:
-    """The experiment's keyword values: its defaults, then each set flag the
-    experiment takes as one more pair, then the pairs, so a pair wins over
-    its flag. Each value is type-checked against the experiment's schema."""
+    """The experiment's keyword values: its defaults, then each set flag as
+    one more pair, then the pairs, so a pair wins over its flag. Each value
+    is type-checked against the experiment's schema, and every keyword
+    without a default must be set."""
     params = spec.params
-    values = {name: p.default for name, p in params.items()}
-    explicit: set[str] = set()
-    flags = [f"{n}={getattr(args, n)}" for n in _PAIR_FLAGS if n in params and getattr(args, n) is not None]
+    values = {name: p.default for name, p in params.items() if p.default is not p.empty}
+    flags = [f"{n}={getattr(args, n)}" for n in _PAIR_FLAGS if getattr(args, n) is not None]
     for pair in flags + args.overrides:
         if "=" not in pair:
-            raise ValueError(f"override {pair!r} is not of the form key=value")
+            raise ValueError(f"override {echo(pair)} is not of the form key=value")
         key, raw = pair.split("=", 1)
         if key not in params:
             raise ValueError(
-                f"unknown parameter {key!r} for experiment {spec.name!r}; "
+                f"unknown parameter {echo(key)} for experiment {spec.name!r}; "
                 f"valid parameters: {', '.join(params)}"
             )
         kind = params[key].annotation
         choices = get_args(kind)
         if choices and raw not in choices:
-            raise ValueError(f"parameter {key!r} must be one of {choices}, got {raw!r}")
+            raise ValueError(f"parameter {key!r} must be one of {choices}, got {echo(raw)}")
         try:
             values[key] = raw if choices else kind(raw)
         except ValueError:
-            raise ValueError(f"parameter {key!r} expects {kind.__name__}, got {raw!r}") from None
-        explicit.add(key)
+            raise ValueError(f"parameter {key!r} expects {kind.__name__}, got {echo(raw)}") from None
     for name, (lo, hi) in SIZE_BOUNDS.items():
         if name in values and not lo <= values[name] <= hi:
             raise ValueError(f"{name} must be between {lo} and {hi}, got {values[name]}")
     if values.get("seed", 0) < 0:
         raise ValueError(f"seed must be a non-negative integer, got {values['seed']}")
-    missing = [name for name in spec.cli_required if name not in explicit]
+    missing = [name for name in params if name not in values]
     if missing:
         raise ValueError(
             f"experiment {spec.name!r} requires explicit {', '.join(missing)} "
@@ -142,7 +141,7 @@ def audit(csv_path: str, bins: int = 10, tol: float = 1e-6) -> dict:
     data = AuditDataset.from_csv(csv_path)
     labels = data.labels
     if len(labels) < 2:
-        raise ValueError(f"audit needs at least 2 groups, found {len(labels)} ({', '.join(labels)})")
+        raise ValueError(f"audit needs at least 2 groups, found {len(labels)} ({echo(', '.join(labels), str)})")
     if len(labels) * bins > MAX_LEVEL_CELLS:
         raise ValueError(
             f"{len(labels)} groups at {bins} bins make {len(labels) * bins:,} calibration cells, "
@@ -190,7 +189,7 @@ def _cmd_simulate(args) -> int:
     spec = EXPERIMENTS.get(args.experiment)
     if spec is None:
         print(
-            f"unknown experiment {args.experiment!r}; valid ids: {', '.join(sorted(EXPERIMENTS))}",
+            f"unknown experiment {echo(args.experiment)}; valid ids: {', '.join(sorted(EXPERIMENTS))}",
             file=sys.stderr,
         )
         return 2
@@ -214,7 +213,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_list() -> int:
     width = max(len(name) for name in EXPERIMENTS)
     for name, spec in EXPERIMENTS.items():
-        defaults = " ".join(f"{k}={p.default}" for k, p in spec.params.items())
+        defaults = " ".join(
+            f"{k}={'(required)' if p.default is p.empty else p.default}" for k, p in spec.params.items()
+        )
         print(f"{name.ljust(width)}  {spec.summary}")
         print(f"{''.ljust(width)}  defaults: {defaults}")
     return 0

@@ -349,6 +349,15 @@ _CONTROL_CHARACTER = re.compile("[\x00-\x1f\x7f-\x9f]")
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
+#: Characters of input text that an error message echoes at most.
+ECHO_LIMIT = 40
+
+
+def echo(text: str, show=repr) -> str:
+    """``show(text)`` for an error message, cut after ``ECHO_LIMIT`` characters with ``…``."""
+    return show(text) if len(text) <= ECHO_LIMIT else show(text[:ECHO_LIMIT]) + "…"
+
+
 def _is_plain_label(label) -> bool:
     """True for a group label that a record file gives back as it is: a
     non-empty ``str`` with no surrounding space, no control character and no
@@ -404,8 +413,9 @@ class AuditDataset:
         limit = csv.field_size_limit()
         for label in labels:
             if not _is_plain_label(label):
+                shown = echo(label) if isinstance(label, str) else echo(repr(label), str)
                 raise ValueError(
-                    f"group label {label!r} must be non-empty UTF-8 text with no surrounding space or control character"
+                    f"group label {shown} must be non-empty UTF-8 text with no surrounding space or control character"
                 )
             if len(label) > limit:
                 raise ValueError(f"group label of {len(label)} characters exceeds the csv field limit ({limit})")
@@ -595,7 +605,7 @@ def _read_rows(path) -> AuditDataset:
             if any(map(_SURROGATE.search, header)):
                 raise ValueError("row 1: a cell holds bytes that are not UTF-8")
             if tuple(h.strip() for h in header) != CSV_HEADER:
-                raise ValueError(f"expected header {','.join(CSV_HEADER)!r}, got {header!r}")
+                raise ValueError(f"expected header {','.join(CSV_HEADER)!r}, got {echo(repr(header), str)}")
             line_no = 1
             for line_no, row in enumerate(reader, start=2):
                 if not row:
@@ -608,17 +618,17 @@ def _read_rows(path) -> AuditDataset:
                 if not group:
                     raise ValueError(f"row {line_no}: empty group label")
                 if _CONTROL_CHARACTER.search(group):
-                    raise ValueError(f"row {line_no}: group label {group!r} holds a control character")
+                    raise ValueError(f"row {line_no}: group label {echo(group)} holds a control character")
                 try:
                     score = float(score_s)
                 except ValueError:
-                    raise ValueError(f"row {line_no}: score {score_s!r} is not a number") from None
+                    raise ValueError(f"row {line_no}: score {echo(score_s)} is not a number") from None
                 if not 0.0 <= score <= 1.0:
-                    raise ValueError(f"row {line_no}: score {score_s} outside [0, 1]")
+                    raise ValueError(f"row {line_no}: score {echo(score_s, str)} outside [0, 1]")
                 if outcome_s not in ("0", "1"):
-                    raise ValueError(f"row {line_no}: outcome {outcome_s!r} must be 0 or 1")
+                    raise ValueError(f"row {line_no}: outcome {echo(outcome_s)} must be 0 or 1")
                 if decision_s not in ("", "0", "1"):
-                    raise ValueError(f"row {line_no}: decision {decision_s!r} must be empty, 0, or 1")
+                    raise ValueError(f"row {line_no}: decision {echo(decision_s)} must be empty, 0, or 1")
                 groups.append(group)
                 scores.append(score)
                 outcomes.append(int(outcome_s))
@@ -653,13 +663,8 @@ def apply_score_map(pop: PopulationModel, group: str, score_map: ScoreMap) -> Po
     if score_map.grid_size != csd.grid_size:
         raise ValueError("score map grid does not match population grid")
     targets = score_map.target_cells()
-
-    def transport(density: ScoreDensity) -> ScoreDensity:
-        moved = np.zeros(density.grid_size)
-        np.add.at(moved, targets, density.weights)
-        return ScoreDensity(moved)
-
-    return pop.with_group(group, ConditionalScoreDensity(f0=transport(csd.f0), f1=transport(csd.f1)))
+    f0, f1 = (ScoreDensity(np.bincount(targets, d.weights, csd.grid_size)) for d in (csd.f0, csd.f1))
+    return pop.with_group(group, ConditionalScoreDensity(f0=f0, f1=f1))
 
 
 #: Largest |sum(p) - 1| that ``draw_categorical`` accepts: numpy's tolerance

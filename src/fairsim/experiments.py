@@ -263,7 +263,8 @@ def run_judge_experiment(
     base_rate_f: float = 0.6,
     reference_t: float = 0.5,
     grid: int = DEFAULT_GRID,
-    convention: Convention = "per-outcome",
+    *,
+    convention: Convention,
     rule: JudgeRule = "equalized-odds",
     reference: Literal["men", "women"] = "men",
 ) -> ExperimentReport:
@@ -471,13 +472,13 @@ def run_appendix_counterexample(grid: int = DEFAULT_GRID, reshapes: int = 100, s
 class ExperimentSpec:
     """A ``simulate`` experiment, specified by its runner's keywords: the name
     users type, the annotation (``int``, ``float``, ``str`` or a ``Literal``
-    of choices) and the default. The runner is looked up by name at each
-    call, so a rebinding of the module attribute (a tracer, a stub) is seen."""
+    of choices) and the default. A keyword with no default must be set on
+    every run. The runner is looked up by name at each call, so a rebinding
+    of the module attribute (a tracer, a stub) is seen."""
 
     name: str
     summary: str
     runner: str
-    cli_required: tuple[str, ...] = ()
 
     @property
     def params(self) -> Mapping[str, inspect.Parameter]:
@@ -504,7 +505,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             "judge",
             "group-specific thresholds equalizing error rates or expected harm",
             "run_judge_experiment",
-            cli_required=("convention",),
         ),
         ExperimentSpec(
             "appendix",

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .densities import UNDEFINED, ConditionalScoreDensity, PopulationModel, ScoreDensity, is_defined
+from .densities import UNDEFINED, ConditionalScoreDensity, PopulationModel, ScoreDensity, echo, is_defined
 
 
 class InfeasibleRuleError(ValueError):
@@ -145,11 +145,11 @@ class DecisionRule:
             try:
                 label, policy = _parse_rule_line(line)
             except KeyError as exc:
-                raise ValueError(f"line {line_no}: malformed rule line {_echo(line)}") from exc
+                raise ValueError(f"line {line_no}: malformed rule line {echo(line)}") from exc
             except ValueError as exc:
                 raise ValueError(f"line {line_no}: {exc}") from None
             if label in policies:
-                raise ValueError(f"line {line_no}: group {_echo(label)} is repeated")
+                raise ValueError(f"line {line_no}: group {echo(label)} is repeated")
             policies[label] = policy
         return cls(policies)
 
@@ -161,15 +161,6 @@ def _number_text(value) -> str:
     return repr(float(value))
 
 
-#: Characters of rule text an error message echoes at most.
-_ECHO_LIMIT = 40
-
-
-def _echo(text: str) -> str:
-    """``repr`` of ``text`` for an error message, cut after ``_ECHO_LIMIT`` characters with ``…``."""
-    return repr(text) if len(text) <= _ECHO_LIMIT else repr(text[:_ECHO_LIMIT]) + "…"
-
-
 #: The keys a rule line of each kind holds, as ``serialize`` writes them.
 _RULE_KEYS = {"det": {"group", "kind", "t1"}, "rand": {"group", "kind", "t1", "t2", "q"}}
 
@@ -179,9 +170,9 @@ def _parse_rule_line(line: str) -> tuple[str, Policy]:
     for item in line.split():
         key, sep, value = item.partition("=")
         if not sep:
-            raise ValueError(f"token {_echo(item)} is not of the form key=value")
+            raise ValueError(f"token {echo(item)} is not of the form key=value")
         if key in fields:
-            raise ValueError(f"key {_echo(key)} is repeated")
+            raise ValueError(f"key {echo(key)} is repeated")
         fields[key] = value
 
     def number(key: str) -> float | Fraction:
@@ -189,14 +180,14 @@ def _parse_rule_line(line: str) -> tuple[str, Policy]:
         try:
             return Fraction(value) if "/" in value else float(value)
         except (ValueError, ZeroDivisionError):
-            raise ValueError(f"{key} {_echo(value)} is not a number") from None
+            raise ValueError(f"{key} {echo(value)} is not a number") from None
 
     kind = fields["kind"]
     if kind not in _RULE_KEYS:
         raise KeyError(kind)
     unknown = sorted(fields.keys() - _RULE_KEYS[kind])
     if unknown:
-        raise ValueError(f"unknown key {_echo(unknown[0])} for kind={kind}")
+        raise ValueError(f"unknown key {echo(unknown[0])} for kind={kind}")
     if kind == "det":
         return fields["group"], DeterministicThreshold(number("t1"))
     return fields["group"], RandomizedThreshold(lower=number("t1"), upper=number("t2"), mix=number("q"))

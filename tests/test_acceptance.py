@@ -94,7 +94,7 @@ def test_criterion_3_equal_rates_unequal_harm():
 
 def test_criterion_4_judge_conjunction():
     start = time.perf_counter()
-    result = run_judge_experiment(0.3, 0.6, 0.5)
+    result = run_judge_experiment(0.3, 0.6, 0.5, convention="per-outcome")
     sep = result.verdicts["separation"].magnitude
     suff = result.verdicts["sufficiency"].magnitude
     harm = result.metrics["disutility"]["per_outcome"]["disparity"]

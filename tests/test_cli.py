@@ -1,6 +1,5 @@
 import csv
 import functools
-import inspect
 import shlex
 from pathlib import Path
 from typing import Literal, get_args, get_origin
@@ -20,6 +19,7 @@ from fairsim.cli import (
     MAX_RESHAPES,
     MAX_SAMPLES,
     SIZE_BOUNDS,
+    _PAIR_FLAGS,
     _build_parser,
     _parse_overrides,
     audit,
@@ -85,6 +85,42 @@ def test_audit_rejects_a_label_that_holds_a_control_character(tmp_path, capsys, 
     code, out, err = run_cli(capsys, "audit", "--input", str(path), "--format", "doc")
     assert (code, out) == (1, "")
     assert err == f"audit error: row 3: group label {label!r} holds a control character\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        ",".join(["h"] * 60_000) + "\na,0.5,1,1\n",
+        "group,score,outcome,decision\na,0.5,1,1\nb," + "9" * 100_000 + ",1,1\n",
+        "group,score,outcome,decision\na,0.5,1,1\nb,0.5," + "2" * 100_000 + ",1\n",
+        "group,score,outcome,decision\na,0.5,1,1\nb\x01" + "b" * 100_000 + ",0.5,1,1\n",
+        "group,score,outcome,decision\n" + ("a" * 100_000 + ",0.5,1,1\n") * 2,
+    ],
+    ids=["long-header", "long-score", "long-outcome", "long-control-label", "one-long-label"],
+)
+def test_audit_error_lines_echo_a_bounded_piece_of_a_cell(tmp_path, capsys, text):
+    path = tmp_path / "long.csv"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "audit", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("audit error: ") and "…" in err
+    assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a,b\nx,y\n", "expected header 'group,score,outcome,decision', got ['a', 'b']"),
+        ("group,score,outcome,decision\na,0.5,1,1\nb,1.25,1,1\n", "row 3: score 1.25 outside [0, 1]"),
+        ("group,score,outcome,decision\na,0.5,1,1\nb,0.5,2,1\n", "row 3: outcome '2' must be 0 or 1"),
+        ("group,score,outcome,decision\nsolo,0.5,1,1\n", "audit needs at least 2 groups, found 1 (solo)"),
+    ],
+    ids=["header", "score", "outcome", "one-group"],
+)
+def test_audit_error_lines_echo_short_cells_whole(tmp_path, capsys, text, message):
+    path = tmp_path / "short.csv"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli(capsys, "audit", "--input", str(path)) == (1, "", f"audit error: {message}\n")
 
 
 def test_audit_reports_an_oversized_field_on_one_line(tmp_path, capsys):
@@ -300,6 +336,8 @@ def test_simulate_unknown_experiment_lists_valid_ids(capsys):
     assert code == 2
     for name in ("recommender", "equal-rates", "judge", "appendix"):
         assert name in err
+    code, _, err = run_cli(capsys, "simulate", "x" * 5000)
+    assert code == 2 and err.startswith("unknown experiment '" + "x" * 40 + "'…; valid ids: ")
 
 
 def test_simulate_rejects_unknown_override(capsys):
@@ -352,8 +390,9 @@ def test_simulate_rejects_sizes_outside_their_bounds(tmp_path, capsys, monkeypat
 
 def test_size_bounds_admit_defaults_and_large_grids():
     for name, spec in experiments.EXPERIMENTS.items():
-        required = [f"{k}={spec.params[k].default}" for k in spec.cli_required]
-        for extra in ([], ["--grid", "16384"], ["--grid", str(MAX_GRID)]):
+        required = ["--convention", "per-outcome"] if "convention" in spec.params else []
+        grids = (["--grid", "16384"], ["--grid", str(MAX_GRID)]) if "grid" in spec.params else ()
+        for extra in ([], *grids):
             args = _build_parser().parse_args(["simulate", name, *required, *extra])
             assert _parse_overrides(spec, args).keys() == spec.params.keys()
 
@@ -379,7 +418,7 @@ recommender  self-serving decisions on displayed scores; one group's scores tran
 equal-rates  equal error rates with unequal per-decision utility loss
              defaults: p_men=0.1 p_women=0.4 fp_mass=0.1
 judge        group-specific thresholds equalizing error rates or expected harm
-             defaults: base_rate_m=0.3 base_rate_f=0.6 reference_t=0.5 grid=1024 convention=per-outcome rule=equalized-odds reference=men
+             defaults: base_rate_m=0.3 base_rate_f=0.6 reference_t=0.5 grid=1024 convention=(required) rule=equalized-odds reference=men
 appendix     harm parity preserved under negative-class reshapes that change declined-case composition
              defaults: grid=1024 reshapes=100 seed=7
 """
@@ -410,6 +449,14 @@ def test_list_output_is_pinned(capsys):
         (["appendix", "grid=2"], "grid 2 is too small for the reshaped negative density"),
         (["recommender", "seed=-1"], "seed must be a non-negative integer, got -1"),
         (["appendix", "--seed", "-3"], "seed must be a non-negative integer, got -3"),
+        (["equal-rates", "--seed", "5"],
+         "unknown parameter 'seed' for experiment 'equal-rates'; valid parameters: p_men, p_women, fp_mass"),
+        (["appendix", "--convention", "per-person"],
+         "unknown parameter 'convention' for experiment 'appendix'; valid parameters: grid, reshapes, seed"),
+        (["appendix", "grid=" + "9" * 5000], "parameter 'grid' expects int, got '" + "9" * 40 + "'…"),
+        (["equal-rates", "p" * 5000 + "=1"],
+         "unknown parameter '" + "p" * 40 + "'… for experiment 'equal-rates'; "
+         "valid parameters: p_men, p_women, fp_mass"),
     ],
 )
 def test_simulate_error_lines_are_pinned(tmp_path, capsys, argv, message):
@@ -424,14 +471,16 @@ def test_every_experiment_parameter_is_one_the_cli_can_resolve():
         params = spec.params
         for name, param in params.items():
             kind = param.annotation
-            assert param.default is not inspect.Parameter.empty, (spec.name, name)
+            if param.default is param.empty:
+                # the missing-parameter error line names its flag
+                assert param.kind is param.KEYWORD_ONLY and name in _PAIR_FLAGS, (spec.name, name)
+                assert get_origin(kind) is Literal, (spec.name, name)
             if get_origin(kind) is Literal:
                 assert all(isinstance(choice, str) for choice in get_args(kind)), (spec.name, name)
-                assert param.default in get_args(kind), (spec.name, name)
+                assert param.default in (param.empty, *get_args(kind)), (spec.name, name)
             else:
                 assert kind in (int, float, str), (spec.name, name, kind)
                 assert type(param.default) is kind, (spec.name, name)
-        assert set(spec.cli_required) <= params.keys(), spec.name
         names |= params.keys()
     assert SIZE_BOUNDS.keys() <= names
 

@@ -37,7 +37,10 @@ CASES = {
         for convention in ("per-outcome", "per-person")
         for rule in ("equalized-odds", "parity-ratio")
     },
-    **{f"judge-grid1000-{rule}": ("judge", {"grid": 1000, "rule": rule}) for rule in ("equalized-odds", "parity-ratio")},
+    **{
+        f"judge-grid1000-{rule}": ("judge", {"grid": 1000, "convention": "per-outcome", "rule": rule})
+        for rule in ("equalized-odds", "parity-ratio")
+    },
 }
 
 SHA256 = {
@@ -120,7 +123,8 @@ SHA256 = {
 def test_simulate_output_bytes_are_pinned(case, tmp_path):
     name, overrides = CASES[case]
     spec = EXPERIMENTS[name]
-    report = spec.run({key: p.default for key, p in spec.params.items()} | overrides)
+    defaults = {key: p.default for key, p in spec.params.items() if p.default is not p.empty}
+    report = spec.run(defaults | overrides)
     written = report.write(tmp_path)
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written} == SHA256[case]
 
