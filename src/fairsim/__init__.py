@@ -29,7 +29,6 @@ from .metrics import (
     ImpossibilityWitness,
     SeparationGaps,
     SufficiencyGaps,
-    WithinGroupCalibration,
     confusion_tables,
     separation_gap,
 )

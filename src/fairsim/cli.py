@@ -12,6 +12,7 @@ wins over the flag of the same name."""
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import sys
 from pathlib import Path
@@ -23,7 +24,6 @@ from .metrics import (
     CalibrationReport,
     SeparationGaps,
     SufficiencyGaps,
-    WithinGroupCalibration,
     confusion_tables,
     level_tables,
     within,
@@ -37,8 +37,8 @@ from .utility import CONVENTIONS
 MAX_BINS = 100_000
 #: Largest groups x bins that ``audit`` accepts, checked once the file is read
 #: and the group count known, before any tally is built. A group-bin cell
-#: takes about 65 bytes across the tallies and reports, so the cap bounds
-#: them near 130 MiB.
+#: takes about 51 bytes across the tallies and reports, so the cap bounds
+#: them near 100 MiB.
 MAX_LEVEL_CELLS = 2_000_000
 
 #: Largest ``grid`` (cells per density) that ``simulate`` accepts. Exact
@@ -59,14 +59,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fairsim", description=__doc__.split("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    audit = sub.add_parser("audit", help="compute fairness metrics for a CSV of records")
-    audit.add_argument("--input", required=True, help="CSV with header group,score,outcome,decision")
-    audit.add_argument(
-        "--bins", type=int, default=10, help=f"equal-width score bins, 1 to {MAX_BINS:,} (default 10)"
+    defaults = {name: p.default for name, p in inspect.signature(audit).parameters.items()}
+    audit_cmd = sub.add_parser("audit", help="compute fairness metrics for a CSV of records")
+    audit_cmd.add_argument("--input", required=True, help="CSV with header group,score,outcome,decision")
+    audit_cmd.add_argument(
+        "--bins", type=int, default=defaults["bins"], help=f"equal-width score bins, 1 to {MAX_BINS:,} (default %(default)s)"
     )
-    audit.add_argument("--tol", type=float, default=1e-6, help="gap tolerance for holds/fails lines")
-    audit.add_argument("--out", default=None, help="directory for the report file")
-    audit.add_argument("--format", choices=("text", "doc"), default="text", dest="fmt")
+    audit_cmd.add_argument("--tol", type=float, default=defaults["tol"], help="gap tolerance for holds/fails lines")
+    audit_cmd.add_argument("--out", default=None, help="directory for the report file")
+    audit_cmd.add_argument("--format", choices=("text", "doc"), default="text", dest="fmt")
 
     simulate = sub.add_parser("simulate", help="run a named experiment")
     simulate.add_argument("experiment", help="experiment id (see `fairsim list`)")
@@ -154,8 +155,7 @@ def audit(csv_path: str, bins: int = 10, tol: float = 1e-6) -> dict:
 
     calib = CalibrationReport.of(by_level)
     report["calibration"] = {"sup_gap": calib.sup_gap, "l1_gap": calib.l1_gap, "holds": within(calib.sup_gap, tol)}
-    within_group = WithinGroupCalibration.of(by_level)
-    report["within_group"] = {g: {"sup_error": w.sup_error, "l1_error": w.l1_error} for g, w in within_group.items()}
+    report["within_group"] = {g: {"sup_error": calib.sup_error[g], "l1_error": calib.l1_error[g]} for g in labels}
 
     if data.decisions_complete():
         tables = confusion_tables(data)

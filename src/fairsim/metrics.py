@@ -79,30 +79,30 @@ def within(gap, tol: float) -> bool:
 
 @dataclass(frozen=True)
 class CalibrationReport:
-    """Per-level conditional positive rates at the ``level_tables`` levels,
-    and their between-group gaps. ``sup_gap`` is the largest per-level
-    pairwise gap; ``l1_gap`` averages it with ``level_mass``, the pooled mass
-    per level, which for datasets is the pooled record count. Levels with no
-    mass (or only one group present) are undefined and excluded."""
+    """Every group's conditional positive rate at the ``level_tables``
+    levels, and both calibrations read off it. Between groups, ``sup_gap``
+    is the largest per-level pairwise gap and ``l1_gap`` their mean by pooled
+    mass (for datasets, record count); a level where fewer than 2 groups
+    have mass is left out, so with one group both gaps are undefined. Within
+    each group, keyed by label, ``sup_error`` is the largest |rate - reference|
+    and ``l1_error`` its mean weighted by the group's mass per level."""
 
     levels: np.ndarray
     group_rates: dict[str, np.ndarray]
-    pooled: np.ndarray
-    gap: np.ndarray
-    level_mass: np.ndarray
     sup_gap: float
     l1_gap: float
+    sup_error: dict[str, float]
+    l1_error: dict[str, float]
 
     @classmethod
     def of(cls, tables: LevelTables) -> "CalibrationReport":
-        """The between-group view of ``level_tables``."""
-        if len(tables.total) < 2:
-            raise ValueError("calibration gap needs at least 2 groups")
-        group_rates = conditional_rate(tables.positive, tables.total)
-        pooled_pos, pooled_tot = tables.positive.sum(axis=0), tables.total.sum(axis=0)
-        level_mass, gap = pooled_tot / tables.divisor, _per_level_max_gap(group_rates)
-        by_group, pooled = dict(zip(tables.labels, group_rates)), conditional_rate(pooled_pos, pooled_tot)
-        return cls(tables.levels, by_group, pooled, gap, level_mass, *_summarize_gaps(gap, level_mass))
+        """The one calibration view of ``level_tables``."""
+        rates = conditional_rate(tables.positive, tables.total)
+        sup_error, l1_error = {}, {}
+        for g, rate, reference, total in zip(tables.labels, rates, tables.reference, tables.total):
+            sup_error[g], l1_error[g] = _summarize_gaps(np.abs(rate - reference), total / tables.divisor)
+        gaps = _summarize_gaps(_per_level_max_gap(rates), tables.total.sum(axis=0) / tables.divisor)
+        return cls(tables.levels, dict(zip(tables.labels, rates)), *gaps, sup_error, l1_error)
 
 
 def _summarize_gaps(gap: np.ndarray, mass: np.ndarray) -> tuple[float, float]:
@@ -158,26 +158,6 @@ def level_tables(source: PopulationModel | AuditDataset, bins: int = 10) -> Leve
     total = counts.sum(axis=2)
     reference = conditional_rate(tally(source, bin_of, bins, source.score), total)
     return LevelTables(source.labels, cell_midpoints(bins), counts[:, :, 1], total, reference, 1)
-
-
-@dataclass(frozen=True)
-class WithinGroupCalibration:
-    """Per-level |conditional positive rate - score level| for one group."""
-
-    levels: np.ndarray
-    observed: np.ndarray
-    reference: np.ndarray
-    error: np.ndarray
-    sup_error: float
-    l1_error: float
-
-    @classmethod
-    def of(cls, tables: LevelTables) -> "dict[str, WithinGroupCalibration]":
-        """The within-group view of ``level_tables``: one row per label, in label order."""
-        observed = conditional_rate(tables.positive, tables.total)
-        error = np.abs(observed - tables.reference)
-        rows = zip(tables.labels, observed, tables.reference, error, tables.total / tables.divisor)
-        return {g: cls(tables.levels, o, r, e, *_summarize_gaps(e, mass)) for g, o, r, e, mass in rows}
 
 
 class _TwoGaps:

@@ -8,12 +8,12 @@ from scipy.integrate import quad
 
 from fairsim import (
     AuditDataset,
+    CalibrationReport,
     ConditionalScoreDensity,
     PayoffMatrix,
     PopulationModel,
     ScoreDensity,
     ScoreMap,
-    WithinGroupCalibration,
     apply_score_map,
     integrate,
     is_defined,
@@ -138,8 +138,8 @@ def test_base_rate_unknown_group():
 
 def test_calibration_curve_of_calibrated_group_is_identity():
     pop = calibrated_uniform_pair(GRID)
-    curve = WithinGroupCalibration.of(level_tables(pop))["a"]
-    assert np.max(np.abs(curve.observed - curve.levels)) <= 1e-12
+    report = CalibrationReport.of(level_tables(pop))
+    assert np.max(np.abs(report.group_rates["a"] - report.levels)) <= 1e-12
 
 
 def test_calibration_curve_zero_when_f1_empty():
@@ -149,8 +149,8 @@ def test_calibration_curve_zero_when_f1_empty():
             "b": ConditionalScoreDensity.calibrated(ScoreDensity.uniform(GRID)),
         }
     )
-    curve = WithinGroupCalibration.of(level_tables(pop))["a"]
-    assert np.all(curve.observed == 0.0)
+    report = CalibrationReport.of(level_tables(pop))
+    assert np.all(report.group_rates["a"] == 0.0)
 
 
 def test_calibration_curve_detects_inflated_positive_mass():
@@ -160,9 +160,9 @@ def test_calibration_curve_detects_inflated_positive_mass():
     total = f1.sum() / GRID + f0.sum() / GRID
     csd = ConditionalScoreDensity(f0=ScoreDensity(f0 / total), f1=ScoreDensity(f1 / total))
     pop = PopulationModel(groups={"a": csd, "b": csd})
-    curve = WithinGroupCalibration.of(level_tables(pop))["a"]
-    interior = (curve.levels > 0.1) & (curve.levels < 0.9)
-    assert np.max(np.abs(curve.observed[interior] - curve.levels[interior])) > 0.05
+    report = CalibrationReport.of(level_tables(pop))
+    interior = (report.levels > 0.1) & (report.levels < 0.9)
+    assert np.max(np.abs(report.group_rates["a"][interior] - report.levels[interior])) > 0.05
 
 
 @settings(max_examples=50, deadline=None)
@@ -171,8 +171,8 @@ def test_calibrated_split_is_a_fixed_point_of_the_curve(weights):
     marginal = ScoreDensity(np.array(weights)).normalized()
     csd = ConditionalScoreDensity.calibrated(marginal)
     pop = PopulationModel(groups={"a": csd, "b": csd})
-    curve = WithinGroupCalibration.of(level_tables(pop))["a"]
-    assert np.max(np.abs(curve.observed - curve.levels)) <= 1e-12
+    report = CalibrationReport.of(level_tables(pop))
+    assert np.max(np.abs(report.group_rates["a"] - report.levels)) <= 1e-12
 
 
 def test_calibration_curve_marks_empty_cells_undefined():
@@ -180,9 +180,9 @@ def test_calibration_curve_marks_empty_cells_undefined():
     w[2] = 8.0
     csd = ConditionalScoreDensity(f0=ScoreDensity(w * 0.5), f1=ScoreDensity(w * 0.5))
     pop = PopulationModel(groups={"a": csd, "b": csd})
-    curve = WithinGroupCalibration.of(level_tables(pop))["a"]
-    assert not is_defined(curve.observed[0])
-    assert curve.observed[2] == pytest.approx(0.5)
+    report = CalibrationReport.of(level_tables(pop))
+    assert not is_defined(report.group_rates["a"][0])
+    assert report.group_rates["a"][2] == pytest.approx(0.5)
 
 
 # -- score maps ----------------------------------------------------------------
@@ -211,8 +211,8 @@ def test_constant_map_concentrates_mass_and_conserves_class_totals():
 def test_flip_map_inverts_the_calibration_curve():
     pop = calibrated_uniform_pair(GRID)
     mapped = apply_score_map(pop, "a", ScoreMap.from_callable(lambda p: 1.0 - p, GRID))
-    curve = WithinGroupCalibration.of(level_tables(mapped))["a"]
-    assert np.max(np.abs(curve.observed - (1.0 - curve.levels))) <= 1e-12
+    report = CalibrationReport.of(level_tables(mapped))
+    assert np.max(np.abs(report.group_rates["a"] - (1.0 - report.levels))) <= 1e-12
 
 
 def test_score_map_rejects_values_outside_unit_interval():

@@ -1,5 +1,6 @@
 import math
 import tempfile
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +22,6 @@ from fairsim import (
     UNDEFINED,
     CalibrationReport,
     Verdict,
-    WithinGroupCalibration,
     apply_score_map,
     confusion_tables,
     is_defined,
@@ -144,8 +144,8 @@ def test_equalized_odds_on_unequal_base_rates_breaks_output_calibration():
 
 
 def test_within_group_error_of_calibrated_group_vanishes():
-    report = WithinGroupCalibration.of(level_tables(calibrated_uniform_pair(1024)))["a"]
-    assert report.sup_error <= 1.0 / 1024
+    report = CalibrationReport.of(level_tables(calibrated_uniform_pair(1024)))
+    assert report.sup_error["a"] <= 1.0 / 1024
 
 
 def narrative_dataset():
@@ -162,19 +162,20 @@ def narrative_dataset():
 
 def test_skewed_bin_composition_breaks_within_group_calibration():
     data = narrative_dataset()
-    report = WithinGroupCalibration.of(level_tables(data, bins=10))["men"]
+    report = CalibrationReport.of(level_tables(data, bins=10))
     expected = float(Fraction(80, 81) - Fraction(4, 5))
-    bin8 = int(np.argmax(~np.isnan(report.error)))
+    bin8 = int(np.argmax(~np.isnan(report.group_rates["men"])))
     assert report.levels[bin8] == pytest.approx(0.85)
-    assert report.error[bin8] == pytest.approx(expected, abs=1e-12)
+    assert report.sup_error["men"] == pytest.approx(expected, abs=1e-12)
 
 
 def test_skewed_bin_composition_keeps_pooled_calibration():
     data = narrative_dataset()
-    report = CalibrationReport.of(level_tables(data, bins=10))
-    occupied = ~np.isnan(report.pooled)
-    assert report.pooled[occupied][0] == pytest.approx(0.8, abs=1e-12)
-    assert report.gap[occupied][0] == pytest.approx(80 / 81, abs=1e-12)
+    tables = level_tables(data, bins=10)
+    pooled = conditional_rate(tables.positive.sum(axis=0), tables.total.sum(axis=0))
+    occupied = ~np.isnan(pooled)
+    assert pooled[occupied][0] == pytest.approx(0.8, abs=1e-12)
+    assert CalibrationReport.of(tables).sup_gap == pytest.approx(80 / 81, abs=1e-12)  # the one occupied level
 
 
 def test_constant_score_at_matching_base_rate_is_calibrated():
@@ -183,15 +184,18 @@ def test_constant_score_at_matching_base_rate_is_calibrated():
         score=np.full(4, 0.5),
         outcome=np.array([1, 0, 1, 0]),
     )
-    report = WithinGroupCalibration.of(level_tables(data, bins=10))["a"]
-    occupied = ~np.isnan(report.error)
-    assert report.error[occupied][0] == 0.0
+    report = CalibrationReport.of(level_tables(data, bins=10))
+    assert report.sup_error["a"] == 0.0
 
 
-def test_calibration_gap_requires_two_groups():
+def test_one_group_has_within_group_errors_and_no_calibration_gap():
+    # no level has 2 groups with mass, so both gaps are undefined; the group's own errors are not
     data = AuditDataset(group=np.array(["a"]), score=np.array([0.5]), outcome=np.array([1]))
-    with pytest.raises(ValueError):
-        CalibrationReport.of(level_tables(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = CalibrationReport.of(level_tables(data))
+    assert not is_defined(report.sup_gap) and not is_defined(report.l1_gap)
+    assert report.sup_error == report.l1_error == {"a": 0.5}
 
 
 # -- one tally per dataset: the per-group masked counts are the oracle ---------------
@@ -311,37 +315,28 @@ def test_the_all_group_tally_matches_per_group_masks_bit_for_bit(data, bins):
         assert list(got) == list(data.labels)
         assert [_cells(c) for c in got.values()] == [_cells(c) for c in tables]
 
-    every = WithinGroupCalibration.of(level_tables(data, bins=bins))
-    assert list(every) == list(data.labels)
-    for g in data.labels:
-        positive, total, reference = _masked_level_tallies(data, g, bins)
-        observed = conditional_rate(positive, total)
-        error = np.abs(observed - reference)
-        want = (cell_midpoints(bins), observed, reference, error, *_summarize_gaps(error, total))
-        row = every[g]
-        assert _bits(row.levels, row.observed, row.reference, row.error, row.sup_error, row.l1_error) == _bits(*want)
     by_level = level_tables(data, bins)  # each group's base rate, from its level counts
     masks = [data.codes == group_index(data.labels, g) for g in data.labels]
     base_rates = [np.count_nonzero(data.outcome[mask]) / np.count_nonzero(mask) for mask in masks]
     assert _bits(by_level.positive.sum(axis=1) / by_level.total.sum(axis=1)) == _bits(np.array(base_rates))
 
-    if len(data.labels) < 2:
-        with pytest.raises(ValueError, match="at least 2 groups"):
-            CalibrationReport.of(level_tables(data, bins=bins))
-        return
     got = CalibrationReport.of(level_tables(data, bins=bins))
-    group_rates, pooled_pos, pooled_tot = {}, 0.0, 0.0
+    group_rates, references, sup_error, l1_error, pooled_tot = {}, [], {}, {}, 0.0
     for g in data.labels:
-        positive, total, _ = _masked_level_tallies(data, g, bins)
+        positive, total, reference = _masked_level_tallies(data, g, bins)
         group_rates[g] = conditional_rate(positive, total)
-        pooled_pos = pooled_pos + positive
+        references.append(reference)
+        sup_error[g], l1_error[g] = _summarize_gaps(np.abs(group_rates[g] - reference), total)
         pooled_tot = pooled_tot + total
-    gap = _per_level_max_gap(np.vstack(list(group_rates.values())))
-    want = (cell_midpoints(bins), conditional_rate(pooled_pos, pooled_tot), gap, pooled_tot)
-    assert _bits(got.levels, got.pooled, got.gap, got.level_mass) == _bits(*want)
-    assert _bits(got.sup_gap, got.l1_gap) == _bits(*_summarize_gaps(gap, pooled_tot))
-    assert list(got.group_rates) == list(group_rates)
+    assert _bits(*by_level.reference) == _bits(*references)
+    assert _bits(got.levels) == _bits(cell_midpoints(bins))
+    assert list(got.group_rates) == list(got.sup_error) == list(got.l1_error) == list(data.labels)
     assert _bits(*got.group_rates.values()) == _bits(*group_rates.values())
+    assert _bits(*got.sup_error.values(), *got.l1_error.values()) == _bits(*sup_error.values(), *l1_error.values())
+    gap = _per_level_max_gap(np.vstack(list(group_rates.values())))  # undefined everywhere for one group
+    assert _bits(got.sup_gap, got.l1_gap) == _bits(*_summarize_gaps(gap, pooled_tot))
+    if len(data.labels) < 2:
+        return  # the views below and audit need 2 groups
 
     # separation and sufficiency from the per-group masked tables, or their first error
     sep = _result(separation_gap, data)
