@@ -15,6 +15,7 @@ import argparse
 import inspect
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import get_args
 
@@ -151,7 +152,8 @@ def audit(csv_path: str, bins: int = 10, tol: float = 1e-6) -> dict:
 
     report: dict = {"input": {"path": str(csv_path), "records": len(data), "groups": len(labels)}}
     by_level = level_tables(data, bins)  # record counts: integer-valued floats, so each sum is exact
-    report["base_rate"] = dict(zip(labels, (by_level.positive.sum(axis=1) / by_level.total.sum(axis=1)).tolist()))
+    counts = zip(labels, by_level.positive.sum(axis=1).tolist(), by_level.total.sum(axis=1).tolist())
+    report["base_rate"] = {g: Fraction(int(positive), int(total)) for g, positive, total in counts}
 
     calib = CalibrationReport.of(by_level)
     report["calibration"] = {"sup_gap": calib.sup_gap, "l1_gap": calib.l1_gap, "holds": within(calib.sup_gap, tol)}

@@ -56,11 +56,11 @@ ANALYTIC_TOL = 1e-6
 @dataclass(frozen=True)
 class Verdict:
     holds: bool
-    magnitude: float
+    magnitude: Fraction | float
     tolerance: float
 
     @classmethod
-    def within(cls, magnitude: float, tolerance: float) -> "Verdict":
+    def within(cls, magnitude: Fraction | float, tolerance: float) -> "Verdict":
         """The verdict that ``magnitude`` is defined and at most ``tolerance``."""
         return cls(within(magnitude, tolerance), magnitude, tolerance)
 
@@ -237,7 +237,7 @@ def run_equal_rates_unequal_utility(
     analytic = utility_report(eu)
 
     metrics = {
-        "rates": {"fpr": float(quadrants.fpr), "fnr": float(quadrants.fnr)},
+        "rates": {"fpr": quadrants.fpr, "fnr": quadrants.fnr},
         "eu": {"men": eu["men"], "women": eu["women"], "disparity": analytic.disparity},
         "loss_per_false_decision": dict(loss_per_decision),
     }
@@ -294,7 +294,7 @@ def run_judge_experiment(
     du_person = harm_report(tables, "per-person")
     selected = du_outcome if convention == "per-outcome" else du_person
 
-    base = {g: pop.group(g).base_rate for g in pop.labels}
+    base = {g: pop.group(g).f1.exact_total() for g in pop.labels}
     try:
         witness_applies, witness_consistent = True, ImpossibilityWitness(base, sep, suff).consistent
     except ValueError:  # the conflict is not forced
@@ -391,10 +391,10 @@ def run_appendix_counterexample(grid: int = DEFAULT_GRID, reshapes: int = 100, s
     men_b = ConditionalScoreDensity(f0=reshaped, f1=men_a.f1)
     pop_b = pop_a.with_group("men", men_b)
 
-    def declined(pop: PopulationModel, g: str) -> tuple[float, float]:
-        """The group's missed positive mass and false omission rate under the rule."""
+    def declined(pop: PopulationModel, g: str) -> tuple[Fraction, Fraction]:
+        """The group's exact missed positive mass and false omission rate under the rule."""
         counts = ConfusionCounts.of(pop.group(g), rule.for_group(g))
-        return float(counts.fn), float(counts.pos_given_r0)
+        return counts.fn, counts.pos_given_r0
 
     # every population shares the women's density and policy
     mf, fo_women = declined(pop_a, "women")
@@ -412,7 +412,7 @@ def run_appendix_counterexample(grid: int = DEFAULT_GRID, reshapes: int = 100, s
     men_shift = abs(out["popA"]["false_omission_men"] - out["popB"]["false_omission_men"])
     women_shift = abs(out["popA"]["false_omission_women"] - out["popB"]["false_omission_women"])
 
-    below_a = float(men_a.f0.exact_mass_below(t_ref))
+    below_a = men_a.f0.exact_mass_below(t_ref)
     rng = np.random.default_rng(seed)
     reshape_parity_residuals = []
     reshape_false_omission_gaps = []
@@ -432,7 +432,7 @@ def run_appendix_counterexample(grid: int = DEFAULT_GRID, reshapes: int = 100, s
         )
         if cand is None:
             continue
-        if abs(float(cand.exact_mass_below(t_ref)) - below_a) < 0.02:
+        if abs(cand.exact_mass_below(t_ref) - below_a) < 0.02:
             continue  # must move mass across the threshold
         pop_r = pop_a.with_group("men", ConditionalScoreDensity(f0=cand, f1=men_a.f1))
         mm, fo_men = declined(pop_r, "men")
@@ -446,8 +446,8 @@ def run_appendix_counterexample(grid: int = DEFAULT_GRID, reshapes: int = 100, s
         "false_omission": {"men_shift": men_shift, "women_shift": women_shift},
         "reshapes": {
             "count": produced,
-            "parity_max_residual": max(reshape_parity_residuals) if reshape_parity_residuals else 0.0,
-            "false_omission_min_gap": min(reshape_false_omission_gaps) if reshape_false_omission_gaps else UNDEFINED,
+            "parity_max_residual": max(reshape_parity_residuals, default=Fraction(0)),
+            "false_omission_min_gap": min(reshape_false_omission_gaps, default=UNDEFINED),
         },
     }
     parity_worst = max(out["popA"]["missed_positive_gap"], out["popB"]["missed_positive_gap"])

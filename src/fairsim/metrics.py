@@ -1,14 +1,16 @@
 """Group fairness metrics over analytic populations and empirical datasets.
 
-Analytic metrics are computed from exact rational confusion masses and
-converted to floats only at the reporting boundary; empirical metrics reduce
-to exact rational arithmetic on record counts. Conditional probabilities whose
-conditioning event has no mass carry the in-band undefined marker.
+Binary-decision metrics are exact: rational confusion masses of a population,
+or record counts of a dataset, give ``Fraction`` rates and gaps, which only
+``reports.format_value`` rounds. Calibration metrics are float views over
+per-level float rates. Conditional probabilities whose conditioning event has
+no mass carry the in-band undefined marker.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -57,19 +59,18 @@ def confusion_tables(source: PopulationModel | AuditDataset, rule: DecisionRule 
     return tables
 
 
-def spread(values) -> float:
+def spread(values) -> Fraction | float:
     """Largest pairwise |a - b| among the values, floats or exact rates, as
-    ``float(max - min)``, rounded once: undefined if any value is, 0.0 if
-    there are none.
+    ``max - min``: undefined if any value is, 0.0 if there are none.
 
-    For floats, the IEEE subtraction max - min is the exact difference
-    rounded once, and it is |a - b| of the extreme pair, which no other
-    pair's rounded difference exceeds.
+    Exact rates give the exact gap. For floats, the IEEE subtraction
+    max - min is the exact difference rounded once, and it is |a - b| of the
+    extreme pair, which no other pair's rounded difference exceeds.
     """
     values = list(values)
     if not all(is_defined(v) for v in values):
         return UNDEFINED
-    return float(max(values) - min(values)) if values else 0.0
+    return max(values) - min(values) if values else 0.0
 
 
 def within(gap, tol: float) -> bool:
@@ -165,7 +166,7 @@ class _TwoGaps:
     when the larger, ``max_gap``, is ``within`` a tolerance."""
 
     @property
-    def max_gap(self) -> float:
+    def max_gap(self) -> Fraction | float:
         gaps = [getattr(self, name) for name in self._gap_names]
         return max(gaps) if all(is_defined(g) for g in gaps) else UNDEFINED
 
@@ -173,28 +174,23 @@ class _TwoGaps:
 @dataclass(frozen=True)
 class SeparationGaps(_TwoGaps):
     """Per-group false positive and false negative rates, and their
-    pairwise spreads."""
+    pairwise spreads, all exact."""
 
     _gap_names = ("fpr_gap", "fnr_gap")
 
-    fpr: dict[str, float]
-    fnr: dict[str, float]
-    fpr_gap: float
-    fnr_gap: float
+    fpr: dict[str, Fraction | float]
+    fnr: dict[str, Fraction | float]
+    fpr_gap: Fraction | float
+    fnr_gap: Fraction | float
 
     @classmethod
     def of(cls, tables: dict[str, ConfusionCounts]) -> "SeparationGaps":
-        """The view of ``confusion_tables``: exact rates, each gap rounded once."""
+        """The view of ``confusion_tables``: its exact rates and their spreads."""
         if len(tables) < 2:
             raise ValueError("separation gap needs at least 2 groups")
         fpr = {g: c.fpr for g, c in tables.items()}
         fnr = {g: c.fnr for g, c in tables.items()}
-        return cls(
-            fpr={g: float(r) for g, r in fpr.items()},
-            fnr={g: float(r) for g, r in fnr.items()},
-            fpr_gap=spread(fpr.values()),
-            fnr_gap=spread(fnr.values()),
-        )
+        return cls(fpr, fnr, spread(fpr.values()), spread(fnr.values()))
 
 
 def separation_gap(source: PopulationModel | AuditDataset, rule: DecisionRule | None = None) -> SeparationGaps:
@@ -203,26 +199,26 @@ def separation_gap(source: PopulationModel | AuditDataset, rule: DecisionRule | 
 
 @dataclass(frozen=True)
 class SufficiencyGaps(_TwoGaps):
-    """Pairwise spread of outcome rates conditional on the binary decision.
-    The same rates read the decision as a score with two levels, decided 0
-    and 1, whose coarsened calibration gap ``coarsened_sup_gap`` is the
-    largest level gap over the groups defined there (``max_gap`` when every
-    rate is defined); ``coarsened_l1_gap`` averages the level gaps by pooled
-    mass, the sum of the level's cells over the groups. A level with fewer
-    than 2 defined groups is left out."""
+    """Pairwise spread of outcome rates conditional on the binary decision,
+    all exact. The same rates read the decision as a score with two levels,
+    decided 0 and 1, whose coarsened calibration gap ``coarsened_sup_gap`` is
+    the largest level gap over the groups defined there (``max_gap`` when
+    every rate is defined); ``coarsened_l1_gap`` averages the level gaps by
+    pooled mass, the sum of the level's cells over the groups. A level with
+    fewer than 2 defined groups is left out."""
 
     _gap_names = ("gap_r1", "gap_r0")
 
-    pos_given_r1: dict[str, float]
-    pos_given_r0: dict[str, float]
-    gap_r1: float
-    gap_r0: float
-    coarsened_sup_gap: float
-    coarsened_l1_gap: float
+    pos_given_r1: dict[str, Fraction | float]
+    pos_given_r0: dict[str, Fraction | float]
+    gap_r1: Fraction | float
+    gap_r0: Fraction | float
+    coarsened_sup_gap: Fraction | float
+    coarsened_l1_gap: Fraction | float
 
     @classmethod
     def of(cls, tables: dict[str, ConfusionCounts]) -> "SufficiencyGaps":
-        """The view of ``confusion_tables``: exact rates, each gap rounded once."""
+        """The view of ``confusion_tables``: its exact rates and their gaps."""
         if len(tables) < 2:
             raise ValueError("sufficiency gap needs at least 2 groups")
         r1 = {g: c.pos_given_r1 for g, c in tables.items()}
@@ -233,14 +229,9 @@ class SufficiencyGaps(_TwoGaps):
             if len(defined) >= 2:
                 levels.append((max(defined) - min(defined), sum(map(decided, tables.values()))))
         pooled = sum(mass for _, mass in levels)
-        return cls(
-            pos_given_r1={g: float(r) for g, r in r1.items()},
-            pos_given_r0={g: float(r) for g, r in r0.items()},
-            gap_r1=spread(r1.values()),
-            gap_r0=spread(r0.values()),
-            coarsened_sup_gap=float(max(gap for gap, _ in levels)) if levels else UNDEFINED,
-            coarsened_l1_gap=float(sum(gap * mass for gap, mass in levels) / pooled) if pooled else UNDEFINED,
-        )
+        sup = max(gap for gap, _ in levels) if levels else UNDEFINED
+        l1 = sum(gap * mass for gap, mass in levels) / pooled if pooled else UNDEFINED
+        return cls(r1, r0, spread(r1.values()), spread(r0.values()), sup, l1)
 
 
 @dataclass(frozen=True)
@@ -251,14 +242,14 @@ class ImpossibilityWitness:
     A ValueError says the conflict is not forced: base rates within 1e-6, an
     undefined rate, or fpr + fnr within 1e-6 in every group."""
 
-    base_rates: dict[str, float]
+    base_rates: dict[str, Fraction | float]
     separation: SeparationGaps
     sufficiency: SufficiencyGaps
 
     def __post_init__(self):
         base_gap = spread(self.base_rates.values())
         if within(base_gap, 1e-6):
-            raise ValueError(f"base rates are equal (spread {base_gap:.3g}); the conflict is not forced")
+            raise ValueError(f"base rates are equal (spread {float(base_gap):.3g}); the conflict is not forced")
         sep = self.separation
         if not is_defined(sep.max_gap):
             raise ValueError("a group has an empty outcome class; rates undefined")

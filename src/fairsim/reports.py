@@ -1,12 +1,14 @@
 """Deterministic serialization of reports: a line-oriented `key = value`
 document format with dotted key paths, a plain-text rendering, and CSV plot
-series. Floats render with 12 significant digits; the undefined marker
-renders as the word ``undefined``."""
+series. Floats render with 12 significant digits, and an exact ``Fraction``
+as its correctly rounded float: ``format_value`` is the one place where an
+exact value is rounded. The undefined marker renders as ``undefined``."""
 
 from __future__ import annotations
 
 import csv
 import math
+from fractions import Fraction
 
 
 def format_value(value) -> str:
@@ -18,6 +20,8 @@ def format_value(value) -> str:
         if value == 0.0:
             return "0"
         return f"{value:.12g}"
+    if isinstance(value, Fraction):  # after float: an ABC check, slow for the many series floats
+        return format_value(float(value))
     return str(value)
 
 

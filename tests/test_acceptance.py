@@ -103,7 +103,7 @@ def test_criterion_4_judge_conjunction():
     assert harm == 0.0
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
-    report("4 judge-conjunction", f"sep={sep:.3g} suff={suff:.4f} harm={harm} elapsed={elapsed:.2f}s")
+    report("4 judge-conjunction", f"sep={float(sep):.3g} suff={float(suff):.4f} harm={harm} elapsed={elapsed:.2f}s")
 
 
 def test_criterion_5_impossibility_sweep():
@@ -123,7 +123,7 @@ def test_criterion_5_impossibility_sweep():
     assert violations == 0
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
-    report("5 impossibility-sweep", f"populations=500 min_gap={min_gap:.4f} elapsed={elapsed:.1f}s")
+    report("5 impossibility-sweep", f"populations=500 min_gap={float(min_gap):.4f} elapsed={elapsed:.1f}s")
 
 
 def test_criterion_6_declined_composition_counterexample():
@@ -138,8 +138,8 @@ def test_criterion_6_declined_composition_counterexample():
     assert result.metrics["reshapes"]["false_omission_min_gap"] > 1e-3
     report(
         "6 declined-composition",
-        f"parity_gaps=({gap_a:.2g},{gap_b:.2g}) shift={shift:.4f} "
-        f"reshape_min_gap={result.metrics['reshapes']['false_omission_min_gap']:.4f}",
+        f"parity_gaps=({float(gap_a):.2g},{float(gap_b):.2g}) shift={float(shift):.4f} "
+        f"reshape_min_gap={float(result.metrics['reshapes']['false_omission_min_gap']):.4f}",
     )
 
 
@@ -200,4 +200,4 @@ def test_criterion_8_empirical_analytic_coherence(tmp_path):
     flat = flatten(measured)
     deviation = max(abs(flat[key] - value) for key, value in analytic.items())
     assert deviation < 0.01
-    report("8 empirical-coherence", f"records=1000000 sup_deviation={deviation:.5f}")
+    report("8 empirical-coherence", f"records=1000000 sup_deviation={float(deviation):.5f}")

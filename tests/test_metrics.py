@@ -256,46 +256,52 @@ def _bits(*values):
     return [(np.asarray(v).dtype, np.asarray(v).tobytes()) for v in values]
 
 
+def _exact(*values):
+    """Values as comparable exact keys: a ``Fraction`` matches only an equal
+    ``Fraction``, and the undefined marker only itself."""
+    return [(type(v), v) if is_defined(v) else "undefined" for v in values]
+
+
 def _exact_gap(ratios):
-    """float(max - min) of the exact rates num/den, rounded once: undefined
-    if any den is 0."""
+    """max - min of the exact rates num/den: undefined if any den is 0."""
     if any(den == 0 for _, den in ratios):
-        return float("nan")
+        return UNDEFINED
     exact = [Fraction(num) / Fraction(den) for num, den in ratios]
-    return float(max(exact) - min(exact))
+    return max(exact) - min(exact)
 
 
 def _assert_gaps_round_once(sep, suff, tables):
-    """Each separation, sufficiency and coarsened gap is ``float(max - min)``
-    of the exact rates of the oracle ``tables``; the coarsened gaps leave out
-    a level with fewer than 2 defined groups, and the l1 gap weights the
-    levels by the mass decided 0 and 1, summed over the groups."""
+    """Each separation, sufficiency and coarsened gap is the exact
+    ``max - min`` of the exact rates of the oracle ``tables``, left for the
+    report to round once; the coarsened gaps leave out a level with fewer
+    than 2 defined groups, and the l1 gap weights the levels by the mass
+    decided 0 and 1, summed over the groups."""
     fpr = [(c.fp, c.fp + c.tn) for c in tables]
     fnr = [(c.fn, c.fn + c.tp) for c in tables]
     r1 = [(c.tp, c.tp + c.fp) for c in tables]
     r0 = [(c.fn, c.fn + c.tn) for c in tables]
     got = (sep.fpr_gap, sep.fnr_gap, suff.gap_r1, suff.gap_r0)
-    assert _bits(*got) == _bits(*map(_exact_gap, (fpr, fnr, r1, r0)))
+    assert _exact(*got) == _exact(*map(_exact_gap, (fpr, fnr, r1, r0)))
     gaps, masses = [], []
     for level in (r0, r1):
         defined = [Fraction(num) / Fraction(den) for num, den in level if den]
         if len(defined) >= 2:
             gaps.append(max(defined) - min(defined))
             masses.append(sum(den for _, den in level))
-    sup = float(max(gaps)) if gaps else float("nan")
-    l1 = float(sum(g * m for g, m in zip(gaps, masses)) / sum(masses)) if gaps and sum(masses) else float("nan")
-    assert _bits(suff.coarsened_sup_gap, suff.coarsened_l1_gap) == _bits(sup, l1)
+    sup = max(gaps) if gaps else UNDEFINED
+    l1 = sum(g * m for g, m in zip(gaps, masses)) / sum(masses) if gaps and sum(masses) else UNDEFINED
+    assert _exact(suff.coarsened_sup_gap, suff.coarsened_l1_gap) == _exact(sup, l1)
     if is_defined(suff.max_gap):  # every group is defined at both levels
-        assert _bits(suff.coarsened_sup_gap) == _bits(suff.max_gap)
+        assert _exact(suff.coarsened_sup_gap) == _exact(suff.max_gap)
 
 
 def _assert_rates_read_the_properties(sep, suff, tables):
-    """Every per-group rate of the views is ``float`` of the matching exact
+    """Every per-group rate of the views is the matching exact
     ``ConfusionCounts`` property of the oracle ``tables``, keyed in their order."""
     views = {"fpr": sep.fpr, "fnr": sep.fnr, "pos_given_r1": suff.pos_given_r1, "pos_given_r0": suff.pos_given_r0}
     for name, view in views.items():
         assert list(view) == list(tables)
-        assert _bits(*view.values()) == _bits(*(float(getattr(c, name)) for c in tables.values()))
+        assert _exact(*view.values()) == _exact(*(getattr(c, name) for c in tables.values()))
 
 
 def _cells(counts):
@@ -351,9 +357,9 @@ def test_the_all_group_tally_matches_per_group_masks_bit_for_bit(data, bins):
         path = Path(tmp) / "records.csv"
         data.to_csv(path)
         base = audit(str(path), bins=bins)["base_rate"]
-    want = {g: float(data.outcome[data.codes == group_index(data.labels, g)].mean()) for g in data.labels}
+    want = {g: Fraction(np.count_nonzero(data.outcome[m]), np.count_nonzero(m)) for g, m in zip(data.labels, masks)}
     assert list(base) == list(want)
-    assert _bits(*base.values()) == _bits(*want.values())
+    assert _exact(*base.values()) == _exact(*want.values())
 
 
 # -- separation and sufficiency -----------------------------------------------------
@@ -417,7 +423,9 @@ def test_spread_is_the_largest_pairwise_gap_bit_for_bit(values, undefined_at):
         return
     pairwise = max((abs(a - b) for a in values for b in values), default=0.0)
     assert spread(values).hex() == pairwise.hex()
-    assert spread(exact).hex() == pairwise.hex()  # exact rates take the same gap rule
+    # exact rates take the same gap rule, exactly, and round to the same bits
+    assert _exact(spread(exact)) == _exact(max((abs(a - b) for a in exact for b in exact), default=0.0))
+    assert float(spread(exact)).hex() == pairwise.hex()
 
 
 @pytest.mark.parametrize(
@@ -440,7 +448,7 @@ def test_within_is_the_one_holds_rule(gap, tol, holds):
     assert Verdict.within(gap, tol) == Verdict(holds, gap, tol)
 
 
-# -- every gap is the exact spread of exact rates, rounded once ----------------------
+# -- every gap is the exact spread of exact rates, rounded only when printed ---------
 
 
 @settings(max_examples=60, deadline=None)

@@ -268,9 +268,9 @@ def test_calibrated_uniform_at_half_flags_half_at_rate_three_quarters():
 
 
 def test_coarsened_calibration_reads_the_sufficiency_gaps():
-    """The coarsened sup gap is the larger sufficiency gap, bit for bit, and
-    the l1 gap averages the exact level gaps by the pooled mass decided 0
-    and 1, rounded once."""
+    """The coarsened sup gap is the larger sufficiency gap, and the l1 gap
+    averages the exact level gaps by the pooled mass decided 0 and 1, both
+    exact."""
     pop = judge_population(1024)
     rule = solve_equalized_odds(pop, "men", 0.5)
     suff = SufficiencyGaps.of(confusion_tables(pop, rule))
@@ -282,7 +282,7 @@ def test_coarsened_calibration_reads_the_sufficiency_gaps():
     m0 = sum(weight * (c.fn + c.tn) for c in tables)
     m1 = sum(weight * (c.tp + c.fp) for c in tables)
     l1 = ((max(r0) - min(r0)) * m0 + (max(r1) - min(r1)) * m1) / (m0 + m1)
-    assert suff.coarsened_l1_gap == float(l1)
+    assert type(suff.coarsened_l1_gap) is Fraction and suff.coarsened_l1_gap == l1
 
 
 # -- equalized odds solver -------------------------------------------------------
