@@ -52,10 +52,20 @@ def group_index(labels: tuple[str, ...], label: str) -> int:
     return labels.index(label)
 
 
-def _int64_sum(values: np.ndarray) -> int:
-    """Exact sum of int64 values below 2**62: their high and low 31-bit limbs
-    each sum within int64 over fewer than 2**32 values."""
-    return (int((values >> 31).sum()) << 31) + int((values & 0x7FFFFFFF).sum())
+#: Bits per limb of the exact core. A cell's scaled numerator spans at most
+#: three limbs, so each limb column of suffix sums stays below 2**63 for any
+#: grid below 2**31.
+_LIMB = 32
+_LIMB_MASK = (1 << _LIMB) - 1
+#: The bits of a float64 other than its sign, and the 52 stored mantissa bits.
+_MAGNITUDE = (1 << 63) - 1
+_MANTISSA = (1 << 52) - 1
+
+#: Bound on the relative error of each finite entry of
+#: ``ScoreDensity.float_boundary_numerators()``. An entry sums at most 66
+#: nonnegative limb terms, each exact or rounded once, so its error is below
+#: 66 * 2**-53.
+FLOAT_VIEW_RTOL = 2.0**-46
 
 
 @dataclass(frozen=True)
@@ -91,56 +101,81 @@ class ScoreDensity:
         return cell_midpoints(self.weights.size)
 
     @cached_property
-    def _scaled_numerators(self) -> tuple[np.ndarray | tuple[int, ...], int, int | None]:
-        """``(scaled, denominator, total)``. Each cell weight is a binary
-        float, an integer over a power of two; ``denominator`` is G times the
-        least common such power. When every cell numerator is below 2**62,
-        ``scaled`` is their int64 array and ``total`` its sum. Else ``total``
-        is None and ``scaled`` is ``_integer_form``, the G + 1 suffix sums of
-        the Python-int numerators, with cell k as ``scaled[k] - scaled[k + 1]``:
-        no array is kept beside it. Python ints cost about as much to sum as
-        to accumulate, and the densities that hold them, the f0 and f1 of a
-        calibrated group, are the ones the solvers scan."""
-        mant, expo = np.frexp(self.weights)
-        num = (mant * 2.0**53).astype(np.int64)  # w == num * 2**expo, exactly
-        expo = expo.astype(np.int64) - 53
-        nonzero = num != 0
-        # Drop each numerator's trailing zero bits, so the common denominator
-        # is the least one. ``num & -num`` is the lowest set bit, below 2**53.
-        low = np.frexp((num & -num).astype(float))[1] - 1
-        low[~nonzero] = 0
-        num >>= low
-        expo += low
-        base = min(0, int(expo[nonzero].min())) if nonzero.any() else 0
-        shift = np.where(nonzero, expo - base, 0)
-        bits = np.frexp(num.astype(float))[1]  # bit length of each numerator
-        # Weights whose exponents span a few bits, like a raw or normalized
-        # density, shift within int64, about three times as fast. The f0 and
-        # f1 of a calibrated group hold full 53-bit mantissas over exponents
-        # spread by the calibration curve, so they need Python ints.
-        den = (1 << -base) * self.weights.size
-        if int((bits + shift).max()) < 63:
-            scaled = num << shift
-            return scaled, den, _int64_sum(scaled)
-        cells = (num.astype(object) << shift).tolist()
-        return tuple(itertools.accumulate(reversed(cells), initial=0))[::-1], den, None
+    def _binary_cells(self) -> tuple[np.ndarray, np.ndarray, int, int]:
+        """``(num, shift, low, drop)``: each weight as ``num << shift`` over one power of two.
+
+        A weight is read as its bits: ``num`` is its 53-bit integer mantissa,
+        with the hidden bit, and ``shift`` its exponent field above ``low``, the
+        field of the least nonzero weight (at least 1, which subnormals share,
+        and at most 1075, where a weight's last bit is worth 1). So every weight
+        is ``(num << shift) * 2**(low - 1075)``. ``drop`` counts the trailing
+        zero bits common to every ``num << shift``, as far as ``low`` allows:
+        over ``2**(1075 - low - drop)`` the weights are the least integers. The
+        sign bit is cleared, so a ``-0.0`` weight is a zero, and a zero has shift 0."""
+        bits = self.weights.view(np.int64) & _MAGNITUDE
+        expo = bits >> 52  # the biased exponent: 0 for zero and subnormal weights
+        num = (bits & _MANTISSA) | (np.minimum(expo, 1) << 52)
+        least = int((bits - 1).view(np.uint64).min()) + 1  # a zero wraps to the largest value
+        low = max(1, min(1075, least >> 52))
+        shift = np.maximum(expo, low) - low
+        drop = 0
+        if low < 1075:
+            # A least-exponent cell has shift 0 and at most 52 trailing zero bits,
+            # so the low 64 bits of the cells hold their common trailing zeros.
+            tail = int(np.bitwise_or.reduce(num.view(np.uint64) << shift.view(np.uint64)))
+            drop = min((tail & -tail).bit_length() - 1, 1075 - low)
+        return num, shift, low, drop
 
     @cached_property
-    def _integer_form(self) -> tuple[int, ...]:
-        """The G + 1 suffix sums of the scaled numerators, as Python ints:
-        entry k is the numerator of the exact mass of [k/G, 1]; built on
-        first use from an int64 array."""
-        scaled, _, total = self._scaled_numerators
-        return scaled if total is None else tuple(itertools.accumulate(reversed(scaled.tolist()), initial=0))[::-1]
+    def _suffix_limbs(self) -> tuple[np.ndarray, int, int]:
+        """``(suffix, drop, denominator)``: the integer form every exact read uses.
 
-    def _tail(self, k: int) -> int:
-        """Numerator over ``exact_denominator`` of the exact mass of [k/G, 1]:
-        an int64 array sums its cells from k on, or gives its cached total;
-        Python-int numerators are read off their suffix."""
-        scaled, _, total = self._scaled_numerators
-        if total is None:
-            return scaled[k]
-        return total if k == 0 else _int64_sum(scaled[k:])
+        ``_binary_cells`` puts every weight over one power of two as the
+        integer ``num << shift``; here each is split into 32-bit limbs.
+        ``suffix`` is a ``(G + 1, rows)`` int64 matrix whose row k holds the
+        limb sums of the cells from k on, so boundary k's numerator is
+        ``sum(suffix[k, j] << 32 * j) >> drop``, over ``denominator``: G
+        times the least power of two that makes every cell an integer."""
+        num, shift, low, drop = self._binary_cells
+        grid = num.size
+        r = shift & (_LIMB - 1)
+        rows = int(shift.max()) // _LIMB + 3
+        # Cell k fills row G - k, so a cumulative sum down the rows adds up
+        # the cells from k on; row 0 stays the empty suffix. When every
+        # offset is below 32 bits, the cells fill limbs 0-2 of their rows in
+        # place; else they are scattered to their limbs.
+        limbs = np.zeros((grid + 1, rows), np.int64)
+        parts = limbs[:0:-1].T if rows == 3 else np.empty((3, grid), np.int64)
+        # The low 64 bits of num << r are limbs 0 and 1 of the shifted cell,
+        # the rest (below 2**21) limb 2.
+        head = num.view(np.uint64) << r.view(np.uint64)
+        np.bitwise_and(head, _LIMB_MASK, out=parts[0])
+        np.right_shift(head, _LIMB, out=parts[1])
+        np.right_shift(num, 2 * _LIMB - r, out=parts[2])  # a shift by 64 gives 0
+        if rows > 3:
+            at = np.arange(grid * rows, 0, -rows) + shift // _LIMB
+            limbs.reshape(-1)[at + np.arange(3)[:, None]] = parts
+        limbs.cumsum(axis=0, out=limbs)
+        return limbs[::-1], drop, grid << (1075 - low - drop)
+
+    def boundary_numerator(self, k: int) -> int:
+        """Entry k of ``boundary_numerators()``, read off its limbs alone."""
+        suffix, drop, _ = self._suffix_limbs
+        n = 0
+        for limb in reversed(suffix[k].tolist()):
+            n = (n << _LIMB) + limb
+        return n >> drop
+
+    @cached_property
+    def _boundary_tuple(self) -> tuple[int, ...]:
+        num, shift, _, drop = self._binary_cells
+        if drop:  # the cells over the least denominator: shifts drop first, then mantissas
+            num = num >> np.maximum(drop - shift, 0)
+            shift = np.maximum(shift - drop, 0)
+        cells = num[::-1].astype(object) << shift[::-1]
+        n = list(itertools.accumulate(cells.tolist(), initial=0))
+        n.reverse()
+        return tuple(n)
 
     def boundary_numerators(self) -> tuple[int, ...]:
         """Integer numerators over ``exact_denominator`` of the exact mass of
@@ -148,17 +183,39 @@ class ScoreDensity:
 
         The mass of cell k is ``(n[k] - n[k+1]) / exact_denominator``, so
         exact scans can compare integers and build rationals only where they
-        need one.
+        need one. The tuple is built on first use; ``boundary_numerator(k)``
+        reads one entry without it.
         """
-        return self._integer_form
+        return self._boundary_tuple
+
+    def float_boundary_numerators(self) -> np.ndarray:
+        """``boundary_numerators()`` as floats: each finite entry lies within
+        a relative ``FLOAT_VIEW_RTOL`` of its integer, a zero is exactly 0.0,
+        and an entry beyond the float range is inf. Built on first use."""
+        return self._float_view
+
+    @cached_property
+    def _float_view(self) -> np.ndarray:
+        suffix, drop, _ = self._suffix_limbs
+        # limb by limb from the lowest, each term exact or rounded once
+        with np.errstate(over="ignore"):
+            view = np.ldexp(suffix[:, 0].astype(float), -drop)
+            for j in range(1, suffix.shape[1]):
+                view += np.ldexp(suffix[:, j].astype(float), _LIMB * j - drop)
+        view.setflags(write=False)
+        return view
 
     @property
     def exact_denominator(self) -> int:
         """Common denominator of ``boundary_numerators()``: a power of two times G."""
-        return self._scaled_numerators[1]
+        return self._suffix_limbs[2]
+
+    @cached_property
+    def _exact_total(self) -> Fraction:
+        return Fraction(self.boundary_numerator(0), self.exact_denominator)
 
     def exact_total(self) -> Fraction:
-        return Fraction(self._tail(0), self.exact_denominator)
+        return self._exact_total
 
     def exact_mass_above(self, threshold) -> Fraction:
         """Exact mass of {s > threshold} under the piecewise-constant model."""
@@ -169,19 +226,18 @@ class ScoreDensity:
             return Fraction(0)
         # t = a/b lies in cell j: the cells above it, plus cell j's part over
         # [t, (j+1)/G], all over denominator * b
-        scaled, den, total = self._scaled_numerators
         grid = self.weights.size
         j = a * grid // b
-        rest = self._tail(j + 1)
-        cell = int(scaled[j]) if total is not None else scaled[j] - rest
-        return Fraction(rest * b + cell * ((j + 1) * b - a * grid), den * b)
+        rest = self.boundary_numerator(j + 1)
+        cell = self.boundary_numerator(j) - rest
+        return Fraction(rest * b + cell * ((j + 1) * b - a * grid), self.exact_denominator * b)
 
     def exact_mass_below(self, threshold) -> Fraction:
         """Exact mass of {s <= threshold}."""
         return self.exact_total() - self.exact_mass_above(threshold)
 
     def total_mass(self) -> float:
-        return self._tail(0) / self.exact_denominator  # int / int is correctly rounded
+        return float(self._exact_total)  # one int / int division, correctly rounded
 
     def is_normalized(self) -> bool:
         return abs(self.total_mass() - 1.0) <= 1e-9

@@ -12,6 +12,8 @@ import inspect
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import truediv
 from pathlib import Path
 from typing import Literal, get_args
 
@@ -112,13 +114,12 @@ class ExperimentReport:
 
 
 def _roc_series(csd: ConditionalScoreDensity) -> list[tuple[float, float]]:
-    # rate above boundary k is n[k] / n[0]: int / int is correctly rounded
-    n1 = csd.f1.boundary_numerators()
-    n0 = csd.f0.boundary_numerators()
-    return [
-        (n0[k] / n0[0] if n0[0] else UNDEFINED, n1[k] / n1[0] if n1[0] else UNDEFINED)
-        for k in range(csd.grid_size, -1, -1)
-    ]
+    def rates(density: ScoreDensity):
+        # rate above boundary k is n[k] / n[0]: int / int is correctly rounded
+        n = density.boundary_numerators()
+        return map(truediv, reversed(n), repeat(n[0])) if n[0] else repeat(UNDEFINED, len(n))
+
+    return list(zip(rates(csd.f0), rates(csd.f1)))
 
 
 # -- recommendation scores used by their own subjects ------------------------

@@ -11,6 +11,8 @@ re-measures to its target rates exactly, not merely within a tolerance.
 from __future__ import annotations
 
 import bisect
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -275,6 +277,12 @@ class ConfusionCounts:
         return _rate(self.fn, self.fn + self.tn)
 
 
+#: Relative margin under which the float pre-scan of the ROC walk leaves a
+#: boundary's sign to exact arithmetic. It is far above the pre-scan's own
+#: error, about (FLOAT_VIEW_RTOL + 3 * 2**-53) times the same scale.
+_PRESCAN_MARGIN = 2.0**-40
+
+
 def _roc_point_policy(csd: ConditionalScoreDensity, fpr_target: Fraction, tpr_target: Fraction) -> Policy:
     """Policy whose exact (fpr, tpr) equals the target point.
 
@@ -287,9 +295,8 @@ def _roc_point_policy(csd: ConditionalScoreDensity, fpr_target: Fraction, tpr_ta
     the ROC. A target on an axis takes the same walk along that axis.
     """
     grid = csd.grid_size
-    n1, d1 = csd.f1.boundary_numerators(), csd.f1.exact_denominator
-    n0, d0 = csd.f0.boundary_numerators(), csd.f0.exact_denominator
-    p1 = csd.f1.exact_total()  # read off the suffixes just built
+    d1, d0 = csd.f1.exact_denominator, csd.f0.exact_denominator
+    p1 = csd.f1.exact_total()
     p0 = csd.f0.exact_total()
     if p1 == 0 or p0 == 0:
         raise InfeasibleRuleError("group has a degenerate outcome class; rates undefined")
@@ -303,22 +310,25 @@ def _roc_point_policy(csd: ConditionalScoreDensity, fpr_target: Fraction, tpr_ta
 
     # h[k] = a1[k]*c1 - a0[k]*c0, with a_y[k] the mass of f_y above boundary
     # k, is the integer n1[k]*x1 - n0[k]*x0 over a positive denominator. The
-    # ROC meets the ray where h is 0; h[grid] is 0, so the walk always stops.
+    # ROC meets the ray where h is 0; h[grid] is 0, so the walk always stops,
+    # at the first boundary where h is 0 or its sign differs from h[0]'s.
     x1 = c1.numerator * c0.denominator * d0
     x0 = c0.numerator * c1.denominator * d1
-    for k in range(grid + 1):
-        h = n1[k] * x1 - n0[k] * x0
+    h0 = csd.f1.boundary_numerator(0) * x1 - csd.f0.boundary_numerator(0) * x0
+    boundaries, n1, n0 = _walk_plan(csd, x1, x0, h0)
+    for k in boundaries:
+        a1, a0 = n1(k), n0(k)
+        h = a1 * x1 - a0 * x0
         if h == 0:
-            t, mass1, mass0 = Fraction(k, grid), Fraction(n1[k], d1), Fraction(n0[k], d0)
+            t, mass1, mass0 = Fraction(k, grid), Fraction(a1, d1), Fraction(a0, d0)
             break
-        if k and (h > 0) != (h_prev > 0):
-            w1 = Fraction((n1[k - 1] - n1[k]) * grid, d1)
-            w0 = Fraction((n0[k - 1] - n0[k]) * grid, d0)
+        if (h > 0) != (h0 > 0):
+            w1 = Fraction((n1(k - 1) - a1) * grid, d1)
+            w0 = Fraction((n0(k - 1) - a0) * grid, d0)
             # within cell k - 1: masses are linear in u = k/grid - t
             u = Fraction(-h, d1 * d0 * c1.denominator * c0.denominator) / (w1 * c1 - w0 * c0)
-            t, mass1, mass0 = Fraction(k, grid) - u, Fraction(n1[k], d1) + w1 * u, Fraction(n0[k], d0) + w0 * u
+            t, mass1, mass0 = Fraction(k, grid) - u, Fraction(a1, d1) + w1 * u, Fraction(a0, d0) + w0 * u
             break
-        h_prev = h
 
     # achieved rate over target rate along the ray, read on the tpr axis
     # unless the target lies on the fpr axis
@@ -331,6 +341,35 @@ def _roc_point_policy(csd: ConditionalScoreDensity, fpr_target: Fraction, tpr_ta
     if lam == 1:
         return DeterministicThreshold(t)
     return RandomizedThreshold(lower=t, upper=Fraction(1), mix=1 / lam)
+
+
+def _walk_plan(csd: ConditionalScoreDensity, x1: int, x0: int, h0: int):
+    """The boundaries the exact ROC walk must visit, in order, and the readers
+    of the f1 and f0 boundary numerators it uses there.
+
+    The sign of h[k] is that of n1[k]*r - n0[k], r = x1/x0. A float pre-scan
+    of the densities' float boundary numerators settles every boundary whose
+    sign is certain under a relative margin and equal to h[0]'s, so the walk
+    cannot stop there; the walk visits the rest with one-entry reads. With no
+    usable float r (x0 or x1 zero, r out of the normal float range) or a
+    non-finite pre-scan, it visits every boundary, as the full exact walk."""
+    f1, f0 = csd.f1, csd.f0
+    if h0 == 0:
+        return (0,), f1.boundary_numerator, f0.boundary_numerator
+    try:
+        r = x1 / x0 if x1 and x0 else 0.0
+    except OverflowError:
+        r = math.inf
+    if sys.float_info.min <= r < math.inf:
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = f1.float_boundary_numerators() * r
+            v0 = f0.float_boundary_numerators()
+            h = scaled - v0
+            margin = (scaled + v0) * _PRESCAN_MARGIN
+        if np.isfinite(margin).all():
+            settled = (np.abs(h) > margin) & ((h > 0) == (h0 > 0))
+            return np.flatnonzero(~settled).tolist(), f1.boundary_numerator, f0.boundary_numerator
+    return range(csd.grid_size + 1), f1.boundary_numerators().__getitem__, f0.boundary_numerators().__getitem__
 
 
 def solve_equalized_odds(pop: PopulationModel, reference: str, threshold) -> DecisionRule:
@@ -389,15 +428,17 @@ def _threshold_for_below_mass(density: ScoreDensity, target: Fraction) -> Fracti
     if target == 0:
         return Fraction(0)
     grid = density.grid_size
-    num, den = density.boundary_numerators(), density.exact_denominator
-    # mass of {s <= k/grid} is (num[0] - num[k]) / den; compare it to target
-    # as the integers (num[0] - num[k]) * target.den and target.num * den.
+    n, den = density.boundary_numerator, density.exact_denominator
+    total = n(0)
+    # mass of {s <= k/grid} is (n(0) - n(k)) / den; compare it to target
+    # as the integers (n(0) - n(k)) * target.den and target.num * den.
     # lo is the largest boundary with below <= target.
     lo = bisect.bisect_right(
-        range(grid + 1), target.numerator * den, key=lambda k: (num[0] - num[k]) * target.denominator
+        range(grid + 1), target.numerator * den, key=lambda k: (total - n(k)) * target.denominator
     ) - 1
-    below = Fraction(num[0] - num[lo], den)
+    rest = n(lo)
+    below = Fraction(total - rest, den)
     if below == target:
         return Fraction(lo, grid)
-    w = Fraction((num[lo] - num[lo + 1]) * grid, den)
+    w = Fraction((rest - n(lo + 1)) * grid, den)
     return Fraction(lo, grid) + (target - below) / w

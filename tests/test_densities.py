@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +22,8 @@ from fairsim import (
     mc_long_run_eu,
     sample,
 )
-from fairsim.densities import NO_DECISION, draw_categorical, group_index
+from fairsim.cli import MAX_GRID
+from fairsim.densities import FLOAT_VIEW_RTOL, NO_DECISION, draw_categorical, group_index
 from fairsim.metrics import level_tables
 from _helpers import calibrated_uniform_pair, judge_population
 
@@ -437,6 +440,11 @@ def test_boundary_numerators_are_the_exact_suffix_masses(weights, threshold):
     assert all(type(n) is int for n in numerators) and type(denominator) is int
     for k in range(grid + 1):
         assert Fraction(numerators[k], denominator) == sum(map(Fraction, weights[k:]), Fraction(0)) / grid
+        assert density.boundary_numerator(k) == numerators[k]
+    # the least denominator: G times the largest denominator of a weight
+    assert denominator == grid * max(Fraction(w).denominator for w in weights)
+    for v, n in zip(density.float_boundary_numerators().tolist(), numerators):
+        assert v == math.inf if n >= 2**1024 else abs(Fraction(v) - n) <= FLOAT_VIEW_RTOL * n
     # cell j covers [j/G, (j+1)/G); the part above t has length (j+1)/G - max(t, j/G)
     t = Fraction(threshold)
     above = sum(
@@ -444,6 +452,49 @@ def test_boundary_numerators_are_the_exact_suffix_masses(weights, threshold):
         Fraction(0),
     )
     assert density.exact_mass_above(threshold) == above
+
+
+def test_a_negative_zero_weight_is_a_zero():
+    """``ScoreDensity`` accepts ``-0.0``; the exact core reads weights as bits,
+    so it must not read that sign bit: every exact value is that of ``0.0``."""
+    for weights in ([0.5, -0.0, 0.25, 3.0], [-0.0, 5e-324, 2.0**-30, 1.0], [-0.0, -0.0], [7.0, -0.0]):
+        signed = ScoreDensity(np.array(weights))
+        plain = ScoreDensity(np.array([0.0 if w == 0 else w for w in weights]))
+        assert np.signbit(signed.weights).any()
+        assert signed.exact_denominator == plain.exact_denominator
+        assert signed.exact_total() == plain.exact_total()
+        assert signed.total_mass().hex() == plain.total_mass().hex()
+        assert signed.boundary_numerators() == plain.boundary_numerators()
+        grid = len(weights)
+        assert [signed.boundary_numerator(k) for k in range(grid + 1)] == list(plain.boundary_numerators())
+        assert signed.float_boundary_numerators().tobytes() == plain.float_boundary_numerators().tobytes()
+        for t in (0.0, 0.3, Fraction(1, 3), 0.5, 1.0):
+            assert signed.exact_mass_above(t) == plain.exact_mass_above(t)
+
+
+def test_the_widest_spread_at_the_grid_cap_is_exact_in_bounded_memory():
+    """The widest exponent spread a grid can hold: ``MAX_GRID`` cells
+    alternating the least subnormal and 1.7e308, with every tenth cell a
+    random mantissa at a random exponent. The exact total and a tail match
+    ``Fraction`` sums, and the build stays within 64 MiB."""
+    rng = np.random.default_rng(2026)
+    weights = np.tile([5e-324, 1.7e308], MAX_GRID // 2)
+    mixed = rng.random(MAX_GRID) < 0.1
+    weights[mixed] = np.ldexp(rng.uniform(0.5, 1.0, int(mixed.sum())), rng.integers(-1074, 1024, int(mixed.sum())))
+    density = ScoreDensity(weights)
+    tracemalloc.start()
+    start = time.perf_counter()
+    total = density.exact_total()
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # every weight over 2**1074: an integer, so the reference is one int sum
+    scaled = [n * (2**1074 // d) for n, d in map(float.as_integer_ratio, weights.tolist())]
+    assert total == Fraction(sum(scaled), 2**1074 * MAX_GRID)
+    assert density.exact_denominator == 2**1074 * MAX_GRID
+    half = MAX_GRID // 2
+    assert density.exact_mass_above(0.5) == Fraction(sum(scaled[half:]), 2**1074 * MAX_GRID)
+    assert peak <= 64 * 2**20, f"peak {peak / 2**20:.1f} MiB in {elapsed:.3f} s"
 
 
 @settings(max_examples=120, deadline=None)
@@ -458,7 +509,8 @@ def test_boundary_numerators_are_the_exact_suffix_masses(weights, threshold):
 )
 def test_exact_total_is_the_suffix_head_before_and_after_the_suffix(grid, palette, share, low, span, seed, threshold):
     # cells drawn from the palette, the rest full mantissas over exponents
-    # low..low+span: a narrow span scales within int64, a wide one does not
+    # low..low+span: a narrow span fills three limbs per boundary, a palette
+    # of far-apart exponents many more
     rng = np.random.default_rng(seed)
     spread = np.ldexp(rng.uniform(0.5, 1.0, grid), rng.integers(low, low + span + 1, grid))
     picked = np.array(palette)[rng.integers(len(palette), size=grid)]

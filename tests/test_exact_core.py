@@ -1,15 +1,17 @@
 """Structural guards over the package source.
 
 Exact arithmetic lives in one integer core in ``densities``; every other
-module goes through its public API (``boundary_numerators``,
-``exact_denominator``, ``exact_mass_above`` and friends), and a total or a
-one-threshold mass of an int64-scaled density is read without building the
-boundary numerators. Weighted draws go through one sampler, decisions
-through one policy path, dataset records through one tally that only the
-two table builders call (``confusion_tables`` and ``level_tables``),
-confusion masses through one table builder and the solvers, no module
-reaches into another's private names, no import is left unused, and no
-export is left that only tests use."""
+module goes through its public API (``boundary_numerator``,
+``boundary_numerators``, ``float_boundary_numerators``,
+``exact_denominator``, ``exact_mass_above`` and friends), and a total, a
+one-threshold mass, a calibrated build and both solvers read the limb
+suffix matrix without building the G + 1 Python-int boundary numerators.
+Weighted draws go through one sampler, decisions through one policy path,
+dataset records through one tally that only the two table builders call
+(``confusion_tables`` and ``level_tables``), confusion masses through one
+table builder and the solvers, no module reaches into another's private
+names, no import is left unused, and no export is left that only tests
+use."""
 
 import ast
 import re
@@ -19,9 +21,18 @@ from pathlib import Path
 import numpy as np
 
 import fairsim
-from fairsim import ConditionalScoreDensity, DeterministicThreshold, ScoreDensity
+from fairsim import (
+    ConditionalScoreDensity,
+    DeterministicThreshold,
+    InfeasibleRuleError,
+    ScoreDensity,
+    solve_equalized_odds,
+    solve_parity_ratio,
+)
+from fairsim.densities import FLOAT_VIEW_RTOL
+from _helpers import random_equalized_odds_instance
 
-PRIVATE = {"_integer_form", "_scaled_numerators", "_tail"}
+PRIVATE = {"_binary_cells", "_suffix_limbs", "_boundary_tuple", "_float_view", "_exact_total"}
 
 
 def test_only_densities_touches_the_private_exact_core():
@@ -46,52 +57,72 @@ def test_only_densities_touches_the_private_exact_core():
     assert offenders == []
 
 
-def test_a_calibrated_build_leaves_the_marginals_without_a_suffix():
+def test_a_calibrated_build_builds_no_boundary_tuple():
     """Building a calibrated group reads one total from the raw and the
-    normalized marginal; neither builds its G + 1 boundary numerators."""
+    normalized marginal and from its f0 and f1; each reads it off its limb
+    suffix matrix, and none builds its G + 1 Python-int boundary numerators."""
     grid = 4096
     rng = np.random.default_rng(3)
     raw = ScoreDensity(rng.uniform(0.2, 1.0, grid) * (1.0 - 0.8 * ((np.arange(grid) + 0.5) / grid - 0.5)))
     marginal = raw.normalized()
-    ConditionalScoreDensity.calibrated(marginal)
-    for density in (raw, marginal):
-        assert "_scaled_numerators" in density.__dict__
-        assert "_integer_form" not in density.__dict__
+    csd = ConditionalScoreDensity.calibrated(marginal)
+    for density in (raw, marginal, csd.f0, csd.f1):
+        assert "_suffix_limbs" in density.__dict__
+        assert "_boundary_tuple" not in density.__dict__
 
 
-def test_a_calibrated_group_keeps_only_the_suffix_of_its_python_int_cells():
-    """The f0 and f1 of a calibrated group overflow int64, so their integer
-    form is the G + 1 boundary numerators alone: no array of cell
-    numerators is kept beside it, and a cell is the difference of two."""
+def test_a_calibrated_group_reads_cells_and_tails_off_its_limbs():
+    """The f0 and f1 of a calibrated group hold numerators wider than 64
+    bits. Each boundary numerator is one read off the limb suffix matrix, a
+    cell is the difference of two, the full tuple built afterwards agrees
+    with every read, and the float view lies within its stated bound."""
     grid = 1000
     csd = ConditionalScoreDensity.from_base_rate(0.3, grid)
     for density in (csd.f0, csd.f1):
-        scaled, den, total = density._scaled_numerators
-        assert total is None and isinstance(scaled, tuple) and len(scaled) == grid + 1
-        assert density.boundary_numerators() is scaled
+        den = density.exact_denominator
+        reads = [density.boundary_numerator(k) for k in range(grid + 1)]
+        assert reads[0].bit_length() > 64
         cells = [Fraction(w) / grid for w in density.weights.tolist()]
-        assert [Fraction(scaled[k] - scaled[k + 1], den) for k in range(grid)] == cells
+        assert [Fraction(reads[k] - reads[k + 1], den) for k in range(grid)] == cells
         # 1/3 lies in cell 333, two thirds of which lie above it
         assert density.exact_mass_above(Fraction(1, 3)) == sum(cells[334:]) + cells[333] * Fraction(2, 3)
+        assert "_boundary_tuple" not in density.__dict__
+        assert list(density.boundary_numerators()) == reads
+        view = density.float_boundary_numerators()
+        assert all(abs(Fraction(v) - n) <= FLOAT_VIEW_RTOL * n for v, n in zip(view.tolist(), reads))
 
 
-def test_a_three_level_density_reads_one_threshold_without_a_suffix():
-    """A three-level density, the shape of an appendix reshape, scales within
-    int64, so its mass below a threshold, its total and a policy's decided
-    mass are tail sums of its cell numerators; none builds the G + 1
-    boundary numerators."""
+def test_a_three_level_density_reads_one_threshold_without_the_boundary_tuple():
+    """A three-level density, the shape of an appendix reshape: its mass
+    below a threshold, its total and a policy's decided mass are O(1) reads
+    of its limb suffix matrix; none builds the G + 1 boundary numerators."""
     grid = 1024
     weights = np.repeat([0.7 / 0.3, 0.25 / 0.45, 0.05 / 0.25], [307, 461, 256])
     density = ScoreDensity(weights)
     below = density.exact_mass_below(0.5)
     total = density.exact_total()
     decided = DeterministicThreshold(0.5).decided_mass(density)
-    assert "_integer_form" not in density.__dict__
-    assert density._scaled_numerators[0].dtype == np.int64
+    assert "_boundary_tuple" not in density.__dict__
     cells = [Fraction(w) for w in weights.tolist()]
     assert total == sum(cells) / grid
     assert decided == sum(cells[grid // 2 :]) / grid
     assert below == total - decided
+
+
+def test_both_solvers_build_no_boundary_tuple():
+    """The equalized-odds walk settles its boundaries with the float
+    pre-scan and reads the rest one entry at a time, and the parity solver
+    bisects on one-entry reads: neither builds a boundary tuple."""
+    pop, _ = random_equalized_odds_instance(np.random.default_rng(11), grid=4096)
+    for solve in (solve_equalized_odds, solve_parity_ratio):
+        for reference in pop.labels:
+            try:
+                solve(pop, reference, 0.5)
+            except InfeasibleRuleError:
+                pass
+    densities = [d for csd in pop.groups.values() for d in (csd.f0, csd.f1)]
+    assert all("_float_view" in d.__dict__ for d in densities)
+    assert not any("_boundary_tuple" in d.__dict__ for d in densities)
 
 
 def test_only_draw_categorical_draws_weighted_choices():

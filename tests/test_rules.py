@@ -22,7 +22,7 @@ from fairsim import (
     solve_equalized_odds,
     solve_parity_ratio,
 )
-from fairsim.rules import _roc_point_policy
+from fairsim.rules import _roc_point_policy, _walk_plan
 from _helpers import calibrated_uniform_pair, judge_population, random_calibrated_population
 
 
@@ -456,6 +456,166 @@ def test_the_first_crossing_is_the_farthest_crossing(instance):
     assert _policy_or_error(_roc_point_policy, csd, fpr, tpr) == _policy_or_error(
         _farthest_crossing_policy, csd, fpr, tpr
     )
+
+
+def _plain_walk_policy(csd: ConditionalScoreDensity, fpr_target: Fraction, tpr_target: Fraction):
+    """Reference ROC walk: the exact loop over every boundary of the two
+    boundary-numerator tuples, with no float pre-scan."""
+    grid = csd.grid_size
+    n1, d1 = csd.f1.boundary_numerators(), csd.f1.exact_denominator
+    n0, d0 = csd.f0.boundary_numerators(), csd.f0.exact_denominator
+    p1, p0 = csd.f1.exact_total(), csd.f0.exact_total()
+    if p1 == 0 or p0 == 0:
+        raise InfeasibleRuleError("group has a degenerate outcome class; rates undefined")
+    if fpr_target == 0 and tpr_target == 0:
+        return DeterministicThreshold(1.0)
+    if fpr_target == 1 and tpr_target == 1:
+        return DeterministicThreshold(0.0)
+    c1, c0 = fpr_target * p0, tpr_target * p1
+    x1 = c1.numerator * c0.denominator * d0
+    x0 = c0.numerator * c1.denominator * d1
+    for k in range(grid + 1):
+        h = n1[k] * x1 - n0[k] * x0
+        if h == 0:
+            t, mass1, mass0 = Fraction(k, grid), Fraction(n1[k], d1), Fraction(n0[k], d0)
+            break
+        if k and (h > 0) != (h_prev > 0):
+            w1 = Fraction((n1[k - 1] - n1[k]) * grid, d1)
+            w0 = Fraction((n0[k - 1] - n0[k]) * grid, d0)
+            u = Fraction(-h, d1 * d0 * c1.denominator * c0.denominator) / (w1 * c1 - w0 * c0)
+            t, mass1, mass0 = Fraction(k, grid) - u, Fraction(n1[k], d1) + w1 * u, Fraction(n0[k], d0) + w0 * u
+            break
+        h_prev = h
+    lam = mass1 / c0 if c0 else mass0 / c1
+    if lam < 1:
+        raise InfeasibleRuleError(
+            f"target (fpr={float(fpr_target):.6g}, tpr={float(tpr_target):.6g}) lies above the "
+            f"group's ROC curve (best reach {float(lam):.6g} of the target along its ray)"
+        )
+    if lam == 1:
+        return DeterministicThreshold(t)
+    return RandomizedThreshold(lower=t, upper=Fraction(1), mix=1 / lam)
+
+
+@st.composite
+def _solver_instances(draw):
+    """A reference group, another group and a reference threshold on one of
+    the grids 1, 2, 777, 1024 and 4096. Each group is calibrated from a
+    random marginal or has arbitrary class weights. Weights are random
+    mantissas over exponents spread by up to 2000 bits, so that many
+    underflow to subnormals or to zero, and in a third of the draws some
+    cells are set to small multiples of the least subnormal. The reference
+    may have the top cells of one class emptied, so its rates at a threshold
+    above them put the target on an axis, and the other group may be a copy
+    of it, so the walk meets the target exactly."""
+    grid = draw(st.sampled_from([1, 2, 777, 1024, 4096]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    span = draw(st.sampled_from([0, 12, 64, 600, 2000]))
+    subnormal_share = draw(st.sampled_from([0.0, 0.0, 0.1]))
+
+    def weights():
+        w = rng.uniform(0.5, 1.0, grid) * np.exp2(-rng.integers(0, span + 1, grid).astype(float))
+        subnormal = rng.random(grid) < subnormal_share
+        w[subnormal] = rng.integers(1, 1 << 20, int(subnormal.sum())) * 5e-324
+        w[rng.integers(grid)] = rng.uniform(0.5, 1.0)  # keeps the total near 1 or above
+        return w
+
+    groups = {}
+    for label in ("ref", "other"):
+        if grid > 1 and draw(st.booleans()):
+            groups[label] = ConditionalScoreDensity.calibrated(ScoreDensity(weights()).normalized())
+            continue
+        w0, w1 = weights(), weights()
+        if label == "ref" and draw(st.booleans()):
+            (w0 if draw(st.booleans()) else w1)[draw(st.integers(0, grid)) :] = 0
+        scale = grid / (w0.sum() + w1.sum())
+        groups[label] = ConditionalScoreDensity(f0=ScoreDensity(w0 * scale), f1=ScoreDensity(w1 * scale))
+    if draw(st.integers(0, 3)) == 0:  # the target then lies on the other group's ROC curve
+        groups["other"] = groups["ref"]
+    threshold = draw(
+        st.one_of(
+            st.integers(0, grid).map(lambda k: Fraction(k, grid)),
+            st.floats(0, 1),
+            st.fractions(0, 1, max_denominator=10**6),
+        )
+    )
+    return PopulationModel(groups=groups), threshold
+
+
+def _outcome(solve) -> str:
+    try:
+        return repr(solve())
+    except (InfeasibleRuleError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _plain_equalized_odds(pop: PopulationModel, reference: str, threshold) -> dict:
+    ref = ConfusionCounts.of(pop.group(reference), DeterministicThreshold(threshold))
+    if not (is_defined(ref.fpr) and is_defined(ref.fnr)):
+        raise ValueError("reference group has a degenerate outcome class; rates undefined")
+    policies = {reference: DeterministicThreshold(threshold)}
+    for label, csd in pop.groups.items():
+        if label != reference:
+            try:
+                policies[label] = _plain_walk_policy(csd, ref.fpr, 1 - ref.fnr)
+            except InfeasibleRuleError as exc:
+                raise InfeasibleRuleError(f"group {label!r}: {exc}") from None
+    return policies
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=_solver_instances())
+def test_equalized_odds_matches_the_plain_exact_walk(instance):
+    """The solver's walk skips the boundaries its float pre-scan settles and
+    falls back to every boundary where that scan cannot be trusted; on any
+    group, grid and weight spread it returns exactly the policies (kind,
+    rational thresholds and mix), or the error, of the exact walk over every
+    boundary."""
+    pop, threshold = instance
+    assert _outcome(lambda: solve_equalized_odds(pop, "ref", threshold).policies) == _outcome(
+        lambda: _plain_equalized_odds(pop, "ref", threshold)
+    )
+
+
+def _check_pre_scan(csd: ConditionalScoreDensity, fpr: Fraction, tpr: Fraction) -> None:
+    """Every boundary the walk's float pre-scan settles has, exactly, a
+    nonzero h of the sign of h at boundary 0, so the walk cannot stop there."""
+    c1, c0 = fpr * csd.f0.exact_total(), tpr * csd.f1.exact_total()
+    x1 = c1.numerator * c0.denominator * csd.f0.exact_denominator
+    x0 = c0.numerator * c1.denominator * csd.f1.exact_denominator
+    h = [a * x1 - b * x0 for a, b in zip(csd.f1.boundary_numerators(), csd.f0.boundary_numerators())]
+    visited = list(_walk_plan(csd, x1, x0, h[0])[0])
+    assert visited == sorted(set(visited))
+    if h[0] == 0:
+        assert visited[0] == 0  # the walk stops at boundary 0
+        return
+    settled = set(range(csd.grid_size + 1)) - set(visited)
+    assert all(h[k] != 0 and (h[k] > 0) == (h[0] > 0) for k in settled)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=_solver_instances())
+def test_the_pre_scan_settles_only_boundaries_of_the_first_sign(instance):
+    pop, threshold = instance
+    ref = ConfusionCounts.of(pop.group("ref"), DeterministicThreshold(threshold))
+    csd = pop.group("other")
+    assume(is_defined(ref.fpr) and is_defined(ref.fnr) and csd.f0.exact_total() and csd.f1.exact_total())
+    _check_pre_scan(csd, ref.fpr, 1 - ref.fnr)
+
+
+def test_the_pre_scan_leaves_exact_ties_to_the_exact_walk():
+    """A target on a calibrated group's own ROC curve at a boundary makes h
+    exactly 0 there, which the float values miss by a rounding in about one
+    case in six; the margin leaves every such boundary to the exact walk,
+    which stops on it."""
+    grid = 777
+    marginal = ScoreDensity(np.random.default_rng(5).uniform(0.2, 1.0, grid)).normalized()
+    csd = ConditionalScoreDensity.calibrated(marginal)
+    n1, n0 = csd.f1.boundary_numerators(), csd.f0.boundary_numerators()
+    for k in range(1, grid, 13):
+        fpr, tpr = Fraction(n0[k], n0[0]), Fraction(n1[k], n1[0])
+        _check_pre_scan(csd, fpr, tpr)
+        assert _roc_point_policy(csd, fpr, tpr) == DeterministicThreshold(Fraction(k, grid))
 
 
 def test_equalized_odds_with_a_group_that_has_no_outcome_1_mass():
