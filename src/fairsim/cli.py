@@ -73,7 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="run a named experiment")
     simulate.add_argument("experiment", help="experiment id (see `fairsim list`)")
     simulate.add_argument("overrides", nargs="*", metavar="key=value", help="parameter overrides")
-    simulate.add_argument("--grid", type=int, default=None, help=f"density grid size, 2 to {MAX_GRID:,}")
+    simulate.add_argument(
+        "--grid", type=int, default=None, help=f"density grid size, 2 to {MAX_GRID:,}; even for judge and appendix"
+    )
     simulate.add_argument(
         "--samples", type=int, default=None, help=f"Monte Carlo sample count, 1 to {MAX_SAMPLES:,}"
     )

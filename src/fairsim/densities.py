@@ -62,9 +62,10 @@ _MAGNITUDE = (1 << 63) - 1
 _MANTISSA = (1 << 52) - 1
 
 #: Bound on the relative error of each finite entry of
-#: ``ScoreDensity.float_boundary_numerators()``. An entry sums at most 66
-#: nonnegative limb terms, each exact or rounded once, so its error is below
-#: 66 * 2**-53.
+#: ``ScoreDensity.float_suffix_sums()``. An entry sums at most 66 nonnegative
+#: limb terms, each exact or rounded once, so its error is below 66 * 2**-53.
+#: A term is a multiple of 2**-1074, so one below the normal range is exact
+#: and the bound holds for subnormal entries too.
 FLOAT_VIEW_RTOL = 2.0**-46
 
 
@@ -188,20 +189,20 @@ class ScoreDensity:
         """
         return self._boundary_tuple
 
-    def float_boundary_numerators(self) -> np.ndarray:
-        """``boundary_numerators()`` as floats: each finite entry lies within
-        a relative ``FLOAT_VIEW_RTOL`` of its integer, a zero is exactly 0.0,
-        and an entry beyond the float range is inf. Built on first use."""
+    def float_suffix_sums(self) -> np.ndarray:
+        """G times the mass of [k/G, 1], the sum of the weights from k on,
+        for k = 0..G, as floats: each finite entry lies within a relative
+        ``FLOAT_VIEW_RTOL`` of its exact value, a zero is exactly 0.0, and an
+        entry beyond the float range is inf. Built on first use."""
         return self._float_view
 
     @cached_property
     def _float_view(self) -> np.ndarray:
-        suffix, drop, _ = self._suffix_limbs
-        # limb by limb from the lowest, each term exact or rounded once
+        suffix, low = self._suffix_limbs[0], self._binary_cells[2]
+        # limb by limb from the lowest, each term exact or rounded once: a
+        # weight is its integer times 2**(low - 1075)
         with np.errstate(over="ignore"):
-            view = np.ldexp(suffix[:, 0].astype(float), -drop)
-            for j in range(1, suffix.shape[1]):
-                view += np.ldexp(suffix[:, j].astype(float), _LIMB * j - drop)
+            view = sum(np.ldexp(suffix[:, j].astype(float), _LIMB * j + low - 1075) for j in range(suffix.shape[1]))
         view.setflags(write=False)
         return view
 

@@ -11,8 +11,6 @@ re-measures to its target rates exactly, not merely within a tolerance.
 from __future__ import annotations
 
 import bisect
-import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -277,10 +275,14 @@ class ConfusionCounts:
         return _rate(self.fn, self.fn + self.tn)
 
 
-#: Relative margin under which the float pre-scan of the ROC walk leaves a
-#: boundary's sign to exact arithmetic. It is far above the pre-scan's own
-#: error, about (FLOAT_VIEW_RTOL + 3 * 2**-53) times the same scale.
+#: Relative margin, and absolute floor, under which the float pre-scan of the
+#: ROC walk leaves a boundary's sign to exact arithmetic. The margin is far
+#: above the pre-scan's relative error, about (FLOAT_VIEW_RTOL + 3 * 2**-53)
+#: times the same scale; the floor is far above its absolute error, the
+#: underflow of the targets and of their products to subnormals, about
+#: G * 2**-1074 for a grid G below 2**31 (a group's suffix sums are at most G).
 _PRESCAN_MARGIN = 2.0**-40
+_PRESCAN_FLOOR = 2.0**-1000
 
 
 def _roc_point_policy(csd: ConditionalScoreDensity, fpr_target: Fraction, tpr_target: Fraction) -> Policy:
@@ -314,9 +316,9 @@ def _roc_point_policy(csd: ConditionalScoreDensity, fpr_target: Fraction, tpr_ta
     # at the first boundary where h is 0 or its sign differs from h[0]'s.
     x1 = c1.numerator * c0.denominator * d0
     x0 = c0.numerator * c1.denominator * d1
-    h0 = csd.f1.boundary_numerator(0) * x1 - csd.f0.boundary_numerator(0) * x0
-    boundaries, n1, n0 = _walk_plan(csd, x1, x0, h0)
-    for k in boundaries:
+    n1, n0 = csd.f1.boundary_numerator, csd.f0.boundary_numerator
+    h0 = n1(0) * x1 - n0(0) * x0
+    for k in _walk_plan(csd, c1, c0, h0):
         a1, a0 = n1(k), n0(k)
         h = a1 * x1 - a0 * x0
         if h == 0:
@@ -343,33 +345,20 @@ def _roc_point_policy(csd: ConditionalScoreDensity, fpr_target: Fraction, tpr_ta
     return RandomizedThreshold(lower=t, upper=Fraction(1), mix=1 / lam)
 
 
-def _walk_plan(csd: ConditionalScoreDensity, x1: int, x0: int, h0: int):
-    """The boundaries the exact ROC walk must visit, in order, and the readers
-    of the f1 and f0 boundary numerators it uses there.
+def _walk_plan(csd: ConditionalScoreDensity, c1: Fraction, c0: Fraction, h0: int) -> list[int]:
+    """The boundaries the exact ROC walk must visit, in order.
 
-    The sign of h[k] is that of n1[k]*r - n0[k], r = x1/x0. A float pre-scan
-    of the densities' float boundary numerators settles every boundary whose
-    sign is certain under a relative margin and equal to h[0]'s, so the walk
-    cannot stop there; the walk visits the rest with one-entry reads. With no
-    usable float r (x0 or x1 zero, r out of the normal float range) or a
-    non-finite pre-scan, it visits every boundary, as the full exact walk."""
-    f1, f0 = csd.f1, csd.f0
-    if h0 == 0:
-        return (0,), f1.boundary_numerator, f0.boundary_numerator
-    try:
-        r = x1 / x0 if x1 and x0 else 0.0
-    except OverflowError:
-        r = math.inf
-    if sys.float_info.min <= r < math.inf:
-        with np.errstate(over="ignore", invalid="ignore"):
-            scaled = f1.float_boundary_numerators() * r
-            v0 = f0.float_boundary_numerators()
-            h = scaled - v0
-            margin = (scaled + v0) * _PRESCAN_MARGIN
-        if np.isfinite(margin).all():
-            settled = (np.abs(h) > margin) & ((h > 0) == (h0 > 0))
-            return np.flatnonzero(~settled).tolist(), f1.boundary_numerator, f0.boundary_numerator
-    return range(csd.grid_size + 1), f1.boundary_numerators().__getitem__, f0.boundary_numerators().__getitem__
+    h[k] has the sign of a1[k]*c1 - a0[k]*c0, which a float pre-scan reads
+    off the densities' float suffix sums, G times a1 and a0. It settles every
+    boundary whose float value exceeds the margin and floor, so that its
+    sign is certain, and has h[0]'s sign: the walk cannot stop there. A
+    target on an axis makes c1 or c0 exactly 0.0, and h[0] = 0 leaves
+    boundary 0 unsettled, so one scan serves every target."""
+    a1 = csd.f1.float_suffix_sums() * float(c1)
+    a0 = csd.f0.float_suffix_sums() * float(c0)
+    h = a1 - a0
+    settled = (np.abs(h) > (a1 + a0) * _PRESCAN_MARGIN + _PRESCAN_FLOOR) & ((h > 0) == (h0 > 0))
+    return np.flatnonzero(~settled).tolist()
 
 
 def solve_equalized_odds(pop: PopulationModel, reference: str, threshold) -> DecisionRule:

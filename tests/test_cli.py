@@ -457,6 +457,7 @@ def test_list_output_is_pinned(capsys):
         (["equal-rates", "p" * 5000 + "=1"],
          "unknown parameter '" + "p" * 40 + "'… for experiment 'equal-rates'; "
          "valid parameters: p_men, p_women, fp_mass"),
+        (["judge", "--convention", "per-outcome", "grid=777"], "grid_size must be even"),
     ],
 )
 def test_simulate_error_lines_are_pinned(tmp_path, capsys, argv, message):

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -443,8 +444,9 @@ def test_boundary_numerators_are_the_exact_suffix_masses(weights, threshold):
         assert density.boundary_numerator(k) == numerators[k]
     # the least denominator: G times the largest denominator of a weight
     assert denominator == grid * max(Fraction(w).denominator for w in weights)
-    for v, n in zip(density.float_boundary_numerators().tolist(), numerators):
-        assert v == math.inf if n >= 2**1024 else abs(Fraction(v) - n) <= FLOAT_VIEW_RTOL * n
+    for k, v in enumerate(density.float_suffix_sums().tolist()):
+        exact = Fraction(numerators[k] * grid, denominator)
+        assert abs(Fraction(v) - exact) <= FLOAT_VIEW_RTOL * exact
     # cell j covers [j/G, (j+1)/G); the part above t has length (j+1)/G - max(t, j/G)
     t = Fraction(threshold)
     above = sum(
@@ -452,6 +454,16 @@ def test_boundary_numerators_are_the_exact_suffix_masses(weights, threshold):
         Fraction(0),
     )
     assert density.exact_mass_above(threshold) == above
+
+
+def test_suffix_sums_past_the_float_range_read_inf_without_a_warning():
+    """Weights near the float maximum sum past the float range: those suffix
+    sums are inf, the rest exact, and building the view warns of nothing."""
+    density = ScoreDensity(np.full(4, 1.7e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        view = density.float_suffix_sums()
+    assert view.tolist() == [math.inf, math.inf, math.inf, 1.7e308, 0.0]
 
 
 def test_a_negative_zero_weight_is_a_zero():
@@ -467,7 +479,7 @@ def test_a_negative_zero_weight_is_a_zero():
         assert signed.boundary_numerators() == plain.boundary_numerators()
         grid = len(weights)
         assert [signed.boundary_numerator(k) for k in range(grid + 1)] == list(plain.boundary_numerators())
-        assert signed.float_boundary_numerators().tobytes() == plain.float_boundary_numerators().tobytes()
+        assert signed.float_suffix_sums().tobytes() == plain.float_suffix_sums().tobytes()
         for t in (0.0, 0.3, Fraction(1, 3), 0.5, 1.0):
             assert signed.exact_mass_above(t) == plain.exact_mass_above(t)
 

@@ -2,10 +2,11 @@
 
 Exact arithmetic lives in one integer core in ``densities``; every other
 module goes through its public API (``boundary_numerator``,
-``boundary_numerators``, ``float_boundary_numerators``,
-``exact_denominator``, ``exact_mass_above`` and friends), and a total, a
-one-threshold mass, a calibrated build and both solvers read the limb
-suffix matrix without building the G + 1 Python-int boundary numerators.
+``boundary_numerators``, ``float_suffix_sums``, ``exact_denominator``,
+``exact_mass_above`` and friends), and a total, a one-threshold mass, a
+calibrated build and both solvers, on any target and any weight spread,
+read the limb suffix matrix without building the G + 1 Python-int boundary
+numerators.
 Weighted draws go through one sampler, decisions through one policy path,
 dataset records through one tally that only the two table builders call
 (``confusion_tables`` and ``level_tables``), confusion masses through one
@@ -23,8 +24,10 @@ import numpy as np
 import fairsim
 from fairsim import (
     ConditionalScoreDensity,
+    ConfusionCounts,
     DeterministicThreshold,
     InfeasibleRuleError,
+    PopulationModel,
     ScoreDensity,
     solve_equalized_odds,
     solve_parity_ratio,
@@ -88,8 +91,9 @@ def test_a_calibrated_group_reads_cells_and_tails_off_its_limbs():
         assert density.exact_mass_above(Fraction(1, 3)) == sum(cells[334:]) + cells[333] * Fraction(2, 3)
         assert "_boundary_tuple" not in density.__dict__
         assert list(density.boundary_numerators()) == reads
-        view = density.float_boundary_numerators()
-        assert all(abs(Fraction(v) - n) <= FLOAT_VIEW_RTOL * n for v, n in zip(view.tolist(), reads))
+        view = density.float_suffix_sums()
+        sums = [Fraction(n * grid, den) for n in reads]
+        assert all(abs(Fraction(v) - s) <= FLOAT_VIEW_RTOL * s for v, s in zip(view.tolist(), sums))
 
 
 def test_a_three_level_density_reads_one_threshold_without_the_boundary_tuple():
@@ -123,6 +127,49 @@ def test_both_solvers_build_no_boundary_tuple():
     densities = [d for csd in pop.groups.values() for d in (csd.f0, csd.f1)]
     assert all("_float_view" in d.__dict__ for d in densities)
     assert not any("_boundary_tuple" in d.__dict__ for d in densities)
+
+
+def test_axis_targets_and_subnormal_cells_build_no_boundary_tuple():
+    """A reference with no outcome-0 (or outcome-1) mass above 1/2 puts the
+    target at threshold 3/4 on the tpr (or fpr) axis, and a group with
+    subnormal cells has suffix sums over a 1074-bit exponent span; the walk
+    pre-scans them like any other target and group, building no tuple."""
+    grid = 4096
+    rng = np.random.default_rng(12)
+    top = np.arange(grid) >= grid // 2
+
+    def group(w0, w1):
+        scale = grid / (w0.sum() + w1.sum())
+        return ConditionalScoreDensity(f0=ScoreDensity(w0 * scale), f1=ScoreDensity(w1 * scale))
+
+    def draw():
+        return rng.uniform(0.2, 1.0, grid), rng.uniform(0.2, 1.0, grid)
+
+    def no_fp(w0, w1):
+        return group(np.where(top, 0.0, w0), w1)
+
+    def no_tp(w0, w1):
+        return group(w0, np.where(top, 0.0, w1))
+
+    tiny = rng.random((2, grid)) < 0.1
+    subnormal = group(*np.where(tiny, rng.integers(1, 1 << 20, (2, grid)) * 5e-324, draw()))
+    assert 0 < subnormal.f0.weights.min() < 2.0**-1022
+    cases = [
+        (no_fp(*draw()), no_fp(*draw()), 0.75),
+        (no_tp(*draw()), no_tp(*draw()), 0.75),
+        (group(*draw()), subnormal, 0.5),
+    ]
+    on_tpr_axis, on_fpr_axis = (ConfusionCounts.of(ref, DeterministicThreshold(t)) for ref, _, t in cases[:2])
+    assert on_tpr_axis.fpr == 0 < on_tpr_axis.fnr < 1 and on_fpr_axis.fnr == 1 > on_fpr_axis.fpr > 0
+    for ref, other, threshold in cases:
+        pop = PopulationModel({"ref": ref, "other": other})
+        for solve in (solve_equalized_odds, solve_parity_ratio):
+            try:
+                solve(pop, "ref", threshold)
+            except InfeasibleRuleError:
+                pass
+        assert "_float_view" in other.f0.__dict__ and "_float_view" in other.f1.__dict__
+        assert not any("_boundary_tuple" in d.__dict__ for d in (ref.f0, ref.f1, other.f0, other.f1))
 
 
 def test_only_draw_categorical_draws_weighted_choices():

@@ -566,9 +566,9 @@ def _plain_equalized_odds(pop: PopulationModel, reference: str, threshold) -> di
 @settings(max_examples=150, deadline=None)
 @given(instance=_solver_instances())
 def test_equalized_odds_matches_the_plain_exact_walk(instance):
-    """The solver's walk skips the boundaries its float pre-scan settles and
-    falls back to every boundary where that scan cannot be trusted; on any
-    group, grid and weight spread it returns exactly the policies (kind,
+    """The solver's walk skips the boundaries its float pre-scan settles, on
+    every target, axis targets included; on any group, grid and weight
+    spread, subnormal cells included, it returns exactly the policies (kind,
     rational thresholds and mix), or the error, of the exact walk over every
     boundary."""
     pop, threshold = instance
@@ -584,7 +584,7 @@ def _check_pre_scan(csd: ConditionalScoreDensity, fpr: Fraction, tpr: Fraction) 
     x1 = c1.numerator * c0.denominator * csd.f0.exact_denominator
     x0 = c0.numerator * c1.denominator * csd.f1.exact_denominator
     h = [a * x1 - b * x0 for a, b in zip(csd.f1.boundary_numerators(), csd.f0.boundary_numerators())]
-    visited = list(_walk_plan(csd, x1, x0, h[0])[0])
+    visited = _walk_plan(csd, c1, c0, h[0])
     assert visited == sorted(set(visited))
     if h[0] == 0:
         assert visited[0] == 0  # the walk stops at boundary 0
@@ -600,7 +600,9 @@ def test_the_pre_scan_settles_only_boundaries_of_the_first_sign(instance):
     ref = ConfusionCounts.of(pop.group("ref"), DeterministicThreshold(threshold))
     csd = pop.group("other")
     assume(is_defined(ref.fpr) and is_defined(ref.fnr) and csd.f0.exact_total() and csd.f1.exact_total())
-    _check_pre_scan(csd, ref.fpr, 1 - ref.fnr)
+    fpr, tpr = ref.fpr, 1 - ref.fnr
+    for target in ((fpr, tpr), (Fraction(0), tpr), (fpr, Fraction(0))):
+        _check_pre_scan(csd, *target)
 
 
 def test_the_pre_scan_leaves_exact_ties_to_the_exact_walk():
@@ -616,6 +618,27 @@ def test_the_pre_scan_leaves_exact_ties_to_the_exact_walk():
         fpr, tpr = Fraction(n0[k], n0[0]), Fraction(n1[k], n1[0])
         _check_pre_scan(csd, fpr, tpr)
         assert _roc_point_policy(csd, fpr, tpr) == DeterministicThreshold(Fraction(k, grid))
+
+
+def test_the_pre_scan_leaves_subnormal_ties_to_the_exact_walk():
+    """Where one class keeps only subnormal cells above a boundary, a target
+    on the group's own ROC curve there has a subnormal rate mass, whose float
+    rounding can move a float value off an exact tie by more than the
+    relative margin, which underflows to 0; the absolute floor leaves every
+    such boundary to the exact walk."""
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        w0, w1 = rng.uniform(0.5, 2.0, (2, 4))
+        top = rng.integers(1, 4)
+        (w0 if rng.integers(2) else w1)[top:] = rng.integers(1, 64, 4 - top) * 5e-324
+        csd = _two_class_group(w0, w1)
+        n1, n0 = csd.f1.boundary_numerators(), csd.f0.boundary_numerators()
+        for k in range(1, 4):
+            fpr, tpr = Fraction(n0[k], n0[0]), Fraction(n1[k], n1[0])
+            _check_pre_scan(csd, fpr, tpr)
+            assert _policy_or_error(_roc_point_policy, csd, fpr, tpr) == _policy_or_error(
+                _plain_walk_policy, csd, fpr, tpr
+            )
 
 
 def test_equalized_odds_with_a_group_that_has_no_outcome_1_mass():
