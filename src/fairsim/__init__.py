@@ -10,7 +10,6 @@ from .densities import (
     ScoreDensity,
     ScoreMap,
     apply_score_map,
-    integrate,
     is_defined,
     sample,
 )

@@ -3,7 +3,7 @@
 Analytic objects live on a uniform grid over [0, 1]: a density stores one
 nonnegative value per cell. Masses of threshold events ({s > t}) are computed
 in exact rational arithmetic -- cell values are binary floats, hence dyadic
-rationals -- while integrals of generic weight functions use the midpoint rule.
+rationals -- from the integer numerators of one exact core.
 """
 
 from __future__ import annotations
@@ -93,10 +93,6 @@ class ScoreDensity:
     @property
     def grid_size(self) -> int:
         return int(self.weights.size)
-
-    @property
-    def cell_width(self) -> float:
-        return 1.0 / self.weights.size
 
     def midpoints(self) -> np.ndarray:
         return cell_midpoints(self.weights.size)
@@ -829,12 +825,3 @@ def sample(pop: PopulationModel, n: int, seed: int, rule=None) -> AuditDataset:
         renumber[gidx], [labels[gi] for gi in order], score_col, outcome_col, decision_col
     )
 
-
-def integrate(density: ScoreDensity, weight) -> float:
-    """Midpoint-rule integral of weight(s) against the density.
-
-    Exact for integrands linear within each cell; O(grid^-2) error for smooth
-    integrands. ``weight`` maps the array of cell midpoints to an array of
-    values.
-    """
-    return float(np.sum(density.weights * weight(density.midpoints())) * density.cell_width)

@@ -225,25 +225,28 @@ def run_equal_rates_unequal_utility(
         raise ValueError("fp_mass must lie in [0, 1]")
 
     payoff = PayoffMatrix.recommender()
-    quadrants = ConfusionCounts(
-        tp=Fraction(0), fp=Fraction(float(fp_mass)), fn=Fraction(0), tn=1 - Fraction(float(fp_mass))
-    )
+    fp = Fraction(float(fp_mass))
+    tables = {label: ConfusionCounts(tp=Fraction(0), fp=fp, fn=Fraction(0), tn=1 - fp) for label in ("men", "women")}
+    sep = SeparationGaps.of(tables)
 
+    outside = Fraction(payoff.outside)
     eu = {}
     loss_per_decision = {}
     for label, p in (("men", p_men), ("women", p_women)):
-        acted = pointwise_eu(p, payoff, 1)
-        eu[label] = fp_mass * acted + (1.0 - fp_mass) * payoff.outside
-        loss_per_decision[label] = payoff.outside - acted
+        acted = pointwise_eu(Fraction(p), payoff, 1)
+        eu[label] = fp * acted + (1 - fp) * outside
+        loss_per_decision[label] = outside - acted
     analytic = utility_report(eu)
 
     metrics = {
-        "rates": {"fpr": quadrants.fpr, "fnr": quadrants.fnr},
+        "rates": {"fpr": tables["men"].fpr, "fnr": tables["men"].fnr},
         "eu": {"men": eu["men"], "women": eu["women"], "disparity": analytic.disparity},
         "loss_per_false_decision": dict(loss_per_decision),
     }
     verdicts = {
-        "equal_rates": Verdict.within(0.0, 0.0),  # both groups share the quadrants by construction
+        # no case warrants acting, so neither group defines a false negative
+        # rate and the false positive rates are the rates to compare
+        "equal_rates": Verdict.within(sep.fpr_gap, 0.0),
         "equal_utility": Verdict.within(analytic.disparity, ANALYTIC_TOL),
     }
     series = {

@@ -17,7 +17,7 @@ from typing import Literal, get_args
 
 import numpy as np
 
-from .densities import UNDEFINED, PopulationModel, ScoreDensity, ScoreMap, draw_categorical, integrate
+from .densities import UNDEFINED, PopulationModel, ScoreDensity, ScoreMap, draw_categorical
 from .metrics import ConfusionCounts, confusion_tables, spread
 from .rules import DecisionRule, PayoffMatrix
 
@@ -25,13 +25,16 @@ Convention = Literal["per-outcome", "per-person"]
 CONVENTIONS = get_args(Convention)
 
 
-def pointwise_eu(p: float, payoff: PayoffMatrix, decision: int) -> float:
-    """Expected utility of one decision at outcome probability p."""
-    if not 0.0 <= p <= 1.0:
+def pointwise_eu(p: float | Fraction, payoff: PayoffMatrix, decision: int) -> float | Fraction:
+    """Expected utility of one decision at outcome probability p: a float,
+    or the exact ``Fraction`` when p is one."""
+    if not 0 <= p <= 1:
         raise ValueError(f"probability must lie in [0, 1], got {p!r}")
     if decision not in (0, 1):
         raise ValueError("decision must be 0 or 1")
-    return p * payoff.u11 + (1.0 - p) * payoff.u10 if decision else payoff.outside
+    exact = isinstance(p, Fraction)
+    u11, u10, outside = (Fraction(u) if exact else u for u in (payoff.u11, payoff.u10, payoff.outside))
+    return p * u11 + (1 - p) * u10 if decision else outside
 
 
 def optimal_threshold(payoff: PayoffMatrix) -> float:
@@ -46,32 +49,40 @@ def optimal_threshold(payoff: PayoffMatrix) -> float:
     return min(1.0, max(0.0, t))
 
 
-def _branch_eu(mids: np.ndarray, payoff: PayoffMatrix, act: np.ndarray) -> np.ndarray:
-    return np.where(act, mids * payoff.u11 + (1.0 - mids) * payoff.u10, payoff.outside)
-
-
-def long_run_eu(
-    true_density: ScoreDensity,
-    displayed: ScoreMap,
-    payoff: PayoffMatrix,
-    threshold: float,
-) -> float:
-    """Average expected utility when deciding on the displayed score.
-
-    Integrates the per-decision expected utility over the distribution of
-    the true probability; the decision acts exactly when the displayed score
-    strictly exceeds the threshold.
-    """
+def _check_inputs(true_density: ScoreDensity, displayed: ScoreMap) -> None:
     if not true_density.is_normalized():
         raise ValueError("true-probability density must integrate to 1")
+    if displayed.grid_size != true_density.grid_size:
+        raise ValueError("score map grid does not match density grid")
 
-    return integrate(true_density, lambda mids: _branch_eu(mids, payoff, displayed(mids) > threshold))
+
+def _acting(density: ScoreDensity, cells: np.ndarray, payoff: PayoffMatrix) -> tuple[Fraction, Fraction]:
+    """Exact mass of the selected cells, and acting's utility on them: linear
+    in the score, it is their mass times its value at their mean score, and
+    cell k's mean score is its midpoint (2k + 1) / 2G."""
+    n = density.boundary_numerators()
+    mass = moment = 0
+    for k in np.flatnonzero(cells).tolist():
+        cell = n[k] - n[k + 1]
+        mass, moment = mass + cell, moment + cell * (2 * k + 1)
+    if not mass:
+        return Fraction(0), Fraction(0)
+    exact = Fraction(mass, density.exact_denominator)
+    return exact, exact * pointwise_eu(Fraction(moment, 2 * density.grid_size * mass), payoff, 1)
+
+
+def long_run_eu(true_density: ScoreDensity, displayed: ScoreMap, payoff: PayoffMatrix, threshold: float) -> Fraction:
+    """Exact average expected utility when acting where the displayed score,
+    constant on each grid cell, strictly exceeds the threshold."""
+    _check_inputs(true_density, displayed)
+    mass, acted = _acting(true_density, displayed.values > threshold, payoff)
+    return Fraction(payoff.outside) * (true_density.exact_total() - mass) + acted
 
 
 @dataclass(frozen=True)
 class CaseStats:
-    mass: float
-    loss: float
+    mass: Fraction
+    loss: Fraction
 
 
 @dataclass(frozen=True)
@@ -87,34 +98,31 @@ class CaseBreakdown:
     cases: dict[str, CaseStats]
 
     @property
-    def wrong_side_mass(self) -> float:
+    def wrong_side_mass(self) -> Fraction:
         return self.cases["case2"].mass + self.cases["case3"].mass
 
 
 def classify_cases(
     true_density: ScoreDensity, displayed: ScoreMap, threshold: float, payoff: PayoffMatrix
 ) -> CaseBreakdown:
-    mids = true_density.midpoints()
-    act = displayed(mids) > threshold
-    should = mids > threshold
-    cell_mass = true_density.weights * true_density.cell_width
-    taken = _branch_eu(mids, payoff, act)
-    warranted = _branch_eu(mids, payoff, should)
-    regret = warranted - taken
-
-    quadrants = {
-        "case1": ~act & ~should,
-        "case2": act & ~should,
-        "case3": ~act & should,
-        "case4": act & should,
-    }
-    cases = {
-        name: CaseStats(
-            mass=float(np.sum(cell_mass[sel])),
-            loss=float(np.sum(cell_mass[sel] * regret[sel])),
-        )
-        for name, sel in quadrants.items()
-    }
+    """The exact ``CaseBreakdown``. The cell j that holds t is split at t: on
+    a part [a, b] the mass is the cell's density times b - a, and acting's
+    utility that mass times its value at (a + b) / 2."""
+    _check_inputs(true_density, displayed)
+    grid, n, t = true_density.grid_size, true_density.boundary_numerators(), Fraction(threshold)
+    j = min(max(math.floor(t * grid), 0), grid - 1)
+    t = min(max(t, Fraction(j, grid)), Fraction(j + 1, grid))
+    height = Fraction(grid * (n[j] - n[j + 1]), true_density.exact_denominator)
+    cells, act = np.arange(grid), displayed.values > threshold
+    cases = {}
+    for name, acted, warranted in (("case1", 0, 0), ("case2", 1, 0), ("case3", 0, 1), ("case4", 1, 1)):
+        mass, utility = _acting(true_density, (act == acted) & (cells > j if warranted else cells < j), payoff)
+        if act[j] == acted:  # the part of cell j on the warranted side of t
+            a, b = (t, Fraction(j + 1, grid)) if warranted else (Fraction(j, grid), t)
+            mass += height * (b - a)
+            utility += height * (b - a) * pointwise_eu((a + b) / 2, payoff, 1)
+        # the loss is what the warranted decision gains over the one taken
+        cases[name] = CaseStats(mass, (utility - Fraction(payoff.outside) * mass) * (warranted - acted))
     return CaseBreakdown(cases=cases)
 
 
@@ -122,11 +130,11 @@ def classify_cases(
 class UtilityReport:
     """Per-group expected utility (or disutility) with its spread."""
 
-    per_group: dict[str, float]
-    disparity: float
+    per_group: dict[str, Fraction | float]
+    disparity: Fraction | float
 
 
-def utility_report(per_group: dict[str, float]) -> UtilityReport:
+def utility_report(per_group: dict[str, Fraction | float]) -> UtilityReport:
     """Assemble a report; the disparity is the largest pairwise gap."""
     return UtilityReport(per_group=per_group, disparity=spread(per_group.values()))
 
@@ -168,8 +176,7 @@ def mc_long_run_eu(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not true_density.is_normalized():
-        raise ValueError("true-probability density must integrate to 1")
+    _check_inputs(true_density, displayed)
     rng = np.random.default_rng(seed)
     g = true_density.grid_size
     cells = draw_categorical(rng, true_density.weights / true_density.weights.sum(), n)

@@ -45,7 +45,7 @@ def test_criterion_1_recommender_optimum():
     assert mc == pytest.approx(0.25, abs=0.01)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
-    report("1 recommender-optimum", f"analytic={analytic:.6f} mc={mc:.6f} elapsed={elapsed:.2f}s")
+    report("1 recommender-optimum", f"analytic={float(analytic):.6f} mc={mc:.6f} elapsed={elapsed:.2f}s")
 
 
 def test_criterion_2_calibration_dominance():
@@ -89,7 +89,7 @@ def test_criterion_3_equal_rates_unequal_harm():
     assert disparity == pytest.approx(expected, abs=1e-9)
     assert disparity == pytest.approx(0.06, abs=1e-9)
     assert result.verdicts["equal_rates"].holds
-    report("3 equal-rates-unequal-harm", f"disparity={disparity:.12f}")
+    report("3 equal-rates-unequal-harm", f"disparity={float(disparity):.12f}")
 
 
 def test_criterion_4_judge_conjunction():

@@ -7,7 +7,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad
 
 from fairsim import (
     AuditDataset,
@@ -18,7 +17,6 @@ from fairsim import (
     ScoreDensity,
     ScoreMap,
     apply_score_map,
-    integrate,
     is_defined,
     mc_long_run_eu,
     sample,
@@ -64,51 +62,6 @@ def test_population_needs_two_groups_and_one_grid():
         PopulationModel(groups={"a": csd, "b": other})
 
 
-# -- integrate ---------------------------------------------------------------
-
-
-def test_integrate_constant_weight():
-    assert integrate(ScoreDensity.uniform(GRID), lambda s: np.ones_like(s)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_integrate_linear_weight_against_quadrature():
-    expected, _ = quad(lambda s: s, 0.0, 1.0)
-    got = integrate(ScoreDensity.uniform(GRID), lambda s: s)
-    assert got == pytest.approx(expected, abs=1e-6)
-
-
-def test_integrate_clipped_utility_weight():
-    # weight = 2s - 1 above one half, zero below
-    got = integrate(ScoreDensity.uniform(GRID), lambda s: np.where(s > 0.5, 2 * s - 1, 0.0))
-    assert got == pytest.approx(0.25, abs=1e-4)
-
-
-def test_integrate_quadratic_weight():
-    got = integrate(ScoreDensity.uniform(64), lambda s: s ** 2)
-    assert got == pytest.approx(1.0 / 3.0, abs=1e-4)
-
-
-@given(
-    weights=st.lists(st.floats(0.0, 10.0), min_size=4, max_size=32),
-    scale=st.floats(-3.0, 3.0),
-)
-def test_integrate_is_linear_in_the_weight(weights, scale):
-    d = ScoreDensity(np.array(weights))
-    f = lambda s: s
-    g = lambda s: 1.0 - s
-    lhs = integrate(d, lambda s: f(s) + scale * g(s))
-    rhs = integrate(d, f) + scale * integrate(d, g)
-    assert lhs == pytest.approx(rhs, abs=1e-9)
-
-
-@given(weights=st.lists(st.floats(0.0, 10.0), min_size=4, max_size=32))
-def test_integrate_monotone_for_nonnegative_weights(weights):
-    d = ScoreDensity(np.array(weights))
-    small = integrate(d, lambda s: s)
-    large = integrate(d, lambda s: s + 0.5)
-    assert small <= large + 1e-12
-
-
 # -- base rate and per-cell calibration ------------------------------------------
 
 
@@ -131,7 +84,8 @@ def test_base_rate_matches_score_mean_when_calibrated():
     # for a calibrated group, mass of f1 equals the mean of the marginal
     csd = ConditionalScoreDensity.from_base_rate(0.3, GRID)
     marginal = ScoreDensity(csd.f0.weights + csd.f1.weights)
-    assert csd.base_rate == pytest.approx(integrate(marginal, lambda s: s), abs=1e-6)
+    mean = float(np.dot(marginal.weights, marginal.midpoints())) / GRID
+    assert csd.base_rate == pytest.approx(mean, abs=1e-6)
 
 
 def test_base_rate_unknown_group():
