@@ -427,6 +427,155 @@ def _is_plain_label(label) -> bool:
 #: Records per chunk in ``to_csv``; bounds the text held in memory at once.
 _WRITE_CHUNK = 1 << 16
 
+#: 10**k for k = 0..22, each an exact double.
+_POW10 = np.array([float(10**k) for k in range(23)])
+
+
+def _dekker_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split of doubles into two 26-bit halves, whose products with
+    the halves of another split double are exact."""
+    c = float(2**27 + 1) * a
+    high = c - (c - a)
+    return high, a - high
+
+
+_POW10_HIGH, _POW10_LOW = _dekker_split(_POW10)
+#: 10**k for k = 0..18 as int64, the bounds of an n-digit integer.
+_INT_POW10 = np.array([10**k for k in range(19)], dtype=np.int64)
+
+#: Relative distance from a decision's bound below which the kernel does
+#: not trust its rounded residual, whose own error is about 1e-16.
+_CERTAINTY = 1e-9
+#: Bytes of a score cell in ``to_csv``'s byte matrix: ``repr`` of a double in
+#: [0, 1] has at most 23 characters. A kernel-written cell is ``0.`` at bytes
+#: 2-3, then 20 zero-padded digits.
+_SCORE_BYTES = 24
+#: The first word of a kernel-written cell: two bytes it does not keep, ``0.``.
+_ZERO_POINT = np.frombuffer(b"\x00\x000.", dtype=np.uint32)[0]
+#: "0000" to "9999", four ASCII digits to a word: the rows of the index
+#: grid of a 10 x 10 x 10 x 10 array are the digits of 0..9999.
+_DIGIT_WORDS = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")).view(np.uint32)[:, 0]
+#: The bytes a score cell keeps when it holds ``0.`` and k fraction digits,
+#: at entry k - 14, each as one opaque item (see ``_cells``).
+_SCORE_MASKS = np.array(
+    [[False, False, True, True] + [j >= 20 - k for j in range(20)] for k in range(14, 21)]
+).view(f"V{_SCORE_BYTES}")[:, 0]
+
+
+def _nearest_decimal(x, x_high, x_low, half_ulp, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(D, passes, certain)``: D the integer nearest x * 10**k, whether
+    D / 10**k reads back as x, and whether that answer is certain.
+
+    x * 10**k is formed exactly as a double-double, ``product + error``
+    (Dekker's product), so the residual r = D - x * 10**k comes with one
+    rounding. D / 10**k reads back as x = m * 2**e, m in [1/2, 1), iff |r|
+    is below half an ulp of x, scaled: 2**(e - 54) * 10**k."""
+    scale = _POW10[k]
+    high, low = _POW10_HIGH[k], _POW10_LOW[k]
+    # Temporaries are reused in place: a chunk's kernel holds a few arrays.
+    product = x * scale
+    error = x_high * high
+    error -= product
+    term = x_high * low
+    error += term
+    error += np.multiply(x_low, high, out=term)
+    error += np.multiply(x_low, low, out=term)
+    nearest = np.rint(product)
+    fraction = np.subtract(product, nearest, out=product)  # exact: both within 1/2
+    step = np.rint(np.add(fraction, error, out=term), out=term)
+    residual = np.subtract(step, fraction, out=fraction)
+    residual -= error
+    np.abs(residual, out=residual)
+    bound = np.multiply(scale, half_ulp, out=scale)
+    gap = np.abs(np.subtract(residual, bound, out=error), out=error)
+    certain = gap > np.multiply(bound, _CERTAINTY, out=high)
+    gap = np.abs(np.subtract(residual, 0.5, out=error), out=error)
+    certain &= gap > _CERTAINTY  # else a tie for nearest
+    count = nearest.astype(np.int64)
+    count += step.astype(np.int64)
+    return count, residual < bound, certain
+
+
+def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(digits, places, certified)`` for scores ``x``: where ``certified``,
+    ``repr(x[i])`` is ``0.`` followed by ``digits[i]`` zero-padded to
+    ``places[i]`` characters.
+
+    ``repr`` writes the shortest decimal that reads back as x, the nearest
+    to x if several are that short (Steele & White; Ryu, Adams, PLDI 2018);
+    for x in [1e-4, 1) it writes ``0.`` and the fraction digits. With E the
+    decade of x, the n-digit decimals near x are D / 10**k, k = n - 1 - E,
+    and ``_nearest_decimal`` tests the nearest one. If an n-digit decimal
+    reads back, so does the nearest (n + 1)-digit one, so the shortest count
+    is the least n in 17, 16, 15 that passes, and its D ends in no zero.
+
+    A score is certified unless it is outside [1e-4, 1), its significand is
+    a power of two (its interval is lopsided), a test is uncertain, its D
+    has the wrong digit count (a misjudged decade), or 14 digits pass too
+    (fewer might).
+    """
+    m, e = np.frexp(x)
+    certified = (x >= 1e-4) & (x < 1.0) & (m != 0.5)
+    decade = (x >= 1e-3).astype(np.intp)  # E + 4 on [1e-4, 1)
+    decade += x >= 1e-2
+    decade += x >= 1e-1
+    x_high, x_low = _dekker_split(x)
+    half_ulp = np.ldexp(1.0, e - 54)
+    # A score no count passes keeps digits 0, which fails the digit check.
+    digits = np.zeros(len(x), np.int64)
+    places = 20 - decade
+    for n in (17, 16, 15, 14):
+        k = n + 3 - decade
+        count, passes, certain = _nearest_decimal(x, x_high, x_low, half_ulp, k)
+        certified &= certain
+        if n == 14:
+            certified &= ~passes
+        else:
+            np.copyto(digits, count, where=passes)
+            np.copyto(places, k, where=passes)
+    n = places + decade - 3
+    certified &= (digits >= _INT_POW10[n - 1]) & (digits < _INT_POW10[n])
+    return np.where(certified, digits, 0), places, certified  # 0 keeps table indices in range
+
+
+def _cells(matrix: np.ndarray, columns: slice) -> np.ndarray:
+    """``matrix[:, columns]`` as one opaque (void) item per row, a view.
+    numpy gathers and copies such items several times faster than rows of
+    small ones."""
+    part = matrix[:, columns]
+    return part.view(f"V{part.shape[1] * part.itemsize}")[:, 0]
+
+
+def _score_cells(x: np.ndarray, words: np.ndarray, keep: np.ndarray) -> None:
+    """Write each score's ``repr`` as UTF-8 into one row of ``words`` (six
+    uint32 columns) and mark its bytes in ``keep`` (24 bool columns).
+
+    Certified scores take the kernel's digits; every other score takes
+    ``repr`` itself, left-aligned."""
+    digits, places, certified = _shortest_digits(x)
+    high, low = np.divmod(digits, 10**8)
+    words[:, 0] = _ZERO_POINT
+    words[:, 1] = _DIGIT_WORDS[high // 10**8]
+    words[:, 2] = _DIGIT_WORDS[high // 10**4 % 10**4]
+    words[:, 3] = _DIGIT_WORDS[high % 10**4]
+    words[:, 4] = _DIGIT_WORDS[low // 10**4]
+    words[:, 5] = _DIGIT_WORDS[low % 10**4]
+    _cells(keep, slice(None))[:] = _SCORE_MASKS[places - 14]
+    rest = np.flatnonzero(~certified)
+    if len(rest):
+        text = np.array([repr(v).encode() for v in x[rest].tolist()], dtype=f"S{_SCORE_BYTES}")
+        words[rest] = text.view(np.uint32).reshape(len(rest), -1)
+        keep[rest] = text.view(np.uint8).reshape(len(rest), -1) != 0
+
+
+def _byte_table(pieces: list[bytes]) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(table, mask, width)``: each piece NUL-padded to ``width`` uint32
+    words and the mask of its own bytes, both one opaque item per piece."""
+    width = -(-max(map(len, pieces)) // 4)
+    lengths = np.array([len(piece) for piece in pieces])
+    mask = np.arange(4 * width) < lengths[:, None]
+    return np.array(pieces, dtype=f"V{4 * width}"), mask.view(f"V{4 * width}")[:, 0], width
+
 
 @dataclass(frozen=True, init=False)
 class AuditDataset:
@@ -510,26 +659,35 @@ class AuditDataset:
         """Write the records with a header, byte for byte as ``csv.writer``
         writes them row by row.
 
-        A row is three strings: its group's prefix (the label cell as
-        ``csv.writer`` quotes it, then a comma), the ``repr`` of its score,
-        and one of six suffixes ``",{outcome},{decision}\\n"``, at index
+        A row is three runs of bytes: its group's prefix (the label cell as
+        ``csv.writer`` quotes it, then a comma, in UTF-8), the ``repr`` of its
+        score, and one of six suffixes ``",{outcome},{decision}\\n"``, at index
         ``3 * outcome + decision + 1``, where a missing decision (-1) has an
-        empty cell. Each chunk of ``_WRITE_CHUNK`` records gathers its
-        prefixes and suffixes from those small arrays and is joined into one
-        string, so memory stays bounded."""
-        prefixes = np.array([_csv_cell(label) + "," for label in self.labels], dtype=object)
-        suffixes = np.array([f",{y},{d}\n" for y in (0, 1) for d in ("", "0", "1")], dtype=object)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh, lineterminator="\n").writerow(CSV_HEADER)
-            for start in range(0, len(self), _WRITE_CHUNK):
-                part = slice(start, start + _WRITE_CHUNK)
+        empty cell. Scores are formatted in numpy to ``repr``'s own bytes;
+        ``repr`` itself writes each score that kernel cannot certify (see
+        ``_shortest_digits``). Each chunk of ``_WRITE_CHUNK`` records fills a
+        matrix of uint32 words, one row per record, and a mask of the bytes
+        each row keeps, and writes the kept bytes, so memory stays bounded."""
+        prefixes, prefix_keep, p = _byte_table([_csv_line((label, ""))[:-1].encode() for label in self.labels])
+        suffixes, suffix_keep, q = _byte_table([f",{y},{d}\n".encode() for y in (0, 1) for d in ("", "0", "1")])
+        s = p + _SCORE_BYTES // 4  # a row's words: prefix [0, p), score [p, s), suffix [s, s + q)
+        # Past 16 words a row (prefixes over 32 bytes), a chunk takes fewer
+        # records, so its matrix and mask stay within _WRITE_CHUNK * 64 bytes.
+        chunk = max(1, _WRITE_CHUNK * 16 // max(16, s + q))
+        with open(path, "wb") as fh:
+            fh.write(_csv_line(CSV_HEADER).encode())
+            for start in range(0, len(self), chunk):
+                part = slice(start, start + chunk)
+                codes = self.codes[part]
                 kinds = 3 * self.outcome[part] + self.decision[part] + 1
-                rows = zip(
-                    prefixes[self.codes[part]].tolist(),
-                    map(repr, self.score[part].tolist()),
-                    suffixes[kinds].tolist(),
-                )
-                fh.write("".join(itertools.chain.from_iterable(rows)))
+                words = np.empty((len(codes), s + q), np.uint32)
+                keep = np.empty((len(codes), 4 * (s + q)), bool)
+                _cells(words, slice(0, p))[:] = prefixes[codes]
+                _cells(keep, slice(0, 4 * p))[:] = prefix_keep[codes]
+                _score_cells(self.score[part], words[:, p:s], keep[:, 4 * p : 4 * s])
+                _cells(words, slice(s, None))[:] = suffixes[kinds]
+                _cells(keep, slice(4 * s, None))[:] = suffix_keep[kinds]
+                fh.write(words.view(np.uint8)[keep])
 
     @classmethod
     def from_csv(cls, path) -> "AuditDataset":
@@ -553,11 +711,11 @@ def _factorize(values: list) -> tuple[tuple, np.ndarray]:
     return tuple(index), np.fromiter(map(index.__getitem__, values), dtype=np.int32, count=len(values))
 
 
-def _csv_cell(value) -> str:
-    """``value`` as ``csv.writer`` renders it as the first cell of a row."""
+def _csv_line(values) -> str:
+    """``values`` as ``csv.writer`` renders them as one row."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow((value, ""))
-    return buf.getvalue()[: -len(",\n")]
+    csv.writer(buf, lineterminator="\n").writerow(values)
+    return buf.getvalue()
 
 
 def _line_count(path, limit: int) -> int | None:

@@ -194,7 +194,8 @@ def run_recommender_experiment(
                 "stderr_men": se_men,
                 "disparity": abs(mc_women - mc_men),
             },
-            "calibrated_optimum": eu_women,
+            # the warranted decision's EU: each case's loss is measured against it
+            "calibrated_optimum": eu_men + sum(stats.loss for stats in cases_men.cases.values()),
         },
         "cases_men": {
             name: {"mass": stats.mass, "loss": stats.loss} for name, stats in cases_men.cases.items()

@@ -23,6 +23,8 @@ from fairsim.densities import (
     _line_count,
     _read_columns,
     _read_rows,
+    _score_cells,
+    _shortest_digits,
     group_index,
 )
 from _helpers import judge_population
@@ -291,6 +293,100 @@ def test_to_csv_chunks_keep_record_order(tmp_path, monkeypatch):
     path = tmp_path / "records.csv"
     data.to_csv(path)
     assert path.read_bytes() == _csv_writer_rendering(data)
+
+
+def test_a_long_label_shortens_the_chunk_but_not_the_file(tmp_path, monkeypatch):
+    # A 201-byte prefix (100 two-byte characters, a comma) makes a row of 59
+    # words, so chunks of 32 records shrink to 8: 13 chunks for 100 records,
+    # the last one partial.
+    monkeypatch.setattr("fairsim.densities._WRITE_CHUNK", 32)
+    rng = np.random.default_rng(4)
+    data = AuditDataset(
+        group=rng.choice(["a", "\u00e9" * 100, 'q"'], 100),
+        score=rng.random(100),
+        outcome=rng.integers(0, 2, 100),
+        decision=rng.integers(-1, 2, 100),
+    )
+    path = tmp_path / "records.csv"
+    data.to_csv(path)
+    assert path.read_bytes() == _csv_writer_rendering(data)
+
+
+def _score_lines(x: np.ndarray) -> bytes:
+    """Each score's cell as ``to_csv`` writes it, one to a line."""
+    words = np.zeros((len(x), 7), np.uint32)
+    keep = np.zeros((len(x), 28), bool)
+    _score_cells(x, words[:, :6], keep[:, :24])
+    words.view(np.uint8)[:, 24] = ord("\n")
+    keep[:, 24] = True
+    return words.view(np.uint8)[keep].tobytes()
+
+
+def _edge_scores() -> np.ndarray:
+    """Both zeros, 1.0, the least subnormal, 1e-1 to 1e-5 and their neighbours,
+    and every power of two in [0, 1]."""
+    tens = [float(f"1e-{k}") for k in range(1, 6)]
+    near = [np.nextafter(t, toward) for t in tens for toward in (0.0, 1.0)]
+    return np.array([0.0, -0.0, 1.0, 5e-324, *tens, *near, *(2.0**-j for j in range(1075))])
+
+
+def _oracle_scores(name: str) -> np.ndarray:
+    rng = np.random.default_rng(30)
+    if name == "bit patterns":
+        return rng.integers(0, np.float64(1.0).view(np.int64), 1_000_000, endpoint=True).view(np.float64)
+    if name == "bit patterns from 1e-4":
+        return rng.integers(np.float64(1e-4).view(np.int64), np.float64(1.0).view(np.int64), 200_000).view(np.float64)
+    if name == "sampled":
+        return sample(judge_population(1024), 1_000_000, seed=5).score
+    if name == "short decimals":
+        return np.concatenate([np.round(rng.random(10_000), d) for d in range(1, 16)])
+    if name == "dyadics":  # every m / 2**j for j <= 14, then odd m drawn for j <= 30 (ties for nearest)
+        drawn = [(2 * rng.integers(0, 2 ** (j - 1), 5_000) + 1) / 2**j for j in range(15, 31)]
+        return np.concatenate([np.arange(1, 2**j) / 2**j for j in range(1, 15)] + drawn)
+    assert name == "edges"
+    return _edge_scores()
+
+
+#: The least share of each set's scores that the kernel certifies, so that
+#: its own digits, not ``repr``, are what the oracle checks.
+CERTIFIED_SHARE = {"bit patterns from 1e-4": 0.98, "sampled": 0.99}
+
+
+@pytest.mark.parametrize(
+    "name", ["bit patterns", "bit patterns from 1e-4", "sampled", "short decimals", "dyadics", "edges"]
+)
+def test_score_kernel_writes_the_bytes_of_repr(name):
+    """Every score the kernel certifies, and the first 1e5 of all (the rest
+    only repeat ``repr`` against itself), come out as ``repr``'s bytes."""
+    x = _oracle_scores(name)
+    certified = _shortest_digits(x)[2]
+    assert certified.mean() >= CERTIFIED_SHARE.get(name, 0.0)
+    for scores in (x[certified], x[:100_000]):
+        got = _score_lines(scores)
+        if got != "".join(f"{v!r}\n" for v in scores.tolist()).encode():
+            row, cell = next((i, a) for i, a in enumerate(got.splitlines()) if a != repr(scores[i]).encode())
+            pytest.fail(f"score {scores[row]!r} ({float(scores[row]).hex()}) written as {cell!r}")
+
+
+def test_to_csv_round_trips_sampled_and_edge_records_bit_for_bit(tmp_path):
+    pop = judge_population(1024)
+    drawn = sample(pop, 100_000, seed=8, rule=solve_equalized_odds(pop, "men", 0.5))
+    edges = _edge_scores()
+    rng = np.random.default_rng(8)
+    data = AuditDataset(
+        group=np.concatenate([drawn.group, rng.choice(["men", "women", "other"], len(edges))]),
+        score=np.concatenate([drawn.score, edges]),
+        outcome=np.concatenate([drawn.outcome, rng.integers(0, 2, len(edges))]),
+        decision=np.concatenate([drawn.decision, rng.integers(-1, 2, len(edges))]),
+    )
+    assert len(data) % WRITE_CHUNK and len(data) > WRITE_CHUNK  # the last chunk is partial
+    path = tmp_path / "records.csv"
+    data.to_csv(path)
+    back = AuditDataset.from_csv(path)
+    assert back.labels == data.labels
+    assert np.array_equal(back.score.view(np.int64), data.score.view(np.int64))
+    for column in ("outcome", "decision", "codes"):
+        assert np.array_equal(getattr(back, column), getattr(data, column)), column
 
 
 def test_reader_accepts_a_byte_order_mark(tmp_path):

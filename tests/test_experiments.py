@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,6 +57,18 @@ def test_recommender_reports_name_their_map():
     assert params["constant"][:2] == ["params.map = constant", "params.map_value = 0.9"]
     assert params["flip"][:2] == ["params.map = flip", "params.map_value = 0.9"]
     assert params["constant"][2:] == params["flip"][2:]
+
+
+@pytest.mark.parametrize("map_name", ["identity", "flip"])
+def test_recommender_calibrated_optimum_is_the_warranted_decisions_eu(map_name):
+    # On an odd grid t = 1/2 is the midpoint of the middle cell, so the
+    # identity map's own EU (150932/603729) falls short of the warranted
+    # decision's 1/4; the optimum must not depend on the map either.
+    report = run_recommender_experiment(map_name, grid=777, samples=1000)
+    eu = report.metrics["eu"]
+    assert eu["calibrated_optimum"] == Fraction(1, 4)
+    assert eu["analytic"]["women"] == Fraction(150932, 603729)
+    assert "metrics.eu.calibrated_optimum = 0.25" in report.to_doc().splitlines()
 
 
 def test_recommender_mc_tracks_the_analytic_values():
