@@ -97,44 +97,44 @@ class ScoreDensity:
     def midpoints(self) -> np.ndarray:
         return cell_midpoints(self.weights.size)
 
-    @cached_property
-    def _binary_cells(self) -> tuple[np.ndarray, np.ndarray, int, int]:
-        """``(num, shift, low, drop)``: each weight as ``num << shift`` over one power of two.
+    def _binary_cells(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """``(num, shift, low)``: each weight as ``num << shift`` over one power of two.
 
         A weight is read as its bits: ``num`` is its 53-bit integer mantissa,
         with the hidden bit, and ``shift`` its exponent field above ``low``, the
         field of the least nonzero weight (at least 1, which subnormals share,
         and at most 1075, where a weight's last bit is worth 1). So every weight
-        is ``(num << shift) * 2**(low - 1075)``. ``drop`` counts the trailing
-        zero bits common to every ``num << shift``, as far as ``low`` allows:
-        over ``2**(1075 - low - drop)`` the weights are the least integers. The
-        sign bit is cleared, so a ``-0.0`` weight is a zero, and a zero has shift 0."""
+        is ``(num << shift) * 2**(low - 1075)``. The sign bit is cleared, so a
+        ``-0.0`` weight is a zero, and a zero has shift 0. The decode is not
+        kept: ``_suffix_limbs`` is the one integer form a density holds."""
         bits = self.weights.view(np.int64) & _MAGNITUDE
         expo = bits >> 52  # the biased exponent: 0 for zero and subnormal weights
         num = (bits & _MANTISSA) | (np.minimum(expo, 1) << 52)
         least = int((bits - 1).view(np.uint64).min()) + 1  # a zero wraps to the largest value
         low = max(1, min(1075, least >> 52))
-        shift = np.maximum(expo, low) - low
-        drop = 0
-        if low < 1075:
-            # A least-exponent cell has shift 0 and at most 52 trailing zero bits,
-            # so the low 64 bits of the cells hold their common trailing zeros.
-            tail = int(np.bitwise_or.reduce(num.view(np.uint64) << shift.view(np.uint64)))
-            drop = min((tail & -tail).bit_length() - 1, 1075 - low)
-        return num, shift, low, drop
+        return num, np.maximum(expo, low) - low, low
 
     @cached_property
-    def _suffix_limbs(self) -> tuple[np.ndarray, int, int]:
-        """``(suffix, drop, denominator)``: the integer form every exact read uses.
+    def _suffix_limbs(self) -> tuple[np.ndarray, int, int, int]:
+        """``(suffix, low, drop, denominator)``: the integer form every exact read uses.
 
         ``_binary_cells`` puts every weight over one power of two as the
         integer ``num << shift``; here each is split into 32-bit limbs.
         ``suffix`` is a ``(G + 1, rows)`` int64 matrix whose row k holds the
         limb sums of the cells from k on, so boundary k's numerator is
         ``sum(suffix[k, j] << 32 * j) >> drop``, over ``denominator``: G
-        times the least power of two that makes every cell an integer."""
-        num, shift, low, drop = self._binary_cells
+        times the least power of two that makes every cell an integer.
+        ``drop`` counts the trailing zero bits common to every cell, as far as
+        ``low`` allows, so the cells over ``2**(1075 - low - drop)`` are the
+        least integers."""
+        num, shift, low = self._binary_cells()
         grid = num.size
+        drop = 0
+        if low < 1075:
+            # A least-exponent cell has shift 0 and at most 52 trailing zero bits,
+            # so the low 64 bits of the cells hold their common trailing zeros.
+            tail = int(np.bitwise_or.reduce(num.view(np.uint64) << shift.view(np.uint64)))
+            drop = min((tail & -tail).bit_length() - 1, 1075 - low)
         r = shift & (_LIMB - 1)
         rows = int(shift.max()) // _LIMB + 3
         # Cell k fills row G - k, so a cumulative sum down the rows adds up
@@ -153,11 +153,11 @@ class ScoreDensity:
             at = np.arange(grid * rows, 0, -rows) + shift // _LIMB
             limbs.reshape(-1)[at + np.arange(3)[:, None]] = parts
         limbs.cumsum(axis=0, out=limbs)
-        return limbs[::-1], drop, grid << (1075 - low - drop)
+        return limbs[::-1], low, drop, grid << (1075 - low - drop)
 
     def boundary_numerator(self, k: int) -> int:
         """Entry k of ``boundary_numerators()``, read off its limbs alone."""
-        suffix, drop, _ = self._suffix_limbs
+        suffix, _, drop, _ = self._suffix_limbs
         n = 0
         for limb in reversed(suffix[k].tolist()):
             n = (n << _LIMB) + limb
@@ -165,7 +165,8 @@ class ScoreDensity:
 
     @cached_property
     def _boundary_tuple(self) -> tuple[int, ...]:
-        num, shift, _, drop = self._binary_cells
+        num, shift, _ = self._binary_cells()
+        drop = self._suffix_limbs[2]
         if drop:  # the cells over the least denominator: shifts drop first, then mantissas
             num = num >> np.maximum(drop - shift, 0)
             shift = np.maximum(shift - drop, 0)
@@ -194,7 +195,7 @@ class ScoreDensity:
 
     @cached_property
     def _float_view(self) -> np.ndarray:
-        suffix, low = self._suffix_limbs[0], self._binary_cells[2]
+        suffix, low = self._suffix_limbs[:2]
         # limb by limb from the lowest, each term exact or rounded once: a
         # weight is its integer times 2**(low - 1075)
         with np.errstate(over="ignore"):
@@ -205,7 +206,7 @@ class ScoreDensity:
     @property
     def exact_denominator(self) -> int:
         """Common denominator of ``boundary_numerators()``: a power of two times G."""
-        return self._suffix_limbs[2]
+        return self._suffix_limbs[3]
 
     @cached_property
     def _exact_total(self) -> Fraction:
@@ -568,13 +569,34 @@ def _score_cells(x: np.ndarray, words: np.ndarray, keep: np.ndarray) -> None:
         keep[rest] = text.view(np.uint8).reshape(len(rest), -1) != 0
 
 
-def _byte_table(pieces: list[bytes]) -> tuple[np.ndarray, np.ndarray, int]:
-    """``(table, mask, width)``: each piece NUL-padded to ``width`` uint32
-    words and the mask of its own bytes, both one opaque item per piece."""
-    width = -(-max(map(len, pieces)) // 4)
+def _byte_table(pieces: list[bytes]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(words, mask, widths)``: each piece NUL-padded to the widest one's
+    uint32 words, one row per piece, the mask of its own bytes, and each
+    piece's own width in words."""
     lengths = np.array([len(piece) for piece in pieces])
-    mask = np.arange(4 * width) < lengths[:, None]
-    return np.array(pieces, dtype=f"V{4 * width}"), mask.view(f"V{4 * width}")[:, 0], width
+    widths = -(-lengths // 4)
+    width = int(widths.max())
+    words = np.array(pieces, dtype=f"V{4 * width}").view(np.uint32).reshape(len(pieces), width)
+    return words, np.arange(4 * width) < lengths[:, None], widths
+
+
+def _write_chunks(codes: np.ndarray, widths: np.ndarray, tail: int):
+    """``(part, width)`` for each chunk of ``to_csv``, in record order: a
+    chunk's rows are ``width`` words of prefix, then ``tail`` more.
+
+    ``width`` is the widest prefix among the chunk's own codes, and ``part``
+    takes the most records whose rows of ``width + tail`` words (at least 16)
+    fit in ``_WRITE_CHUNK`` rows of 16 words, so a long label shortens only
+    the chunks that hold it. The scan reads only as many codes as the first
+    record's row admits, which bounds the count, as the width never falls."""
+    start = 0
+    while start < len(codes):
+        window = _WRITE_CHUNK * 16 // max(16, int(widths[codes[start]]) + tail)
+        wide = np.maximum.accumulate(widths[codes[start : start + max(1, window)]])
+        fits = np.maximum(16, wide + tail) * np.arange(1, len(wide) + 1) <= _WRITE_CHUNK * 16
+        count = max(1, int(np.count_nonzero(fits)))
+        yield slice(start, start + count), int(wide[count - 1])
+        start += count
 
 
 @dataclass(frozen=True, init=False)
@@ -665,28 +687,26 @@ class AuditDataset:
         ``3 * outcome + decision + 1``, where a missing decision (-1) has an
         empty cell. Scores are formatted in numpy to ``repr``'s own bytes;
         ``repr`` itself writes each score that kernel cannot certify (see
-        ``_shortest_digits``). Each chunk of ``_WRITE_CHUNK`` records fills a
-        matrix of uint32 words, one row per record, and a mask of the bytes
-        each row keeps, and writes the kept bytes, so memory stays bounded."""
-        prefixes, prefix_keep, p = _byte_table([_csv_line((label, ""))[:-1].encode() for label in self.labels])
-        suffixes, suffix_keep, q = _byte_table([f",{y},{d}\n".encode() for y in (0, 1) for d in ("", "0", "1")])
-        s = p + _SCORE_BYTES // 4  # a row's words: prefix [0, p), score [p, s), suffix [s, s + q)
-        # Past 16 words a row (prefixes over 32 bytes), a chunk takes fewer
-        # records, so its matrix and mask stay within _WRITE_CHUNK * 64 bytes.
-        chunk = max(1, _WRITE_CHUNK * 16 // max(16, s + q))
+        ``_shortest_digits``). Each chunk (see ``_write_chunks``) fills a
+        matrix of uint32 words, one row per record as wide as the chunk's
+        widest prefix, and a mask of the bytes each row keeps, and writes the
+        kept bytes, so memory stays bounded."""
+        prefixes, prefix_keep, widths = _byte_table([_csv_line((label, ""))[:-1].encode() for label in self.labels])
+        suffixes, suffix_keep, _ = _byte_table([f",{y},{d}\n".encode() for y in (0, 1) for d in ("", "0", "1")])
+        q = suffixes.shape[1]
         with open(path, "wb") as fh:
             fh.write(_csv_line(CSV_HEADER).encode())
-            for start in range(0, len(self), chunk):
-                part = slice(start, start + chunk)
+            for part, p in _write_chunks(self.codes, widths, _SCORE_BYTES // 4 + q):
+                s = p + _SCORE_BYTES // 4  # a row's words: prefix [0, p), score [p, s), suffix [s, s + q)
                 codes = self.codes[part]
                 kinds = 3 * self.outcome[part] + self.decision[part] + 1
                 words = np.empty((len(codes), s + q), np.uint32)
                 keep = np.empty((len(codes), 4 * (s + q)), bool)
-                _cells(words, slice(0, p))[:] = prefixes[codes]
-                _cells(keep, slice(0, 4 * p))[:] = prefix_keep[codes]
+                _cells(words, slice(0, p))[:] = _cells(prefixes, slice(0, p))[codes]
+                _cells(keep, slice(0, 4 * p))[:] = _cells(prefix_keep, slice(0, 4 * p))[codes]
                 _score_cells(self.score[part], words[:, p:s], keep[:, 4 * p : 4 * s])
-                _cells(words, slice(s, None))[:] = suffixes[kinds]
-                _cells(keep, slice(4 * s, None))[:] = suffix_keep[kinds]
+                _cells(words, slice(s, None))[:] = _cells(suffixes, slice(None))[kinds]
+                _cells(keep, slice(4 * s, None))[:] = _cells(suffix_keep, slice(None))[kinds]
                 fh.write(words.view(np.uint8)[keep])
 
     @classmethod

@@ -384,8 +384,7 @@ def run_appendix_counterexample(grid: int = DEFAULT_GRID, reshapes: int = 100, s
     declined-case composition."""
     base_m, base_f, t_ref = 0.3, 0.6, 0.5
     men_a = ConditionalScoreDensity.from_base_rate(base_m, grid)
-    women = ConditionalScoreDensity.from_base_rate(base_f, grid)
-    pop_a = PopulationModel(groups={"men": men_a, "women": women})
+    pop_a = PopulationModel(groups={"men": men_a, "women": ConditionalScoreDensity.from_base_rate(base_f, grid)})
     rule = solve_parity_ratio(pop_a, "men", t_ref)
 
     neg_total = men_a.f0.total_mass()
@@ -396,27 +395,23 @@ def run_appendix_counterexample(grid: int = DEFAULT_GRID, reshapes: int = 100, s
     men_b = ConditionalScoreDensity(f0=reshaped, f1=men_a.f1)
     pop_b = pop_a.with_group("men", men_b)
 
-    def declined(pop: PopulationModel, g: str) -> tuple[Fraction, Fraction]:
-        """The group's exact missed positive mass and false omission rate under the rule."""
-        counts = ConfusionCounts.of(pop.group(g), rule.for_group(g))
-        return counts.fn, counts.pos_given_r0
-
-    # every population shares the women's density and policy
-    mf, fo_women = declined(pop_a, "women")
+    measured = {"popA": confusion_tables(pop_a, rule), "popB": confusion_tables(pop_b, rule)}
     out = {}
-    for tag, pop in (("popA", pop_a), ("popB", pop_b)):
-        mm, fo_men = declined(pop, "men")
+    for tag, tables in measured.items():
+        men, women = tables["men"], tables["women"]
         out[tag] = {
-            "missed_positive_men": mm,
-            "missed_positive_women": mf,
-            "missed_positive_gap": abs(mm - mf),
-            "false_omission_men": fo_men,
-            "false_omission_women": fo_women,
-            "false_omission_gap": abs(fo_men - fo_women),
+            "missed_positive_men": men.fn,
+            "missed_positive_women": women.fn,
+            "missed_positive_gap": abs(men.fn - women.fn),
+            "false_omission_men": men.pos_given_r0,
+            "false_omission_women": women.pos_given_r0,
+            "false_omission_gap": abs(men.pos_given_r0 - women.pos_given_r0),
         }
     men_shift = abs(out["popA"]["false_omission_men"] - out["popB"]["false_omission_men"])
     women_shift = abs(out["popA"]["false_omission_women"] - out["popB"]["false_omission_women"])
 
+    # a reshape keeps popA's women, so it measures only the men's row
+    women, men_policy = measured["popA"]["women"], rule.for_group("men")
     below_a = men_a.f0.exact_mass_below(t_ref)
     rng = np.random.default_rng(seed)
     reshape_parity_residuals = []
@@ -439,10 +434,9 @@ def run_appendix_counterexample(grid: int = DEFAULT_GRID, reshapes: int = 100, s
             continue
         if abs(cand.exact_mass_below(t_ref) - below_a) < 0.02:
             continue  # must move mass across the threshold
-        pop_r = pop_a.with_group("men", ConditionalScoreDensity(f0=cand, f1=men_a.f1))
-        mm, fo_men = declined(pop_r, "men")
-        reshape_parity_residuals.append(abs(mm - mf))
-        reshape_false_omission_gaps.append(abs(fo_men - fo_women))
+        men = ConfusionCounts.of(ConditionalScoreDensity(f0=cand, f1=men_a.f1), men_policy)
+        reshape_parity_residuals.append(abs(men.fn - women.fn))
+        reshape_false_omission_gaps.append(abs(men.pos_given_r0 - women.pos_given_r0))
         produced += 1
 
     metrics = {

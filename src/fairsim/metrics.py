@@ -227,7 +227,7 @@ class SufficiencyGaps(_TwoGaps):
         for level, decided in ((r0, lambda c: c.fn + c.tn), (r1, lambda c: c.tp + c.fp)):
             defined = [r for r in level.values() if is_defined(r)]
             if len(defined) >= 2:
-                levels.append((max(defined) - min(defined), sum(map(decided, tables.values()))))
+                levels.append((spread(defined), sum(map(decided, tables.values()))))
         pooled = sum(mass for _, mass in levels)
         sup = max(gap for gap, _ in levels) if levels else UNDEFINED
         l1 = sum(gap * mass for gap, mass in levels) / pooled if pooled else UNDEFINED

@@ -325,8 +325,7 @@ def _roc_point_policy(csd: ConditionalScoreDensity, fpr_target: Fraction, tpr_ta
             t, mass1, mass0 = Fraction(k, grid), Fraction(a1, d1), Fraction(a0, d0)
             break
         if (h > 0) != (h0 > 0):
-            w1 = Fraction((n1(k - 1) - a1) * grid, d1)
-            w0 = Fraction((n0(k - 1) - a0) * grid, d0)
+            w1, w0 = Fraction(csd.f1.weights[k - 1]), Fraction(csd.f0.weights[k - 1])
             # within cell k - 1: masses are linear in u = k/grid - t
             u = Fraction(-h, d1 * d0 * c1.denominator * c0.denominator) / (w1 * c1 - w0 * c0)
             t, mass1, mass0 = Fraction(k, grid) - u, Fraction(a1, d1) + w1 * u, Fraction(a0, d0) + w0 * u
@@ -429,5 +428,4 @@ def _threshold_for_below_mass(density: ScoreDensity, target: Fraction) -> Fracti
     below = Fraction(total - rest, den)
     if below == target:
         return Fraction(lo, grid)
-    w = Fraction((rest - n(lo + 1)) * grid, den)
-    return Fraction(lo, grid) + (target - below) / w
+    return Fraction(lo, grid) + (target - below) / Fraction(density.weights[lo])

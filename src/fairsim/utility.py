@@ -109,10 +109,10 @@ def classify_cases(
     a part [a, b] the mass is the cell's density times b - a, and acting's
     utility that mass times its value at (a + b) / 2."""
     _check_inputs(true_density, displayed)
-    grid, n, t = true_density.grid_size, true_density.boundary_numerators(), Fraction(threshold)
+    grid, t = true_density.grid_size, Fraction(threshold)
     j = min(max(math.floor(t * grid), 0), grid - 1)
     t = min(max(t, Fraction(j, grid)), Fraction(j + 1, grid))
-    height = Fraction(grid * (n[j] - n[j + 1]), true_density.exact_denominator)
+    height = Fraction(true_density.weights[j])
     cells, act = np.arange(grid), displayed.values > threshold
     cases = {}
     for name, acted, warranted in (("case1", 0, 0), ("case2", 1, 0), ("case3", 0, 1), ("case4", 1, 1)):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fairsim import AuditDataset, PopulationModel, sample, solve_equalized_odds
+from fairsim import AuditDataset, PopulationModel, densities, sample, solve_equalized_odds
 from fairsim.densities import (
     _WRITE_CHUNK as WRITE_CHUNK,
     _is_plain_label,
@@ -297,8 +297,8 @@ def test_to_csv_chunks_keep_record_order(tmp_path, monkeypatch):
 
 def test_a_long_label_shortens_the_chunk_but_not_the_file(tmp_path, monkeypatch):
     # A 201-byte prefix (100 two-byte characters, a comma) makes a row of 59
-    # words, so chunks of 32 records shrink to 8: 13 chunks for 100 records,
-    # the last one partial.
+    # words, so a chunk of 32 records that holds one shrinks to 8 or fewer:
+    # here 13 chunks for 100 records, the last one partial.
     monkeypatch.setattr("fairsim.densities._WRITE_CHUNK", 32)
     rng = np.random.default_rng(4)
     data = AuditDataset(
@@ -310,6 +310,35 @@ def test_a_long_label_shortens_the_chunk_but_not_the_file(tmp_path, monkeypatch)
     path = tmp_path / "records.csv"
     data.to_csv(path)
     assert path.read_bytes() == _csv_writer_rendering(data)
+
+
+@pytest.mark.parametrize(
+    "at, sizes",
+    [
+        (0, [1, 7, 7, 7, 7, 7, 4]),
+        (6, [6, 1, 7, 7, 7, 7, 5]),
+        (7, [7, 1, 7, 7, 7, 7, 4]),
+        (39, [7, 7, 7, 7, 7, 4, 1]),
+    ],
+)
+def test_one_label_at_the_field_limit_shortens_only_its_own_chunk(tmp_path, monkeypatch, at, sizes):
+    # A 131,072-character label, the csv field-size limit, at record 0, at
+    # either side of the first chunk boundary, and last: its chunk holds it
+    # alone, the others keep up to 7 records, and the file is csv.writer's.
+    monkeypatch.setattr("fairsim.densities._WRITE_CHUNK", 7)
+    parts = []
+    chunks = densities._write_chunks
+    monkeypatch.setattr(densities, "_write_chunks", lambda *args: (parts.append(c[0]) or c for c in chunks(*args)))
+    rng = np.random.default_rng(6)
+    group = rng.choice(["a", "b,c"], 40).astype(object)
+    group[at] = "\u00e9," * 65_536
+    data = AuditDataset(
+        group=group, score=rng.random(40), outcome=rng.integers(0, 2, 40), decision=rng.integers(-1, 2, 40)
+    )
+    path = tmp_path / "records.csv"
+    data.to_csv(path)
+    assert path.read_bytes() == _csv_writer_rendering(data)
+    assert [part.stop - part.start for part in parts] == sizes
 
 
 def _score_lines(x: np.ndarray) -> bytes:

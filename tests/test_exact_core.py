@@ -60,6 +60,17 @@ def test_only_densities_touches_the_private_exact_core():
     assert offenders == []
 
 
+def test_a_density_caches_one_integer_form():
+    """On the ``exact_total`` path a density keeps one integer form, its limb
+    suffix matrix: after a total, its cached private names are that matrix
+    and the total, and the bit decode the matrix was built from is not kept
+    beside it. (``boundary_numerators()`` caches a second form on demand;
+    this test does not call it.)"""
+    density = ScoreDensity(np.random.default_rng(5).uniform(0.2, 1.0, 1024))
+    density.exact_total()
+    assert {name for name in vars(density) if name.startswith("_")} == {"_suffix_limbs", "_exact_total"}
+
+
 def test_a_calibrated_build_builds_no_boundary_tuple():
     """Building a calibrated group reads one total from the raw and the
     normalized marginal and from its f0 and f1; each reads it off its limb

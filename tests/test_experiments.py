@@ -6,6 +6,7 @@ import pytest
 
 from fairsim import (
     ConditionalScoreDensity,
+    PopulationModel,
     ScoreDensity,
     run_appendix_counterexample,
     run_equal_rates_unequal_utility,
@@ -189,6 +190,20 @@ def test_counterexample_keeps_parity_and_moves_composition():
     assert report.metrics["false_omission"]["women_shift"] == 0.0
     assert report.verdicts["harm_parity_preserved"].holds
     assert report.verdicts["composition_changed"].holds
+
+
+def test_counterexample_measures_the_women_on_each_population(monkeypatch):
+    """Each population's women are measured on it: when popB's women differ
+    from popA's, their false omission rate shifts and ``women_unchanged``
+    fails."""
+    other = ConditionalScoreDensity.from_base_rate(0.5, GRID)
+    with_group = PopulationModel.with_group
+    monkeypatch.setattr(
+        PopulationModel, "with_group", lambda pop, label, csd: with_group(with_group(pop, label, csd), "women", other)
+    )
+    report = run_appendix_counterexample(grid=GRID, reshapes=5, seed=7)
+    assert report.metrics["false_omission"]["women_shift"] > 0
+    assert not report.verdicts["women_unchanged"].holds
 
 
 def test_counterexample_rejects_a_grid_too_small_to_reshape():
