@@ -61,13 +61,6 @@ _LIMB_MASK = (1 << _LIMB) - 1
 _MAGNITUDE = (1 << 63) - 1
 _MANTISSA = (1 << 52) - 1
 
-#: Bound on the relative error of each finite entry of
-#: ``ScoreDensity.float_suffix_sums()``. An entry sums at most 66 nonnegative
-#: limb terms, each exact or rounded once, so its error is below 66 * 2**-53.
-#: A term is a multiple of 2**-1074, so one below the normal range is exact
-#: and the bound holds for subnormal entries too.
-FLOAT_VIEW_RTOL = 2.0**-46
-
 
 @dataclass(frozen=True)
 class ScoreDensity:
@@ -115,8 +108,8 @@ class ScoreDensity:
         return num, np.maximum(expo, low) - low, low
 
     @cached_property
-    def _suffix_limbs(self) -> tuple[np.ndarray, int, int, int]:
-        """``(suffix, low, drop, denominator)``: the integer form every exact read uses.
+    def _suffix_limbs(self) -> tuple[np.ndarray, int, int]:
+        """``(suffix, drop, denominator)``: the integer form every exact read uses.
 
         ``_binary_cells`` puts every weight over one power of two as the
         integer ``num << shift``; here each is split into 32-bit limbs.
@@ -153,11 +146,11 @@ class ScoreDensity:
             at = np.arange(grid * rows, 0, -rows) + shift // _LIMB
             limbs.reshape(-1)[at + np.arange(3)[:, None]] = parts
         limbs.cumsum(axis=0, out=limbs)
-        return limbs[::-1], low, drop, grid << (1075 - low - drop)
+        return limbs[::-1], drop, grid << (1075 - low - drop)
 
     def boundary_numerator(self, k: int) -> int:
         """Entry k of ``boundary_numerators()``, read off its limbs alone."""
-        suffix, _, drop, _ = self._suffix_limbs
+        suffix, drop, _ = self._suffix_limbs
         n = 0
         for limb in reversed(suffix[k].tolist()):
             n = (n << _LIMB) + limb
@@ -166,7 +159,7 @@ class ScoreDensity:
     @cached_property
     def _boundary_tuple(self) -> tuple[int, ...]:
         num, shift, _ = self._binary_cells()
-        drop = self._suffix_limbs[2]
+        drop = self._suffix_limbs[1]
         if drop:  # the cells over the least denominator: shifts drop first, then mantissas
             num = num >> np.maximum(drop - shift, 0)
             shift = np.maximum(shift - drop, 0)
@@ -186,27 +179,10 @@ class ScoreDensity:
         """
         return self._boundary_tuple
 
-    def float_suffix_sums(self) -> np.ndarray:
-        """G times the mass of [k/G, 1], the sum of the weights from k on,
-        for k = 0..G, as floats: each finite entry lies within a relative
-        ``FLOAT_VIEW_RTOL`` of its exact value, a zero is exactly 0.0, and an
-        entry beyond the float range is inf. Built on first use."""
-        return self._float_view
-
-    @cached_property
-    def _float_view(self) -> np.ndarray:
-        suffix, low = self._suffix_limbs[:2]
-        # limb by limb from the lowest, each term exact or rounded once: a
-        # weight is its integer times 2**(low - 1075)
-        with np.errstate(over="ignore"):
-            view = sum(np.ldexp(suffix[:, j].astype(float), _LIMB * j + low - 1075) for j in range(suffix.shape[1]))
-        view.setflags(write=False)
-        return view
-
     @property
     def exact_denominator(self) -> int:
         """Common denominator of ``boundary_numerators()``: a power of two times G."""
-        return self._suffix_limbs[3]
+        return self._suffix_limbs[2]
 
     @cached_property
     def _exact_total(self) -> Fraction:
@@ -569,15 +545,33 @@ def _score_cells(x: np.ndarray, words: np.ndarray, keep: np.ndarray) -> None:
         keep[rest] = text.view(np.uint8).reshape(len(rest), -1) != 0
 
 
-def _byte_table(pieces: list[bytes]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(words, mask, widths)``: each piece NUL-padded to the widest one's
-    uint32 words, one row per piece, the mask of its own bytes, and each
-    piece's own width in words."""
+def _byte_table(pieces: list[bytes]) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(text, starts, masks, mask_starts, lengths)`` for ``_put_pieces``, in
+    memory that grows with the pieces' total length: ``text`` holds them back
+    to back, piece i from byte 8 * starts[i], each NUL-padded to a multiple of
+    8 bytes, then m zero bytes, m the longest rounded up to 8. Row r of the 8
+    rows of 2m + 8 ``masks`` holds m + r ones, then zeros, so the window from
+    byte 8 * mask_starts[i] holds as many ones as piece i has bytes."""
     lengths = np.array([len(piece) for piece in pieces])
-    widths = -(-lengths // 4)
-    width = int(widths.max())
-    words = np.array(pieces, dtype=f"V{4 * width}").view(np.uint32).reshape(len(pieces), width)
-    return words, np.arange(4 * width) < lengths[:, None], widths
+    spans = -(-lengths // 8)
+    m = 8 * int(spans.max())
+    text = b"".join([piece.ljust((len(piece) + 7) & -8, b"\0") for piece in pieces]) + bytes(m)
+    masks = np.arange(2 * m + 8) < m + np.arange(8)[:, None]
+    mask_starts = lengths % 8 * (m // 4 + 1) + m // 8 - lengths // 8
+    return text, np.cumsum(spans) - spans, masks.ravel(), mask_starts, lengths
+
+
+def _put_pieces(table, rows: np.ndarray, words: np.ndarray, keep: np.ndarray) -> None:
+    """Write piece ``rows[i]`` of a ``_byte_table`` into row i of ``words``
+    (uint32) and mark its bytes in ``keep``: the text's window at the piece's
+    start, and the masks' window that drops the bytes past it. Windows start
+    at multiples of 8 bytes, where numpy copies 8- and 16-byte items whole;
+    they are indexed, as ``np.take`` would first copy every window."""
+    text, starts, masks, mask_starts, _ = table
+    width = 4 * words.shape[1]
+    for buffer, at, out in ((text, starts, words), (masks, mask_starts, keep)):
+        windows = np.ndarray(((len(buffer) - width) // 8 + 1,), f"V{width}", buffer, strides=(8,))
+        _cells(out, slice(None))[:] = windows[at[rows]]
 
 
 def _write_chunks(codes: np.ndarray, widths: np.ndarray, tail: int):
@@ -691,22 +685,20 @@ class AuditDataset:
         matrix of uint32 words, one row per record as wide as the chunk's
         widest prefix, and a mask of the bytes each row keeps, and writes the
         kept bytes, so memory stays bounded."""
-        prefixes, prefix_keep, widths = _byte_table([_csv_line((label, ""))[:-1].encode() for label in self.labels])
-        suffixes, suffix_keep, _ = _byte_table([f",{y},{d}\n".encode() for y in (0, 1) for d in ("", "0", "1")])
-        q = suffixes.shape[1]
+        prefixes = _byte_table([_csv_line((label, ""))[:-1].encode() for label in self.labels])
+        suffixes = _byte_table([f",{y},{d}\n".encode() for y in (0, 1) for d in ("", "0", "1")])
+        q = -(-int(suffixes[-1].max()) // 4)
         with open(path, "wb") as fh:
             fh.write(_csv_line(CSV_HEADER).encode())
-            for part, p in _write_chunks(self.codes, widths, _SCORE_BYTES // 4 + q):
+            for part, p in _write_chunks(self.codes, -(-prefixes[-1] // 4), _SCORE_BYTES // 4 + q):
                 s = p + _SCORE_BYTES // 4  # a row's words: prefix [0, p), score [p, s), suffix [s, s + q)
                 codes = self.codes[part]
                 kinds = 3 * self.outcome[part] + self.decision[part] + 1
                 words = np.empty((len(codes), s + q), np.uint32)
                 keep = np.empty((len(codes), 4 * (s + q)), bool)
-                _cells(words, slice(0, p))[:] = _cells(prefixes, slice(0, p))[codes]
-                _cells(keep, slice(0, 4 * p))[:] = _cells(prefix_keep, slice(0, 4 * p))[codes]
+                _put_pieces(prefixes, codes, words[:, :p], keep[:, : 4 * p])
                 _score_cells(self.score[part], words[:, p:s], keep[:, 4 * p : 4 * s])
-                _cells(words, slice(s, None))[:] = _cells(suffixes, slice(None))[kinds]
-                _cells(keep, slice(4 * s, None))[:] = _cells(suffix_keep, slice(None))[kinds]
+                _put_pieces(suffixes, kinds, words[:, s:], keep[:, 4 * s :])
                 fh.write(words.view(np.uint8)[keep])
 
     @classmethod

@@ -276,12 +276,13 @@ class ConfusionCounts:
 
 
 #: Relative margin, and absolute floor, under which the float pre-scan of the
-#: ROC walk leaves a boundary's sign to exact arithmetic. The margin is far
-#: above the pre-scan's relative error, about (FLOAT_VIEW_RTOL + 3 * 2**-53)
-#: times the same scale; the floor is far above its absolute error, the
-#: underflow of the targets and of their products to subnormals, about
-#: G * 2**-1074 for a grid G below 2**31 (a group's suffix sums are at most G).
-_PRESCAN_MARGIN = 2.0**-40
+#: ROC walk leaves a boundary's sign to exact arithmetic. ``_suffix_sums`` of G
+#: nonnegative floats err by at most (G - 1) * 2**-53 relative (Rump, BIT 52,
+#: 2012; Jeannerod and Rump, SIAM J. Matrix Anal. Appl. 34, 2013), under 2**-22
+#: for G below 2**31; the targets, products and difference add 3 * 2**-53, in
+#: all about a quarter of the margin. The floor is far above the underflow of
+#: the targets and products, about G * 2**-1074, as a group's sums are at most G.
+_PRESCAN_MARGIN = 2.0**-20
 _PRESCAN_FLOOR = 2.0**-1000
 
 
@@ -344,17 +345,23 @@ def _roc_point_policy(csd: ConditionalScoreDensity, fpr_target: Fraction, tpr_ta
     return RandomizedThreshold(lower=t, upper=Fraction(1), mix=1 / lam)
 
 
+def _suffix_sums(density: ScoreDensity) -> np.ndarray:
+    """G times the mass of [k/G, 1], k = 0..G: the float sum of the weights
+    from k on, added from the top; entry G, and every sum of zeros, is 0.0."""
+    return np.cumsum(np.append(density.weights, 0.0)[::-1])[::-1]
+
+
 def _walk_plan(csd: ConditionalScoreDensity, c1: Fraction, c0: Fraction, h0: int) -> list[int]:
     """The boundaries the exact ROC walk must visit, in order.
 
     h[k] has the sign of a1[k]*c1 - a0[k]*c0, which a float pre-scan reads
-    off the densities' float suffix sums, G times a1 and a0. It settles every
+    off each class's ``_suffix_sums``, G times a1 and a0. It settles every
     boundary whose float value exceeds the margin and floor, so that its
     sign is certain, and has h[0]'s sign: the walk cannot stop there. A
     target on an axis makes c1 or c0 exactly 0.0, and h[0] = 0 leaves
     boundary 0 unsettled, so one scan serves every target."""
-    a1 = csd.f1.float_suffix_sums() * float(c1)
-    a0 = csd.f0.float_suffix_sums() * float(c0)
+    a1 = _suffix_sums(csd.f1) * float(c1)
+    a0 = _suffix_sums(csd.f0) * float(c0)
     h = a1 - a0
     settled = (np.abs(h) > (a1 + a0) * _PRESCAN_MARGIN + _PRESCAN_FLOOR) & ((h > 0) == (h0 > 0))
     return np.flatnonzero(~settled).tolist()

@@ -8,6 +8,7 @@ import os
 import re
 import tempfile
 import threading
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
@@ -339,6 +340,27 @@ def test_one_label_at_the_field_limit_shortens_only_its_own_chunk(tmp_path, monk
     data.to_csv(path)
     assert path.read_bytes() == _csv_writer_rendering(data)
     assert [part.stop - part.start for part in parts] == sizes
+
+
+def test_many_labels_cost_to_csv_no_more_memory_than_two(tmp_path):
+    # The label table holds the labels back to back, not each padded to the
+    # longest, so among 500 labels one label at the field limit raises the
+    # traced peak of to_csv by no more than among 2.
+    n = 10_000
+    peaks = []
+    for count in (2, 500):
+        group = np.array([f"g{k % count}" for k in range(n)], dtype=object)
+        group[n // 2] = "x" * 131_072
+        data = AuditDataset(group=group, score=np.linspace(0, 1, n), outcome=np.arange(n) % 2)
+        path = tmp_path / f"records-{count}.csv"
+        tracemalloc.start()
+        try:
+            data.to_csv(path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert path.read_bytes() == _csv_writer_rendering(data)
+    assert peaks[1] - peaks[0] < 2 * 2**20
 
 
 def _score_lines(x: np.ndarray) -> bytes:

@@ -1,7 +1,6 @@
 import math
 import time
 import tracemalloc
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -22,8 +21,9 @@ from fairsim import (
     sample,
 )
 from fairsim.cli import MAX_GRID
-from fairsim.densities import FLOAT_VIEW_RTOL, NO_DECISION, draw_categorical, group_index
+from fairsim.densities import NO_DECISION, draw_categorical, group_index
 from fairsim.metrics import level_tables
+from fairsim.rules import _PRESCAN_MARGIN, _suffix_sums
 from _helpers import calibrated_uniform_pair, judge_population
 
 GRID = 1024
@@ -398,9 +398,6 @@ def test_boundary_numerators_are_the_exact_suffix_masses(weights, threshold):
         assert density.boundary_numerator(k) == numerators[k]
     # the least denominator: G times the largest denominator of a weight
     assert denominator == grid * max(Fraction(w).denominator for w in weights)
-    for k, v in enumerate(density.float_suffix_sums().tolist()):
-        exact = Fraction(numerators[k] * grid, denominator)
-        assert abs(Fraction(v) - exact) <= FLOAT_VIEW_RTOL * exact
     # cell j covers [j/G, (j+1)/G); the part above t has length (j+1)/G - max(t, j/G)
     t = Fraction(threshold)
     above = sum(
@@ -410,14 +407,22 @@ def test_boundary_numerators_are_the_exact_suffix_masses(weights, threshold):
     assert density.exact_mass_above(threshold) == above
 
 
-def test_suffix_sums_past_the_float_range_read_inf_without_a_warning():
-    """Weights near the float maximum sum past the float range: those suffix
-    sums are inf, the rest exact, and building the view warns of nothing."""
-    density = ScoreDensity(np.full(4, 1.7e308))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        view = density.float_suffix_sums()
-    assert view.tolist() == [math.inf, math.inf, math.inf, 1.7e308, 0.0]
+@settings(max_examples=300, deadline=None)
+@given(weights=st.lists(EXACT_WEIGHTS, min_size=1, max_size=24))
+def test_the_pre_scan_sums_lie_within_the_summation_bound(weights):
+    """The premise of the ROC pre-scan's margin: each float suffix sum of G
+    weights, subnormals and zeros included, lies within (G - 1) * 2**-53 of
+    its exact value, relative, and is 0.0 exactly where that is 0. The margin
+    covers that error at any grid below 2**31, with the 3 * 2**-53 of the
+    targets, the products and the difference."""
+    grid = len(weights)
+    sums = _suffix_sums(ScoreDensity(np.array(weights))).tolist()
+    assert len(sums) == grid + 1
+    for k, v in enumerate(sums):
+        exact = sum(map(Fraction, weights[k:]), Fraction(0))
+        assert abs(Fraction(v) - exact) <= (grid - 1) * Fraction(2) ** -53 * exact
+        assert (v == 0.0) == (exact == 0)
+    assert _PRESCAN_MARGIN > (2**31 + 2) * 2.0**-53
 
 
 def test_a_negative_zero_weight_is_a_zero():
@@ -433,7 +438,6 @@ def test_a_negative_zero_weight_is_a_zero():
         assert signed.boundary_numerators() == plain.boundary_numerators()
         grid = len(weights)
         assert [signed.boundary_numerator(k) for k in range(grid + 1)] == list(plain.boundary_numerators())
-        assert signed.float_suffix_sums().tobytes() == plain.float_suffix_sums().tobytes()
         for t in (0.0, 0.3, Fraction(1, 3), 0.5, 1.0):
             assert signed.exact_mass_above(t) == plain.exact_mass_above(t)
 

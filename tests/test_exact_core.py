@@ -2,7 +2,7 @@
 
 Exact arithmetic lives in one integer core in ``densities``; every other
 module goes through its public API (``boundary_numerator``,
-``boundary_numerators``, ``float_suffix_sums``, ``exact_denominator``,
+``boundary_numerators``, ``exact_denominator``, ``exact_total``,
 ``exact_mass_above`` and friends), and a total, a one-threshold mass, a
 calibrated build and both solvers, on any target and any weight spread,
 read the limb suffix matrix without building the G + 1 Python-int boundary
@@ -32,10 +32,9 @@ from fairsim import (
     solve_equalized_odds,
     solve_parity_ratio,
 )
-from fairsim.densities import FLOAT_VIEW_RTOL
 from _helpers import random_equalized_odds_instance
 
-PRIVATE = {"_binary_cells", "_suffix_limbs", "_boundary_tuple", "_float_view", "_exact_total"}
+PRIVATE = {"_binary_cells", "_suffix_limbs", "_boundary_tuple", "_exact_total"}
 
 
 def test_only_densities_touches_the_private_exact_core():
@@ -88,8 +87,8 @@ def test_a_calibrated_build_builds_no_boundary_tuple():
 def test_a_calibrated_group_reads_cells_and_tails_off_its_limbs():
     """The f0 and f1 of a calibrated group hold numerators wider than 64
     bits. Each boundary numerator is one read off the limb suffix matrix, a
-    cell is the difference of two, the full tuple built afterwards agrees
-    with every read, and the float view lies within its stated bound."""
+    cell is the difference of two, and the full tuple built afterwards
+    agrees with every read."""
     grid = 1000
     csd = ConditionalScoreDensity.from_base_rate(0.3, grid)
     for density in (csd.f0, csd.f1):
@@ -102,9 +101,6 @@ def test_a_calibrated_group_reads_cells_and_tails_off_its_limbs():
         assert density.exact_mass_above(Fraction(1, 3)) == sum(cells[334:]) + cells[333] * Fraction(2, 3)
         assert "_boundary_tuple" not in density.__dict__
         assert list(density.boundary_numerators()) == reads
-        view = density.float_suffix_sums()
-        sums = [Fraction(n * grid, den) for n in reads]
-        assert all(abs(Fraction(v) - s) <= FLOAT_VIEW_RTOL * s for v, s in zip(view.tolist(), sums))
 
 
 def test_a_three_level_density_reads_one_threshold_without_the_boundary_tuple():
@@ -124,27 +120,57 @@ def test_a_three_level_density_reads_one_threshold_without_the_boundary_tuple():
     assert below == total - decided
 
 
-def test_both_solvers_build_no_boundary_tuple():
+#: One-entry reads of ``boundary_numerator`` that a solve at grid 4096 may
+#: make: the reference's rates, the walk's boundary 0 and stop, or the parity
+#: bisection (at most 18 were seen). A walk that the pre-scan did not settle
+#: would read 2 * 4097.
+SOLVE_READS = 24
+
+
+def _count_reads(monkeypatch) -> list[int]:
+    """Counts each call of ``ScoreDensity.boundary_numerator`` into the one
+    entry of the returned list."""
+    reads = [0]
+    read = ScoreDensity.boundary_numerator
+
+    def counted(density, k):
+        reads[0] += 1
+        return read(density, k)
+
+    monkeypatch.setattr(ScoreDensity, "boundary_numerator", counted)
+    return reads
+
+
+def _solve_reads(reads: list[int], solve, pop: PopulationModel, reference: str, threshold) -> int:
+    """The reads that one solve makes, whether it finds a rule or not."""
+    reads[0] = 0
+    try:
+        solve(pop, reference, threshold)
+    except InfeasibleRuleError:
+        pass
+    return reads[0]
+
+
+def test_both_solvers_build_no_boundary_tuple(monkeypatch):
     """The equalized-odds walk settles its boundaries with the float
     pre-scan and reads the rest one entry at a time, and the parity solver
-    bisects on one-entry reads: neither builds a boundary tuple."""
+    bisects on one-entry reads: neither builds a boundary tuple, and each
+    solve makes a few reads."""
     pop, _ = random_equalized_odds_instance(np.random.default_rng(11), grid=4096)
+    reads = _count_reads(monkeypatch)
     for solve in (solve_equalized_odds, solve_parity_ratio):
         for reference in pop.labels:
-            try:
-                solve(pop, reference, 0.5)
-            except InfeasibleRuleError:
-                pass
+            assert _solve_reads(reads, solve, pop, reference, 0.5) <= SOLVE_READS
     densities = [d for csd in pop.groups.values() for d in (csd.f0, csd.f1)]
-    assert all("_float_view" in d.__dict__ for d in densities)
     assert not any("_boundary_tuple" in d.__dict__ for d in densities)
 
 
-def test_axis_targets_and_subnormal_cells_build_no_boundary_tuple():
+def test_axis_targets_and_subnormal_cells_build_no_boundary_tuple(monkeypatch):
     """A reference with no outcome-0 (or outcome-1) mass above 1/2 puts the
     target at threshold 3/4 on the tpr (or fpr) axis, and a group with
     subnormal cells has suffix sums over a 1074-bit exponent span; the walk
-    pre-scans them like any other target and group, building no tuple."""
+    pre-scans them like any other target and group, building no tuple and
+    making a few reads."""
     grid = 4096
     rng = np.random.default_rng(12)
     top = np.arange(grid) >= grid // 2
@@ -172,14 +198,11 @@ def test_axis_targets_and_subnormal_cells_build_no_boundary_tuple():
     ]
     on_tpr_axis, on_fpr_axis = (ConfusionCounts.of(ref, DeterministicThreshold(t)) for ref, _, t in cases[:2])
     assert on_tpr_axis.fpr == 0 < on_tpr_axis.fnr < 1 and on_fpr_axis.fnr == 1 > on_fpr_axis.fpr > 0
+    reads = _count_reads(monkeypatch)
     for ref, other, threshold in cases:
         pop = PopulationModel({"ref": ref, "other": other})
         for solve in (solve_equalized_odds, solve_parity_ratio):
-            try:
-                solve(pop, "ref", threshold)
-            except InfeasibleRuleError:
-                pass
-        assert "_float_view" in other.f0.__dict__ and "_float_view" in other.f1.__dict__
+            assert _solve_reads(reads, solve, pop, "ref", threshold) <= SOLVE_READS
         assert not any("_boundary_tuple" in d.__dict__ for d in (ref.f0, ref.f1, other.f0, other.f1))
 
 

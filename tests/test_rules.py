@@ -22,6 +22,7 @@ from fairsim import (
     solve_equalized_odds,
     solve_parity_ratio,
 )
+from fairsim.cli import MAX_GRID
 from fairsim.rules import _roc_point_policy, _walk_plan
 from _helpers import calibrated_uniform_pair, judge_population, random_calibrated_population
 
@@ -639,6 +640,30 @@ def test_the_pre_scan_leaves_subnormal_ties_to_the_exact_walk():
             assert _policy_or_error(_roc_point_policy, csd, fpr, tpr) == _policy_or_error(
                 _plain_walk_policy, csd, fpr, tpr
             )
+
+
+def test_the_pre_scan_at_the_grid_cap():
+    """At the grid cap the summation bound behind the margin is loosest. On a
+    calibrated group there, a target strictly inside its ROC and one on each
+    axis: the pre-scan settles only boundaries of the first sign, and the
+    solver returns what the exact walk over every boundary returns."""
+    grid = MAX_GRID
+    mids = (np.arange(grid) + 0.5) / grid
+    tilted = np.random.default_rng(7).uniform(0.2, 1.0, grid) * (0.2 + mids)
+    other = ConditionalScoreDensity.calibrated(ScoreDensity(tilted).normalized())
+    ref = ConditionalScoreDensity.calibrated(ScoreDensity(np.exp(-(((mids - 0.5) / 0.1) ** 2))).normalized())
+    pop = PopulationModel({"ref": ref, "other": other})
+    rule = solve_equalized_odds(pop, "ref", 0.5)
+    assert rule.policies == _plain_equalized_odds(pop, "ref", 0.5)
+    assert isinstance(rule.for_group("other"), RandomizedThreshold)  # the target lies inside the ROC
+    rates = ConfusionCounts.of(ref, DeterministicThreshold(0.5))
+    fpr, tpr = rates.fpr, 1 - rates.fnr
+    _check_pre_scan(other, fpr, tpr)
+    for target in ((Fraction(0), tpr), (fpr, Fraction(0))):
+        _check_pre_scan(other, *target)
+        assert _policy_or_error(_roc_point_policy, other, *target) == _policy_or_error(
+            _plain_walk_policy, other, *target
+        )
 
 
 def test_equalized_odds_with_a_group_that_has_no_outcome_1_mass():
