@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 import mmap
 import os
@@ -90,29 +89,18 @@ class ScoreDensity:
     def midpoints(self) -> np.ndarray:
         return cell_midpoints(self.weights.size)
 
-    def _binary_cells(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """``(num, shift, low)``: each weight as ``num << shift`` over one power of two.
+    @cached_property
+    def _suffix_limbs(self) -> tuple[np.ndarray, int, int]:
+        """``(suffix, drop, denominator)``: the one integer form every exact read uses.
 
         A weight is read as its bits: ``num`` is its 53-bit integer mantissa,
         with the hidden bit, and ``shift`` its exponent field above ``low``, the
         field of the least nonzero weight (at least 1, which subnormals share,
         and at most 1075, where a weight's last bit is worth 1). So every weight
         is ``(num << shift) * 2**(low - 1075)``. The sign bit is cleared, so a
-        ``-0.0`` weight is a zero, and a zero has shift 0. The decode is not
-        kept: ``_suffix_limbs`` is the one integer form a density holds."""
-        bits = self.weights.view(np.int64) & _MAGNITUDE
-        expo = bits >> 52  # the biased exponent: 0 for zero and subnormal weights
-        num = (bits & _MANTISSA) | (np.minimum(expo, 1) << 52)
-        least = int((bits - 1).view(np.uint64).min()) + 1  # a zero wraps to the largest value
-        low = max(1, min(1075, least >> 52))
-        return num, np.maximum(expo, low) - low, low
+        ``-0.0`` weight is a zero, and a zero has shift 0. Each ``num << shift``
+        is split into 32-bit limbs, and the decode is not kept.
 
-    @cached_property
-    def _suffix_limbs(self) -> tuple[np.ndarray, int, int]:
-        """``(suffix, drop, denominator)``: the integer form every exact read uses.
-
-        ``_binary_cells`` puts every weight over one power of two as the
-        integer ``num << shift``; here each is split into 32-bit limbs.
         ``suffix`` is a ``(G + 1, rows)`` int64 matrix whose row k holds the
         limb sums of the cells from k on, so boundary k's numerator is
         ``sum(suffix[k, j] << 32 * j) >> drop``, over ``denominator``: G
@@ -120,7 +108,12 @@ class ScoreDensity:
         ``drop`` counts the trailing zero bits common to every cell, as far as
         ``low`` allows, so the cells over ``2**(1075 - low - drop)`` are the
         least integers."""
-        num, shift, low = self._binary_cells()
+        bits = self.weights.view(np.int64) & _MAGNITUDE
+        expo = bits >> 52  # the biased exponent: 0 for zero and subnormal weights
+        num = (bits & _MANTISSA) | (np.minimum(expo, 1) << 52)
+        least = int((bits - 1).view(np.uint64).min()) + 1  # a zero wraps to the largest value
+        low = max(1, min(1075, least >> 52))
+        shift = np.maximum(expo, low) - low
         grid = num.size
         drop = 0
         if low < 1075:
@@ -149,24 +142,15 @@ class ScoreDensity:
         return limbs[::-1], drop, grid << (1075 - low - drop)
 
     def boundary_numerator(self, k: int) -> int:
-        """Entry k of ``boundary_numerators()``, read off its limbs alone."""
+        """Entry k of ``boundary_numerators()``, read off its row of limbs
+        alone; an IndexError names the range 0..G."""
         suffix, drop, _ = self._suffix_limbs
+        if not 0 <= k < len(suffix):
+            raise IndexError(f"boundary {k} outside 0..{len(suffix) - 1}")
         n = 0
         for limb in reversed(suffix[k].tolist()):
             n = (n << _LIMB) + limb
         return n >> drop
-
-    @cached_property
-    def _boundary_tuple(self) -> tuple[int, ...]:
-        num, shift, _ = self._binary_cells()
-        drop = self._suffix_limbs[1]
-        if drop:  # the cells over the least denominator: shifts drop first, then mantissas
-            num = num >> np.maximum(drop - shift, 0)
-            shift = np.maximum(shift - drop, 0)
-        cells = num[::-1].astype(object) << shift[::-1]
-        n = list(itertools.accumulate(cells.tolist(), initial=0))
-        n.reverse()
-        return tuple(n)
 
     def boundary_numerators(self) -> tuple[int, ...]:
         """Integer numerators over ``exact_denominator`` of the exact mass of
@@ -174,10 +158,22 @@ class ScoreDensity:
 
         The mass of cell k is ``(n[k] - n[k+1]) / exact_denominator``, so
         exact scans can compare integers and build rationals only where they
-        need one. The tuple is built on first use; ``boundary_numerator(k)``
-        reads one entry without it.
+        need one. Each call reads the whole limb matrix into G + 1 Python
+        ints and caches nothing, so a caller reads it once;
+        ``boundary_numerator(k)`` reads one entry in O(1).
         """
-        return self._boundary_tuple
+        suffix, drop, _ = self._suffix_limbs
+        rows, cols = suffix.shape
+        # Each column carries into the next and keeps its low 32 bits through
+        # the cast below; the top column is below G * 2**21 before its carry,
+        # so one spare column takes what it carries out.
+        limbs = np.zeros((rows, cols + 1), np.int64)
+        limbs[:, :cols] = suffix
+        for j in range(cols):
+            limbs[:, j + 1] += limbs[:, j] >> _LIMB
+        # each row, as little-endian 32-bit limbs, is the bytes of its numerator
+        numerators = limbs.astype("<u4").view(f"V{4 * (cols + 1)}").ravel().tolist()
+        return tuple(int.from_bytes(row, "little") >> drop for row in numerators)
 
     @property
     def exact_denominator(self) -> int:
@@ -249,10 +245,6 @@ class ConditionalScoreDensity:
     @property
     def grid_size(self) -> int:
         return self.f0.grid_size
-
-    @property
-    def base_rate(self) -> float:
-        return self.f1.total_mass()
 
     @classmethod
     def calibrated(cls, marginal: ScoreDensity) -> "ConditionalScoreDensity":

@@ -12,8 +12,6 @@ import inspect
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
-from operator import truediv
 from pathlib import Path
 from typing import Literal, get_args
 
@@ -117,7 +115,7 @@ def _roc_series(csd: ConditionalScoreDensity) -> list[tuple[float, float]]:
     def rates(density: ScoreDensity):
         # rate above boundary k is n[k] / n[0]: int / int is correctly rounded
         n = density.boundary_numerators()
-        return map(truediv, reversed(n), repeat(n[0])) if n[0] else repeat(UNDEFINED, len(n))
+        return [m / n[0] for m in reversed(n)] if n[0] else [UNDEFINED] * len(n)
 
     return list(zip(rates(csd.f0), rates(csd.f1)))
 

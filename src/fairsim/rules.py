@@ -355,16 +355,20 @@ def _walk_plan(csd: ConditionalScoreDensity, c1: Fraction, c0: Fraction, h0: int
     """The boundaries the exact ROC walk must visit, in order.
 
     h[k] has the sign of a1[k]*c1 - a0[k]*c0, which a float pre-scan reads
-    off each class's ``_suffix_sums``, G times a1 and a0. It settles every
-    boundary whose float value exceeds the margin and floor, so that its
-    sign is certain, and has h[0]'s sign: the walk cannot stop there. A
+    off each class's ``_suffix_sums``, G times a1 and a0. A boundary whose
+    float value exceeds the margin and floor has a certain sign. The scan
+    settles each such boundary of h[0]'s sign, where the walk cannot stop,
+    and ends the plan at the first of the other sign, where it must. A
     target on an axis makes c1 or c0 exactly 0.0, and h[0] = 0 leaves
     boundary 0 unsettled, so one scan serves every target."""
     a1 = _suffix_sums(csd.f1) * float(c1)
     a0 = _suffix_sums(csd.f0) * float(c0)
     h = a1 - a0
-    settled = (np.abs(h) > (a1 + a0) * _PRESCAN_MARGIN + _PRESCAN_FLOOR) & ((h > 0) == (h0 > 0))
-    return np.flatnonzero(~settled).tolist()
+    certain = np.abs(h) > (a1 + a0) * _PRESCAN_MARGIN + _PRESCAN_FLOOR
+    first = (h > 0) == (h0 > 0)
+    crossed = np.flatnonzero(certain & ~first)
+    end = crossed[0] + 1 if crossed.size else h.size
+    return np.flatnonzero(~(certain & first)[:end]).tolist()
 
 
 def solve_equalized_odds(pop: PopulationModel, reference: str, threshold) -> DecisionRule:

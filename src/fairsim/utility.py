@@ -56,11 +56,13 @@ def _check_inputs(true_density: ScoreDensity, displayed: ScoreMap) -> None:
         raise ValueError("score map grid does not match density grid")
 
 
-def _acting(density: ScoreDensity, cells: np.ndarray, payoff: PayoffMatrix) -> tuple[Fraction, Fraction]:
-    """Exact mass of the selected cells, and acting's utility on them: linear
-    in the score, it is their mass times its value at their mean score, and
-    cell k's mean score is its midpoint (2k + 1) / 2G."""
-    n = density.boundary_numerators()
+def _acting(
+    density: ScoreDensity, n: tuple[int, ...], cells: np.ndarray, payoff: PayoffMatrix
+) -> tuple[Fraction, Fraction]:
+    """Exact mass of the selected cells, read off the density's
+    ``boundary_numerators()`` n, and acting's utility on them: linear in the
+    score, it is their mass times its value at their mean score, and cell
+    k's mean score is its midpoint (2k + 1) / 2G."""
     mass = moment = 0
     for k in np.flatnonzero(cells).tolist():
         cell = n[k] - n[k + 1]
@@ -75,7 +77,7 @@ def long_run_eu(true_density: ScoreDensity, displayed: ScoreMap, payoff: PayoffM
     """Exact average expected utility when acting where the displayed score,
     constant on each grid cell, strictly exceeds the threshold."""
     _check_inputs(true_density, displayed)
-    mass, acted = _acting(true_density, displayed.values > threshold, payoff)
+    mass, acted = _acting(true_density, true_density.boundary_numerators(), displayed.values > threshold, payoff)
     return Fraction(payoff.outside) * (true_density.exact_total() - mass) + acted
 
 
@@ -114,9 +116,10 @@ def classify_cases(
     t = min(max(t, Fraction(j, grid)), Fraction(j + 1, grid))
     height = Fraction(true_density.weights[j])
     cells, act = np.arange(grid), displayed.values > threshold
+    n = true_density.boundary_numerators()
     cases = {}
     for name, acted, warranted in (("case1", 0, 0), ("case2", 1, 0), ("case3", 0, 1), ("case4", 1, 1)):
-        mass, utility = _acting(true_density, (act == acted) & (cells > j if warranted else cells < j), payoff)
+        mass, utility = _acting(true_density, n, (act == acted) & (cells > j if warranted else cells < j), payoff)
         if act[j] == acted:  # the part of cell j on the warranted side of t
             a, b = (t, Fraction(j + 1, grid)) if warranted else (Fraction(j, grid), t)
             mass += height * (b - a)

@@ -49,7 +49,7 @@ def random_calibrated_population(rng: np.random.Generator, grid: int = 256, min_
             "a": ConditionalScoreDensity.calibrated(ScoreDensity(w_a).normalized()),
             "b": ConditionalScoreDensity.calibrated(ScoreDensity(w_b).normalized()),
         }
-        if abs(groups["a"].base_rate - groups["b"].base_rate) >= min_gap:
+        if abs(groups["a"].f1.total_mass() - groups["b"].f1.total_mass()) >= min_gap:
             return PopulationModel(groups=groups)
     raise RuntimeError("could not draw a population with the requested base-rate gap")
 

@@ -184,8 +184,8 @@ def test_criterion_8_empirical_analytic_coherence(tmp_path):
     sep = separation_gap(pop, rule)
     suff = SufficiencyGaps.of(confusion_tables(pop, rule))
     analytic = {
-        "base_rate.men": pop.group("men").base_rate,
-        "base_rate.women": pop.group("women").base_rate,
+        "base_rate.men": pop.group("men").f1.total_mass(),
+        "base_rate.women": pop.group("women").f1.total_mass(),
         "rates.men.fpr": sep.fpr["men"],
         "rates.men.fnr": sep.fnr["men"],
         "rates.women.fpr": sep.fpr["women"],

@@ -72,12 +72,12 @@ def test_base_rate_zero_when_no_positive_mass():
             "b": ConditionalScoreDensity.calibrated(ScoreDensity.uniform(GRID)),
         }
     )
-    assert pop.group("a").base_rate == 0.0
+    assert pop.group("a").f1.total_mass() == 0.0
 
 
 def test_base_rate_calibrated_uniform_is_half():
     pop = calibrated_uniform_pair(GRID)
-    assert pop.group("a").base_rate == pytest.approx(0.5, abs=1e-12)
+    assert pop.group("a").f1.total_mass() == pytest.approx(0.5, abs=1e-12)
 
 
 def test_base_rate_matches_score_mean_when_calibrated():
@@ -85,13 +85,13 @@ def test_base_rate_matches_score_mean_when_calibrated():
     csd = ConditionalScoreDensity.from_base_rate(0.3, GRID)
     marginal = ScoreDensity(csd.f0.weights + csd.f1.weights)
     mean = float(np.dot(marginal.weights, marginal.midpoints())) / GRID
-    assert csd.base_rate == pytest.approx(mean, abs=1e-6)
+    assert csd.f1.total_mass() == pytest.approx(mean, abs=1e-6)
 
 
 def test_base_rate_unknown_group():
     pop = calibrated_uniform_pair(64)
     with pytest.raises(KeyError):
-        pop.group("nope").base_rate
+        pop.group("nope").f1.total_mass()
 
 
 def test_calibration_curve_of_calibrated_group_is_identity():
@@ -405,6 +405,16 @@ def test_boundary_numerators_are_the_exact_suffix_masses(weights, threshold):
         Fraction(0),
     )
     assert density.exact_mass_above(threshold) == above
+
+
+def test_boundary_numerator_rejects_an_index_outside_0_to_g():
+    """Boundaries run 0..G: a negative index does not wrap to one from the
+    end, and G + 1 is past the last."""
+    density = ScoreDensity(np.array([1.0, 2.0, 3.0]))
+    assert [density.boundary_numerator(k) for k in range(4)] == list(density.boundary_numerators())
+    for k in (-1, -2, 4):
+        with pytest.raises(IndexError, match=rf"^boundary {k} outside 0\.\.3$"):
+            density.boundary_numerator(k)
 
 
 @settings(max_examples=300, deadline=None)

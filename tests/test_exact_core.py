@@ -1,12 +1,14 @@
 """Structural guards over the package source.
 
-Exact arithmetic lives in one integer core in ``densities``; every other
-module goes through its public API (``boundary_numerator``,
+Exact arithmetic lives in one integer core in ``densities``, which caches
+one integer form per density, its limb suffix matrix, and its total; every
+other module goes through its public API (``boundary_numerator``,
 ``boundary_numerators``, ``exact_denominator``, ``exact_total``,
-``exact_mass_above`` and friends), and a total, a one-threshold mass, a
+``exact_mass_above`` and friends). A total, a one-threshold mass, a
 calibrated build and both solvers, on any target and any weight spread,
-read the limb suffix matrix without building the G + 1 Python-int boundary
-numerators.
+read single rows of that matrix; only the judge's ROC series and the two
+exact expected-utility reads call ``boundary_numerators()``, which reads all
+G + 1 rows.
 Weighted draws go through one sampler, decisions through one policy path,
 dataset records through one tally that only the two table builders call
 (``confusion_tables`` and ``level_tables``), confusion masses through one
@@ -34,7 +36,7 @@ from fairsim import (
 )
 from _helpers import random_equalized_odds_instance
 
-PRIVATE = {"_binary_cells", "_suffix_limbs", "_boundary_tuple", "_exact_total"}
+PRIVATE = {"_suffix_limbs", "_exact_total"}
 
 
 def test_only_densities_touches_the_private_exact_core():
@@ -60,20 +62,49 @@ def test_only_densities_touches_the_private_exact_core():
 
 
 def test_a_density_caches_one_integer_form():
-    """On the ``exact_total`` path a density keeps one integer form, its limb
-    suffix matrix: after a total, its cached private names are that matrix
-    and the total, and the bit decode the matrix was built from is not kept
-    beside it. (``boundary_numerators()`` caches a second form on demand;
-    this test does not call it.)"""
+    """A density keeps one integer form, its limb suffix matrix, and its
+    total: after every public read, ``boundary_numerators()`` included, its
+    cached private names are exactly those two, and neither the bit decode
+    the matrix was built from nor the numerators read off it is kept."""
     density = ScoreDensity(np.random.default_rng(5).uniform(0.2, 1.0, 1024))
+    density.boundary_numerator(7)
+    density.boundary_numerators()
+    density.exact_denominator
     density.exact_total()
-    assert {name for name in vars(density) if name.startswith("_")} == {"_suffix_limbs", "_exact_total"}
+    density.exact_mass_above(0.3)
+    density.exact_mass_below(Fraction(1, 3))
+    density.total_mass()
+    density.is_normalized()
+    density.normalized()
+    density.midpoints()
+    density.grid_size
+    assert {name for name in vars(density) if name.startswith("_")} == PRIVATE
 
 
-def test_a_calibrated_build_builds_no_boundary_tuple():
+def test_only_the_roc_series_and_the_exact_utility_read_every_boundary():
+    """``boundary_numerators()`` reads all G + 1 rows of the limb matrix, so
+    only the judge's ROC series and the two exact expected-utility reads call
+    it, once each per call; every other exact read takes one row."""
+    assert _callers("boundary_numerators") == {
+        "experiments.py": {"_roc_series"},
+        "utility.py": {"long_run_eu", "classify_cases"},
+    }
+
+
+def _forbid_full_reads(monkeypatch) -> None:
+    """Makes ``ScoreDensity.boundary_numerators`` fail the test if called."""
+
+    def forbidden(density):
+        raise AssertionError("read every boundary numerator")
+
+    monkeypatch.setattr(ScoreDensity, "boundary_numerators", forbidden)
+
+
+def test_a_calibrated_build_builds_no_boundary_tuple(monkeypatch):
     """Building a calibrated group reads one total from the raw and the
     normalized marginal and from its f0 and f1; each reads it off its limb
-    suffix matrix, and none builds its G + 1 Python-int boundary numerators."""
+    suffix matrix, and none reads its G + 1 Python-int boundary numerators."""
+    _forbid_full_reads(monkeypatch)
     grid = 4096
     rng = np.random.default_rng(3)
     raw = ScoreDensity(rng.uniform(0.2, 1.0, grid) * (1.0 - 0.8 * ((np.arange(grid) + 0.5) / grid - 0.5)))
@@ -81,14 +112,12 @@ def test_a_calibrated_build_builds_no_boundary_tuple():
     csd = ConditionalScoreDensity.calibrated(marginal)
     for density in (raw, marginal, csd.f0, csd.f1):
         assert "_suffix_limbs" in density.__dict__
-        assert "_boundary_tuple" not in density.__dict__
 
 
 def test_a_calibrated_group_reads_cells_and_tails_off_its_limbs():
     """The f0 and f1 of a calibrated group hold numerators wider than 64
     bits. Each boundary numerator is one read off the limb suffix matrix, a
-    cell is the difference of two, and the full tuple built afterwards
-    agrees with every read."""
+    cell is the difference of two, and the full read agrees with every one."""
     grid = 1000
     csd = ConditionalScoreDensity.from_base_rate(0.3, grid)
     for density in (csd.f0, csd.f1):
@@ -99,21 +128,20 @@ def test_a_calibrated_group_reads_cells_and_tails_off_its_limbs():
         assert [Fraction(reads[k] - reads[k + 1], den) for k in range(grid)] == cells
         # 1/3 lies in cell 333, two thirds of which lie above it
         assert density.exact_mass_above(Fraction(1, 3)) == sum(cells[334:]) + cells[333] * Fraction(2, 3)
-        assert "_boundary_tuple" not in density.__dict__
         assert list(density.boundary_numerators()) == reads
 
 
-def test_a_three_level_density_reads_one_threshold_without_the_boundary_tuple():
+def test_a_three_level_density_reads_one_threshold_without_the_boundary_tuple(monkeypatch):
     """A three-level density, the shape of an appendix reshape: its mass
     below a threshold, its total and a policy's decided mass are O(1) reads
-    of its limb suffix matrix; none builds the G + 1 boundary numerators."""
+    of its limb suffix matrix; none reads the G + 1 boundary numerators."""
+    _forbid_full_reads(monkeypatch)
     grid = 1024
     weights = np.repeat([0.7 / 0.3, 0.25 / 0.45, 0.05 / 0.25], [307, 461, 256])
     density = ScoreDensity(weights)
     below = density.exact_mass_below(0.5)
     total = density.exact_total()
     decided = DeterministicThreshold(0.5).decided_mass(density)
-    assert "_boundary_tuple" not in density.__dict__
     cells = [Fraction(w) for w in weights.tolist()]
     assert total == sum(cells) / grid
     assert decided == sum(cells[grid // 2 :]) / grid
@@ -129,7 +157,8 @@ SOLVE_READS = 24
 
 def _count_reads(monkeypatch) -> list[int]:
     """Counts each call of ``ScoreDensity.boundary_numerator`` into the one
-    entry of the returned list."""
+    entry of the returned list, and fails on a read of every boundary."""
+    _forbid_full_reads(monkeypatch)
     reads = [0]
     read = ScoreDensity.boundary_numerator
 
@@ -154,23 +183,21 @@ def _solve_reads(reads: list[int], solve, pop: PopulationModel, reference: str, 
 def test_both_solvers_build_no_boundary_tuple(monkeypatch):
     """The equalized-odds walk settles its boundaries with the float
     pre-scan and reads the rest one entry at a time, and the parity solver
-    bisects on one-entry reads: neither builds a boundary tuple, and each
-    solve makes a few reads."""
+    bisects on one-entry reads: neither reads every boundary, and each solve
+    makes a few reads."""
     pop, _ = random_equalized_odds_instance(np.random.default_rng(11), grid=4096)
     reads = _count_reads(monkeypatch)
     for solve in (solve_equalized_odds, solve_parity_ratio):
         for reference in pop.labels:
             assert _solve_reads(reads, solve, pop, reference, 0.5) <= SOLVE_READS
-    densities = [d for csd in pop.groups.values() for d in (csd.f0, csd.f1)]
-    assert not any("_boundary_tuple" in d.__dict__ for d in densities)
 
 
 def test_axis_targets_and_subnormal_cells_build_no_boundary_tuple(monkeypatch):
     """A reference with no outcome-0 (or outcome-1) mass above 1/2 puts the
     target at threshold 3/4 on the tpr (or fpr) axis, and a group with
     subnormal cells has suffix sums over a 1074-bit exponent span; the walk
-    pre-scans them like any other target and group, building no tuple and
-    making a few reads."""
+    pre-scans them like any other target and group, reading no boundary
+    tuple and making a few reads."""
     grid = 4096
     rng = np.random.default_rng(12)
     top = np.arange(grid) >= grid // 2
@@ -203,7 +230,6 @@ def test_axis_targets_and_subnormal_cells_build_no_boundary_tuple(monkeypatch):
         pop = PopulationModel({"ref": ref, "other": other})
         for solve in (solve_equalized_odds, solve_parity_ratio):
             assert _solve_reads(reads, solve, pop, "ref", threshold) <= SOLVE_READS
-        assert not any("_boundary_tuple" in d.__dict__ for d in (ref.f0, ref.f1, other.f0, other.f1))
 
 
 def test_only_draw_categorical_draws_weighted_choices():

@@ -482,7 +482,7 @@ def test_population_gaps_are_exact_spreads_rounded_once(seed, groups, grid, kind
 
 def _witness(pop, rule):
     """The witness of the rule on the population, built from its gaps."""
-    base = {g: pop.group(g).base_rate for g in pop.labels}
+    base = {g: pop.group(g).f1.total_mass() for g in pop.labels}
     return ImpossibilityWitness(base, separation_gap(pop, rule), SufficiencyGaps.of(confusion_tables(pop, rule)))
 
 
@@ -550,7 +550,7 @@ def test_sufficiency_matches_chouldechova_identity(seed, t_ref, reference):
     sep = separation_gap(pop, rule)
     suff = SufficiencyGaps.of(confusion_tables(pop, rule))
     for g in pop.labels:
-        p = pop.group(g).base_rate
+        p = pop.group(g).f1.total_mass()
         ppv = suff.pos_given_r1[g]
         fnr = sep.fnr[g]
         assert sep.fpr[g] == pytest.approx(p / (1 - p) * (1 - ppv) / ppv * (1 - fnr), rel=1e-9)

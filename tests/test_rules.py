@@ -579,18 +579,23 @@ def test_equalized_odds_matches_the_plain_exact_walk(instance):
 
 
 def _check_pre_scan(csd: ConditionalScoreDensity, fpr: Fraction, tpr: Fraction) -> None:
-    """Every boundary the walk's float pre-scan settles has, exactly, a
-    nonzero h of the sign of h at boundary 0, so the walk cannot stop there."""
+    """Every boundary the walk's float pre-scan settles below the plan's last
+    entry has, exactly, a nonzero h of the sign of h at boundary 0, so the
+    walk cannot stop there; and the last entry is G, or a boundary where h is
+    exactly 0 or of the other sign, so the walk stops there at the latest."""
     c1, c0 = fpr * csd.f0.exact_total(), tpr * csd.f1.exact_total()
     x1 = c1.numerator * c0.denominator * csd.f0.exact_denominator
     x0 = c0.numerator * c1.denominator * csd.f1.exact_denominator
     h = [a * x1 - b * x0 for a, b in zip(csd.f1.boundary_numerators(), csd.f0.boundary_numerators())]
     visited = _walk_plan(csd, c1, c0, h[0])
     assert visited == sorted(set(visited))
+    assert all(type(k) is int for k in visited)
     if h[0] == 0:
         assert visited[0] == 0  # the walk stops at boundary 0
         return
-    settled = set(range(csd.grid_size + 1)) - set(visited)
+    last = visited[-1]
+    assert last == csd.grid_size or h[last] == 0 or (h[last] > 0) != (h[0] > 0)
+    settled = set(range(last)) - set(visited)
     assert all(h[k] != 0 and (h[k] > 0) == (h[0] > 0) for k in settled)
 
 
@@ -640,6 +645,20 @@ def test_the_pre_scan_leaves_subnormal_ties_to_the_exact_walk():
             assert _policy_or_error(_roc_point_policy, csd, fpr, tpr) == _policy_or_error(
                 _plain_walk_policy, csd, fpr, tpr
             )
+
+
+def test_the_walk_plan_ends_at_the_first_certain_crossing():
+    """Past the first boundary of certain other sign the walk never reads, so
+    the plan ends there: against the 0.3 group's rates at t = 0.5, the 0.6
+    group at the grid cap settles every boundary below its crossing, and its
+    plan is that one boundary."""
+    other = ConditionalScoreDensity.from_base_rate(0.6, MAX_GRID)
+    rates = ConfusionCounts.of(ConditionalScoreDensity.from_base_rate(0.3, MAX_GRID), DeterministicThreshold(0.5))
+    fpr, tpr = rates.fpr, 1 - rates.fnr
+    _check_pre_scan(other, fpr, tpr)
+    c1, c0 = fpr * other.f0.exact_total(), tpr * other.f1.exact_total()
+    h0 = other.f1.exact_total() * c1 - other.f0.exact_total() * c0  # the sign of h[0]
+    assert len(_walk_plan(other, c1, c0, h0)) == 1
 
 
 def test_the_pre_scan_at_the_grid_cap():
