@@ -361,10 +361,6 @@ CSV_HEADER = ("group", "score", "outcome", "decision")
 #: Sentinel for a missing per-record decision.
 NO_DECISION = -1
 
-#: One record as the vectorized reader parses it. The label and both tokens
-#: stay text, so they are checked exactly as the row reader checks them.
-_CSV_RECORD = np.dtype([("group", object), ("score", "f8"), ("outcome", object), ("decision", object)])
-
 #: A Unicode control character (category Cc), which could forge a report line.
 _CONTROL_CHARACTER = re.compile("[\x00-\x1f\x7f-\x9f]")
 #: A lone surrogate (category Cs), which UTF-8 cannot encode.
@@ -431,38 +427,46 @@ _SCORE_MASKS = np.array(
 ).view(f"V{_SCORE_BYTES}")[:, 0]
 
 
-def _nearest_decimal(x, x_high, x_low, half_ulp, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(D, passes, certain)``: D the integer nearest x * 10**k, whether
-    D / 10**k reads back as x, and whether that answer is certain.
+def _decimal_residual(x, x_high, x_low, half_ulp, k, count=None):
+    """``(count, residual, passes, certain)`` for an integer D = high + low
+    near x * 10**k, given as ``count = (high, low)``, two integer-valued
+    doubles, or by default the integer nearest x * 10**k: the residual
+    r = D - x * 10**k, whether D / 10**k reads back as x, and whether that
+    answer is certain. The one residual kernel of ``to_csv`` and the reader.
 
     x * 10**k is formed exactly as a double-double, ``product + error``
-    (Dekker's product), so the residual r = D - x * 10**k comes with one
-    rounding. D / 10**k reads back as x = m * 2**e, m in [1/2, 1), iff |r|
-    is below half an ulp of x, scaled: 2**(e - 54) * 10**k."""
+    (Dekker's product), and high - product is exact (Sterbenz), so r comes
+    with two roundings of small terms. D / 10**k reads back as
+    x = m * 2**e, m in [1/2, 1), iff |r| is below half an ulp of x, scaled:
+    2**(e - 54) * 10**k. Where the kernel picks the nearest D, a tie for
+    nearest is not certain either."""
     scale = _POW10[k]
-    high, low = _POW10_HIGH[k], _POW10_LOW[k]
+    high10, low10 = _POW10_HIGH[k], _POW10_LOW[k]
     # Temporaries are reused in place: a chunk's kernel holds a few arrays.
     product = x * scale
-    error = x_high * high
+    error = x_high * high10
     error -= product
-    term = x_high * low
+    term = x_high * low10
     error += term
-    error += np.multiply(x_low, high, out=term)
-    error += np.multiply(x_low, low, out=term)
-    nearest = np.rint(product)
-    fraction = np.subtract(product, nearest, out=product)  # exact: both within 1/2
-    step = np.rint(np.add(fraction, error, out=term), out=term)
-    residual = np.subtract(step, fraction, out=fraction)
+    error += np.multiply(x_low, high10, out=term)
+    error += np.multiply(x_low, low10, out=term)
+    nearest = count is None
+    if nearest:
+        high = np.rint(product)
+        low = np.rint(np.add(np.subtract(product, high, out=high10), error, out=high10), out=high10)
+    else:
+        high, low = count
+    residual = np.subtract(high, product, out=product)
     residual -= error
-    np.abs(residual, out=residual)
+    residual += low
+    size = np.abs(residual, out=term)
     bound = np.multiply(scale, half_ulp, out=scale)
-    gap = np.abs(np.subtract(residual, bound, out=error), out=error)
-    certain = gap > np.multiply(bound, _CERTAINTY, out=high)
-    gap = np.abs(np.subtract(residual, 0.5, out=error), out=error)
-    certain &= gap > _CERTAINTY  # else a tie for nearest
-    count = nearest.astype(np.int64)
-    count += step.astype(np.int64)
-    return count, residual < bound, certain
+    gap = np.abs(np.subtract(size, bound, out=error), out=error)
+    certain = gap > np.multiply(bound, _CERTAINTY, out=low10)
+    if nearest:
+        gap = np.abs(np.subtract(size, 0.5, out=error), out=error)
+        certain &= gap > _CERTAINTY  # else a tie for nearest
+    return (high, low), residual, size < bound, certain
 
 
 def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -474,7 +478,7 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     to x if several are that short (Steele & White; Ryu, Adams, PLDI 2018);
     for x in [1e-4, 1) it writes ``0.`` and the fraction digits. With E the
     decade of x, the n-digit decimals near x are D / 10**k, k = n - 1 - E,
-    and ``_nearest_decimal`` tests the nearest one. If an n-digit decimal
+    and ``_decimal_residual`` tests the nearest one. If an n-digit decimal
     reads back, so does the nearest (n + 1)-digit one, so the shortest count
     is the least n in 17, 16, 15 that passes, and its D ends in no zero.
 
@@ -495,7 +499,9 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     places = 20 - decade
     for n in (17, 16, 15, 14):
         k = n + 3 - decade
-        count, passes, certain = _nearest_decimal(x, x_high, x_low, half_ulp, k)
+        (high, low), _, passes, certain = _decimal_residual(x, x_high, x_low, half_ulp, k)
+        count = high.astype(np.int64)
+        count += low.astype(np.int64)
         certified &= certain
         if n == 14:
             certified &= ~passes
@@ -585,6 +591,15 @@ def _write_chunks(codes: np.ndarray, widths: np.ndarray, tail: int):
         start += count
 
 
+def _all_in(values: np.ndarray, allowed: range) -> bool:
+    """Whether every value equals one of the integers ``allowed``, as
+    ``np.isin`` decides it: by the range of an integer or boolean column,
+    else by equality."""
+    if values.dtype.kind in "biu":
+        return bool(allowed[0] <= values.min() and values.max() <= allowed[-1])
+    return bool(np.logical_or.reduce([values == a for a in allowed]).all())
+
+
 @dataclass(frozen=True, init=False)
 class AuditDataset:
     """Finite records of (group, score, outcome, optional decision), stored as
@@ -639,7 +654,7 @@ class AuditDataset:
             raise ValueError("dataset must contain at least one record")
         if np.any(score < 0) or np.any(score > 1) or not np.all(np.isfinite(score)):
             raise ValueError("scores must lie in [0, 1]")
-        if not np.all(np.isin(outcome, (0, 1))):
+        if not _all_in(outcome, range(2)):
             raise ValueError("outcomes must be 0 or 1")
         object.__setattr__(self, "codes", np.asarray(codes, dtype=np.int32))
         object.__setattr__(self, "labels", tuple(labels))
@@ -648,7 +663,7 @@ class AuditDataset:
         decision = np.asarray(decision)
         if len(decision) != n:
             raise ValueError("decision column length mismatch")
-        if not np.all(np.isin(decision, (NO_DECISION, 0, 1))):
+        if not _all_in(decision, range(NO_DECISION, 2)):
             raise ValueError("decisions must be 0, 1, or missing")
         object.__setattr__(self, "decision", decision.astype(np.int8, copy=False))
 
@@ -698,10 +713,17 @@ class AuditDataset:
         """Read a ``group,score,outcome,decision`` file, UTF-8 with or without
         a byte-order mark.
 
-        One vectorized pass reads well-formed files. A file it cannot take
-        as is (padded cells, bad tokens, over-long cells, a record spread over
-        lines, no records) is read again row by row; that reader's result, or
-        its line-numbered error, defines the format.
+        A numpy tokenizer reads a regular file whose records each fill one
+        line, their cells as ``csv.writer`` writes them: the label bare, or
+        quoted when it holds a comma or a quote, then the score, then
+        ``,outcome,decision`` unpadded. Lines may end in LF, CR LF or a lone
+        CR, and blank lines are skipped. It reads blocks of whole lines
+        (``_READ_BLOCK`` bytes), so its memory is the columns it returns, 14
+        bytes per record held twice, plus one block's work. Any other file
+        (padded cells, other quoting, bad tokens, over-long cells, a record
+        spread over lines, bytes that are not UTF-8, no records, a pipe) is
+        read row by row; that reader's result, or its line-numbered error,
+        defines the format.
         """
         data = _read_columns(path)
         return data if data is not None else _read_rows(path)
@@ -722,52 +744,312 @@ def _csv_line(values) -> str:
     return buf.getvalue()
 
 
-def _line_count(path, limit: int) -> int | None:
-    """The number of non-blank lines in ``path``, or None unless it is a
-    regular file, which can be read more than once, with no run of bytes
-    between its line feeds reaching ``limit``.
+#: Bytes per block of the record tokenizer. A block ends after the last line
+#: break among them, or grows to the end of its one line, so the tokenizer's
+#: memory stays bounded whatever the file's length.
+_READ_BLOCK = 1 << 19
+#: Zero bytes on each side of a block in the tokenizer's buffer, so that each
+#: window it reads lies inside: 24 bytes before a score cell's end, 16 from a
+#: label cell's start.
+_PAD = 24
+_LINE_BREAK = re.compile(rb"[\r\n]")
+#: A score cell that ``float`` reads, row by row: digits, points, exponents
+#: and signs only, so no space, quote or other text that ``csv`` or ``strip``
+#: would change.
+_NUMBER = re.compile(rb"[0-9.eE+-]*")
+#: For a score cell ``0.`` plus n digits, n = 0..19, that ends a 24-byte
+#: window: the window's last n bytes, its digits, as three uint64 words of
+#: 0xFF bytes, and the byte "0" everywhere else, which parses as a zero digit.
+_DIGIT_PLACES = np.arange(24) >= 24 - np.arange(20)[:, None]
+_DIGIT_MASKS = (_DIGIT_PLACES * np.uint8(0xFF)).view("V24")[:, 0]
+_ZERO_FILL = np.where(_DIGIT_PLACES, 0, ord("0")).astype(np.uint8).view("V24")[:, 0]
+#: For a label cell of L bytes, L = 0..16: the bytes of a 16-byte window
+#: that hold it, from its start (``_HEAD_MASKS``) and to its end
+#: (``_TAIL_MASKS``), as 0xFF bytes.
+_HEAD_MASKS = ((np.arange(16) < np.arange(17)[:, None]) * np.uint8(0xFF)).view("V16")[:, 0]
+_TAIL_MASKS = ((np.arange(16) >= 16 - np.arange(17)[:, None]) * np.uint8(0xFF)).view("V16")[:, 0]
+#: Odd multipliers of a label cell's key words in its hash.
+_KEY_HASH = np.array(
+    [0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 0xD6E8FEB86659FD93, 0xA0761D6478BD642F], np.uint64
+)
 
-    Both readers end a line at LF, CR LF or a lone CR, so each run of CR and
-    LF bytes after other bytes ends one non-blank line. Every aligned block
-    of ``limit // 2`` bytes holding a line feed bounds each run below
-    ``limit``. The blocks are read one at a time through a memory map, so
-    memory stays bounded.
-    """
-    info = os.stat(path)  # a pipe is not opened here: its data can be read only once
-    if not stat.S_ISREG(info.st_mode):
+
+def _windows(buf: np.ndarray, dtype) -> np.ndarray:
+    """Each run of ``dtype``'s size in bytes of ``buf`` as one item, one
+    from each byte, a view: indexing it copies the runs at given starts."""
+    dtype = np.dtype(dtype)
+    return np.ndarray((len(buf) - dtype.itemsize + 1,), dtype, buf, strides=(1,))
+
+
+def _words(items: np.ndarray) -> np.ndarray:
+    """Opaque items as rows of little-endian uint64 words, a view, so that a
+    word's first byte is its lowest on any platform."""
+    return items.view("<u8").reshape(len(items), items.itemsize // 8)
+
+
+def _eight_digits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(value, digits)``: the number that the eight ASCII digits of each
+    uint64 word spell, the first in its lowest byte, and whether all eight
+    bytes are digits. Lemire's SWAR parse ("Number parsing at a gigabyte per
+    second", arXiv:2101.11408): two multiplies join pairs, then quads."""
+    high = words & 0xF0F0F0F0F0F0F0F0
+    high |= ((words + 0x0606060606060606) & 0xF0F0F0F0F0F0F0F0) >> 4
+    value = words - 0x3030303030303030
+    value = value * 10 + (value >> 8)
+    quads = (value & 0xFF000000FF) * (100 + (1000000 << 32))
+    quads += ((value >> 16) & 0xFF000000FF) * (1 + (10000 << 32))
+    return quads >> 32, high == 0x3333333333333333
+
+
+def _last_comma(cells: np.ndarray) -> np.ndarray:
+    """The index of the last comma in each row of the byte matrix ``cells``,
+    or -1: the top set bit of the last of the row's words that holds one,
+    which ``frexp`` reads off the word as a double."""
+    flags = (cells == ord(",")).view("<u8")
+    last = np.full(len(cells), -1)
+    for j in range(flags.shape[1]):
+        word = flags[:, j]
+        np.copyto(last, (np.frexp(word.astype(np.float64))[1] - 1) // 8 + 8 * j, where=word != 0)
+    return last
+
+
+def _decimal_scores(digits: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(x, certified)``: where certified, x is the double nearest to
+    digits / 10**k, for uint64 ``digits`` below 10**19 and k <= 19.
+
+    Below 2**53, digits is an exact double, as is 10**k, so one division
+    rounds once (Clinger's fast path, PLDI 1990). Above, the quotient of the
+    rounded digits lies within about an ulp. ``_decimal_residual`` certifies
+    it, or else its one correction by the residual, against half an ulp; a
+    power of two, whose rounding interval is lopsided, is not certified."""
+    high = digits.astype(np.float64)
+    x = high / _POW10[k]
+    certified = digits < 2**53
+    rows = np.flatnonzero(~certified)
+    guess = x[rows]
+    for _ in range(2):
+        if not len(rows):
+            break
+        count = (high[rows], (digits[rows] - high[rows].astype(np.uint64)).view(np.int64).astype(np.float64))
+        m, e = np.frexp(guess)
+        _, residual, passes, certain = _decimal_residual(
+            guess, *_dekker_split(guess), np.ldexp(1.0, e - 54), k[rows], count
+        )
+        done = passes & certain & (m != 0.5)
+        x[rows[done]] = guess[done]
+        certified[rows[done]] = True
+        guess = (guess + residual / _POW10[k[rows]])[~done]
+        rows = rows[~done]
+    return x, certified
+
+
+def _cell_label(cell: bytes) -> str | None:
+    """The group label of a label cell written exactly as ``csv.writer``
+    writes it, which the row reader reads back as it is; else None."""
+    try:
+        text = cell.decode()
+    except UnicodeDecodeError:
         return None
-    if info.st_size == 0:
-        return 0
-    step = max(1, limit // 2)
-    lines, after_break = 0, True
-    with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
-        for start in range(0, info.st_size, step):
-            chunk = mm[start : start + step]
-            block = np.frombuffer(chunk, np.uint8)
-            breaks = block == 10
-            if not breaks.any() and start + step <= info.st_size and info.st_size >= limit:
+    label = text[1:-1].replace('""', '"') if text.startswith('"') else text
+    return label if _is_plain_label(label) and _csv_line((label, "")) == f"{text},\n" else None
+
+
+class _LabelCodes:
+    """The group codes of a record file's label cells, read block by block,
+    with ``labels`` in first-seen order.
+
+    A cell's key is its length and its first and last 16 bytes, which fix a
+    cell of up to 32 bytes. A block looks up the keys' hashes among those of
+    the known labels; a cell it misses is decoded and checked once, as a new
+    label; a longer cell's hash covers its middle bytes too. Each row's key,
+    and a longer cell's middle bytes, are then compared with its label's
+    first cell, so a hash collision refuses the file rather than merge two
+    labels."""
+
+    def __init__(self):
+        self.labels: list[str] = []
+        self._cells: list[bytes] = []
+        self._keys = np.empty((0, 5), np.uint64)  # by code
+        self._hashes = np.empty(0, np.uint64)  # by code
+        self._sorted = np.empty(0, np.uint64)
+        self._codes = np.empty(0, np.int32)  # the code of each sorted hash
+        self._text = np.empty(0, np.uint8)  # the cells back to back, from _starts
+        self._starts = np.empty(0, np.int64)
+
+    def _find(self, hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if not len(self._sorted):
+            return np.zeros(len(hashes), np.intp), np.zeros(len(hashes), bool)
+        at = np.minimum(np.searchsorted(self._sorted, hashes), len(self._sorted) - 1)
+        return at, self._sorted[at] == hashes
+
+    def _learn(self, cells: list[bytes], keys: np.ndarray, hashes: np.ndarray) -> bool:
+        """Add the labels of new ``cells``, in order; False if one is refused."""
+        for cell in cells:
+            label = _cell_label(cell)
+            if label is None:
+                return False
+            self.labels.append(label)
+        self._cells += cells
+        self._keys = np.concatenate([self._keys, keys])
+        self._hashes = np.concatenate([self._hashes, hashes])
+        order = np.argsort(self._hashes)
+        self._sorted, self._codes = self._hashes[order], order.astype(np.int32)
+        self._text = np.frombuffer(b"".join(self._cells), np.uint8)
+        lengths = np.array([len(cell) for cell in self._cells])
+        self._starts = np.cumsum(lengths) - lengths
+        return True
+
+    def codes(self, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
+        """The code of each label cell ``buf[starts[i] : starts[i] + lengths[i]]``,
+        or None if a cell is refused."""
+        windows = _windows(buf, "V16")
+        short = np.minimum(lengths, 16)
+        keys = np.empty((len(starts), 5), np.uint64)
+        keys[:, 0] = lengths
+        keys[:, 1:3] = _words(windows[starts]) & _words(_HEAD_MASKS[short])
+        keys[:, 3:] = _words(windows[starts + lengths - 16]) & _words(_TAIL_MASKS[short])
+        hashes = keys @ _KEY_HASH
+        # A cell of more than 32 bytes adds its middle bytes to its hash, so
+        # that cells differing only there are two labels.
+        long = np.flatnonzero(lengths > 32)
+        middle = lengths[long] - 32
+        firsts = np.cumsum(middle) - middle
+        within = np.arange(middle.sum()) - np.repeat(firsts, middle)
+        ours = buf[np.repeat(starts[long] + 16, middle) + within]
+        if len(long):
+            powers = np.cumprod(np.full(int(middle.max()), _KEY_HASH[0]))
+            hashes[long] += np.add.reduceat(ours * powers[within], firsts)
+        at, known = self._find(hashes)
+        if not known.all():
+            missing = np.flatnonzero(~known)
+            rows = missing[np.sort(np.unique(hashes[missing], return_index=True)[1])]
+            cells = [buf[a : a + n].tobytes() for a, n in zip(starts[rows].tolist(), lengths[rows].tolist())]
+            if not self._learn(cells, keys[rows], hashes[rows]):
                 return None
-            if b"\r" in chunk:
-                breaks |= block == 13
-            # A non-blank line ends where a line break follows another byte.
-            lines += int(np.count_nonzero(breaks[1:] > breaks[:-1])) + bool(breaks[0] and not after_break)
-            after_break = bool(breaks[-1])
-    return lines + (not after_break)
+            at, _ = self._find(hashes)
+        codes = self._codes[at]
+        theirs = self._text[np.repeat(self._starts[codes[long]] + 16, middle) + within]
+        if not (np.array_equal(_words(self._keys.view("V40")[codes, 0]), keys) and np.array_equal(ours, theirs)):
+            return None
+        return codes
+
+
+def _score_column(buf: np.ndarray, cells: np.ndarray, cuts: np.ndarray, tails: np.ndarray) -> np.ndarray | None:
+    """The score of each record, whose cell lies between the comma at
+    ``cuts`` and the tail at ``tails`` of ``buf``, and ends the 24 bytes of
+    its row of ``cells``; None if a cell is not a number in [0, 1] that
+    ``float`` reads from it as it is.
+
+    A cell ``0.`` plus 1-19 digits is parsed from its window (see
+    ``_eight_digits`` and ``_decimal_scores``); ``float`` reads any other
+    cell, and any the kernel cannot certify, if it holds only ``_NUMBER``
+    characters."""
+    widths = tails - cuts - 1
+    score = np.empty(len(cuts))
+    certified = np.zeros(len(cuts), bool)
+    pairs = _windows(buf, "<u2")[cuts + 1]
+    rows = np.flatnonzero((widths >= 3) & (widths <= 21) & (pairs == 0x2E30))  # "0." then 1-19 digits
+    places = widths[rows] - 2
+    words = _words(cells[rows]) & _words(_DIGIT_MASKS[places])
+    words |= _words(_ZERO_FILL[places])
+    value, digits = _eight_digits(words)
+    digits = digits.all(axis=1)
+    rows, places, value = rows[digits], places[digits], value[digits]
+    score[rows], certified[rows] = _decimal_scores(value[:, 0] * 10**16 + value[:, 1] * 10**8 + value[:, 2], places)
+    rest = np.flatnonzero(~certified)
+    text = buf.tobytes() if len(rest) else b""
+    for i, a, b in zip(rest.tolist(), (cuts[rest] + 1).tolist(), tails[rest].tolist()):
+        cell = text[a:b]
+        if not _NUMBER.fullmatch(cell):
+            return None
+        try:
+            score[i] = number = float(cell)
+        except ValueError:
+            return None
+        if not 0.0 <= number <= 1.0:
+            return None
+    return score
+
+
+def _block_records(buf: np.ndarray, last: bool, labels: _LabelCodes, limit: int) -> tuple | None:
+    """``(codes, score, outcome, decision)`` of the records in one block of
+    whole lines, which ``buf`` holds between ``_PAD`` zero bytes on each
+    side, or None unless every line is blank or a record that the row reader
+    reads the same. ``last`` tells whether the block ends the file, where
+    the last line may lack its line break.
+
+    A record is a label cell as ``csv.writer`` writes it (see
+    ``_cell_label``), a comma, a score cell (see ``_score_column``), then
+    ``,outcome,decision`` exactly, read from the line's end. The score cell
+    starts after the last comma before that tail, so a quoted label may hold
+    commas."""
+    end = len(buf) - _PAD
+    controls = np.flatnonzero(buf[_PAD:end] < 32) + _PAD
+    ends = buf[controls]
+    if not np.all((ends == 10) | (ends == 13)):
+        return None  # a control character, which the row reader refuses or strips
+    if last and (not len(controls) or controls[-1] != end - 1):
+        controls = np.append(controls, end)
+    starts = np.concatenate(([_PAD], controls[:-1] + 1))
+    lines = controls > starts  # a line break right after another ends a blank line
+    starts, ends = starts[lines], controls[lines]
+    tail = _windows(buf, "<u4")[ends - 4]
+    decided = (tail >> 24) != ord(",")
+    tail = np.where(decided, tail, tail >> 8)  # the bytes ",o," then d (or 0)
+    outcome = ((tail >> 8) & 0xFF) - ord("0")
+    decision = (tail >> 24) - ord("0")
+    if not np.all(((tail & 0xFF00FF) == 0x2C002C) & (outcome < 2) & ((decision < 2) | ~decided)):
+        return None
+    tails = ends - 3 - decided
+    cells = _windows(buf, "V24")[tails - 24]  # the 24 bytes before each tail
+    cuts = tails - 24 + _last_comma(cells.view(np.uint8).reshape(len(cells), 24))
+    far = np.flatnonzero(cuts < tails - 24)  # no comma in the window: a long cell
+    if len(far):
+        text = buf.tobytes()
+        cuts[far] = [text.rfind(b",", a, b) for a, b in zip(starts[far].tolist(), tails[far].tolist())]
+    if not np.all(cuts > starts) or max(1, int((tails - cuts - 1).max(initial=0))) > limit:
+        return None  # no label cell, or a cell the csv field limit refuses
+    codes = labels.codes(buf, starts, cuts - starts)
+    score = _score_column(buf, cells, cuts, tails)
+    if codes is None or score is None:
+        return None
+    return codes, score, outcome.astype(np.int8), np.where(decided, decision.astype(np.int8), np.int8(NO_DECISION))
+
+
+def _block_end(mm, start: int, longest: int) -> int | None:
+    """The end of the block of whole lines that starts at ``start``: after
+    the last line break among ``_READ_BLOCK`` bytes, or after the one line
+    they start, or the end of the file. None for a line of more than
+    ``longest`` bytes."""
+    size = len(mm)
+    stop = start + _READ_BLOCK
+    if stop >= size:
+        return size
+    cut = max(mm.rfind(b"\n", start, stop), mm.rfind(b"\r", start, stop))
+    if cut < 0:
+        found = _LINE_BREAK.search(mm, stop, start + longest)
+        if found is None:
+            return size if start + longest >= size else None
+        cut = found.start()
+    return cut + 1
 
 
 def _read_columns(path) -> AuditDataset | None:
-    """The records of ``path`` from one ``np.loadtxt`` pass, or None when the
-    row reader must decide: on any parse error, and on any cell that it
-    would read differently or reject.
+    """The records of ``path`` read by a numpy byte tokenizer, or None when
+    the row reader must decide: on any line or cell that the tokenizer
+    cannot prove the row reader reads as it does, and on a file with no
+    record, or one that is not a regular file, which could be read only once.
 
-    Only a file with one record on each non-blank line but the header is
-    read here, so every cell lies on one line, and ``_line_count`` holds each
-    line below the csv field-size limit. A file with a quoted cell spread
-    over lines, or with no record, is left to the row reader, and so is a
-    label or score that the dataset constructor refuses.
+    The header is read by ``csv`` and must fill the first line. The lines
+    after it are read through a memory map in blocks of whole lines (see
+    ``_block_end`` and ``_block_records``). A record must lie on one line, as
+    a line ends at LF, CR LF or a lone CR, so a cell spread over lines, or
+    quoted other than as ``csv.writer`` quotes it, leaves the file to the
+    row reader. So does a cell longer than the csv field-size limit, a byte
+    that is not UTF-8, a number ``float`` refuses or a score outside [0, 1].
     """
-    lines = _line_count(path, csv.field_size_limit())
-    if lines is None or lines < 2:
+    info = os.stat(path)  # a pipe is not opened here: its data can be read only once
+    if not stat.S_ISREG(info.st_mode) or info.st_size == 0:
         return None
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -777,26 +1059,32 @@ def _read_columns(path) -> AuditDataset | None:
             return None
         if header is None or reader.line_num != 1 or tuple(h.strip() for h in header) != CSV_HEADER:
             return None
+    limit = csv.field_size_limit()
+    # A record line holds at most 4 * limit + 2 bytes of label cell, limit of
+    # score, 5 of separators and tail, and its line break.
+    longest = 5 * limit + 8
+    labels = _LabelCodes()
+    parts = []
+    with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+        found = _LINE_BREAK.search(mm)
+        start = len(mm) if found is None else found.end()
+        while start < len(mm):
+            stop = _block_end(mm, start, longest)
+            if stop is None:
+                return None
+            buf = np.zeros(stop - start + 2 * _PAD, np.uint8)
+            buf[_PAD:-_PAD] = np.frombuffer(mm, np.uint8, stop - start, start)
+            part = _block_records(buf, stop == len(mm), labels, limit)
+            if part is None:
+                return None
+            parts.append(part)
+            start = stop
+    if not parts:  # no line after the header
+        return None
+    codes, score, outcome, decision = map(np.concatenate, zip(*parts))
     try:
-        records = np.loadtxt(
-            os.fspath(path), dtype=_CSV_RECORD, delimiter=",", quotechar='"', comments=None,
-            skiprows=1, encoding="utf-8-sig", ndmin=1,
-        )
-    except ValueError:
-        return None
-    if lines != len(records) + 1:
-        return None
-    labels, codes = _factorize(records["group"].tolist())
-    score = np.ascontiguousarray(records["score"])
-    outcome = records["outcome"] == "1"
-    decided = records["decision"] == "1"
-    missing = ~(decided | (records["decision"] == "0"))
-    if not (np.all(outcome | (records["outcome"] == "0")) and np.all(records["decision"][missing] == "")):
-        return None
-    decision = np.where(missing, NO_DECISION, decided).astype(np.int8)
-    try:
-        return AuditDataset._from_codes(codes, labels, score, outcome.astype(np.int8), decision)
-    except ValueError:  # a label or score that the constructor refuses
+        return AuditDataset._from_codes(codes, tuple(labels.labels), score, outcome, decision)
+    except ValueError:  # no record, or a label that the constructor refuses
         return None
 
 

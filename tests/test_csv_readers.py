@@ -5,11 +5,11 @@ import csv
 import io
 import itertools
 import os
-import re
 import tempfile
 import threading
 import tracemalloc
 from contextlib import contextmanager
+from decimal import Decimal
 from pathlib import Path
 from unittest import mock
 
@@ -21,7 +21,6 @@ from fairsim import AuditDataset, PopulationModel, densities, sample, solve_equa
 from fairsim.densities import (
     _WRITE_CHUNK as WRITE_CHUNK,
     _is_plain_label,
-    _line_count,
     _read_columns,
     _read_rows,
     _score_cells,
@@ -32,15 +31,22 @@ from _helpers import judge_population
 
 HEADER = "group,score,outcome,decision"
 
+# Two 40-byte labels that share their first and last 16 bytes, which the
+# fast reader's label key holds, and differ only in the middle.
+TWINS = ["p" * 16 + "middle-a" + "q" * 16, "p" * 16 + "middle-b" + "q" * 16]
 # Cells both readers accept, and cells that the vectorized reader leaves to
-# the row reader (padding, control characters, over-long cells) or that
-# neither accepts.
-LABELS = ["a", "b", "White", "a,b", 'x"y', '""', "#c", "# c", "\u00e9", "\u65e5\u672c"]
+# the row reader (padding, control characters, over-long cells, quoting
+# other than csv.writer's) or that neither accepts. A label that csv.writer
+# would quote, such as '"a"b', is odd too when written bare.
+LABELS = ["a", "b", "White", "a,b", 'x"y', '""', "#c", "# c", "\u00e9", "\u65e5\u672c", '"a"b', *TWINS]
 ODD_LABELS = [
     "a\nb", "a\r\nb", "a\rb", " a", "a ", "\ta", "", "a\u2003", "a\x1c", "\x0cb", "q" * 45,
-    "a\x00", "\x00", "a\x01b", "a\x7fb",
+    "a\x00", "\x00", "a\x01b", "a\x7fb", '"x,0.5,1,0\ny"',
 ]
-SCORES = ["0", "1", "0.5", "0.25", "1.0", "-0.0", "0.1234567890123456789", "1e-3", "+.5", " 0.5", "0.5 ", "\t0.5"]
+SCORES = [
+    "0", "1", "0.5", "0.25", "1.0", "-0.0", "0.1234567890123456789", "1e-3", "+.5", " 0.5", "0.5 ", "\t0.5",
+    "5E-05", "00.5", ".5", "1.", repr(0.1 + 0.2),
+]
 ODD_SCORES = [
     "0.5\u2003", "nan", "inf", "-0.1", "1.5", "1e5", "abc", "", "1_0", "\uff10.5", "0x1p-1",
     "0.5\x00", "0.5,", '"', "0" * 45, "0.5\n", "0\n" * 25, "0\r" * 25,
@@ -518,17 +524,6 @@ def test_readers_agree_on_a_score_cell_spread_over_lines(tmp_path):
     _check_readers_agree(blank, limit=40)
 
 
-@settings(max_examples=300, deadline=None)
-@given(text=st.text(alphabet="a\r\n", max_size=40), limit=st.sampled_from([None, 4, 6]))
-def test_line_count_counts_non_blank_lines(text, limit, tmp_path_factory):
-    path = tmp_path_factory.mktemp("lines") / "text.csv"
-    path.write_bytes(text.encode())
-    want = sum(1 for line in re.split("\r\n|\r|\n", text) if line)
-    got = _line_count(path, limit or csv.field_size_limit())
-    # A small limit with a block of no line feed leaves the file to the row reader.
-    assert got == want or (limit and got is None)
-
-
 def test_blank_lines_need_no_second_csv_pass(tmp_path):
     # Blank lines are not records, so they keep a file on the fast path.
     path = tmp_path / "blank.csv"
@@ -566,3 +561,140 @@ def test_a_label_longer_than_the_field_limit_is_refused(tmp_path):
     pop = PopulationModel(groups={too_long: pop.group("men"), "b": pop.group("women")})
     with pytest.raises(ValueError, match="^group label of"):
         sample(pop, 100, seed=1)
+
+
+def test_labels_over_32_bytes_and_with_quotes_read_back_through_the_fast_path(tmp_path):
+    # TWINS share the 32 bytes of the fast reader's label key, so only the
+    # middle bytes, which it hashes and compares too, keep them apart.
+    group = [TWINS[0], 'a""b', TWINS[1], '"a"b', "a,b", TWINS[0], "x" * 33, TWINS[1]]
+    data = AuditDataset(group=group, score=np.linspace(0, 1, len(group)), outcome=np.arange(len(group)) % 2)
+    path = tmp_path / "records.csv"
+    data.to_csv(path)
+    fast = _read_columns(path)
+    assert fast is not None
+    _assert_same(fast, _read_rows(path))
+    _assert_same(fast, data)
+    assert fast.labels == (TWINS[0], 'a""b', TWINS[1], '"a"b', "a,b", "x" * 33)
+
+
+@pytest.mark.parametrize(
+    "lines, want",
+    [
+        # '"x' opens a quoted cell that csv continues on the next line.
+        (['"x,0.5,1,0', 'y",0.5,1,0'], "ValueError: row 2: group label 'x,0.5,1,0\\ny' holds a control character"),
+        (['"a"b,0.5,1,0', "a,0.5,0,1"], ("ab", "a")),  # csv reads '"a"b' as 'ab'
+        (['"a",0.5,1,0', "a,0.5,0,1"], ("a",)),  # csv.writer would not quote 'a'
+    ],
+)
+def test_quoting_other_than_csv_writers_goes_to_the_row_reader(tmp_path, lines, want):
+    path = tmp_path / "records.csv"
+    path.write_text("\n".join([HEADER, *lines]) + "\n", encoding="utf-8")
+    assert _read_columns(path) is None
+    got = _outcome(AuditDataset.from_csv, path)
+    assert got == want if isinstance(want, str) else got.labels == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.floats(0.0, 1.0),
+    offset=st.one_of(st.just(0.0), st.floats(-1e-9, 1e-9)),
+)
+def test_scores_are_correctly_rounded(x, offset):
+    """Each score reads as ``float`` reads its text, bit for bit: for x, and
+    for a decimal within 1e-9 of a gap of the midpoint between x and the
+    double below it, each written as ``repr``, to 17, 19 and 20 places; the
+    last is not of the kernel's form ``0.`` plus 1-19 digits."""
+    below = float(np.nextafter(x, -1.0)) if x > 0 else x
+    mid = (Decimal(x) + Decimal(below)) / 2 + (Decimal(x) - Decimal(below)) * Decimal(offset)
+    texts = [repr(x)] + [format(value, form) for value in (Decimal(x), mid) for form in (".17f", ".19f", ".20f")]
+    body = "".join(f"a,{text},1,0\n" for text in texts)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.csv"
+        path.write_text(f"{HEADER}\n{body}", encoding="utf-8")
+        data = _read_columns(path)
+    assert data is not None
+    want = np.array([float(text) for text in texts])
+    assert data.score.tobytes() == want.tobytes(), texts
+
+
+def test_score_kernel_reads_scores_as_float_does():
+    # Random doubles, in [0, 1) and toward 0, to each count of 1-19 places,
+    # and the midpoints between 2,000 of them and the next double, to 19.
+    rng = np.random.default_rng(34)
+    x = rng.random(4_000) * 10.0 ** -rng.integers(0, 4, 4_000)
+    texts = [f"{v:.{k}f}" for v in x.tolist() for k in range(1, 20)]
+    texts += [format((Decimal(v) + Decimal(float(np.nextafter(v, 1.0)))) / 2, ".19f") for v in x[:2_000].tolist()]
+    texts = [text for text in texts if text.startswith("0.")]
+    digits = np.array([int(text[2:]) for text in texts], np.uint64)
+    got, certified = densities._decimal_scores(digits, np.array([len(text) - 2 for text in texts]))
+    want = np.array([float(text) for text in texts])
+    assert certified.mean() > 0.99
+    assert got[certified].tobytes() == want[certified].tobytes()
+
+
+def _records_across_blocks() -> bytes:
+    """Records in which new labels first appear deep into the file, with
+    every line ending, blank lines, and a last line without a line break."""
+    rng = np.random.default_rng(11)
+    labels = np.array(["a", "b,c", 'q"', "é" * 20, *TWINS])
+    first = np.array([0, 3, 40, 41, 200, 333])  # the record at which each label starts
+    codes = rng.integers(0, len(labels), 400)
+    codes = np.minimum(codes, np.searchsorted(first, np.arange(400), side="right") - 1)
+    codes[first] = np.arange(len(labels))
+    ends = rng.choice(["\n", "\r\n", "\r", "\n\n", "\r\n\r\n"], 400)
+    cells = [densities._csv_line((label, ""))[:-2] for label in labels]
+    decisions = ["" if k % 3 else str(rng.integers(2)) for k in range(400)]
+    lines = [f"{cells[c]},{rng.random()!r},{rng.integers(2)},{d}" for c, d in zip(codes, decisions)]
+    return (HEADER + "\r\n" + "".join(line + end for line, end in zip(lines, ends))).rstrip("\r\n").encode()
+
+
+@pytest.mark.parametrize("block", [1, 3, 7 * 30, densities._READ_BLOCK])
+def test_blocks_give_the_same_records_with_labels_first_seen(tmp_path, block):
+    # A block of a few bytes grows to its line's end; 7 lines of about 30
+    # bytes split the records anywhere, a CR LF pair too.
+    path = tmp_path / "records.csv"
+    path.write_bytes(_records_across_blocks())
+    want = _read_rows(path)
+    with mock.patch("fairsim.densities._READ_BLOCK", block):
+        got = _read_columns(path)
+    assert got is not None
+    _assert_same(got, want)
+    assert got.labels == ("a", "b,c", 'q"', "é" * 20, *TWINS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=csv_texts(), limit=st.sampled_from([None, 40]), block=st.integers(1, 64))
+def test_small_blocks_match_the_row_reader(text, limit, block):
+    with mock.patch("fairsim.densities._READ_BLOCK", block):
+        _check_readers_agree(text, limit)
+
+
+def test_a_line_longer_than_any_record_goes_to_the_row_reader(tmp_path):
+    # Under a field limit of 40 no record line passes 5 * 40 + 8 bytes, so a
+    # block stops growing there and the row reader names the row.
+    path = tmp_path / "records.csv"
+    path.write_text(f"{HEADER}\na,0.5,1,1\n{'x' * 300},0.5,1,1\n", encoding="utf-8")
+    with _field_size_limit(40), mock.patch("fairsim.densities._READ_BLOCK", 16):
+        assert _read_columns(path) is None
+        with pytest.raises(ValueError, match=r"^row 3: field larger than field limit \(40\)"):
+            AuditDataset.from_csv(path)
+
+
+#: Peak traced memory of ``from_csv`` on the file below when it parsed with
+#: ``np.loadtxt`` into an object-dtype record array (numpy 2.4, Python 3.11).
+LOADTXT_PEAK = 22_828_487
+
+
+def test_from_csv_peaks_at_under_half_the_memory_of_loadtxt(tmp_path):
+    pop = judge_population(1024)
+    data = sample(pop, 200_000, seed=9, rule=solve_equalized_odds(pop, "men", 0.5))
+    path = tmp_path / "records.csv"
+    data.to_csv(path)
+    tracemalloc.start()
+    try:
+        back = AuditDataset.from_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_same(back, data)
+    assert peak <= LOADTXT_PEAK / 2
