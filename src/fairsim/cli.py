@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import get_args
 
-from .densities import AuditDataset, echo
+from .densities import CONTROL_CHARACTER, AuditDataset, echo
 from .experiments import EXPERIMENTS
 from .metrics import (
     CalibrationReport,
@@ -138,6 +138,8 @@ def audit(csv_path: str, bins: int = 10, tol: float = 1e-6) -> dict:
     ``tol`` only draws the holds/fails line under each gap; gaps are findings,
     never errors.
     """
+    if CONTROL_CHARACTER.search(str(csv_path)):  # the report echoes the path
+        raise ValueError(f"input path {echo(str(csv_path))} holds a control character")
     if not 1 <= bins <= MAX_BINS:
         raise ValueError(f"bins must be between 1 and {MAX_BINS}, got {bins}")
     if not 0 <= tol < math.inf:

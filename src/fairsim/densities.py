@@ -253,9 +253,8 @@ class ConditionalScoreDensity:
         Puts mass proportional to s into the outcome-1 component and 1-s into
         the outcome-0 component, cell by cell, so P(Y=1 | S=s) = s wherever
         the marginal has mass, up to float rounding of each cell's weights.
+        f0 + f1 is the marginal, so their joint mass check enforces a normalized one.
         """
-        if not marginal.is_normalized():
-            raise ValueError("marginal density must integrate to 1")
         mids = marginal.midpoints()
         return cls(
             f0=ScoreDensity((1.0 - mids) * marginal.weights),
@@ -361,8 +360,9 @@ CSV_HEADER = ("group", "score", "outcome", "decision")
 #: Sentinel for a missing per-record decision.
 NO_DECISION = -1
 
-#: A Unicode control character (category Cc), which could forge a report line.
-_CONTROL_CHARACTER = re.compile("[\x00-\x1f\x7f-\x9f]")
+#: A Unicode control character (category Cc), or U+2028 or U+2029, on which
+#: ``str.splitlines`` also breaks: each could forge a report line.
+CONTROL_CHARACTER = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
 #: A lone surrogate (category Cs), which UTF-8 cannot encode.
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
@@ -384,7 +384,7 @@ def _is_plain_label(label) -> bool:
         isinstance(label, str)
         and label != ""
         and label == label.strip()
-        and not _CONTROL_CHARACTER.search(label)
+        and not CONTROL_CHARACTER.search(label)
         and not _SURROGATE.search(label)
     )
 
@@ -1120,7 +1120,7 @@ def _read_rows(path) -> AuditDataset:
                 group, score_s, outcome_s, decision_s = (c.strip() for c in row)
                 if not group:
                     raise ValueError(f"row {line_no}: empty group label")
-                if _CONTROL_CHARACTER.search(group):
+                if CONTROL_CHARACTER.search(group):
                     raise ValueError(f"row {line_no}: group label {echo(group)} holds a control character")
                 try:
                     score = float(score_s)

@@ -6,7 +6,6 @@ exact value is rounded. The undefined marker renders as ``undefined``."""
 
 from __future__ import annotations
 
-import csv
 import math
 from fractions import Fraction
 
@@ -54,7 +53,5 @@ def render_text(title: str, mapping: dict) -> str:
 def write_series_csv(path, points) -> None:
     """Write one plot series as an x,y CSV file."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("x", "y"))
-        for x, y in points:
-            writer.writerow((format_value(float(x)), format_value(float(y))))
+        fh.write("x,y\n")
+        fh.writelines(f"{format_value(float(x))},{format_value(float(y))}\n" for x, y in points)

@@ -11,6 +11,7 @@ import numpy as np
 
 from fairsim import AuditDataset, sample, solve_equalized_odds
 from fairsim import experiments, metrics
+from fairsim.densities import echo
 from fairsim.experiments import ExperimentReport
 from fairsim.cli import (
     MAX_BINS,
@@ -85,6 +86,18 @@ def test_audit_rejects_a_label_that_holds_a_control_character(tmp_path, capsys, 
     code, out, err = run_cli(capsys, "audit", "--input", str(path), "--format", "doc")
     assert (code, out) == (1, "")
     assert err == f"audit error: row 3: group label {label!r} holds a control character\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "doc"])
+@pytest.mark.parametrize("char", ["\n", "\u2028", "\u2029"], ids=["line-feed", "line-separator", "paragraph-separator"])
+def test_audit_refuses_an_input_path_that_holds_a_line_break(tmp_path, capsys, fmt, char):
+    # Echoed as is into the title and input.path, the path would add a report line.
+    path = tmp_path / f"r{char}separation.holds = true.csv"
+    path.write_text("group,score,outcome,decision\na,0.9,1,1\nb,0.1,0,0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "audit", "--input", str(path), "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err == f"audit error: input path {echo(str(path))} holds a control character\n"
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -264,6 +264,26 @@ def test_constructor_rejects_a_label_that_a_file_cannot_give_back(label):
         AuditDataset(group=[label, "c"], score=[0.1, 0.2], outcome=[0, 1])
 
 
+# U+2028 and U+2029 are not control characters, but ``str.splitlines``
+# breaks a report line on them as on a line break.
+SEPARATOR_LABELS = ["x\u2028separation.holds = true\u2028y", "a\u2029b"]
+
+
+@pytest.mark.parametrize("label", SEPARATOR_LABELS, ids=["line-separator", "paragraph-separator"])
+def test_a_label_that_holds_a_line_separator_is_refused_on_every_path(tmp_path, label):
+    """The constructor refuses the label; in a file that ``csv.writer``
+    wrote, the tokenizer leaves its cell to the row reader, which names its row."""
+    with pytest.raises(ValueError, match="^group label"):
+        AuditDataset(group=[label, "c"], score=[0.1, 0.2], outcome=[0, 1])
+    path = tmp_path / "records.csv"
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([HEADER.split(","), ("c", 0.9, 1, 1), (label, 0.1, 0, 0)])
+    assert densities._cell_label(label.encode()) is None
+    assert _read_columns(path) is None
+    want = f"ValueError: row 3: group label {label!r} holds a control character"
+    assert _outcome(_read_rows, path) == _outcome(AuditDataset.from_csv, path) == want
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     group=st.lists(

@@ -22,6 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import fairsim
 from fairsim import (
@@ -101,17 +102,41 @@ def _forbid_full_reads(monkeypatch) -> None:
 
 
 def test_a_calibrated_build_builds_no_boundary_tuple(monkeypatch):
-    """Building a calibrated group reads one total from the raw and the
-    normalized marginal and from its f0 and f1; each reads it off its limb
-    suffix matrix, and none reads its G + 1 Python-int boundary numerators."""
+    """Building a calibrated group reads one total from the raw weights, to
+    normalize them, and from its f0 and f1, to check their joint mass; each
+    reads it off its limb suffix matrix, and none reads its G + 1 Python-int
+    boundary numerators. The normalized marginal is never read exactly, so
+    it builds no limb matrix."""
     _forbid_full_reads(monkeypatch)
     grid = 4096
     rng = np.random.default_rng(3)
     raw = ScoreDensity(rng.uniform(0.2, 1.0, grid) * (1.0 - 0.8 * ((np.arange(grid) + 0.5) / grid - 0.5)))
     marginal = raw.normalized()
     csd = ConditionalScoreDensity.calibrated(marginal)
-    for density in (raw, marginal, csd.f0, csd.f1):
+    for density in (raw, csd.f0, csd.f1):
         assert "_suffix_limbs" in density.__dict__
+    assert not {name for name in vars(marginal) if name.startswith("_")}
+
+
+def _scaled_marginal(grid: int, total: float) -> ScoreDensity:
+    weights = ScoreDensity(np.random.default_rng(grid).uniform(0.2, 1.0, grid)).normalized().weights
+    return ScoreDensity(weights * total)
+
+
+@pytest.mark.parametrize("grid", [7, 1000, 4096])
+@pytest.mark.parametrize("total", [0.0, 0.5, 2.0, 1 - 1e-8, 1 + 1e-8])
+def test_calibrated_refuses_a_marginal_that_is_not_normalized(grid, total):
+    """The joint mass check on f0 + f1 is the one check of a calibrated
+    build's mass, and it refuses every marginal whose total is off 1."""
+    with pytest.raises(ValueError, match="f0 and f1 masses must sum to 1"):
+        ConditionalScoreDensity.calibrated(_scaled_marginal(grid, total))
+
+
+@pytest.mark.parametrize("grid", [7, 1000, 4096])
+@pytest.mark.parametrize("total", [1 - 1e-12, 1 + 1e-12])
+def test_calibrated_accepts_a_marginal_within_rounding_of_normalized(grid, total):
+    csd = ConditionalScoreDensity.calibrated(_scaled_marginal(grid, total))
+    assert csd.f0.exact_total() + csd.f1.exact_total() == pytest.approx(total, abs=1e-15)
 
 
 def test_a_calibrated_group_reads_cells_and_tails_off_its_limbs():
