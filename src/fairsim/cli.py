@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import get_args
 
-from .densities import CONTROL_CHARACTER, AuditDataset, echo
+from .densities import CONTROL_CHARACTER, SURROGATE, AuditDataset, echo
 from .experiments import EXPERIMENTS
 from .metrics import (
     CalibrationReport,
@@ -140,6 +140,8 @@ def audit(csv_path: str, bins: int = 10, tol: float = 1e-6) -> dict:
     """
     if CONTROL_CHARACTER.search(str(csv_path)):  # the report echoes the path
         raise ValueError(f"input path {echo(str(csv_path))} holds a control character")
+    if SURROGATE.search(str(csv_path)):  # a byte that is not UTF-8, which the report cannot echo
+        raise ValueError(f"input path {echo(str(csv_path))} is not UTF-8")
     if not 1 <= bins <= MAX_BINS:
         raise ValueError(f"bins must be between 1 and {MAX_BINS}, got {bins}")
     if not 0 <= tol < math.inf:

@@ -364,7 +364,7 @@ NO_DECISION = -1
 #: ``str.splitlines`` also breaks: each could forge a report line.
 CONTROL_CHARACTER = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
 #: A lone surrogate (category Cs), which UTF-8 cannot encode.
-_SURROGATE = re.compile("[\ud800-\udfff]")
+SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 #: Characters of input text that an error message echoes at most.
@@ -385,12 +385,25 @@ def _is_plain_label(label) -> bool:
         and label != ""
         and label == label.strip()
         and not CONTROL_CHARACTER.search(label)
-        and not _SURROGATE.search(label)
+        and not SURROGATE.search(label)
     )
 
 
-#: Records per chunk in ``to_csv``; bounds the text held in memory at once.
-_WRITE_CHUNK = 1 << 16
+#: Records per tile of the export path: ``draw_categorical`` draws,
+#: ``sample`` fills its columns and ``to_csv`` formats this many at a time,
+#: so that each step's temporaries stay in cache and the text held at once
+#: is bounded. Of tiles of 2**12 to 2**16 records, 2**13 and 2**14 were
+#: fastest; the smaller holds less.
+_WRITE_CHUNK = 1 << 13
+
+
+def _cells(matrix: np.ndarray, columns: slice) -> np.ndarray:
+    """``matrix[:, columns]`` as one opaque (void) item per row, a view.
+    numpy gathers and copies such items several times faster than rows of
+    small ones."""
+    part = matrix[:, columns]
+    return part.view(f"V{part.shape[1] * part.itemsize}")[:, 0]
+
 
 #: 10**k for k = 0..22, each an exact double.
 _POW10 = np.array([float(10**k) for k in range(23)])
@@ -421,10 +434,10 @@ _ZERO_POINT = np.frombuffer(b"\x00\x000.", dtype=np.uint32)[0]
 #: grid of a 10 x 10 x 10 x 10 array are the digits of 0..9999.
 _DIGIT_WORDS = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")).view(np.uint32)[:, 0]
 #: The bytes a score cell keeps when it holds ``0.`` and k fraction digits,
-#: at entry k - 14, each as one opaque item (see ``_cells``).
-_SCORE_MASKS = np.array(
-    [[False, False, True, True] + [j >= 20 - k for j in range(20)] for k in range(14, 21)]
-).view(f"V{_SCORE_BYTES}")[:, 0]
+#: at entry k - 14: its first 8 bytes and its last 16, each as one opaque
+#: item (see ``_cells``), which numpy copies whole.
+_SCORE_MASKS = np.array([[False, False, True, True] + [j >= 20 - k for j in range(20)] for k in range(14, 21)])
+_SCORE_HEAD, _SCORE_TAIL = (_cells(_SCORE_MASKS, columns).copy() for columns in (slice(8), slice(8, None)))
 
 
 def _decimal_residual(x, x_high, x_low, half_ulp, k, count=None):
@@ -442,7 +455,7 @@ def _decimal_residual(x, x_high, x_low, half_ulp, k, count=None):
     nearest is not certain either."""
     scale = _POW10[k]
     high10, low10 = _POW10_HIGH[k], _POW10_LOW[k]
-    # Temporaries are reused in place: a chunk's kernel holds a few arrays.
+    # Temporaries are reused in place: a tile's kernel holds a few arrays.
     product = x * scale
     error = x_high * high10
     error -= product
@@ -481,44 +494,48 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     and ``_decimal_residual`` tests the nearest one. If an n-digit decimal
     reads back, so does the nearest (n + 1)-digit one, so the shortest count
     is the least n in 17, 16, 15 that passes, and its D ends in no zero.
+    Every score is tested at n = 16 first; then n = 17 only where 16 fails,
+    n = 15 only where 16 passes, and n = 14 only where 15 passes, about 2.1
+    tests per score rather than 4.
 
     A score is certified unless it is outside [1e-4, 1), its significand is
-    a power of two (its interval is lopsided), a test is uncertain, its D
-    has the wrong digit count (a misjudged decade), or 14 digits pass too
-    (fewer might).
+    a power of two (its interval is lopsided), a test it takes is uncertain,
+    its D has the wrong digit count (a misjudged decade), or 14 digits pass
+    too (fewer might).
     """
     m, e = np.frexp(x)
     certified = (x >= 1e-4) & (x < 1.0) & (m != 0.5)
     decade = (x >= 1e-3).astype(np.intp)  # E + 4 on [1e-4, 1)
     decade += x >= 1e-2
     decade += x >= 1e-1
-    x_high, x_low = _dekker_split(x)
     half_ulp = np.ldexp(1.0, e - 54)
-    # A score no count passes keeps digits 0, which fails the digit check.
-    digits = np.zeros(len(x), np.int64)
-    places = 20 - decade
-    for n in (17, 16, 15, 14):
-        k = n + 3 - decade
-        (high, low), _, passes, certain = _decimal_residual(x, x_high, x_low, half_ulp, k)
+
+    def test(n: int, rows):
+        """``(k, D, passes)`` of the n-digit test on ``x[rows]``; an uncertain
+        answer uncertifies its score."""
+        xs = x[rows]
+        k = n + 3 - decade[rows]
+        (high, low), _, passes, certain = _decimal_residual(xs, *_dekker_split(xs), half_ulp[rows], k)
         count = high.astype(np.int64)
         count += low.astype(np.int64)
-        certified &= certain
-        if n == 14:
-            certified &= ~passes
-        else:
-            np.copyto(digits, count, where=passes)
-            np.copyto(places, k, where=passes)
+        certified[rows] &= certain
+        return k, count, passes
+
+    places, digits, passes = test(16, slice(None))
+    # A score no count passes keeps digits 0, which fails the digit check.
+    rows = np.flatnonzero(~passes)
+    k, count, ok = test(17, rows)
+    digits[rows] = np.where(ok, count, 0)
+    places[rows] = k
+    rows = np.flatnonzero(passes)
+    k, count, ok = test(15, rows)
+    rows = rows[ok]
+    digits[rows] = count[ok]
+    places[rows] = k[ok]
+    certified[rows] &= ~test(14, rows)[2]
     n = places + decade - 3
     certified &= (digits >= _INT_POW10[n - 1]) & (digits < _INT_POW10[n])
     return np.where(certified, digits, 0), places, certified  # 0 keeps table indices in range
-
-
-def _cells(matrix: np.ndarray, columns: slice) -> np.ndarray:
-    """``matrix[:, columns]`` as one opaque (void) item per row, a view.
-    numpy gathers and copies such items several times faster than rows of
-    small ones."""
-    part = matrix[:, columns]
-    return part.view(f"V{part.shape[1] * part.itemsize}")[:, 0]
 
 
 def _score_cells(x: np.ndarray, words: np.ndarray, keep: np.ndarray) -> None:
@@ -535,7 +552,9 @@ def _score_cells(x: np.ndarray, words: np.ndarray, keep: np.ndarray) -> None:
     words[:, 3] = _DIGIT_WORDS[high % 10**4]
     words[:, 4] = _DIGIT_WORDS[low // 10**4]
     words[:, 5] = _DIGIT_WORDS[low % 10**4]
-    _cells(keep, slice(None))[:] = _SCORE_MASKS[places - 14]
+    at = places - 14
+    _cells(keep, slice(8))[:] = np.take(_SCORE_HEAD, at)
+    _cells(keep, slice(8, None))[:] = np.take(_SCORE_TAIL, at)
     rest = np.flatnonzero(~certified)
     if len(rest):
         text = np.array([repr(v).encode() for v in x[rest].tolist()], dtype=f"S{_SCORE_BYTES}")
@@ -561,10 +580,11 @@ def _byte_table(pieces: list[bytes]) -> tuple[bytes, np.ndarray, np.ndarray, np.
 
 def _put_pieces(table, rows: np.ndarray, words: np.ndarray, keep: np.ndarray) -> None:
     """Write piece ``rows[i]`` of a ``_byte_table`` into row i of ``words``
-    (uint32) and mark its bytes in ``keep``: the text's window at the piece's
-    start, and the masks' window that drops the bytes past it. Windows start
-    at multiples of 8 bytes, where numpy copies 8- and 16-byte items whole;
-    they are indexed, as ``np.take`` would first copy every window."""
+    (uint32, a multiple of 8 bytes wide) and mark its bytes in ``keep``: the
+    text's window at the piece's start, and the masks' window that drops the
+    bytes past it. Windows start at multiples of 8 bytes, where numpy copies
+    8- and 16-byte items whole; they are indexed, as ``np.take`` would first
+    copy every window."""
     text, starts, masks, mask_starts, _ = table
     width = 4 * words.shape[1]
     for buffer, at, out in ((text, starts, words), (masks, mask_starts, keep)):
@@ -573,13 +593,13 @@ def _put_pieces(table, rows: np.ndarray, words: np.ndarray, keep: np.ndarray) ->
 
 
 def _write_chunks(codes: np.ndarray, widths: np.ndarray, tail: int):
-    """``(part, width)`` for each chunk of ``to_csv``, in record order: a
-    chunk's rows are ``width`` words of prefix, then ``tail`` more.
+    """``(part, width)`` for each tile of ``to_csv``, in record order: a
+    tile's rows are ``width`` words of prefix, then ``tail`` more.
 
-    ``width`` is the widest prefix among the chunk's own codes, and ``part``
+    ``width`` is the widest prefix among the tile's own codes, and ``part``
     takes the most records whose rows of ``width + tail`` words (at least 16)
     fit in ``_WRITE_CHUNK`` rows of 16 words, so a long label shortens only
-    the chunks that hold it. The scan reads only as many codes as the first
+    the tiles that hold it. The scan reads only as many codes as the first
     record's row admits, which bounds the count, as the width never falls."""
     start = 0
     while start < len(codes):
@@ -688,16 +708,17 @@ class AuditDataset:
         ``3 * outcome + decision + 1``, where a missing decision (-1) has an
         empty cell. Scores are formatted in numpy to ``repr``'s own bytes;
         ``repr`` itself writes each score that kernel cannot certify (see
-        ``_shortest_digits``). Each chunk (see ``_write_chunks``) fills a
-        matrix of uint32 words, one row per record as wide as the chunk's
-        widest prefix, and a mask of the bytes each row keeps, and writes the
-        kept bytes, so memory stays bounded."""
+        ``_shortest_digits``). Each tile of at most ``_WRITE_CHUNK`` records
+        (see ``_write_chunks``) fills a matrix of uint32 words, one row per
+        record as wide as the tile's widest prefix rounded up to 8 bytes, and
+        a mask of the bytes each row keeps, and writes the kept bytes, so a
+        tile's temporaries stay in cache and memory stays bounded."""
         prefixes = _byte_table([_csv_line((label, ""))[:-1].encode() for label in self.labels])
         suffixes = _byte_table([f",{y},{d}\n".encode() for y in (0, 1) for d in ("", "0", "1")])
         q = -(-int(suffixes[-1].max()) // 4)
         with open(path, "wb") as fh:
             fh.write(_csv_line(CSV_HEADER).encode())
-            for part, p in _write_chunks(self.codes, -(-prefixes[-1] // 4), _SCORE_BYTES // 4 + q):
+            for part, p in _write_chunks(self.codes, 2 * -(-prefixes[-1] // 8), _SCORE_BYTES // 4 + q):
                 s = p + _SCORE_BYTES // 4  # a row's words: prefix [0, p), score [p, s), suffix [s, s + q)
                 codes = self.codes[part]
                 kinds = 3 * self.outcome[part] + self.decision[part] + 1
@@ -1105,7 +1126,7 @@ def _read_rows(path) -> AuditDataset:
             header = next(reader, None)
             if header is None:
                 raise ValueError(f"file is empty; expected header {','.join(CSV_HEADER)!r}")
-            if any(map(_SURROGATE.search, header)):
+            if any(map(SURROGATE.search, header)):
                 raise ValueError("row 1: a cell holds bytes that are not UTF-8")
             if tuple(h.strip() for h in header) != CSV_HEADER:
                 raise ValueError(f"expected header {','.join(CSV_HEADER)!r}, got {echo(repr(header), str)}")
@@ -1113,7 +1134,7 @@ def _read_rows(path) -> AuditDataset:
             for line_no, row in enumerate(reader, start=2):
                 if not row:
                     continue
-                if any(map(_SURROGATE.search, row)):
+                if any(map(SURROGATE.search, row)):
                     raise ValueError(f"row {line_no}: a cell holds bytes that are not UTF-8")
                 if len(row) != 4:
                     raise ValueError(f"row {line_no}: expected 4 columns, got {len(row)}")
@@ -1181,8 +1202,10 @@ def draw_categorical(rng: np.random.Generator, p, n: int) -> np.ndarray:
 
     It inverts the same CDF (``p.cumsum() / its last entry``) at the same
     ``rng.random(n)`` draws, so index i is the count of CDF entries <= u_i.
-    The count is found by indexed search (Chen and Asau, 1974): with m a
-    power of two >= 4 len(p), ``u*m`` is exact, so a draw lies in bucket
+    The draws are taken one tile of ``_WRITE_CHUNK`` at a time, as
+    consecutive ``Generator.random`` calls give the doubles of one call. The
+    count is found by indexed search (Chen and Asau, 1974): with m a power
+    of two >= 4 len(p), ``u*m`` is exact, so a draw lies in bucket
     j = floor(u*m) of [j/m, (j+1)/m), and its index is the count of entries
     <= j/m, plus one if the bucket's single entry is <= u. Draws in the few
     buckets that hold two or more entries fall back to a binary search. p is
@@ -1201,17 +1224,22 @@ def draw_categorical(rng: np.random.Generator, p, n: int) -> np.ndarray:
         raise ValueError("probabilities do not sum to 1")
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    u = rng.random(n)
     m = 4 << (p.size - 1).bit_length()
     below = cdf.searchsorted(np.arange(m + 1) / m, "right")  # entries <= j/m
     first = below[:-1]
-    bucket = (u * m).astype(np.intp)
-    idx = first[bucket]
-    idx += cdf[first][bucket] <= u
+    cut = cdf[first]
     crowded = np.diff(below) > 1
-    if crowded.any():
-        hard = crowded[bucket]
-        idx[hard] = cdf.searchsorted(u[hard], "right")
+    search = crowded.any()
+    idx = np.empty(n, np.intp)
+    for start in range(0, n, _WRITE_CHUNK):
+        u = rng.random(min(_WRITE_CHUNK, n - start))
+        bucket = (u * m).astype(np.intp)
+        out = idx[start : start + len(u)]
+        np.take(first, bucket, out=out)
+        out += cut[bucket] <= u
+        if search:
+            hard = crowded[bucket]
+            out[hard] = cdf.searchsorted(u[hard], "right")
     return idx
 
 
@@ -1220,7 +1248,10 @@ def sample(pop: PopulationModel, n: int, seed: int, rule=None) -> AuditDataset:
 
     Each of the k groups is drawn with probability 1/k; (score, outcome)
     pairs follow each group's conditional density, with scores uniform within
-    their grid cell.
+    their grid cell. One stream gives, in order, every record's group, then
+    group by group its records' cells and outcomes, score offsets and, with
+    a rule, decisions. Each group's rows are written through one index
+    array, one tile of ``_WRITE_CHUNK`` records at a time.
 
     Args:
         pop: population to sample from.
@@ -1249,24 +1280,27 @@ def sample(pop: PopulationModel, n: int, seed: int, rule=None) -> AuditDataset:
 
     first_record: dict[int, int] = {}
     for gi, label in enumerate(labels):
-        mask = gidx == gi
-        k = int(mask.sum())
+        rows = np.flatnonzero(gidx == gi)
+        k = len(rows)
         if k == 0:
             continue
-        first_record[gi] = int(np.argmax(mask))
+        first_record[gi] = int(rows[0])
         csd = pop.group(label)
         g = csd.grid_size
         joint = np.concatenate([csd.f0.weights, csd.f1.weights])
         joint = joint / joint.sum()
         draw = draw_categorical(rng, joint, k)
-        outcome = (draw >= g).astype(np.int8)
-        cells = draw % g
-        scores = (cells + rng.random(k)) / g
-        score_col[mask] = scores
-        outcome_col[mask] = outcome
+        tiles = [slice(start, start + _WRITE_CHUNK) for start in range(0, k, _WRITE_CHUNK)]
+        for tile in tiles:
+            at, cells = rows[tile], draw[tile]  # outcome * g + cell
+            outcome_col[at] = cells >= g
+            cells %= g
+            score_col[at] = (cells + rng.random(len(at))) / g
         if rule is not None:
-            probs = rule.for_group(label).probability(scores)
-            decision_col[mask] = (rng.random(k) < probs).astype(np.int8)
+            policy = rule.for_group(label)
+            for tile in tiles:
+                at = rows[tile]
+                decision_col[at] = rng.random(len(at)) < policy.probability(score_col[at])
 
     order = sorted(first_record, key=first_record.__getitem__)
     renumber = np.zeros(len(labels), dtype=np.int32)

@@ -100,6 +100,18 @@ def test_audit_refuses_an_input_path_that_holds_a_line_break(tmp_path, capsys, f
     assert err.count("\n") == 1
 
 
+def test_audit_refuses_an_input_path_that_is_not_utf8(tmp_path, capsys):
+    # The byte 0xff decodes to a lone surrogate, which a strict UTF-8 stdout
+    # cannot write: the path is refused before the file is read.
+    path = tmp_path / "r\udcff.csv"
+    path.write_text("group,score,outcome,decision\na,0.9,1,1\nb,0.1,0,0\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "audit", "--input", str(path), "--out", str(out_dir))
+    assert (code, out) == (1, "")
+    assert err == f"audit error: input path {echo(str(path))} is not UTF-8\n"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -323,7 +323,7 @@ def test_to_csv_chunks_keep_record_order(tmp_path, monkeypatch):
 
 
 def test_a_long_label_shortens_the_chunk_but_not_the_file(tmp_path, monkeypatch):
-    # A 201-byte prefix (100 two-byte characters, a comma) makes a row of 59
+    # A 201-byte prefix (100 two-byte characters, a comma) makes a row of 60
     # words, so a chunk of 32 records that holds one shrinks to 8 or fewer:
     # here 13 chunks for 100 records, the last one partial.
     monkeypatch.setattr("fairsim.densities._WRITE_CHUNK", 32)
@@ -420,6 +420,14 @@ def _oracle_scores(name: str) -> np.ndarray:
     if name == "dyadics":  # every m / 2**j for j <= 14, then odd m drawn for j <= 30 (ties for nearest)
         drawn = [(2 * rng.integers(0, 2 ** (j - 1), 5_000) + 1) / 2**j for j in range(15, 31)]
         return np.concatenate([np.arange(1, 2**j) / 2**j for j in range(1, 15)] + drawn)
+    if name == "repr lengths":  # per decade of [1e-4, 1): doubles, then decimals of 1 to 14 digits
+        parts = []
+        for decade in range(-4, 0):
+            x = (1 + 9 * rng.random(20_000)) * 10.0**decade
+            places = rng.integers(0, 14, 5_000).tolist()
+            parts += [x, np.array([float(f"{v:.{p}e}") for p, v in zip(places, x.tolist())])]
+        x = np.concatenate(parts)
+        return x[(x >= 1e-4) & (x < 1.0)]
     assert name == "edges"
     return _edge_scores()
 
@@ -443,6 +451,26 @@ def test_score_kernel_writes_the_bytes_of_repr(name):
         if got != "".join(f"{v!r}\n" for v in scores.tolist()).encode():
             row, cell = next((i, a) for i, a in enumerate(got.splitlines()) if a != repr(scores[i]).encode())
             pytest.fail(f"score {scores[row]!r} ({float(scores[row]).hex()}) written as {cell!r}")
+
+
+def test_score_kernel_takes_each_branch_and_leaves_short_scores_to_repr():
+    """Scores of every decade in [1e-4, 1) whose ``repr`` has 17, 16 or 15
+    significant digits take each branch of the kernel's search (17 where 16
+    fails, 15 where 16 passes, 14 where 15 passes) and are certified; one
+    of 14 digits or fewer, which fewer digits might write, is left to
+    ``repr``. Every score comes out as ``repr``'s bytes."""
+    x = _oracle_scores("repr lengths")
+    texts = [repr(v) for v in x.tolist()]
+    digits = np.array([len(text[2:].lstrip("0")) for text in texts])
+    decade = np.floor(np.log10(x))
+    certified = _shortest_digits(x)[2]
+    for e in range(-4, 0):
+        for n in (17, 16, 15):
+            chosen = (decade == e) & (digits == n)
+            assert chosen.sum() >= 1_000 and certified[chosen].all(), (e, n)
+        assert (decade == e)[digits <= 14].sum() >= 1_000, e
+    assert not certified[digits <= 14].any()
+    assert _score_lines(x) == "".join(f"{text}\n" for text in texts).encode()
 
 
 def test_to_csv_round_trips_sampled_and_edge_records_bit_for_bit(tmp_path):

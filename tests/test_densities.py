@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fairsim import (
     AuditDataset,
@@ -20,6 +20,7 @@ from fairsim import (
     mc_long_run_eu,
     sample,
 )
+from fairsim import densities
 from fairsim.cli import MAX_GRID
 from fairsim.densities import NO_DECISION, draw_categorical, group_index
 from fairsim.metrics import level_tables
@@ -283,6 +284,15 @@ def _shaped_weights(shape: str, grid: int, weight_seed: int, knob: float, hot: i
     hot=st.integers(0, 4095),
     seed=st.integers(0, 2**63 - 1),
 )
+# Around a tile's edge and over a partial last tile, crowded buckets included.
+@example(shape="random", grid=1024, n=densities._WRITE_CHUNK - 1, weight_seed=36, knob=0.5, hot=100, seed=36)
+@example(shape="random", grid=1024, n=densities._WRITE_CHUNK, weight_seed=36, knob=0.5, hot=100, seed=36)
+@example(shape="random", grid=1024, n=densities._WRITE_CHUNK + 1, weight_seed=36, knob=0.5, hot=100, seed=36)
+@example(shape="random", grid=1024, n=3 * densities._WRITE_CHUNK + 7, weight_seed=36, knob=0.5, hot=100, seed=36)
+@example(shape="near_one_hot", grid=1024, n=densities._WRITE_CHUNK - 1, weight_seed=36, knob=0.5, hot=100, seed=36)
+@example(shape="near_one_hot", grid=1024, n=densities._WRITE_CHUNK, weight_seed=36, knob=0.5, hot=100, seed=36)
+@example(shape="near_one_hot", grid=1024, n=densities._WRITE_CHUNK + 1, weight_seed=36, knob=0.5, hot=100, seed=36)
+@example(shape="near_one_hot", grid=1024, n=3 * densities._WRITE_CHUNK + 7, weight_seed=36, knob=0.5, hot=100, seed=36)
 def test_draw_categorical_reproduces_generator_choice(shape, grid, n, weight_seed, knob, hot, seed):
     w = np.ones(grid) if shape == "uniform" else _shaped_weights(shape, grid, weight_seed, knob, hot)
     p = w / w.sum()
