@@ -15,9 +15,10 @@ import mmap
 import os
 import re
 import stat
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -34,9 +35,14 @@ def is_defined(value: float) -> bool:
 
 
 def cell_index(scores, grid_size: int):
-    """Grid cell containing each score; cell k covers [k/G, (k+1)/G), 1.0 maps to the last cell."""
-    idx = np.floor(np.asarray(scores, dtype=float) * grid_size).astype(int)
-    return np.clip(idx, 0, grid_size - 1)
+    """Grid cell containing each score; cell k covers [k/G, (k+1)/G), 1.0 maps to the last cell.
+
+    The product is cast to int as it is stored and then clipped in place, so
+    the result is the one array made. The cast truncates, which is the floor
+    wherever the clip keeps the cell. A scalar score gives a scalar."""
+    scores = np.asarray(scores, dtype=float)
+    idx = np.multiply(scores, grid_size, out=np.empty(scores.shape, int), casting="unsafe")
+    return np.clip(idx, 0, grid_size - 1, out=idx)[()]
 
 
 def cell_midpoints(grid_size: int) -> np.ndarray:
@@ -739,8 +745,11 @@ class AuditDataset:
         quoted when it holds a comma or a quote, then the score, then
         ``,outcome,decision`` unpadded. Lines may end in LF, CR LF or a lone
         CR, and blank lines are skipped. It reads blocks of whole lines
-        (``_READ_BLOCK`` bytes), so its memory is the columns it returns, 14
-        bytes per record held twice, plus one block's work. Any other file
+        (``_READ_BLOCK`` bytes), two in flight at once, on the calling thread
+        and one helper (see ``_Blocks``), joined in file order; the result
+        does not depend on thread scheduling. Its memory is the columns it
+        returns, 14 bytes per record held twice, plus two blocks' work: a
+        traced peak of 8.3-9.7 MB for 200,000 records. Any other file
         (padded cells, other quoting, bad tokens, over-long cells, a record
         spread over lines, bytes that are not UTF-8, no records, a pipe) is
         read row by row; that reader's result, or its line-numbered error,
@@ -768,12 +777,16 @@ def _csv_line(values) -> str:
 #: Bytes per block of the record tokenizer. A block ends after the last line
 #: break among them, or grows to the end of its one line, so the tokenizer's
 #: memory stays bounded whatever the file's length.
-_READ_BLOCK = 1 << 19
+_READ_BLOCK = 448 << 10
 #: Zero bytes on each side of a block in the tokenizer's buffer, so that each
 #: window it reads lies inside: 24 bytes before a score cell's end, 16 from a
 #: label cell's start.
 _PAD = 24
 _LINE_BREAK = re.compile(rb"[\r\n]")
+#: Where the platform has it, the advice that drops a block's pages of the
+#: memory map once the block is copied; a page read again is read back from
+#: the file, so the map's resident pages stay bounded, not the whole file.
+_DROP_PAGES = getattr(mmap, "MADV_DONTNEED", None)
 #: A score cell that ``float`` reads, row by row: digits, points, exponents
 #: and signs only, so no space, quote or other text that ``csv`` or ``strip``
 #: would change.
@@ -808,18 +821,36 @@ def _words(items: np.ndarray) -> np.ndarray:
     return items.view("<u8").reshape(len(items), items.itemsize // 8)
 
 
-def _eight_digits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(value, digits)``: the number that the eight ASCII digits of each
-    uint64 word spell, the first in its lowest byte, and whether all eight
-    bytes are digits. Lemire's SWAR parse ("Number parsing at a gigabyte per
-    second", arXiv:2101.11408): two multiplies join pairs, then quads."""
-    high = words & 0xF0F0F0F0F0F0F0F0
-    high |= ((words + 0x0606060606060606) & 0xF0F0F0F0F0F0F0F0) >> 4
-    value = words - 0x3030303030303030
-    value = value * 10 + (value >> 8)
-    quads = (value & 0xFF000000FF) * (100 + (1000000 << 32))
-    quads += ((value >> 16) & 0xFF000000FF) * (1 + (10000 << 32))
-    return quads >> 32, high == 0x3333333333333333
+def _cell_digits(cells: np.ndarray, places: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(value, digits)``: the number that the last ``places[i]`` bytes of
+    each 24-byte cell spell as ASCII digits, below 10**19 for up to 19
+    places, and whether they are all digits.
+
+    The cell's other bytes become "0", and each of its three uint64 words is
+    read by Lemire's SWAR parse ("Number parsing at a gigabyte per second",
+    arXiv:2101.11408): two multiplies join pairs, then quads. The words are
+    parsed in place, so ``cells`` is overwritten, beside one temporary."""
+    words = _words(cells)
+    words &= _words(_DIGIT_MASKS[places])
+    words |= _words(_ZERO_FILL[places])
+    high = words + 0x0606060606060606
+    high &= 0xF0F0F0F0F0F0F0F0
+    high >>= 4
+    high |= words & 0xF0F0F0F0F0F0F0F0
+    high ^= 0x3333333333333333  # zero where all eight bytes are digits
+    digits = (high[:, 0] | high[:, 1] | high[:, 2]) == 0
+    words -= 0x3030303030303030
+    rest = np.right_shift(words, 8, out=high)
+    words *= 10
+    words += rest  # each byte pair's value, in its low byte
+    rest = np.right_shift(words, 16, out=rest)
+    rest &= 0xFF000000FF
+    rest *= 1 + (10000 << 32)
+    words &= 0xFF000000FF
+    words *= 100 + (1000000 << 32)
+    words += rest
+    words >>= 32  # each word's eight digits
+    return words[:, 0] * 10**16 + words[:, 1] * 10**8 + words[:, 2], digits
 
 
 def _last_comma(cells: np.ndarray) -> np.ndarray:
@@ -875,9 +906,30 @@ def _cell_label(cell: bytes) -> str | None:
     return label if _is_plain_label(label) and _csv_line((label, "")) == f"{text},\n" else None
 
 
+class _LabelTable:
+    """The labels a record file's reader has learned, never changed once
+    made: ``labels`` and their first ``cells``, and each cell's key and hash,
+    by code; the hashes sorted, with the code of each; the cells back to
+    back in ``text``, from ``starts``."""
+
+    def __init__(self, labels: tuple, cells: tuple, keys: np.ndarray, hashes: np.ndarray):
+        self.labels, self.cells, self.keys, self.hashes = labels, cells, keys, hashes
+        order = np.argsort(hashes)
+        self.sorted, self.codes = hashes[order], order.astype(np.int32)
+        lengths = np.array([len(cell) for cell in cells], np.int64)
+        self.text = np.frombuffer(b"".join(cells), np.uint8)
+        self.starts = np.cumsum(lengths) - lengths
+
+    def find(self, hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if not len(self.sorted):
+            return np.zeros(len(hashes), np.intp), np.zeros(len(hashes), bool)
+        at = np.minimum(np.searchsorted(self.sorted, hashes), len(self.sorted) - 1)
+        return at, self.sorted[at] == hashes
+
+
 class _LabelCodes:
     """The group codes of a record file's label cells, read block by block,
-    with ``labels`` in first-seen order.
+    with ``table.labels`` in first-seen order.
 
     A cell's key is its length and its first and last 16 bytes, which fix a
     cell of up to 32 bytes. A block looks up the keys' hashes among those of
@@ -885,50 +937,43 @@ class _LabelCodes:
     label; a longer cell's hash covers its middle bytes too. Each row's key,
     and a longer cell's middle bytes, are then compared with its label's
     first cell, so a hash collision refuses the file rather than merge two
-    labels."""
+    labels.
+
+    Blocks are parsed on two threads, but labels are learned on the calling
+    thread only, in block order. A block reads ``table``, a snapshot that
+    learning replaces in one assignment, and a label is never given a new
+    code, so codes read from an old snapshot stay right."""
 
     def __init__(self):
-        self.labels: list[str] = []
-        self._cells: list[bytes] = []
-        self._keys = np.empty((0, 5), np.uint64)  # by code
-        self._hashes = np.empty(0, np.uint64)  # by code
-        self._sorted = np.empty(0, np.uint64)
-        self._codes = np.empty(0, np.int32)  # the code of each sorted hash
-        self._text = np.empty(0, np.uint8)  # the cells back to back, from _starts
-        self._starts = np.empty(0, np.int64)
-
-    def _find(self, hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if not len(self._sorted):
-            return np.zeros(len(hashes), np.intp), np.zeros(len(hashes), bool)
-        at = np.minimum(np.searchsorted(self._sorted, hashes), len(self._sorted) - 1)
-        return at, self._sorted[at] == hashes
+        self.table = _LabelTable((), (), np.empty((0, 5), np.uint64), np.empty(0, np.uint64))
 
     def _learn(self, cells: list[bytes], keys: np.ndarray, hashes: np.ndarray) -> bool:
         """Add the labels of new ``cells``, in order; False if one is refused."""
-        for cell in cells:
-            label = _cell_label(cell)
-            if label is None:
-                return False
-            self.labels.append(label)
-        self._cells += cells
-        self._keys = np.concatenate([self._keys, keys])
-        self._hashes = np.concatenate([self._hashes, hashes])
-        order = np.argsort(self._hashes)
-        self._sorted, self._codes = self._hashes[order], order.astype(np.int32)
-        self._text = np.frombuffer(b"".join(self._cells), np.uint8)
-        lengths = np.array([len(cell) for cell in self._cells])
-        self._starts = np.cumsum(lengths) - lengths
+        labels = tuple(map(_cell_label, cells))
+        if None in labels:
+            return False
+        t = self.table
+        keys, hashes = np.concatenate([t.keys, keys]), np.concatenate([t.hashes, hashes])
+        self.table = _LabelTable(t.labels + labels, t.cells + tuple(cells), keys, hashes)
         return True
 
-    def codes(self, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
+    def codes(
+        self, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, learn: bool = False
+    ) -> np.ndarray | partial | None:
         """The code of each label cell ``buf[starts[i] : starts[i] + lengths[i]]``,
-        or None if a cell is refused."""
+        or None if a cell is refused. A cell whose label ``table`` lacks is
+        learned with ``learn``; without it, the result is instead the call
+        that redoes this step and learns, for the calling thread to make once
+        the earlier blocks are in."""
+        table = self.table
         windows = _windows(buf, "V16")
         short = np.minimum(lengths, 16)
         keys = np.empty((len(starts), 5), np.uint64)
         keys[:, 0] = lengths
-        keys[:, 1:3] = _words(windows[starts]) & _words(_HEAD_MASKS[short])
-        keys[:, 3:] = _words(windows[starts + lengths - 16]) & _words(_TAIL_MASKS[short])
+        keys[:, 1:3] = _words(windows[starts])
+        keys[:, 1:3] &= _words(_HEAD_MASKS[short])
+        keys[:, 3:] = _words(windows[starts + lengths - 16])
+        keys[:, 3:] &= _words(_TAIL_MASKS[short])
         hashes = keys @ _KEY_HASH
         # A cell of more than 32 bytes adds its middle bytes to its hash, so
         # that cells differing only there are two labels.
@@ -940,17 +985,22 @@ class _LabelCodes:
         if len(long):
             powers = np.cumprod(np.full(int(middle.max()), _KEY_HASH[0]))
             hashes[long] += np.add.reduceat(ours * powers[within], firsts)
-        at, known = self._find(hashes)
+        at, known = table.find(hashes)
         if not known.all():
+            if not learn:
+                return partial(self.codes, buf, starts, lengths, True)
             missing = np.flatnonzero(~known)
             rows = missing[np.sort(np.unique(hashes[missing], return_index=True)[1])]
             cells = [buf[a : a + n].tobytes() for a, n in zip(starts[rows].tolist(), lengths[rows].tolist())]
             if not self._learn(cells, keys[rows], hashes[rows]):
                 return None
-            at, _ = self._find(hashes)
-        codes = self._codes[at]
-        theirs = self._text[np.repeat(self._starts[codes[long]] + 16, middle) + within]
-        if not (np.array_equal(_words(self._keys.view("V40")[codes, 0]), keys) and np.array_equal(ours, theirs)):
+            table = self.table
+            at, _ = table.find(hashes)
+        codes = table.codes[at]
+        theirs = table.text[np.repeat(table.starts[codes[long]] + 16, middle) + within]
+        diff = _words(table.keys.view("V40")[codes, 0])
+        diff ^= keys  # zero where each row's key is its label's
+        if diff.any() or not np.array_equal(ours, theirs):
             return None
         return codes
 
@@ -962,7 +1012,7 @@ def _score_column(buf: np.ndarray, cells: np.ndarray, cuts: np.ndarray, tails: n
     ``float`` reads from it as it is.
 
     A cell ``0.`` plus 1-19 digits is parsed from its window (see
-    ``_eight_digits`` and ``_decimal_scores``); ``float`` reads any other
+    ``_cell_digits`` and ``_decimal_scores``); ``float`` reads any other
     cell, and any the kernel cannot certify, if it holds only ``_NUMBER``
     characters."""
     widths = tails - cuts - 1
@@ -971,12 +1021,9 @@ def _score_column(buf: np.ndarray, cells: np.ndarray, cuts: np.ndarray, tails: n
     pairs = _windows(buf, "<u2")[cuts + 1]
     rows = np.flatnonzero((widths >= 3) & (widths <= 21) & (pairs == 0x2E30))  # "0." then 1-19 digits
     places = widths[rows] - 2
-    words = _words(cells[rows]) & _words(_DIGIT_MASKS[places])
-    words |= _words(_ZERO_FILL[places])
-    value, digits = _eight_digits(words)
-    digits = digits.all(axis=1)
-    rows, places, value = rows[digits], places[digits], value[digits]
-    score[rows], certified[rows] = _decimal_scores(value[:, 0] * 10**16 + value[:, 1] * 10**8 + value[:, 2], places)
+    value, digits = _cell_digits(cells[rows], places)
+    rows, places = rows[digits], places[digits]
+    score[rows], certified[rows] = _decimal_scores(value[digits], places)
     rest = np.flatnonzero(~certified)
     text = buf.tobytes() if len(rest) else b""
     for i, a, b in zip(rest.tolist(), (cuts[rest] + 1).tolist(), tails[rest].tolist()):
@@ -997,7 +1044,8 @@ def _block_records(buf: np.ndarray, last: bool, labels: _LabelCodes, limit: int)
     whole lines, which ``buf`` holds between ``_PAD`` zero bytes on each
     side, or None unless every line is blank or a record that the row reader
     reads the same. ``last`` tells whether the block ends the file, where
-    the last line may lack its line break.
+    the last line may lack its line break. ``codes`` is the call to make
+    instead when a label is new (see ``_LabelCodes.codes``).
 
     A record is a label cell as ``csv.writer`` writes it (see
     ``_cell_label``), a comma, a score cell (see ``_score_column``), then
@@ -1055,6 +1103,108 @@ def _block_end(mm, start: int, longest: int) -> int | None:
     return cut + 1
 
 
+class _Blocks:
+    """The blocks of whole lines of a record file's memory map ``mm`` from
+    ``start`` on (see ``_block_end``), parsed by ``_block_records`` on two
+    threads, the calling thread and one helper, and gathered in file order
+    by the calling thread.
+
+    Either thread takes the next block in file order while fewer than two
+    blocks are out (taken and not yet gathered), so at most two blocks' work
+    is held at once. No block is taken after one fails. A block's new labels
+    are learned as it is gathered (see ``_LabelCodes``), so the result does
+    not depend on which thread parsed which block, or when."""
+
+    def __init__(self, mm, start: int, longest: int, labels: _LabelCodes, limit: int):
+        self._mm, self._start, self._longest, self._labels, self._limit = mm, start, longest, labels, limit
+        self._state = threading.Condition()
+        self._done: dict[int, object] = {}  # block index -> result, for blocks parsed and not gathered
+        self._taken = self._gathered = 0
+        self._halted = False
+
+    def gather(self) -> list | None:
+        """Each block's ``(codes, score, outcome, decision)``, in file order,
+        or None when the first block to fail returns None; when it raises,
+        its exception is raised here. The helper is joined before this
+        returns, so that no buffer of ``mm`` is left when it closes."""
+        helper = threading.Thread(target=self._help)
+        helper.start()
+        try:
+            return self._gather()
+        finally:
+            with self._state:
+                self._halted = True
+                self._state.notify_all()
+            helper.join()
+
+    def _take(self) -> tuple[int, int, int] | None:
+        """Under the lock: ``(index, start, stop)`` of the next block, or None
+        while two blocks are out, or when none is left to take."""
+        if self._halted or self._start >= len(self._mm) or self._taken - self._gathered >= 2:
+            return None
+        index, start = self._taken, self._start
+        self._taken += 1
+        stop = _block_end(self._mm, start, self._longest)
+        if stop is None:  # a line longer than any record
+            self._put(index, None)
+            return None
+        self._start = stop
+        return index, start, stop
+
+    def _put(self, index: int, result) -> None:
+        """Under the lock: the result of block ``index``."""
+        self._done[index] = result
+        self._halted |= result is None or isinstance(result, Exception)
+        self._state.notify_all()
+
+    def _parse(self, index: int, start: int, stop: int) -> None:
+        try:
+            buf = np.zeros(stop - start + 2 * _PAD, np.uint8)
+            buf[_PAD:-_PAD] = np.frombuffer(self._mm, np.uint8, stop - start, start)
+            if _DROP_PAGES is not None:
+                first = start - start % mmap.PAGESIZE
+                self._mm.madvise(_DROP_PAGES, first, stop - first)
+            result = _block_records(buf, stop == len(self._mm), self._labels, self._limit)
+        except Exception as exc:  # raised again when the block is gathered
+            result = exc
+        with self._state:
+            self._put(index, result)
+
+    def _help(self) -> None:
+        while True:
+            with self._state:
+                while (block := self._take()) is None:
+                    if self._halted or self._start >= len(self._mm):
+                        return
+                    self._state.wait()
+            self._parse(*block)
+
+    def _gather(self) -> list | None:
+        parts = []
+        while True:
+            with self._state:
+                block = None
+                while self._gathered not in self._done and (block := self._take()) is None:
+                    if self._taken == self._gathered:  # the file is read
+                        return parts
+                    self._state.wait()
+                if block is None:
+                    part = self._done.pop(self._gathered)
+                    self._gathered += 1
+                    self._state.notify_all()
+            if block is not None:
+                self._parse(*block)
+                continue
+            if isinstance(part, Exception):
+                raise part
+            if part is not None and callable(part[0]):  # the block holds a new label
+                codes = part[0]()
+                part = None if codes is None else (codes, *part[1:])
+            if part is None:
+                return None
+            parts.append(part)
+
+
 def _read_columns(path) -> AuditDataset | None:
     """The records of ``path`` read by a numpy byte tokenizer, or None when
     the row reader must decide: on any line or cell that the tokenizer
@@ -1062,8 +1212,8 @@ def _read_columns(path) -> AuditDataset | None:
     record, or one that is not a regular file, which could be read only once.
 
     The header is read by ``csv`` and must fill the first line. The lines
-    after it are read through a memory map in blocks of whole lines (see
-    ``_block_end`` and ``_block_records``). A record must lie on one line, as
+    after it are read through a memory map in blocks of whole lines, on two
+    threads (see ``_Blocks``). A record must lie on one line, as
     a line ends at LF, CR LF or a lone CR, so a cell spread over lines, or
     quoted other than as ``csv.writer`` quotes it, leaves the file to the
     row reader. So does a cell longer than the csv field-size limit, a byte
@@ -1085,26 +1235,14 @@ def _read_columns(path) -> AuditDataset | None:
     # score, 5 of separators and tail, and its line break.
     longest = 5 * limit + 8
     labels = _LabelCodes()
-    parts = []
     with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
         found = _LINE_BREAK.search(mm)
-        start = len(mm) if found is None else found.end()
-        while start < len(mm):
-            stop = _block_end(mm, start, longest)
-            if stop is None:
-                return None
-            buf = np.zeros(stop - start + 2 * _PAD, np.uint8)
-            buf[_PAD:-_PAD] = np.frombuffer(mm, np.uint8, stop - start, start)
-            part = _block_records(buf, stop == len(mm), labels, limit)
-            if part is None:
-                return None
-            parts.append(part)
-            start = stop
-    if not parts:  # no line after the header
+        parts = _Blocks(mm, len(mm) if found is None else found.end(), longest, labels, limit).gather()
+    if not parts:  # a block refused, or no line after the header
         return None
     codes, score, outcome, decision = map(np.concatenate, zip(*parts))
     try:
-        return AuditDataset._from_codes(codes, tuple(labels.labels), score, outcome, decision)
+        return AuditDataset._from_codes(codes, labels.table.labels, score, outcome, decision)
     except ValueError:  # no record, or a label that the constructor refuses
         return None
 

@@ -26,12 +26,32 @@ from .densities import (
 from .rules import ConfusionCounts, DecisionRule
 
 
+#: Records per tile of a count ``tally``, whose keys are made a tile at a time.
+_TALLY_TILE = 1 << 16
+
+
 def tally(data: AuditDataset, cell, cells: int, weights=None) -> np.ndarray:
     """Records, or their ``weights``, summed per group and cell, where ``cell``
-    gives each record's cell in ``range(cells)``: one row per label, from one
-    ``bincount`` over all records, which adds each cell in record order just
-    as a ``bincount`` of one group's records does."""
-    return np.bincount(data.codes * cells + cell, weights, len(data.labels) * cells).reshape(-1, cells)
+    gives each record's cell in ``range(cells)``: one row per label. Counts
+    are summed tile by tile, as integer sums do not depend on order. Weights
+    are summed by one ``bincount`` over all records, which adds each cell in
+    record order just as a ``bincount`` of one group's records does."""
+    size = len(data.labels) * cells
+    if weights is not None:
+        return np.bincount(_keys(data.codes, cell, cells), weights, size).reshape(-1, cells)
+    counts = np.zeros(size, np.intp)
+    for start in range(0, len(data.codes), _TALLY_TILE):
+        part = slice(start, start + _TALLY_TILE)
+        counts += np.bincount(_keys(data.codes[part], cell[part], cells), minlength=size)
+    return counts.reshape(-1, cells)
+
+
+def _keys(codes: np.ndarray, cell: np.ndarray, cells: int) -> np.ndarray:
+    """Each record's ``codes * cells + cell``, made in place in the one
+    array that ``bincount`` reads as it is."""
+    keys = np.multiply(codes, cells, dtype=np.intp)
+    keys += cell
+    return keys
 
 
 def confusion_tables(source: PopulationModel | AuditDataset, rule: DecisionRule | None = None) -> dict:

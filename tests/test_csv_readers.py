@@ -5,8 +5,10 @@ import csv
 import io
 import itertools
 import os
+import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 from contextlib import contextmanager
 from decimal import Decimal
@@ -726,6 +728,120 @@ def test_a_line_longer_than_any_record_goes_to_the_row_reader(tmp_path):
         assert _read_columns(path) is None
         with pytest.raises(ValueError, match=r"^row 3: field larger than field limit \(40\)"):
             AuditDataset.from_csv(path)
+
+
+def _finish_order(monkeypatch, text: bytes) -> list[int]:
+    """Patch ``_block_records`` so that the helper's first block sleeps, and
+    return the list that gets each block's offset in ``text`` as it ends."""
+    caller, parse = threading.get_ident(), densities._block_records
+    finished, slept = [], []
+
+    def slow(buf, *args):
+        if threading.get_ident() != caller and not slept:
+            slept.append(True)
+            time.sleep(0.2)
+        part = parse(buf, *args)
+        finished.append(text.index(buf[densities._PAD : -densities._PAD].tobytes()))
+        return part
+
+    monkeypatch.setattr(densities, "_block_records", slow)
+    return finished
+
+
+@pytest.mark.parametrize("block", [7 * 30, 1000])
+def test_labels_are_learned_in_file_order_on_the_calling_thread(tmp_path, monkeypatch, block):
+    # Labels first seen deep into the file, while the helper's first block
+    # ends after a later one, still give the row reader's labels and codes.
+    path = tmp_path / "records.csv"
+    text = _records_across_blocks()
+    path.write_bytes(text)
+    want = _read_rows(path)
+    finished = _finish_order(monkeypatch, text)
+    learners, learn = [], densities._LabelCodes._learn
+
+    def spy(self, *args):
+        learners.append(threading.get_ident())
+        return learn(self, *args)
+
+    monkeypatch.setattr(densities._LabelCodes, "_learn", spy)
+    monkeypatch.setattr(densities, "_READ_BLOCK", block)
+    got = _read_columns(path)
+    assert got is not None
+    _assert_same(got, want)
+    assert finished != sorted(finished)  # a block ended before an earlier one
+    assert learners and set(learners) == {threading.get_ident()}
+
+
+def test_reads_at_once_with_threads_switching_often_give_the_row_readers_records(tmp_path, monkeypatch):
+    # Four reads, each with its helper, on more threads than cores, switching
+    # every microsecond: a block taken twice or skipped would show.
+    path = tmp_path / "records.csv"
+    path.write_bytes(_records_across_blocks())
+    want = _read_rows(path)
+    monkeypatch.setattr(densities, "_READ_BLOCK", 7 * 30)
+    results = []
+    threads = [threading.Thread(target=lambda: results.append(_read_columns(path))) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 4
+    for got in results:
+        _assert_same(got, want)
+
+
+class _HelperFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("case", ["caller refuses", "helper refuses", "helper raises"])
+def test_a_failed_block_ends_as_the_serial_reader_did(tmp_path, monkeypatch, case):
+    # The calling thread parses the first block while the helper parses the
+    # second; either one refuses a bad line, or the helper raises. The bad
+    # line leaves the file to the row reader, which names its row.
+    records = ["a,0.5,1,1"] * 20
+    records[2 if case == "caller refuses" else 8] = "a,0.5,1,2"
+    path = tmp_path / "records.csv"
+    path.write_text("\n".join([HEADER, *records]) + "\n", encoding="utf-8")
+    caller, parse, help_ = threading.get_ident(), densities._block_records, densities._Blocks._help
+    started = {True: threading.Event(), False: threading.Event()}  # by "on the calling thread"
+    raised = _HelperFailed("helper failed")
+
+    def help(self):
+        started[True].wait(5)  # so the calling thread takes the first block
+        help_(self)
+
+    def block_records(*args):
+        ours = threading.get_ident() == caller
+        first = not started[ours].is_set()
+        started[ours].set()
+        if first and not started[not ours].wait(5):
+            raise AssertionError("the other thread parsed no block")
+        if first and not ours:
+            time.sleep(0.05)  # still parsing when the calling thread's block is refused
+            if case == "helper raises":
+                raise raised
+        return parse(*args)
+
+    monkeypatch.setattr(densities._Blocks, "_help", help)
+    monkeypatch.setattr(densities, "_block_records", block_records)
+    monkeypatch.setattr(densities, "_READ_BLOCK", 64)  # six records a block
+    threads = threading.active_count()
+    if case == "helper raises":
+        with pytest.raises(_HelperFailed) as info:
+            AuditDataset.from_csv(path)
+        assert info.value is raised
+    else:
+        row = 4 if case == "caller refuses" else 10
+        with pytest.raises(ValueError, match=rf"^row {row}: decision '2' must be empty, 0, or 1$"):
+            AuditDataset.from_csv(path)
+    assert threading.active_count() == threads
 
 
 #: Peak traced memory of ``from_csv`` on the file below when it parsed with

@@ -30,6 +30,19 @@ from _helpers import calibrated_uniform_pair, judge_population
 GRID = 1024
 
 
+@pytest.mark.parametrize("grid", [1, 7, 10, 1024])
+def test_cell_index_is_the_clipped_floor_of_the_scaled_score(grid):
+    edges = np.arange(grid + 1) / grid
+    scores = np.concatenate(
+        [edges, np.nextafter(edges, -1), np.nextafter(edges, 2), [-0.0, -0.5, -1.0, -3.0, 1.5, 5e-324, 1 - 2**-53]]
+    )
+    scores = np.concatenate([scores, np.random.default_rng(grid).random(1000)])
+    want = np.clip(np.floor(scores * grid).astype(int), 0, grid - 1)
+    got = densities.cell_index(scores, grid)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert [type(densities.cell_index(x, grid)) for x in (0.3, 1.0)] == [np.int64, np.int64]
+
+
 def test_weights_must_be_nonnegative_and_finite():
     with pytest.raises(ValueError):
         ScoreDensity(np.array([1.0, -0.1]))

@@ -3,6 +3,7 @@ import tempfile
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from fairsim import (
     solve_equalized_odds,
     solve_parity_ratio,
 )
+from fairsim import metrics
 from fairsim.cli import audit
 from fairsim.densities import cell_index, cell_midpoints, conditional_rate, group_index
 from fairsim.metrics import (
@@ -306,6 +308,19 @@ def _assert_rates_read_the_properties(sep, suff, tables):
 
 def _cells(counts):
     return counts if isinstance(counts, tuple) else [(type(c), c) for c in (counts.tp, counts.fp, counts.fn, counts.tn)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=_tally_datasets(), bins=st.sampled_from([1, 2, 7, 10, 37]), tile=st.integers(1, 4))
+def test_counts_tallied_tile_by_tile_are_the_one_tile_counts(data, bins, tile):
+    # Scores are summed in one pass in record order whatever the tile.
+    def tables():
+        levels = level_tables(data, bins)
+        return _result(confusion_tables, data), _bits(levels.positive, levels.total, levels.reference)
+
+    whole = tables()
+    with mock.patch.object(metrics, "_TALLY_TILE", tile):
+        assert tables() == whole
 
 
 @settings(max_examples=300, deadline=None)
