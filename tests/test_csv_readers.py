@@ -698,10 +698,11 @@ def _records_across_blocks() -> bytes:
     return (HEADER + "\r\n" + "".join(line + end for line, end in zip(lines, ends))).rstrip("\r\n").encode()
 
 
-@pytest.mark.parametrize("block", [1, 3, 7 * 30, densities._READ_BLOCK])
+@pytest.mark.parametrize("block", [1, 3, 7 * 30, 1 << 19])
 def test_blocks_give_the_same_records_with_labels_first_seen(tmp_path, block):
     # A block of a few bytes grows to its line's end; 7 lines of about 30
-    # bytes split the records anywhere, a CR LF pair too.
+    # bytes split the records anywhere, a CR LF pair too; 512 KiB, larger
+    # than the file as is the default block, reads it in one block.
     path = tmp_path / "records.csv"
     path.write_bytes(_records_across_blocks())
     want = _read_rows(path)
