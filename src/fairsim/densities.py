@@ -398,9 +398,13 @@ def _is_plain_label(label) -> bool:
 #: Records per tile of the export path: ``draw_categorical`` draws,
 #: ``sample`` fills its columns and ``to_csv`` formats this many at a time,
 #: so that each step's temporaries stay in cache and the text held at once
-#: is bounded. Of tiles of 2**12 to 2**16 records, 2**13 and 2**14 were
-#: fastest; the smaller holds less.
-_WRITE_CHUNK = 1 << 13
+#: is bounded. ``to_csv`` formats its tiles on two threads, which hand the
+#: interpreter lock over at each numpy call, so the gain grows with the
+#: records per call: formatting 1e6 sampled records on two threads took
+#: 247, 165, 132 and 123 ms at 2**12, 2**13, 2**14 and 2**15 records a
+#: tile, against 190-207 ms on one (2 vCPUs). 2**14 takes most of that gain
+#: while each of the two tiles in work holds about 2 MB.
+_WRITE_CHUNK = 1 << 14
 
 
 def _cells(matrix: np.ndarray, columns: slice) -> np.ndarray:
@@ -417,10 +421,12 @@ _POW10 = np.array([float(10**k) for k in range(23)])
 
 def _dekker_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dekker's split of doubles into two 26-bit halves, whose products with
-    the halves of another split double are exact."""
-    c = float(2**27 + 1) * a
-    high = c - (c - a)
-    return high, a - high
+    the halves of another split double are exact; the two arrays it returns
+    are the only ones it makes."""
+    high = np.multiply(a, float(2**27 + 1))
+    low = np.subtract(high, a)
+    high -= low
+    return high, np.subtract(a, high, out=low)
 
 
 _POW10_HIGH, _POW10_LOW = _dekker_split(_POW10)
@@ -446,7 +452,7 @@ _SCORE_MASKS = np.array([[False, False, True, True] + [j >= 20 - k for j in rang
 _SCORE_HEAD, _SCORE_TAIL = (_cells(_SCORE_MASKS, columns).copy() for columns in (slice(8), slice(8, None)))
 
 
-def _decimal_residual(x, x_high, x_low, half_ulp, k, count=None):
+def _decimal_residual(x, half_ulp, k, count=None):
     """``(count, residual, passes, certain)`` for an integer D = high + low
     near x * 10**k, given as ``count = (high, low)``, two integer-valued
     doubles, or by default the integer nearest x * 10**k: the residual
@@ -461,24 +467,25 @@ def _decimal_residual(x, x_high, x_low, half_ulp, k, count=None):
     nearest is not certain either."""
     scale = _POW10[k]
     high10, low10 = _POW10_HIGH[k], _POW10_LOW[k]
-    # Temporaries are reused in place: a tile's kernel holds a few arrays.
+    # Temporaries are reused in place once spent, so the kernel holds seven
+    # arrays of x's size at most.
+    x_high, x_low = _dekker_split(x)
     product = x * scale
     error = x_high * high10
     error -= product
-    term = x_high * low10
-    error += term
-    error += np.multiply(x_low, high10, out=term)
-    error += np.multiply(x_low, low10, out=term)
+    error += np.multiply(x_high, low10, out=x_high)
+    error += np.multiply(x_low, high10, out=high10)
+    error += np.multiply(x_low, low10, out=x_low)
     nearest = count is None
     if nearest:
-        high = np.rint(product)
+        high = np.rint(product, out=x_high)
         low = np.rint(np.add(np.subtract(product, high, out=high10), error, out=high10), out=high10)
     else:
         high, low = count
     residual = np.subtract(high, product, out=product)
     residual -= error
     residual += low
-    size = np.abs(residual, out=term)
+    size = np.abs(residual, out=x_low)
     bound = np.multiply(scale, half_ulp, out=scale)
     gap = np.abs(np.subtract(size, bound, out=error), out=error)
     certain = gap > np.multiply(bound, _CERTAINTY, out=low10)
@@ -511,56 +518,63 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """
     m, e = np.frexp(x)
     certified = (x >= 1e-4) & (x < 1.0) & (m != 0.5)
-    decade = (x >= 1e-3).astype(np.intp)  # E + 4 on [1e-4, 1)
+    half_ulp = np.ldexp(1.0, e - 54, out=m)
+    decade = (x >= 1e-3).astype(np.int8)  # E + 4 on [1e-4, 1)
     decade += x >= 1e-2
     decade += x >= 1e-1
-    half_ulp = np.ldexp(1.0, e - 54)
 
     def test(n: int, rows):
         """``(k, D, passes)`` of the n-digit test on ``x[rows]``; an uncertain
         answer uncertifies its score."""
         xs = x[rows]
         k = n + 3 - decade[rows]
-        (high, low), _, passes, certain = _decimal_residual(xs, *_dekker_split(xs), half_ulp[rows], k)
+        (high, low), _, passes, certain = _decimal_residual(xs, half_ulp[rows], k)
         count = high.astype(np.int64)
         count += low.astype(np.int64)
         certified[rows] &= certain
         return k, count, passes
 
+    def keep(n: int, rows: np.ndarray) -> np.ndarray:
+        """Where the n-digit test on ``x[rows]`` passes, its D and k become
+        the score's; returns where it passes."""
+        k, count, passes = test(n, rows)
+        kept = rows[passes]
+        digits[kept], places[kept] = count[passes], k[passes]
+        return passes
+
     places, digits, passes = test(16, slice(None))
-    # A score no count passes keeps digits 0, which fails the digit check.
     rows = np.flatnonzero(~passes)
-    k, count, ok = test(17, rows)
-    digits[rows] = np.where(ok, count, 0)
-    places[rows] = k
+    certified[rows[~keep(17, rows)]] = False  # no count passes
     rows = np.flatnonzero(passes)
-    k, count, ok = test(15, rows)
-    rows = rows[ok]
-    digits[rows] = count[ok]
-    places[rows] = k[ok]
+    rows = rows[keep(15, rows)]
     certified[rows] &= ~test(14, rows)[2]
     n = places + decade - 3
-    certified &= (digits >= _INT_POW10[n - 1]) & (digits < _INT_POW10[n])
-    return np.where(certified, digits, 0), places, certified  # 0 keeps table indices in range
+    certified &= digits >= _INT_POW10[n - 1]
+    certified &= digits < _INT_POW10[n]
+    digits[~certified] = 0  # keeps table indices in range
+    return digits, places, certified
 
 
-def _score_cells(x: np.ndarray, words: np.ndarray, keep: np.ndarray) -> None:
+def _score_cells(x: np.ndarray, shortest: tuple, words: np.ndarray, keep: np.ndarray) -> None:
     """Write each score's ``repr`` as UTF-8 into one row of ``words`` (six
-    uint32 columns) and mark its bytes in ``keep`` (24 bool columns).
+    uint32 columns) and mark its bytes in ``keep`` (24 bool columns), given
+    ``shortest``, the result of ``_shortest_digits(x)``.
 
     Certified scores take the kernel's digits; every other score takes
     ``repr`` itself, left-aligned."""
-    digits, places, certified = _shortest_digits(x)
-    high, low = np.divmod(digits, 10**8)
-    words[:, 0] = _ZERO_POINT
-    words[:, 1] = _DIGIT_WORDS[high // 10**8]
-    words[:, 2] = _DIGIT_WORDS[high // 10**4 % 10**4]
-    words[:, 3] = _DIGIT_WORDS[high % 10**4]
-    words[:, 4] = _DIGIT_WORDS[low // 10**4]
-    words[:, 5] = _DIGIT_WORDS[low % 10**4]
+    digits, places, certified = shortest
     at = places - 14
     _cells(keep, slice(8))[:] = np.take(_SCORE_HEAD, at)
     _cells(keep, slice(8, None))[:] = np.take(_SCORE_TAIL, at)
+    words[:, 0] = _ZERO_POINT
+    # Four digits a word, from the last: each divmod gives a word's digits
+    # and the digits before them, in place after the first.
+    rest, group = np.divmod(digits, 10**4)
+    words[:, 5] = _DIGIT_WORDS[group]
+    for j in (4, 3, 2):
+        np.divmod(rest, 10**4, out=(rest, group))
+        words[:, j] = _DIGIT_WORDS[group]
+    words[:, 1] = _DIGIT_WORDS[rest]
     rest = np.flatnonzero(~certified)
     if len(rest):
         text = np.array([repr(v).encode() for v in x[rest].tolist()], dtype=f"S{_SCORE_BYTES}")
@@ -717,23 +731,34 @@ class AuditDataset:
         ``_shortest_digits``). Each tile of at most ``_WRITE_CHUNK`` records
         (see ``_write_chunks``) fills a matrix of uint32 words, one row per
         record as wide as the tile's widest prefix rounded up to 8 bytes, and
-        a mask of the bytes each row keeps, and writes the kept bytes, so a
-        tile's temporaries stay in cache and memory stays bounded."""
+        a mask of the bytes each row keeps, and gives the kept bytes, so a
+        tile's temporaries stay in cache and memory stays bounded. Tiles are
+        formatted two at a time, on the calling thread and one helper (see
+        ``_InOrder``), and the calling thread writes them in record order, so
+        the bytes do not depend on thread scheduling: a traced peak of
+        4.5 MB for 200,000 records."""
         prefixes = _byte_table([_csv_line((label, ""))[:-1].encode() for label in self.labels])
         suffixes = _byte_table([f",{y},{d}\n".encode() for y in (0, 1) for d in ("", "0", "1")])
         q = -(-int(suffixes[-1].max()) // 4)
+        tiles = _write_chunks(self.codes, 2 * -(-prefixes[-1] // 8), _SCORE_BYTES // 4 + q)
         with open(path, "wb") as fh:
             fh.write(_csv_line(CSV_HEADER).encode())
-            for part, p in _write_chunks(self.codes, 2 * -(-prefixes[-1] // 8), _SCORE_BYTES // 4 + q):
-                s = p + _SCORE_BYTES // 4  # a row's words: prefix [0, p), score [p, s), suffix [s, s + q)
-                codes = self.codes[part]
-                kinds = 3 * self.outcome[part] + self.decision[part] + 1
-                words = np.empty((len(codes), s + q), np.uint32)
-                keep = np.empty((len(codes), 4 * (s + q)), bool)
-                _put_pieces(prefixes, codes, words[:, :p], keep[:, : 4 * p])
-                _score_cells(self.score[part], words[:, p:s], keep[:, 4 * p : 4 * s])
-                _put_pieces(suffixes, kinds, words[:, s:], keep[:, 4 * s :])
-                fh.write(words.view(np.uint8)[keep])
+            _InOrder(tiles, partial(self._tile_bytes, prefixes, suffixes, q)).run(fh.write)
+
+    def _tile_bytes(self, prefixes, suffixes, q: int, tile: tuple[slice, int]) -> np.ndarray:
+        """The bytes ``to_csv`` writes for the records of one ``(part, p)``
+        tile of ``_write_chunks``, whose rows have ``p`` words of prefix and
+        ``q`` of suffix."""
+        part, p = tile
+        s = p + _SCORE_BYTES // 4  # a row's words: prefix [0, p), score [p, s), suffix [s, s + q)
+        score = self.score[part]
+        shortest = _shortest_digits(score)  # before the rows, so as not to hold both
+        words = np.empty((len(score), s + q), np.uint32)
+        keep = np.empty((len(score), 4 * (s + q)), bool)
+        _put_pieces(prefixes, self.codes[part], words[:, :p], keep[:, : 4 * p])
+        _score_cells(score, shortest, words[:, p:s], keep[:, 4 * p : 4 * s])
+        _put_pieces(suffixes, 3 * self.outcome[part] + self.decision[part] + 1, words[:, s:], keep[:, 4 * s :])
+        return words.view(np.uint8)[keep]
 
     @classmethod
     def from_csv(cls, path) -> "AuditDataset":
@@ -746,7 +771,7 @@ class AuditDataset:
         ``,outcome,decision`` unpadded. Lines may end in LF, CR LF or a lone
         CR, and blank lines are skipped. It reads blocks of whole lines
         (``_READ_BLOCK`` bytes), two in flight at once, on the calling thread
-        and one helper (see ``_Blocks``), joined in file order; the result
+        and one helper (see ``_InOrder``), joined in file order; the result
         does not depend on thread scheduling. Its memory is the columns it
         returns, 14 bytes per record held twice, plus two blocks' work: a
         traced peak of 8.3-9.7 MB for 200,000 records. Any other file
@@ -884,9 +909,7 @@ def _decimal_scores(digits: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.n
             break
         count = (high[rows], (digits[rows] - high[rows].astype(np.uint64)).view(np.int64).astype(np.float64))
         m, e = np.frexp(guess)
-        _, residual, passes, certain = _decimal_residual(
-            guess, *_dekker_split(guess), np.ldexp(1.0, e - 54), k[rows], count
-        )
+        _, residual, passes, certain = _decimal_residual(guess, np.ldexp(1.0, e - 54), k[rows], count)
         done = passes & certain & (m != 0.5)
         x[rows[done]] = guess[done]
         certified[rows[done]] = True
@@ -1103,106 +1126,131 @@ def _block_end(mm, start: int, longest: int) -> int | None:
     return cut + 1
 
 
-class _Blocks:
-    """The blocks of whole lines of a record file's memory map ``mm`` from
-    ``start`` on (see ``_block_end``), parsed by ``_block_records`` on two
-    threads, the calling thread and one helper, and gathered in file order
-    by the calling thread.
+class _Refused(Exception):
+    """A block of a record file that the tokenizer leaves to the row reader."""
 
-    Either thread takes the next block in file order while fewer than two
-    blocks are out (taken and not yet gathered), so at most two blocks' work
-    is held at once. No block is taken after one fails. A block's new labels
-    are learned as it is gathered (see ``_LabelCodes``), so the result does
-    not depend on which thread parsed which block, or when."""
 
-    def __init__(self, mm, start: int, longest: int, labels: _LabelCodes, limit: int):
-        self._mm, self._start, self._longest, self._labels, self._limit = mm, start, longest, labels, limit
+def _line_blocks(mm, start: int, longest: int):
+    """``(start, stop)`` of each block of whole lines of the memory map
+    ``mm`` from ``start`` on (see ``_block_end``); ``_Refused`` at a line
+    longer than any record."""
+    while start < len(mm):
+        stop = _block_end(mm, start, longest)
+        if stop is None:
+            raise _Refused
+        yield start, stop
+        start = stop
+
+
+def _parse_block(mm, labels: _LabelCodes, limit: int, block: tuple[int, int]) -> tuple:
+    """``_block_records`` of the block ``mm[start:stop]``, copied into a
+    buffer padded with ``_PAD`` zero bytes, its pages of the map then
+    dropped; ``_Refused`` if it returns None."""
+    start, stop = block
+    buf = np.zeros(stop - start + 2 * _PAD, np.uint8)
+    buf[_PAD:-_PAD] = np.frombuffer(mm, np.uint8, stop - start, start)
+    if _DROP_PAGES is not None:
+        first = start - start % mmap.PAGESIZE
+        mm.madvise(_DROP_PAGES, first, stop - first)
+    part = _block_records(buf, stop == len(mm), labels, limit)
+    if part is None:
+        raise _Refused
+    return part
+
+
+class _InOrder:
+    """``use(work(task))`` for each task of the iterator ``tasks``, in
+    order, with ``work`` on two threads: the calling thread and one helper.
+    The one two-thread mechanism of the record reader and the writer.
+
+    Either thread takes the next task, under the lock, while fewer than two
+    items are out (taken and not yet used), so at most two items' work is
+    held at once. ``use`` runs on the calling thread only, in task order, so
+    what it makes does not depend on which thread did which item, or when.
+    An item that raises, in ``next(tasks)`` or in ``work``, stops the taking
+    of tasks, and its exception is raised at its place in the order. The
+    helper is joined before ``run`` returns or raises."""
+
+    def __init__(self, tasks, work):
+        self._tasks, self._work = tasks, work
         self._state = threading.Condition()
-        self._done: dict[int, object] = {}  # block index -> result, for blocks parsed and not gathered
-        self._taken = self._gathered = 0
-        self._halted = False
+        self._done: dict[int, tuple] = {}  # index -> (exception or None, result), for items not yet used
+        self._taken = self._used = 0
+        self._stopped = False  # no task is left, one failed, or run has ended
 
-    def gather(self) -> list | None:
-        """Each block's ``(codes, score, outcome, decision)``, in file order,
-        or None when the first block to fail returns None; when it raises,
-        its exception is raised here. The helper is joined before this
-        returns, so that no buffer of ``mm`` is left when it closes."""
+    def run(self, use) -> None:
         helper = threading.Thread(target=self._help)
         helper.start()
         try:
-            return self._gather()
+            while (item := self._next()) is not None:
+                exc, result = item
+                if exc is not None:
+                    raise exc
+                use(result)
+                with self._state:
+                    self._used += 1
+                    self._state.notify_all()
         finally:
             with self._state:
-                self._halted = True
+                self._stopped = True
                 self._state.notify_all()
             helper.join()
 
-    def _take(self) -> tuple[int, int, int] | None:
-        """Under the lock: ``(index, start, stop)`` of the next block, or None
-        while two blocks are out, or when none is left to take."""
-        if self._halted or self._start >= len(self._mm) or self._taken - self._gathered >= 2:
+    def _take(self) -> tuple | None:
+        """Under the lock: ``(index, task)`` of the next task, or None while
+        two items are out, or when none is left to take."""
+        if self._stopped or self._taken - self._used >= 2:
             return None
-        index, start = self._taken, self._start
+        index = self._taken
+        try:
+            task = next(self._tasks)
+        except StopIteration:
+            self._stopped = True
+            return None
+        except Exception as exc:
+            self._taken += 1
+            self._put(index, (exc, None))
+            return None
         self._taken += 1
-        stop = _block_end(self._mm, start, self._longest)
-        if stop is None:  # a line longer than any record
-            self._put(index, None)
-            return None
-        self._start = stop
-        return index, start, stop
+        return index, task
 
-    def _put(self, index: int, result) -> None:
-        """Under the lock: the result of block ``index``."""
-        self._done[index] = result
-        self._halted |= result is None or isinstance(result, Exception)
+    def _put(self, index: int, done: tuple) -> None:
+        """Under the lock: item ``index``'s ``(exception or None, result)``."""
+        self._done[index] = done
+        self._stopped |= done[0] is not None
         self._state.notify_all()
 
-    def _parse(self, index: int, start: int, stop: int) -> None:
+    def _do(self, index: int, task) -> None:
         try:
-            buf = np.zeros(stop - start + 2 * _PAD, np.uint8)
-            buf[_PAD:-_PAD] = np.frombuffer(self._mm, np.uint8, stop - start, start)
-            if _DROP_PAGES is not None:
-                first = start - start % mmap.PAGESIZE
-                self._mm.madvise(_DROP_PAGES, first, stop - first)
-            result = _block_records(buf, stop == len(self._mm), self._labels, self._limit)
-        except Exception as exc:  # raised again when the block is gathered
-            result = exc
+            done = None, self._work(task)
+        except Exception as exc:  # raised again at its place in the order
+            done = exc, None
         with self._state:
-            self._put(index, result)
+            self._put(index, done)
 
     def _help(self) -> None:
         while True:
             with self._state:
-                while (block := self._take()) is None:
-                    if self._halted or self._start >= len(self._mm):
+                while (task := self._take()) is None:
+                    if self._stopped:
                         return
                     self._state.wait()
-            self._parse(*block)
+            self._do(*task)
 
-    def _gather(self) -> list | None:
-        parts = []
+    def _next(self) -> tuple | None:
+        """On the calling thread: the next item's ``(exception or None,
+        result)``, doing tasks while it is not done; None when every item is
+        used."""
         while True:
             with self._state:
-                block = None
-                while self._gathered not in self._done and (block := self._take()) is None:
-                    if self._taken == self._gathered:  # the file is read
-                        return parts
+                task = None
+                while self._used not in self._done and (task := self._take()) is None:
+                    if self._used == self._taken:
+                        return None
                     self._state.wait()
-                if block is None:
-                    part = self._done.pop(self._gathered)
-                    self._gathered += 1
-                    self._state.notify_all()
-            if block is not None:
-                self._parse(*block)
-                continue
-            if isinstance(part, Exception):
-                raise part
-            if part is not None and callable(part[0]):  # the block holds a new label
-                codes = part[0]()
-                part = None if codes is None else (codes, *part[1:])
-            if part is None:
-                return None
-            parts.append(part)
+                if task is None:
+                    return self._done.pop(self._used)
+            self._do(*task)
 
 
 def _read_columns(path) -> AuditDataset | None:
@@ -1213,10 +1261,11 @@ def _read_columns(path) -> AuditDataset | None:
 
     The header is read by ``csv`` and must fill the first line. The lines
     after it are read through a memory map in blocks of whole lines, on two
-    threads (see ``_Blocks``). A record must lie on one line, as
-    a line ends at LF, CR LF or a lone CR, so a cell spread over lines, or
-    quoted other than as ``csv.writer`` quotes it, leaves the file to the
-    row reader. So does a cell longer than the csv field-size limit, a byte
+    threads (see ``_InOrder``), and the calling thread learns their new
+    labels in file order (see ``_LabelCodes``). A record must lie on one
+    line, as a line ends at LF, CR LF or a lone CR, so a cell spread over
+    lines, or quoted other than as ``csv.writer`` quotes it, leaves the file
+    to the row reader. So does a cell longer than the csv field-size limit, a byte
     that is not UTF-8, a number ``float`` refuses or a score outside [0, 1].
     """
     info = os.stat(path)  # a pipe is not opened here: its data can be read only once
@@ -1235,10 +1284,24 @@ def _read_columns(path) -> AuditDataset | None:
     # score, 5 of separators and tail, and its line break.
     longest = 5 * limit + 8
     labels = _LabelCodes()
+    parts = []
+
+    def gather(part) -> None:
+        if callable(part[0]):  # the block holds a new label
+            codes = part[0]()
+            if codes is None:
+                raise _Refused
+            part = (codes, *part[1:])
+        parts.append(part)
+
     with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
         found = _LINE_BREAK.search(mm)
-        parts = _Blocks(mm, len(mm) if found is None else found.end(), longest, labels, limit).gather()
-    if not parts:  # a block refused, or no line after the header
+        blocks = _line_blocks(mm, len(mm) if found is None else found.end(), longest)
+        try:
+            _InOrder(blocks, partial(_parse_block, mm, labels, limit)).run(gather)
+        except _Refused:
+            return None
+    if not parts:  # no line after the header
         return None
     codes, score, outcome, decision = map(np.concatenate, zip(*parts))
     try:

@@ -13,7 +13,7 @@ from fairsim import PayoffMatrix, ScoreDensity, ScoreMap, mc_long_run_eu, sample
 from _helpers import judge_population
 
 SAMPLE_CSV_SHA256 = "fbd55a84712cf6e7687e715acf68936a01b56cac3fda5ebd2c50667650afeb57"
-# 200,000 records: 25 tiles of 8,192 records, the last one partial. Recorded
+# 200,000 records: 13 tiles of 16,384 records, the last one partial. Recorded
 # when ``sample`` still drew each group's columns whole.
 TILED_SAMPLE_CSV_SHA256 = "96e3f5fd11e3acd8a8550f49a64c91fba249aaa8264ebb2d1827e6f366ec2931"
 MC_EST = float.fromhex("0x1.fe9b7bf1e8e61p-3")  # 0.24932
