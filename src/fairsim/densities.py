@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import mmap
 import os
 import re
 import stat
@@ -770,11 +769,13 @@ class AuditDataset:
         quoted when it holds a comma or a quote, then the score, then
         ``,outcome,decision`` unpadded. Lines may end in LF, CR LF or a lone
         CR, and blank lines are skipped. It reads blocks of whole lines
-        (``_READ_BLOCK`` bytes), two in flight at once, on the calling thread
-        and one helper (see ``_InOrder``), joined in file order; the result
-        does not depend on thread scheduling. Its memory is the columns it
-        returns, 14 bytes per record held twice, plus two blocks' work: a
-        traced peak of 8.3-9.7 MB for 200,000 records. Any other file
+        (``_READ_BLOCK`` bytes) with plain reads, tokenizes two in flight at
+        once, on the calling thread and one helper (see ``_InOrder``), and
+        codes their labels on the calling thread in file order; the result
+        does not depend on thread scheduling. Its memory is the columns, 14
+        bytes per record in blocks, joined one column at a time, each
+        column's blocks let go once it is joined, plus two blocks' work: a
+        traced peak of 9.8-10.2 MB for 200,000 records. Any other file
         (padded cells, other quoting, bad tokens, over-long cells, a record
         spread over lines, bytes that are not UTF-8, no records, a pipe) is
         read row by row; that reader's result, or its line-numbered error,
@@ -808,10 +809,6 @@ _READ_BLOCK = 448 << 10
 #: label cell's start.
 _PAD = 24
 _LINE_BREAK = re.compile(rb"[\r\n]")
-#: Where the platform has it, the advice that drops a block's pages of the
-#: memory map once the block is copied; a page read again is read back from
-#: the file, so the map's resident pages stay bounded, not the whole file.
-_DROP_PAGES = getattr(mmap, "MADV_DONTNEED", None)
 #: A score cell that ``float`` reads, row by row: digits, points, exponents
 #: and signs only, so no space, quote or other text that ``csv`` or ``strip``
 #: would change.
@@ -929,110 +926,103 @@ def _cell_label(cell: bytes) -> str | None:
     return label if _is_plain_label(label) and _csv_line((label, "")) == f"{text},\n" else None
 
 
-class _LabelTable:
-    """The labels a record file's reader has learned, never changed once
-    made: ``labels`` and their first ``cells``, and each cell's key and hash,
-    by code; the hashes sorted, with the code of each; the cells back to
-    back in ``text``, from ``starts``."""
+class _Refused(Exception):
+    """A block of a record file that the tokenizer leaves to the row reader."""
 
-    def __init__(self, labels: tuple, cells: tuple, keys: np.ndarray, hashes: np.ndarray):
-        self.labels, self.cells, self.keys, self.hashes = labels, cells, keys, hashes
-        order = np.argsort(hashes)
-        self.sorted, self.codes = hashes[order], order.astype(np.int32)
-        lengths = np.array([len(cell) for cell in cells], np.int64)
-        self.text = np.frombuffer(b"".join(cells), np.uint8)
-        self.starts = np.cumsum(lengths) - lengths
 
-    def find(self, hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if not len(self.sorted):
-            return np.zeros(len(hashes), np.intp), np.zeros(len(hashes), bool)
-        at = np.minimum(np.searchsorted(self.sorted, hashes), len(self.sorted) - 1)
-        return at, self.sorted[at] == hashes
+def _runs(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(firsts, within, runs)``: the runs ``data[starts[i] : starts[i] +
+    lengths[i]]`` back to back in ``runs``, run i from ``firsts[i]``, and
+    each byte's place in its run."""
+    firsts = np.cumsum(lengths) - lengths
+    within = np.arange(lengths.sum()) - np.repeat(firsts, lengths)
+    return firsts, within, data[np.repeat(starts, lengths) + within]
+
+
+def _label_keys(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The key and the hash of each label cell ``buf[starts[i] : starts[i] +
+    lengths[i]]`` (see ``_LabelCodes``)."""
+    windows = _windows(buf, "V16")
+    short = np.minimum(lengths, 16)
+    keys = np.empty((len(starts), 5), np.uint64)
+    keys[:, 0] = lengths
+    keys[:, 1:3] = _words(windows[starts])
+    keys[:, 1:3] &= _words(_HEAD_MASKS[short])
+    keys[:, 3:] = _words(windows[starts + lengths - 16])
+    keys[:, 3:] &= _words(_TAIL_MASKS[short])
+    hashes = keys @ _KEY_HASH
+    # A cell of more than 32 bytes adds its middle bytes to its hash, so
+    # that cells differing only there are two labels.
+    long = np.flatnonzero(lengths > 32)
+    if len(long):
+        firsts, within, middles = _runs(buf, starts[long] + 16, lengths[long] - 32)
+        powers = np.cumprod(np.full(int(within.max()) + 1, _KEY_HASH[0]))
+        hashes[long] += np.add.reduceat(middles * powers[within], firsts)
+    return keys, hashes
 
 
 class _LabelCodes:
-    """The group codes of a record file's label cells, read block by block,
-    with ``table.labels`` in first-seen order.
+    """The group codes of a record file's label cells, read block by block
+    in file order, with ``labels`` in first-seen order.
 
     A cell's key is its length and its first and last 16 bytes, which fix a
-    cell of up to 32 bytes. A block looks up the keys' hashes among those of
-    the known labels; a cell it misses is decoded and checked once, as a new
-    label; a longer cell's hash covers its middle bytes too. Each row's key,
-    and a longer cell's middle bytes, are then compared with its label's
-    first cell, so a hash collision refuses the file rather than merge two
-    labels.
-
-    Blocks are parsed on two threads, but labels are learned on the calling
-    thread only, in block order. A block reads ``table``, a snapshot that
-    learning replaces in one assignment, and a label is never given a new
-    code, so codes read from an old snapshot stay right."""
+    cell of up to 32 bytes; a longer cell's hash covers its middle bytes
+    too. Each block makes its keys and hashes (see ``_label_keys``), and the
+    calling thread looks the hashes up among those of the known labels, a
+    block at a time, in file order; a cell it misses is decoded and checked
+    once, as a new label. Each row's key, and a longer cell's middle bytes,
+    are then compared with its label's first cell, so a hash collision
+    refuses the file rather than merge two labels. The first cells are kept
+    back to back in ``text``, from ``starts``, and the hashes sorted, with
+    the code of each."""
 
     def __init__(self):
-        self.table = _LabelTable((), (), np.empty((0, 5), np.uint64), np.empty(0, np.uint64))
+        self.labels, self.cells = (), ()
+        self.keys, self.hashes = np.empty((0, 5), np.uint64), np.empty(0, np.uint64)
+        self._learn([], self.keys, self.hashes)
 
-    def _learn(self, cells: list[bytes], keys: np.ndarray, hashes: np.ndarray) -> bool:
-        """Add the labels of new ``cells``, in order; False if one is refused."""
+    def _learn(self, cells: list[bytes], keys: np.ndarray, hashes: np.ndarray) -> None:
+        """Add the labels of new ``cells``, in order; ``_Refused`` if one is refused."""
         labels = tuple(map(_cell_label, cells))
         if None in labels:
-            return False
-        t = self.table
-        keys, hashes = np.concatenate([t.keys, keys]), np.concatenate([t.hashes, hashes])
-        self.table = _LabelTable(t.labels + labels, t.cells + tuple(cells), keys, hashes)
-        return True
+            raise _Refused
+        self.labels, self.cells = self.labels + labels, self.cells + tuple(cells)
+        self.keys, self.hashes = np.concatenate([self.keys, keys]), np.concatenate([self.hashes, hashes])
+        order = np.argsort(self.hashes)
+        self.sorted, self.order = self.hashes[order], order.astype(np.int32)
+        lengths = np.array([len(cell) for cell in self.cells], np.int64)
+        self.text = np.frombuffer(b"".join(self.cells), np.uint8)
+        self.starts = np.cumsum(lengths) - lengths
 
     def codes(
-        self, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, learn: bool = False
-    ) -> np.ndarray | partial | None:
+        self, buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, keys: np.ndarray, hashes: np.ndarray
+    ) -> np.ndarray:
         """The code of each label cell ``buf[starts[i] : starts[i] + lengths[i]]``,
-        or None if a cell is refused. A cell whose label ``table`` lacks is
-        learned with ``learn``; without it, the result is instead the call
-        that redoes this step and learns, for the calling thread to make once
-        the earlier blocks are in."""
-        table = self.table
-        windows = _windows(buf, "V16")
-        short = np.minimum(lengths, 16)
-        keys = np.empty((len(starts), 5), np.uint64)
-        keys[:, 0] = lengths
-        keys[:, 1:3] = _words(windows[starts])
-        keys[:, 1:3] &= _words(_HEAD_MASKS[short])
-        keys[:, 3:] = _words(windows[starts + lengths - 16])
-        keys[:, 3:] &= _words(_TAIL_MASKS[short])
-        hashes = keys @ _KEY_HASH
-        # A cell of more than 32 bytes adds its middle bytes to its hash, so
-        # that cells differing only there are two labels.
-        long = np.flatnonzero(lengths > 32)
-        middle = lengths[long] - 32
-        firsts = np.cumsum(middle) - middle
-        within = np.arange(middle.sum()) - np.repeat(firsts, middle)
-        ours = buf[np.repeat(starts[long] + 16, middle) + within]
-        if len(long):
-            powers = np.cumprod(np.full(int(middle.max()), _KEY_HASH[0]))
-            hashes[long] += np.add.reduceat(ours * powers[within], firsts)
-        at, known = table.find(hashes)
-        if not known.all():
-            if not learn:
-                return partial(self.codes, buf, starts, lengths, True)
-            missing = np.flatnonzero(~known)
+        whose key and hash are ``keys[i]`` and ``hashes[i]`` (see
+        ``_label_keys``), learning the labels of new cells; ``_Refused`` if a
+        cell is refused."""
+        missing = np.flatnonzero(~np.isin(hashes, self.sorted))
+        if len(missing):
             rows = missing[np.sort(np.unique(hashes[missing], return_index=True)[1])]
             cells = [buf[a : a + n].tobytes() for a, n in zip(starts[rows].tolist(), lengths[rows].tolist())]
-            if not self._learn(cells, keys[rows], hashes[rows]):
-                return None
-            table = self.table
-            at, _ = table.find(hashes)
-        codes = table.codes[at]
-        theirs = table.text[np.repeat(table.starts[codes[long]] + 16, middle) + within]
-        diff = _words(table.keys.view("V40")[codes, 0])
-        diff ^= keys  # zero where each row's key is its label's
-        if diff.any() or not np.array_equal(ours, theirs):
-            return None
+            self._learn(cells, keys[rows], hashes[rows])
+        codes = self.order[np.searchsorted(self.sorted, hashes)]
+        diff = _words(self.keys.view("V40")[codes, 0])
+        diff ^= keys  # zero where each row's key, so its length too, is its label's
+        if diff.any():
+            raise _Refused
+        long = np.flatnonzero(lengths > 32)
+        ours = _runs(buf, starts[long] + 16, lengths[long] - 32)[2]
+        if not np.array_equal(ours, _runs(self.text, self.starts[codes[long]] + 16, lengths[long] - 32)[2]):
+            raise _Refused
         return codes
 
 
-def _score_column(buf: np.ndarray, cells: np.ndarray, cuts: np.ndarray, tails: np.ndarray) -> np.ndarray | None:
+def _score_column(buf: np.ndarray, cells: np.ndarray, cuts: np.ndarray, tails: np.ndarray) -> np.ndarray:
     """The score of each record, whose cell lies between the comma at
     ``cuts`` and the tail at ``tails`` of ``buf``, and ends the 24 bytes of
-    its row of ``cells``; None if a cell is not a number in [0, 1] that
-    ``float`` reads from it as it is.
+    its row of ``cells``; ``_Refused`` if a cell is not a number in [0, 1]
+    that ``float`` reads from it as it is.
 
     A cell ``0.`` plus 1-19 digits is parsed from its window (see
     ``_cell_digits`` and ``_decimal_scores``); ``float`` reads any other
@@ -1052,23 +1042,25 @@ def _score_column(buf: np.ndarray, cells: np.ndarray, cuts: np.ndarray, tails: n
     for i, a, b in zip(rest.tolist(), (cuts[rest] + 1).tolist(), tails[rest].tolist()):
         cell = text[a:b]
         if not _NUMBER.fullmatch(cell):
-            return None
+            raise _Refused
         try:
             score[i] = number = float(cell)
         except ValueError:
-            return None
+            raise _Refused from None
         if not 0.0 <= number <= 1.0:
-            return None
+            raise _Refused
     return score
 
 
-def _block_records(buf: np.ndarray, last: bool, labels: _LabelCodes, limit: int) -> tuple | None:
-    """``(codes, score, outcome, decision)`` of the records in one block of
+def _block_records(buf: np.ndarray, last: bool, limit: int) -> tuple:
+    """``(labels, score, outcome, decision)`` of the records in one block of
     whole lines, which ``buf`` holds between ``_PAD`` zero bytes on each
-    side, or None unless every line is blank or a record that the row reader
-    reads the same. ``last`` tells whether the block ends the file, where
-    the last line may lack its line break. ``codes`` is the call to make
-    instead when a label is new (see ``_LabelCodes.codes``).
+    side, where ``labels`` is ``(buf, starts, lengths, keys, hashes)`` of
+    the label cells, the arguments of ``_LabelCodes.codes``; ``_Refused``
+    unless every line is blank or a record that the row reader reads the
+    same. ``last`` tells whether the block ends the file, where the last
+    line may lack its line break. The result depends on the block's bytes
+    alone.
 
     A record is a label cell as ``csv.writer`` writes it (see
     ``_cell_label``), a comma, a score cell (see ``_score_column``), then
@@ -1079,7 +1071,7 @@ def _block_records(buf: np.ndarray, last: bool, labels: _LabelCodes, limit: int)
     controls = np.flatnonzero(buf[_PAD:end] < 32) + _PAD
     ends = buf[controls]
     if not np.all((ends == 10) | (ends == 13)):
-        return None  # a control character, which the row reader refuses or strips
+        raise _Refused  # a control character, which the row reader refuses or strips
     if last and (not len(controls) or controls[-1] != end - 1):
         controls = np.append(controls, end)
     starts = np.concatenate(([_PAD], controls[:-1] + 1))
@@ -1091,7 +1083,7 @@ def _block_records(buf: np.ndarray, last: bool, labels: _LabelCodes, limit: int)
     outcome = ((tail >> 8) & 0xFF) - ord("0")
     decision = (tail >> 24) - ord("0")
     if not np.all(((tail & 0xFF00FF) == 0x2C002C) & (outcome < 2) & ((decision < 2) | ~decided)):
-        return None
+        raise _Refused
     tails = ends - 3 - decided
     cells = _windows(buf, "V24")[tails - 24]  # the 24 bytes before each tail
     cuts = tails - 24 + _last_comma(cells.view(np.uint8).reshape(len(cells), 24))
@@ -1100,62 +1092,41 @@ def _block_records(buf: np.ndarray, last: bool, labels: _LabelCodes, limit: int)
         text = buf.tobytes()
         cuts[far] = [text.rfind(b",", a, b) for a, b in zip(starts[far].tolist(), tails[far].tolist())]
     if not np.all(cuts > starts) or max(1, int((tails - cuts - 1).max(initial=0))) > limit:
-        return None  # no label cell, or a cell the csv field limit refuses
-    codes = labels.codes(buf, starts, cuts - starts)
+        raise _Refused  # no label cell, or a cell the csv field limit refuses
     score = _score_column(buf, cells, cuts, tails)
-    if codes is None or score is None:
-        return None
-    return codes, score, outcome.astype(np.int8), np.where(decided, decision.astype(np.int8), np.int8(NO_DECISION))
+    labels = (buf, starts, cuts - starts)
+    decision = np.where(decided, decision.astype(np.int8), np.int8(NO_DECISION))
+    return (*labels, *_label_keys(*labels)), score, outcome.astype(np.int8), decision
 
 
-def _block_end(mm, start: int, longest: int) -> int | None:
-    """The end of the block of whole lines that starts at ``start``: after
-    the last line break among ``_READ_BLOCK`` bytes, or after the one line
-    they start, or the end of the file. None for a line of more than
-    ``longest`` bytes."""
-    size = len(mm)
-    stop = start + _READ_BLOCK
-    if stop >= size:
-        return size
-    cut = max(mm.rfind(b"\n", start, stop), mm.rfind(b"\r", start, stop))
-    if cut < 0:
-        found = _LINE_BREAK.search(mm, stop, start + longest)
-        if found is None:
-            return size if start + longest >= size else None
-        cut = found.start()
-    return cut + 1
+def _line_blocks(fh, longest: int):
+    """Each block of whole lines of the binary file ``fh``, from where it
+    stands, as ``(buf, last)``: ``buf`` holds the block between ``_PAD`` zero
+    bytes on each side, and ``last`` tells whether it ends the file.
 
-
-class _Refused(Exception):
-    """A block of a record file that the tokenizer leaves to the row reader."""
-
-
-def _line_blocks(mm, start: int, longest: int):
-    """``(start, stop)`` of each block of whole lines of the memory map
-    ``mm`` from ``start`` on (see ``_block_end``); ``_Refused`` at a line
-    longer than any record."""
-    while start < len(mm):
-        stop = _block_end(mm, start, longest)
-        if stop is None:
-            raise _Refused
-        yield start, stop
-        start = stop
-
-
-def _parse_block(mm, labels: _LabelCodes, limit: int, block: tuple[int, int]) -> tuple:
-    """``_block_records`` of the block ``mm[start:stop]``, copied into a
-    buffer padded with ``_PAD`` zero bytes, its pages of the map then
-    dropped; ``_Refused`` if it returns None."""
-    start, stop = block
-    buf = np.zeros(stop - start + 2 * _PAD, np.uint8)
-    buf[_PAD:-_PAD] = np.frombuffer(mm, np.uint8, stop - start, start)
-    if _DROP_PAGES is not None:
-        first = start - start % mmap.PAGESIZE
-        mm.madvise(_DROP_PAGES, first, stop - first)
-    part = _block_records(buf, stop == len(mm), labels, limit)
-    if part is None:
-        raise _Refused
-    return part
+    A block is the part line that the block before it left, then
+    ``_READ_BLOCK`` bytes read into the same buffer, up to the last line
+    break among them, or, where they hold none, as far as its one line goes;
+    ``_Refused`` at a line longer than any record."""
+    rest = b""
+    while True:
+        buf = bytearray(len(rest) + _READ_BLOCK + 2 * _PAD)
+        buf[_PAD : _PAD + len(rest)] = rest
+        size = len(rest) + fh.readinto(memoryview(buf)[_PAD + len(rest) : -_PAD])
+        while (cut := max(buf.rfind(b"\n", _PAD, _PAD + size), buf.rfind(b"\r", _PAD, _PAD + size))) < 0:
+            if size < len(buf) - 2 * _PAD:
+                break  # a short read: the end of the file
+            if size >= longest:
+                raise _Refused
+            buf[-_PAD:] = bytes(min(size, longest - size) + _PAD)  # twice the room, up to a longest line
+            size += fh.readinto(memoryview(buf)[_PAD + size : -_PAD])
+        last = size < len(buf) - 2 * _PAD
+        end = _PAD + size if last else cut + 1
+        if end == _PAD:
+            return
+        rest = buf[end : _PAD + size]
+        buf[end : end + _PAD] = bytes(_PAD)
+        yield np.frombuffer(buf, np.uint8, end + _PAD), last
 
 
 class _InOrder:
@@ -1163,9 +1134,11 @@ class _InOrder:
     order, with ``work`` on two threads: the calling thread and one helper.
     The one two-thread mechanism of the record reader and the writer.
 
-    Either thread takes the next task, under the lock, while fewer than two
-    items are out (taken and not yet used), so at most two items' work is
-    held at once. ``use`` runs on the calling thread only, in task order, so
+    Either thread takes the next task while fewer than two items are out
+    (taken and not yet used), so at most two items' work is held at once.
+    ``next(tasks)`` runs under the lock, so tasks are made one at a time, in
+    order, whichever thread takes them: the record reader reads its file
+    there. ``use`` runs on the calling thread only, in task order, so
     what it makes does not depend on which thread did which item, or when.
     An item that raises, in ``next(tasks)`` or in ``work``, stops the taking
     of tasks, and its exception is raised at its place in the order. The
@@ -1260,16 +1233,17 @@ def _read_columns(path) -> AuditDataset | None:
     record, or one that is not a regular file, which could be read only once.
 
     The header is read by ``csv`` and must fill the first line. The lines
-    after it are read through a memory map in blocks of whole lines, on two
-    threads (see ``_InOrder``), and the calling thread learns their new
-    labels in file order (see ``_LabelCodes``). A record must lie on one
-    line, as a line ends at LF, CR LF or a lone CR, so a cell spread over
-    lines, or quoted other than as ``csv.writer`` quotes it, leaves the file
-    to the row reader. So does a cell longer than the csv field-size limit, a byte
-    that is not UTF-8, a number ``float`` refuses or a score outside [0, 1].
+    after it are read in blocks of whole lines (see ``_line_blocks``) and
+    tokenized on two threads (see ``_InOrder``); the calling thread codes
+    their labels in file order (see ``_LabelCodes``) and joins the columns
+    one at a time, letting go of each block's part of a column once it is
+    joined. A record must lie on one line, as a line ends at LF, CR LF or a
+    lone CR, so a cell spread over lines, or quoted other than as
+    ``csv.writer`` quotes it, leaves the file to the row reader. So does a
+    cell longer than the csv field-size limit, a byte that is not UTF-8, a
+    number ``float`` refuses or a score outside [0, 1].
     """
-    info = os.stat(path)  # a pipe is not opened here: its data can be read only once
-    if not stat.S_ISREG(info.st_mode) or info.st_size == 0:
+    if not stat.S_ISREG(os.stat(path).st_mode):  # a pipe is not opened here: its data can be read only once
         return None
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -1284,28 +1258,31 @@ def _read_columns(path) -> AuditDataset | None:
     # score, 5 of separators and tail, and its line break.
     longest = 5 * limit + 8
     labels = _LabelCodes()
-    parts = []
+    columns = ([], [], [], [])  # codes, score, outcome, decision, by block
 
     def gather(part) -> None:
-        if callable(part[0]):  # the block holds a new label
-            codes = part[0]()
-            if codes is None:
-                raise _Refused
-            part = (codes, *part[1:])
-        parts.append(part)
+        cells, *rest = part
+        for column, values in zip(columns, (labels.codes(*cells), *rest)):
+            column.append(values)
 
-    with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
-        found = _LINE_BREAK.search(mm)
-        blocks = _line_blocks(mm, len(mm) if found is None else found.end(), longest)
+    with open(path, "rb") as fh:
+        found = _LINE_BREAK.search(fh.readline(longest))
+        if found is None:  # no line break after the header
+            return None
+        fh.seek(found.end())
         try:
-            _InOrder(blocks, partial(_parse_block, mm, labels, limit)).run(gather)
+            _InOrder(_line_blocks(fh, longest), lambda block: _block_records(*block, limit)).run(gather)
         except _Refused:
             return None
-    if not parts:  # no line after the header
+    if not columns[0]:  # no line after the header
         return None
-    codes, score, outcome, decision = map(np.concatenate, zip(*parts))
+    joined = []
+    for column in columns:
+        joined.append(np.concatenate(column))
+        column.clear()
+    codes, score, outcome, decision = joined
     try:
-        return AuditDataset._from_codes(codes, labels.table.labels, score, outcome, decision)
+        return AuditDataset._from_codes(codes, labels.labels, score, outcome, decision)
     except ValueError:  # no record, or a label that the constructor refuses
         return None
 

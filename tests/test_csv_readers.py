@@ -752,25 +752,58 @@ def _finish_order(monkeypatch, text: bytes) -> list[int]:
 @pytest.mark.parametrize("block", [7 * 30, 1000])
 def test_labels_are_learned_in_file_order_on_the_calling_thread(tmp_path, monkeypatch, block):
     # Labels first seen deep into the file, while the helper's first block
-    # ends after a later one, still give the row reader's labels and codes.
+    # ends after a later one, still give the row reader's labels and codes:
+    # each block's labels are coded once, on the calling thread, in file order.
     path = tmp_path / "records.csv"
     text = _records_across_blocks()
     path.write_bytes(text)
     want = _read_rows(path)
     finished = _finish_order(monkeypatch, text)
-    learners, learn = [], densities._LabelCodes._learn
+    calls, codes = [], densities._LabelCodes.codes
 
-    def spy(self, *args):
-        learners.append(threading.get_ident())
-        return learn(self, *args)
+    def spy(self, buf, *args):
+        calls.append((threading.get_ident(), text.index(buf[densities._PAD : -densities._PAD].tobytes())))
+        return codes(self, buf, *args)
 
-    monkeypatch.setattr(densities._LabelCodes, "_learn", spy)
+    monkeypatch.setattr(densities._LabelCodes, "codes", spy)
     monkeypatch.setattr(densities, "_READ_BLOCK", block)
     got = _read_columns(path)
     assert got is not None
     _assert_same(got, want)
     assert finished != sorted(finished)  # a block ended before an earlier one
-    assert learners and set(learners) == {threading.get_ident()}
+    assert {thread for thread, _ in calls} == {threading.get_ident()}
+    assert [at for _, at in calls] == sorted(finished)
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+@pytest.mark.parametrize("final", [True, False], ids=["final-break", "no-final-break"])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_blocks_at_the_end_of_the_file_match_the_row_reader(tmp_path, monkeypatch, end, final, delta):
+    # The block size is the length of the bytes after the header's line
+    # break, one byte less or one byte more, so the first read stops just
+    # short of the end of the file, at it or past it. One byte short, a final
+    # CR LF pair is split across two blocks. The blocks hold each of those
+    # bytes once, and only the last block may end other than at a line break.
+    lines = ["a,0.25,1,0", '"b,c",0.5,0,', "a,1.0,0,1"]
+    text = (end.join([HEADER, *lines]) + (end if final else "")).encode()
+    body = text[len(HEADER) + 1 :]  # from after the header's CR, for CR LF
+    path = tmp_path / "records.csv"
+    path.write_bytes(text)
+    monkeypatch.setattr(densities, "_READ_BLOCK", len(body) + delta)
+    blocks, parse = [], densities._block_records
+
+    def spy(buf, *args):
+        blocks.append(buf[densities._PAD : -densities._PAD].tobytes())
+        return parse(buf, *args)
+
+    monkeypatch.setattr(densities, "_block_records", spy)
+    got = _read_columns(path)
+    assert got is not None
+    _assert_same(got, _read_rows(path))
+    assert b"".join(blocks) == body
+    assert all(block[-1:] in (b"\n", b"\r") for block in blocks[:-1])
+    if end == "\r\n" and final and delta == -1:
+        assert blocks[-2:] == [body[:-1], b"\n"]
 
 
 def test_reads_at_once_with_threads_switching_often_give_the_row_readers_records(tmp_path, monkeypatch):
